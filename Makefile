@@ -13,11 +13,13 @@
 # to direct execution), and a smoke run of the perf harness
 # (micro-benchmarks plus the sharded-vs-sequential and bursty
 # dense/event/sharded byte-equality gates, regression-gated; the full
-# harness writing BENCH_8.json is `make bench`).
+# harness writing BENCH_8.json is `make bench`), and a vet-and-short-test
+# pass over the nested benchmark module, which the root `go build ./...`
+# does not see.
 
 GO ?= go
 
-.PHONY: all build vet test race fork-race bench bench-smoke shard-scaling-smoke estimate-smoke simd-smoke dist-smoke profile ci
+.PHONY: all build vet test race fork-race bench bench-smoke bench-module shard-scaling-smoke estimate-smoke simd-smoke dist-smoke profile ci
 
 all: build
 
@@ -56,6 +58,13 @@ bench:
 # sharded run fails to reproduce the sequential result byte for byte.
 bench-smoke:
 	$(GO) run ./cmd/bench -quick -skip-sweep -out - -check BENCH_1.json
+
+# benchmark/ is a module of its own that imports nocmem/internal/...: the
+# root module's build and tests never compile it, so an internal API change
+# can break the repository benchmark unnoticed. Vet it and run its short
+# tests (~6 s).
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # The shard-scaling determinism gate on its own: sharded runs of the skewed
 # corner-hotspot workload (2 workers stealing, 4 workers no-steal) must
@@ -97,4 +106,4 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: $(GO) tool pprof cpu.pprof"
 
-ci: vet build fork-race race shard-scaling-smoke estimate-smoke simd-smoke dist-smoke bench-smoke
+ci: vet build bench-module fork-race race shard-scaling-smoke estimate-smoke simd-smoke dist-smoke bench-smoke

@@ -90,6 +90,14 @@ const MaxMeshTiles = 1024
 // compile-time assertion against noc.NumVNets.
 const NumVNets = 2
 
+// MaxVCsPerPort and MaxBufferDepth bound the router's input side: a router
+// tracks its input VCs — 5 ports times VCsPerPort — with one bit each in
+// 64-bit masks, and addresses a VC's flit ring with byte-sized cursors.
+const (
+	MaxVCsPerPort  = 12
+	MaxBufferDepth = 255
+)
+
 // NoC holds the network-on-chip parameters (Table 1, "NoC parameters").
 type NoC struct {
 	Pipeline RouterPipeline
@@ -97,10 +105,11 @@ type NoC struct {
 	// VCsPerPort is the number of virtual channels per input port.
 	// The VCs are split evenly across the NumVNets virtual networks
 	// (requests and responses), so this must be a positive multiple of
-	// NumVNets; Validate rejects anything else.
+	// NumVNets, at most MaxVCsPerPort; Validate rejects anything else.
 	VCsPerPort int
 
-	// BufferDepth is the per-VC buffer capacity in flits.
+	// BufferDepth is the per-VC buffer capacity in flits, 1 to
+	// MaxBufferDepth.
 	BufferDepth int
 
 	// FlitBits is the flit width in bits; a 64-byte cache line plus a
@@ -411,8 +420,11 @@ func (c Config) Validate() error {
 	case c.NoC.VCsPerPort < NumVNets || c.NoC.VCsPerPort%NumVNets != 0:
 		return fmt.Errorf("config: VCsPerPort %d must be a positive multiple of the %d virtual networks (VCs are split evenly per vnet; a remainder would strand trailing VCs)",
 			c.NoC.VCsPerPort, NumVNets)
-	case c.NoC.BufferDepth < 1:
-		return errors.New("config: BufferDepth must be >= 1")
+	case c.NoC.VCsPerPort > MaxVCsPerPort:
+		return fmt.Errorf("config: VCsPerPort %d exceeds %d (a router keeps one bit per input VC of its 5 ports in 64-bit masks)",
+			c.NoC.VCsPerPort, MaxVCsPerPort)
+	case c.NoC.BufferDepth < 1 || c.NoC.BufferDepth > MaxBufferDepth:
+		return fmt.Errorf("config: BufferDepth %d outside [1, %d]", c.NoC.BufferDepth, MaxBufferDepth)
 	case c.NoC.FlitBits < 64:
 		return fmt.Errorf("config: FlitBits %d too small for a header", c.NoC.FlitBits)
 	case c.NoC.Pipeline != Pipeline5 && c.NoC.Pipeline != Pipeline2:

@@ -57,6 +57,7 @@ func TestValidationRejects(t *testing.T) {
 		{"huge mesh", func(c *Config) { c.Mesh.Width = 64; c.Mesh.Height = 64 }},
 		{"odd VCs", func(c *Config) { c.NoC.VCsPerPort = 3 }},
 		{"zero buffers", func(c *Config) { c.NoC.BufferDepth = 0 }},
+		{"buffers past the ring cursors", func(c *Config) { c.NoC.BufferDepth = 256 }},
 		{"narrow flits", func(c *Config) { c.NoC.FlitBits = 32 }},
 		{"bad pipeline", func(c *Config) { c.NoC.Pipeline = 3 }},
 		{"negative starvation", func(c *Config) { c.NoC.StarvationWindow = -1 }},
@@ -110,6 +111,8 @@ func TestValidateVCsPerVNet(t *testing.T) {
 		{6, true},
 		{7, false},
 		{8, true},
+		{12, true},
+		{14, false}, // 5 ports x 14 VCs no longer fit the routers' 64-bit VC masks
 		{-2, false},
 	}
 	for _, tc := range cases {
@@ -120,8 +123,8 @@ func TestValidateVCsPerVNet(t *testing.T) {
 			t.Errorf("VCsPerPort=%d: rejected valid config: %v", tc.vcs, err)
 		}
 		if !tc.ok && err == nil {
-			t.Errorf("VCsPerPort=%d: accepted %d VCs not divisible by %d vnets",
-				tc.vcs, tc.vcs, NumVNets)
+			t.Errorf("VCsPerPort=%d: accepted (must be a multiple of %d vnets, at most %d)",
+				tc.vcs, NumVNets, MaxVCsPerPort)
 		}
 	}
 }

@@ -152,7 +152,7 @@ func (c *Cache) Run(cfg config.Config, apps []trace.Profile) (*sim.Result, error
 		}
 		rcfg := cfg
 		rcfg.Run.ResumeFrom = cfg.Run.WarmupCycles
-		s, err := sim.Restore(rcfg, apps, bytes.NewReader(snap))
+		s, err := sim.RestoreImage(rcfg, apps, snap)
 		if err != nil {
 			// A store image passed the header check but failed the full
 			// decode (bit rot past the CRC's reach should be impossible, a

@@ -14,27 +14,31 @@ func newArbPolicy(cfg config.NoC) arbPolicy {
 	return arbPolicy{mode: cfg.StarvationMode, window: cfg.StarvationWindow, batchInterval: cfg.BatchInterval}
 }
 
-// candidate is one arbitration contender: a flit plus its effective age
-// (packet so-far delay plus local residence, per Section 3.3: "the routers
-// also consider the local delays in addition to the age fields") and, for
-// batching mode, the batch its packet was injected in.
+// candidate is one arbitration contender: the front flit of an input VC,
+// reduced to what the rule compares — its packet's priority class, its
+// effective age (packet so-far delay plus local residence, per Section 3.3:
+// "the routers also consider the local delays in addition to the age fields")
+// and, for batching mode, the batch its packet was injected in. It holds no
+// pointer: building and comparing candidates touches no flit or packet memory.
 type candidate struct {
-	f     *flit
+	high  bool
 	age   int64
 	batch int64
-	// ord breaks ties deterministically (port/VC index).
+	// ord is the contender's flat input VC index; it breaks ties
+	// deterministically in (port, vc) order.
 	ord int
 }
 
-// makeCandidate builds the contender for the front flit of input VC i. The
-// so-far delay is the VC's header-carried snapshot (see router.inAge) plus
-// the front flit's local residence; no live Packet field is read, so
-// arbitration at one router never observes (or races with) header progress
-// at another.
-func (r *router) makeCandidate(i int, f *flit, now int64, ord int) candidate {
-	c := candidate{f: f, age: r.inAge[i] + (now - f.routerEntry), ord: ord}
-	if r.net.arb.mode == config.Batching {
-		c.batch = f.pkt.InjectedAt / r.net.arb.batchInterval
+// makeCandidate builds the contender for the front flit of input VC i from
+// the router's own per-VC state: the priority bit and so-far delay its
+// header carried past (see router.inAge) plus the front flit's local
+// residence. No live Packet field is read, so arbitration at one router never
+// observes (or races with) header progress at another — batching mode alone
+// looks up the packet's immutable injection cycle.
+func (r *router) makeCandidate(i int, now int64) candidate {
+	c := candidate{high: r.high&(1<<uint(i)) != 0, age: r.inAge[i] + (now - r.frontEntry[i]), ord: i}
+	if r.arb.mode == config.Batching {
+		c.batch = r.front(i).pkt.InjectedAt / r.arb.batchInterval
 	}
 	return c
 }
@@ -51,13 +55,11 @@ func (a candidate) beats(b candidate, pol arbPolicy) bool {
 	if pol.mode == config.Batching && a.batch != b.batch {
 		return a.batch < b.batch
 	}
-	aHigh := a.f.pkt.Priority == High
-	bHigh := b.f.pkt.Priority == High
-	if aHigh != bHigh {
+	if a.high != b.high {
 		if pol.mode == config.Batching {
-			return aHigh // within a batch, priority rules unconditionally
+			return a.high // within a batch, priority rules unconditionally
 		}
-		if aHigh {
+		if a.high {
 			// a keeps its high-priority advantage only while b has
 			// not starved past the window.
 			return b.age-a.age <= pol.window

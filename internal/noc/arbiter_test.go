@@ -9,7 +9,7 @@ import (
 )
 
 func cand(pri Priority, age int64, ord int) candidate {
-	return candidate{f: &flit{pkt: &Packet{Priority: pri, Age: age}, routerEntry: 0}, age: age, ord: ord}
+	return candidate{high: pri == High, age: age, ord: ord}
 }
 
 func agePol(window int64) arbPolicy { return arbPolicy{window: window} }

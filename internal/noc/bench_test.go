@@ -8,8 +8,9 @@ import (
 
 // BenchmarkNetworkTick measures one op = one tick of a loaded 4x8 mesh
 // under a steady synthetic offered load (each tile periodically sends a
-// single-flit packet to the diagonally opposite tile). In steady state the
-// flit and packet free lists should hold allocs/op at ~0.
+// single-flit packet to the diagonally opposite tile). Flits are values in
+// the routers' rings and packets come from a free list, so steady state must
+// hold allocs/op at 0.
 func BenchmarkNetworkTick(b *testing.B) {
 	cfg := config.Baseline32()
 	n, err := New(cfg.Mesh, cfg.NoC)
@@ -43,7 +44,7 @@ func BenchmarkNetworkTick(b *testing.B) {
 		}
 	}
 	var now int64
-	for ; now < 4_000; now++ { // warm up: fill pipelines, grow free lists
+	for ; now < 4_000; now++ { // warm up: fill pipelines, grow queues and the packet free list
 		inject(now)
 		n.Tick(now)
 	}

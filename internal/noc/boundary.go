@@ -1,14 +1,15 @@
 package noc
 
 // boundaryItem is one unit of cross-shard hand-off produced by a router's
-// dispatch: a flit arrival when f is non-nil, a credit return when f is nil.
+// dispatch: a flit arrival when f carries a packet, a credit return when f is
+// the zero flit.
 // port and vc address the destination router's input state; at is the cycle
 // the item becomes visible there (arrivals land at now+div+1, credits at
 // now+1, so an item queued during cycle c is never consumable before c+1 —
 // draining at the end-of-cycle barrier is therefore equivalent to the
 // sequential stepper's direct append).
 type boundaryItem struct {
-	f    *flit
+	f    flit
 	port int
 	vc   int
 	at   int64

@@ -55,23 +55,25 @@ func DecodePacketBody(r *snapshot.Reader, nodes int, payload func() any) *Packet
 
 func encodeFlit(w *snapshot.Writer, f *flit, pktRef func(*Packet)) {
 	pktRef(f.pkt)
-	w.Int(f.seq)
+	w.Int(int(f.seq))
 	w.Bool(f.tail)
 	w.I64(f.routerEntry)
 }
 
-func decodeFlit(r *snapshot.Reader, pktRef func() *Packet) *flit {
-	f := &flit{}
+func decodeFlit(r *snapshot.Reader, pktRef func() *Packet) flit {
+	var f flit
 	f.pkt = pktRef()
-	f.seq = r.Int()
+	seq := r.Int()
 	f.tail = r.Bool()
 	f.routerEntry = r.I64()
 	if r.Err() != nil {
 		return f
 	}
-	if f.pkt == nil || f.seq < 0 || f.seq >= f.pkt.NumFlits || f.tail != (f.seq == f.pkt.NumFlits-1) {
+	if f.pkt == nil || seq < 0 || seq >= f.pkt.NumFlits || f.tail != (seq == f.pkt.NumFlits-1) {
 		r.Fail("flit sequence state inconsistent with its packet")
+		return f
 	}
+	f.seq = int32(seq) // in range: Packet.Validate bounds NumFlits
 	return f
 }
 
@@ -112,9 +114,10 @@ func (n *Network) EncodeState(w *snapshot.Writer, pktRef func(*Packet)) {
 		for p := 0; p < NumPorts; p++ {
 			for vc := 0; vc < r.vcs; vc++ {
 				i := r.vci(p, vc)
-				w.Len(len(r.inBuf[i]))
-				for _, f := range r.inBuf[i] {
-					encodeFlit(w, f, pktRef)
+				nf := int(r.cnt[i])
+				w.Len(nf)
+				for k := 0; k < nf; k++ {
+					encodeFlit(w, r.flitAt(i, k), pktRef)
 				}
 				flags := r.inFlags[i]
 				w.Bool(flags&vcRouted != 0)
@@ -132,8 +135,9 @@ func (n *Network) EncodeState(w *snapshot.Writer, pktRef func(*Packet)) {
 				w.Int(int(r.outCredits[i]))
 			}
 			w.Len(len(r.arrivals[p]))
-			for _, a := range r.arrivals[p] {
-				encodeFlit(w, a.f, pktRef)
+			for i := range r.arrivals[p] {
+				a := &r.arrivals[p][i]
+				encodeFlit(w, &a.f, pktRef)
 				w.Int(a.vc)
 				w.I64(a.at)
 			}
@@ -166,7 +170,8 @@ func (n *Network) EncodeState(w *snapshot.Writer, pktRef func(*Packet)) {
 // DecodeState restores the network in place from a snapshot produced by
 // EncodeState. All restored stats land in shard 0 (the per-shard split is
 // an implementation detail; only sums are observable). pktRef reads one
-// packet reference.
+// packet reference. Every ring is refilled from slot 0 and the routers'
+// derived masks and front caches are rebuilt from what was read.
 func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 	var st Stats
 	st.Injected = r.I64()
@@ -189,7 +194,6 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 		rt.buffered = 0
 		rt.injecting = 0
 		rt.ejPkt = nil
-		rt.occ = 0
 		for p := 0; p < NumPorts; p++ {
 			for vc := 0; vc < vcs; vc++ {
 				vi := rt.vci(p, vc)
@@ -201,17 +205,18 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 					r.Fail("router %d vc buffer of %d flits exceeds depth %d", rt.id, nf, depth)
 					return
 				}
-				rt.inBuf[vi] = rt.inBuf[vi][:0]
-				for i := 0; i < nf; i++ {
+				rt.head[vi], rt.cnt[vi] = 0, uint8(nf)
+				rt.buffered += nf
+				for k := 0; k < nf; k++ {
 					f := decodeFlit(r, pktRef)
 					if r.Err() != nil {
 						return
 					}
-					rt.inBuf[vi] = append(rt.inBuf[vi], f)
-					rt.buffered++
-				}
-				if nf > 0 {
-					rt.occ |= 1 << uint(vi)
+					if f.pkt.VNet != rt.pos[vi].vnet {
+						r.Fail("router %d holds a vnet-%d packet in a VC of the other class", rt.id, f.pkt.VNet)
+						return
+					}
+					rt.buf[vi*depth+k] = f
 				}
 				var flags uint8
 				if r.Bool() {
@@ -242,6 +247,11 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 					r.Fail("router %d routed toward a missing neighbor", rt.id)
 					return
 				}
+				// VA takes its requesters from the flag bits alone.
+				if flags&(vcRouted|vcVADone) == vcRouted && (nf == 0 || !rt.buf[vi*depth].header()) {
+					r.Fail("router %d vc awaits allocation without a header at its front", rt.id)
+					return
+				}
 			}
 			for vc := 0; vc < vcs; vc++ {
 				vi := rt.vci(p, vc)
@@ -268,8 +278,8 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 				if r.Err() != nil {
 					return
 				}
-				if vc < 0 || vc >= vcs {
-					r.Fail("arrival vc %d out of range", vc)
+				if vc < 0 || vc >= vcs || f.pkt.VNet != rt.pos[vc].vnet {
+					r.Fail("arrival vc %d out of range or of the wrong class", vc)
 					return
 				}
 				rt.arrivals[p] = append(rt.arrivals[p], arrival{f: f, vc: vc, at: at})
@@ -343,5 +353,32 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 		if r.Err() != nil {
 			return
 		}
+		rt.rebuildDerived()
+	}
+}
+
+// rebuildDerived recomputes the masks and the front cache from the rings,
+// inFlags and the front packets. An empty VC gets a clear high bit; push sets
+// it again when the next flit of its packet arrives.
+func (r *router) rebuildDerived() {
+	r.occ, r.routed, r.vaDone, r.high, r.frontIsHeader = 0, 0, 0, 0, 0
+	for i := range r.cnt {
+		bit := uint64(1) << uint(i)
+		if r.inFlags[i]&vcRouted != 0 {
+			r.routed |= bit
+		}
+		if r.inFlags[i]&vcVADone != 0 {
+			r.vaDone |= bit
+		}
+		if r.cnt[i] == 0 {
+			continue
+		}
+		f := r.front(i)
+		r.occ |= bit
+		r.frontEntry[i] = f.routerEntry
+		if f.header() {
+			r.frontIsHeader |= bit
+		}
+		r.setHigh(bit, f.pkt.Priority == High)
 	}
 }

@@ -45,15 +45,9 @@ type Sink func(p *Packet, cycle int64)
 // Network is a W x H mesh of wormhole VC routers.
 type Network struct {
 	cfg     config.NoC
-	arb     arbPolicy
 	w, h    int
 	routers []*router
 	sinks   []Sink
-
-	// portOf/vcOf decompose a flat per-VC index (port*VCsPerPort+vc) back
-	// into its parts; shared by every router's occupancy-bitmap sweep so
-	// the hot loop does table lookups instead of divisions.
-	portOf, vcOf []int8
 
 	// shards partition the routers for (optionally parallel) stepping; see
 	// netShard. There is always at least one shard — New builds a single
@@ -75,7 +69,7 @@ type Network struct {
 
 // netShard owns a disjoint subset of routers. Everything a router mutates
 // while ticking lives either in the router itself or here — active set,
-// stats, flit pool — so shard workers never write shared state. The only
+// stats — so shard workers never write shared state. The only
 // cross-shard traffic is boundary flits and credits, which a dispatching
 // router pushes into per-directed-edge SPSC queues (see boundary.go); the
 // owning shard drains its incoming queues in fixed order after the tick
@@ -102,25 +96,6 @@ type netShard struct {
 	// A few entries at most (bounded by the shard's boundary degree), so a
 	// linear scan beats a map.
 	drainMin []drainWake
-
-	// flitFree recycles flits. A flit born in one shard may die (eject) in
-	// another; pools migrate objects freely since recycled flits are zeroed.
-	flitFree []*flit
-}
-
-func (sh *netShard) getFlit() *flit {
-	if l := len(sh.flitFree); l > 0 {
-		f := sh.flitFree[l-1]
-		sh.flitFree[l-1] = nil
-		sh.flitFree = sh.flitFree[:l-1]
-		return f
-	}
-	return &flit{}
-}
-
-func (sh *netShard) putFlit(f *flit) {
-	*f = flit{}
-	sh.flitFree = append(sh.flitFree, f)
 }
 
 // New builds the mesh. Sinks default to discarding packets; endpoints
@@ -131,30 +106,43 @@ func New(mesh config.Mesh, cfg config.NoC) (*Network, error) {
 	if err := full.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, arb: newArbPolicy(cfg), w: mesh.Width, h: mesh.Height}
+	n := &Network{cfg: cfg, w: mesh.Width, h: mesh.Height}
 	n.routers = make([]*router, mesh.Nodes())
 	n.sinks = make([]Sink, mesh.Nodes())
-	n.portOf = make([]int8, NumPorts*cfg.VCsPerPort)
-	n.vcOf = make([]int8, NumPorts*cfg.VCsPerPort)
-	for i := range n.portOf {
-		n.portOf[i] = int8(i / cfg.VCsPerPort)
-		n.vcOf[i] = int8(i % cfg.VCsPerPort)
+	arb := newArbPolicy(cfg)
+	nv := NumPorts * cfg.VCsPerPort
+	pos := make([]vcPos, nv)
+	for i := range pos {
+		vc := i % cfg.VCsPerPort
+		pos[i] = vcPos{port: int8(i / cfg.VCsPerPort), vc: int8(vc), vnet: VNet(vc / (cfg.VCsPerPort / int(NumVNets)))}
 	}
 	for i := range n.routers {
 		r := &router{id: i, x: i % n.w, y: i / n.w, net: n, div: 1}
 		if d, ok := cfg.ClockDivisors[i]; ok {
 			r.div = int64(d)
 		}
-		nv := NumPorts * cfg.VCsPerPort
 		r.vcs = cfg.VCsPerPort
-		r.occOK = nv <= 64
-		r.inBuf = make([][]*flit, nv)
+		r.portMask = 1<<uint(cfg.VCsPerPort) - 1
+		r.depth = cfg.BufferDepth
+		r.pos = pos
+		r.arb = arb
+		r.adaptive = cfg.Routing == config.RoutingWestFirst
+		r.fastAll = cfg.Pipeline == config.Pipeline2
+		r.fastHigh = cfg.EnableBypass
+		r.vaWait = rcDelay5 * r.div
+		if !r.fastAll {
+			r.bodyWait = bodyDelay * r.div
+		}
+		r.buf = make([]flit, nv*r.depth)
+		r.head = make([]uint8, nv)
+		r.cnt = make([]uint8, nv)
 		r.inFlags = make([]uint8, nv)
 		r.inOutPort = make([]int8, nv)
 		r.inOutVC = make([]int32, nv)
 		r.inVAAt = make([]int64, nv)
 		r.inSAAt = make([]int64, nv)
 		r.inAge = make([]int64, nv)
+		r.frontEntry = make([]int64, nv)
 		r.outOwner = make([]*Packet, nv)
 		r.outCredits = make([]int32, nv)
 		for i := range r.outCredits {
@@ -187,7 +175,7 @@ func New(mesh config.Mesh, cfg config.NoC) (*Network, error) {
 // created in fixed (source router ascending, then port ascending) order and
 // appended to the destination shard's drain list in that same order, which is
 // what makes the boundary merge deterministic regardless of worker timing.
-// Accumulated stats and pooled flits are folded into shard 0.
+// Accumulated stats are folded into shard 0.
 func (n *Network) SetPartition(shardOf []int) {
 	if shardOf != nil && len(shardOf) != len(n.routers) {
 		panic(fmt.Sprintf("noc: partition over %d routers, mesh has %d", len(shardOf), len(n.routers)))
@@ -212,10 +200,8 @@ func (n *Network) SetPartition(shardOf []int) {
 		}
 	}
 	var carryStats Stats
-	var carryFlits []*flit
 	for _, sh := range n.shards {
 		carryStats.add(sh.stats)
-		carryFlits = append(carryFlits, sh.flitFree...)
 	}
 	shards := make([]*netShard, k)
 	for i := range shards {
@@ -242,7 +228,6 @@ func (n *Network) SetPartition(shardOf []int) {
 		}
 	}
 	shards[0].stats = carryStats
-	shards[0].flitFree = carryFlits
 	n.shards = shards
 	n.applyEventMode()
 }
@@ -470,7 +455,7 @@ func (n *Network) DrainShard(shard int) {
 		r := n.routers[q.dst]
 		minAt := int64(math.MaxInt64)
 		for _, it := range q.items {
-			if it.f != nil {
+			if it.f.pkt != nil {
 				r.arrivals[it.port] = append(r.arrivals[it.port], arrival{f: it.f, vc: it.vc, at: it.at})
 			} else {
 				r.credits = append(r.credits, creditMsg{port: it.port, vc: it.vc, at: it.at})
@@ -618,4 +603,17 @@ func (n *Network) DebugLeaks() error {
 func (n *Network) DebugRouterTicks(id int) (calls, execs int64) {
 	r := n.routers[id]
 	return r.tickCalls, r.tickExecs
+}
+
+// DebugDrainedHighVCs counts the input VCs that are mid-packet but empty —
+// output VC held, remaining flits still upstream — while serving a
+// high-priority packet: the one piece of derived router state a checkpoint
+// restore cannot rebuild from buffered flits (see router.high). The
+// checkpoint tests use it to pick a snapshot cycle that exercises this.
+func (n *Network) DebugDrainedHighVCs() int {
+	k := 0
+	for _, r := range n.routers {
+		k += bits.OnesCount64(r.vaDone &^ r.occ & r.high)
+	}
+	return k
 }

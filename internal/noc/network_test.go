@@ -523,10 +523,12 @@ func TestVNetIsolation(t *testing.T) {
 		if now%37 != 0 {
 			continue
 		}
+		checkAllDerived(t, n, now)
 		for _, r := range n.routers {
 			for port := 0; port < NumPorts; port++ {
 				for vc := 0; vc < r.vcs; vc++ {
-					for _, f := range r.inBuf[r.vci(port, vc)] {
+					for i, k := r.vci(port, vc), 0; k < int(r.cnt[i]); k++ {
+						f := r.flitAt(i, k)
 						lo, hi := r.vnetRange(f.pkt.VNet)
 						if vc < lo || vc >= hi {
 							t.Fatalf("cycle %d: %v packet in VC %d of router %d (class range [%d,%d))",

@@ -15,6 +15,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 
 	"nocmem/internal/config"
 )
@@ -56,6 +57,14 @@ const (
 // vnetRange's even split; fail the build if the two constants ever diverge.
 var _ = [1]struct{}{}[NumVNets-config.NumVNets]
 
+// The routers keep one bit per input VC in uint64 masks and uint8 ring
+// cursors; config.Validate bounds VCsPerPort and BufferDepth accordingly.
+// Fail the build if the bounds ever outgrow those types.
+const (
+	_ = uint(64 - NumPorts*config.MaxVCsPerPort)
+	_ = uint8(config.MaxBufferDepth)
+)
+
 // Packet is one network message. A packet is split into NumFlits flits at
 // injection and reassembled at ejection (wormhole switching).
 type Packet struct {
@@ -90,7 +99,7 @@ func (p *Packet) NetLatency() int64 { return p.EjectedAt - p.InjectedAt }
 // Validate reports structural problems in a packet about to be injected.
 func (p *Packet) Validate(nodes int) error {
 	switch {
-	case p.NumFlits < 1:
+	case p.NumFlits < 1 || p.NumFlits > math.MaxInt32: // flit.seq is an int32
 		return fmt.Errorf("noc: packet %d has %d flits", p.ID, p.NumFlits)
 	case p.Src < 0 || p.Src >= nodes:
 		return fmt.Errorf("noc: packet %d source %d out of range", p.ID, p.Src)
@@ -180,17 +189,20 @@ func (pq *pktQueue) push(p *Packet) {
 	pq.q = append(pq.q, p)
 }
 
-// flit is one flow-control unit of a packet.
+// flit is one flow-control unit of a packet. Flits are 24-byte values: they
+// live in the routers' input rings and are copied through the link and
+// boundary queues, so nothing allocates or recycles them.
 type flit struct {
-	pkt  *Packet
-	seq  int // 0 = header
-	tail bool
+	pkt *Packet
 
 	// routerEntry is the cycle this flit entered the current router's
 	// buffer; the difference at departure is the local residence time
 	// added to the packet age (header flits) and the local component of
 	// the arbitration age.
 	routerEntry int64
+
+	seq  int32 // 0 = header
+	tail bool
 }
 
 func (f *flit) header() bool { return f.seq == 0 }

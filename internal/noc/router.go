@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"nocmem/internal/config"
 )
 
 // Router ports. Local is the injection/ejection port of the tile.
@@ -62,7 +60,7 @@ const (
 
 // arrival is a flit in flight on a link, due at the given cycle.
 type arrival struct {
-	f  *flit
+	f  flit
 	vc int
 	at int64
 }
@@ -87,17 +85,30 @@ type injSlot struct {
 	next int // next flit sequence number to place
 }
 
+// vcPos decomposes a flat per-VC index (port*VCsPerPort+vc) into its parts and
+// names the virtual network the VC serves. The table is built once per
+// network and shared by every router, so the mask-driven loops do lookups
+// instead of divisions.
+type vcPos struct {
+	port, vc int8
+	vnet     VNet
+}
+
 // router is one mesh tile's 5-port VC router.
 //
-// Per-VC state is laid out struct-of-arrays, indexed port*vcs+vc (see vci):
-// the VA/SA arbitration sweeps touch one or two fields of every occupied VC
-// each cycle, and parallel dense slices keep those walks cache-linear instead
-// of striding over full per-VC structs. The input side carries the pipeline
-// state of each VC's front packet; on a tail dispatch only the flag bits are
-// cleared, so outPort/outVC and the eligibility/age fields keep their last
-// values until the next header overwrites them — checkpoint encoding
-// serializes those stale values as-is, and the encoding must stay byte-stable
-// across layout changes.
+// Per-VC state is laid out struct-of-arrays, indexed port*vcs+vc (see vci).
+// The input side carries the pipeline state of each VC's front packet; on a
+// tail dispatch only the flag bits are cleared, so outPort/outVC and the
+// eligibility/age fields keep their last values until the next header
+// overwrites them — checkpoint encoding serializes those stale values as-is,
+// and the encoding must stay byte-stable across layout changes.
+//
+// Two kinds of state live here. Authoritative state is what a checkpoint
+// carries: the flit rings, inFlags and the per-VC pipeline fields, the output
+// side, the queues. Derived state — the occupancy/flag bitmasks and the
+// front-of-VC cache — mirrors it so that VA and SA can pick their contenders
+// with mask arithmetic and read no flit or packet memory until a winner is
+// dispatched; DecodeState rebuilds it (rebuildDerived).
 type router struct {
 	id   int
 	x, y int
@@ -117,17 +128,27 @@ type router struct {
 	// divisible by div, stretching every pipeline stage accordingly.
 	div int64
 
-	vcs int // VCs per port; slice lengths below are NumPorts*vcs
+	// Configuration the hot path consults, copied out of Network at New.
+	vcs      int     // VCs per port; per-VC slice lengths are NumPorts*vcs
+	portMask uint64  // the low vcs bits: one port's share of a per-VC mask
+	depth    int     // flits per input VC (BufferDepth)
+	pos      []vcPos // shared flat-index table, see vcPos
+	arb      arbPolicy
+	adaptive bool  // west-first routing: out port re-chosen until VA succeeds
+	fastAll  bool  // 2-stage pipeline: every header uses the one-cycle setup
+	fastHigh bool  // pipeline bypassing: high-priority headers do
+	vaWait   int64 // buffer write until VA eligibility on the full pipeline
+	bodyWait int64 // buffer write until SA eligibility for body flits
 
-	// occ has one bit per input VC, set while its FIFO is non-empty; valid
-	// only when occOK (NumPorts*vcs <= 64). The arbitration sweep iterates
-	// set bits instead of probing every buffer, so a lightly-loaded router
-	// pays O(occupied VCs) rather than O(all VCs) per cycle.
-	occ   uint64
-	occOK bool
+	// Input VC flit storage: one flat array holding a ring of depth flits
+	// per VC. VC i's ring is buf[i*depth:(i+1)*depth], its front flit sits at
+	// offset head[i] and cnt[i] flits follow it, wrapping. Slots outside the
+	// live window hold stale flits that nothing reads.
+	buf  []flit
+	head []uint8
+	cnt  []uint8
 
-	// Input VCs: the flit FIFO and the front packet's pipeline state.
-	inBuf     [][]*flit
+	// The front packet's pipeline state, per input VC.
 	inFlags   []uint8
 	inOutPort []int8
 	inOutVC   []int32
@@ -144,6 +165,17 @@ type router struct {
 	// across shards (and made the dense sweep's result depend on router id
 	// order).
 	inAge []int64
+
+	// Derived state, one bit per input VC (config.Validate bounds
+	// NumPorts*vcs to 64). occ marks non-empty rings; routed and vaDone
+	// mirror the inFlags bits; frontIsHeader and frontEntry cache the front
+	// flit's kind and routerEntry. high is the priority class of the packet
+	// the VC is serving: set when its header reaches the front and again
+	// whenever a flit enters the empty VC, since a restored router cannot
+	// recover it for a packet whose header already left and whose remaining
+	// flits are still upstream.
+	occ, routed, vaDone, high, frontIsHeader uint64
+	frontEntry                               []int64
 
 	// Output VCs: downstream allocation and credit state.
 	outOwner   []*Packet // packet holding the VC, nil when free
@@ -176,22 +208,23 @@ type router struct {
 	// not interleaved into it. (Matches the emergent behavior of age-based
 	// arbitration, where a draining packet's accumulated age kept it ahead.)
 	ejPkt *Packet
-
-	// Per-tick scratch buffers, reused to keep the hot path allocation-free.
-	refsBuf []vcRef
-	vaBuf   [NumPorts][]vaReq
 }
 
 // vci maps (port, vc) to the flat per-VC index.
 func (r *router) vci(p, vc int) int { return p*r.vcs + vc }
 
-// front returns VC i's front flit, or nil when the buffer is empty.
-func (r *router) front(i int) *flit {
-	if b := r.inBuf[i]; len(b) > 0 {
-		return b[0]
+// flitAt returns the k-th flit from the front of VC i's ring; k == cnt[i]
+// names the slot the next push fills.
+func (r *router) flitAt(i, k int) *flit {
+	s := int(r.head[i]) + k
+	if s >= r.depth {
+		s -= r.depth
 	}
-	return nil
+	return &r.buf[i*r.depth+s]
 }
+
+// front returns VC i's front flit; meaningful only while the VC is occupied.
+func (r *router) front(i int) *flit { return r.flitAt(i, 0) }
 
 func (r *router) pendingArrivals() int {
 	n := 0
@@ -355,7 +388,7 @@ func (r *router) adaptiveRoute(dst int, vn VNet) int {
 		for vc := lo; vc < hi; vc++ {
 			score += r.outCredits[base+vc]
 			if r.outOwner[base+vc] == nil {
-				score += int32(r.net.cfg.BufferDepth) // a free VC outweighs credits
+				score += int32(r.depth) // a free VC outweighs credits
 			}
 		}
 		if score > bestScore {
@@ -365,37 +398,69 @@ func (r *router) adaptiveRoute(dst int, vn VNet) int {
 	return best
 }
 
-// onNewFront initializes the pipeline state when a header flit reaches the
-// front of VC i.
-func (r *router) onNewFront(i int, now int64) {
-	f := r.front(i)
-	if f == nil || !f.header() || r.inFlags[i]&vcRouted != 0 {
-		return
+// push appends f to input VC i. A flit entering an empty VC becomes its front.
+func (r *router) push(i int, f flit, now int64) {
+	n := int(r.cnt[i])
+	if n >= r.depth {
+		panic(fmt.Sprintf("noc: router %d port %s vc %d buffer overflow (credit protocol violated)",
+			r.id, portName(int(r.pos[i].port)), r.pos[i].vc))
 	}
-	flags := r.inFlags[i] | vcRouted
-	r.inAge[i] = f.pkt.Age
-	if r.net.cfg.Routing == config.RoutingWestFirst {
-		flags |= vcAdaptive
-		r.inOutPort[i] = int8(r.adaptiveRoute(f.pkt.Dst, f.pkt.VNet))
-	} else {
-		r.inOutPort[i] = int8(r.route(f.pkt.Dst))
-	}
-	r.inFlags[i] = flags &^ vcVADone
-	if r.fastSetup(f.pkt) {
-		r.inVAAt[i] = now
-	} else {
-		r.inVAAt[i] = now + rcDelay5*r.div
+	*r.flitAt(i, n) = f
+	r.cnt[i]++
+	r.buffered++
+	if n == 0 {
+		bit := uint64(1) << uint(i)
+		r.occ |= bit
+		// For a body flit the VC drained mid-packet: its high bit is
+		// normally still in place from the header, but not after a restore.
+		r.setHigh(bit, f.pkt.Priority == High)
+		r.newFront(i, &f, now)
 	}
 }
 
-// fastSetup reports whether the packet's headers may use the single-cycle
-// setup stage at this router: always under the 2-stage pipeline, and for
-// high-priority packets when pipeline bypassing is enabled.
-func (r *router) fastSetup(p *Packet) bool {
-	if r.net.cfg.Pipeline == config.Pipeline2 {
-		return true
+func (r *router) setHigh(bit uint64, on bool) {
+	if on {
+		r.high |= bit
+	} else {
+		r.high &^= bit
 	}
-	return r.net.cfg.EnableBypass && p.Priority == High
+}
+
+// newFront refreshes the front cache for f, the flit that just reached the
+// front of VC i, and — when f is a header — initializes its packet's pipeline
+// state: priority class, carried age, route, VA eligibility.
+func (r *router) newFront(i int, f *flit, now int64) {
+	bit := uint64(1) << uint(i)
+	r.frontEntry[i] = f.routerEntry
+	if !f.header() {
+		r.frontIsHeader &^= bit
+		return
+	}
+	r.frontIsHeader |= bit
+	pkt := f.pkt
+	high := pkt.Priority == High
+	r.setHigh(bit, high)
+	r.inAge[i] = pkt.Age
+	if r.adaptive {
+		r.inFlags[i] = vcRouted | vcAdaptive
+		r.inOutPort[i] = int8(r.adaptiveRoute(pkt.Dst, r.pos[i].vnet))
+	} else {
+		r.inFlags[i] = vcRouted
+		r.inOutPort[i] = int8(r.route(pkt.Dst))
+	}
+	r.routed |= bit
+	if r.fastSetup(high) {
+		r.inVAAt[i] = now
+	} else {
+		r.inVAAt[i] = now + r.vaWait
+	}
+}
+
+// fastSetup reports whether a packet's headers may use the single-cycle setup
+// stage at this router: always under the 2-stage pipeline, and for
+// high-priority packets when pipeline bypassing is enabled.
+func (r *router) fastSetup(high bool) bool {
+	return r.fastAll || (r.fastHigh && high)
 }
 
 // tick advances the router by one cycle. On a non-divisor cycle, or when
@@ -405,17 +470,16 @@ func (r *router) fastSetup(p *Packet) bool {
 // not the call happens at all.
 func (r *router) tick(now int64) {
 	r.tickCalls++
-	if now%r.div != 0 || r.idleNow(now) {
+	if (r.div != 1 && now%r.div != 0) || r.idleNow(now) {
 		return
 	}
 	r.tickExecs++
 	r.processCredits(now)
 	r.acceptArrivals(now)
 	r.fillInjections(now)
-	refs := r.activeVCs()
-	if len(refs) > 0 {
-		r.allocateVCs(refs, now)
-		r.allocateSwitch(refs, now)
+	if r.occ != 0 {
+		r.allocateVCs(now)
+		r.allocateSwitch(now)
 	}
 }
 
@@ -436,20 +500,10 @@ func (r *router) acceptArrivals(now int64) {
 		q := r.arrivals[p]
 		taken := 0
 		for taken < len(q) && q[taken].at <= now {
-			a := q[taken]
+			a := &q[taken]
 			taken++
-			i := r.vci(p, a.vc)
-			if len(r.inBuf[i]) >= r.net.cfg.BufferDepth {
-				panic(fmt.Sprintf("noc: router %d port %s vc %d buffer overflow (credit protocol violated)",
-					r.id, portName(p), a.vc))
-			}
 			a.f.routerEntry = now
-			r.inBuf[i] = append(r.inBuf[i], a.f)
-			r.occ |= 1 << uint(i)
-			r.buffered++
-			if len(r.inBuf[i]) == 1 {
-				r.onNewFront(i, now)
-			}
+			r.push(r.vci(p, a.vc), a.f, now)
 		}
 		if taken > 0 {
 			// Compact in place so the queue keeps its capacity: the
@@ -470,12 +524,15 @@ func (r *router) fillInjections(now int64) {
 	for vn := VNet(0); vn < NumVNets; vn++ {
 		lo, hi := r.vnetRange(vn)
 		for vc := lo; vc < hi && r.outbox[vn].len() > 0; vc++ {
-			if r.inj[vc].pkt != nil || len(r.inBuf[r.vci(PortLocal, vc)]) >= r.net.cfg.BufferDepth {
+			if r.inj[vc].pkt != nil || int(r.cnt[r.vci(PortLocal, vc)]) >= r.depth {
 				continue
 			}
 			r.inj[vc] = injSlot{pkt: r.outbox[vn].pop()}
 			r.injecting++
 		}
+	}
+	if r.injecting == 0 {
+		return
 	}
 	// Advance active injections.
 	for vc := range r.inj {
@@ -484,22 +541,16 @@ func (r *router) fillInjections(now int64) {
 			continue
 		}
 		i := r.vci(PortLocal, vc)
-		if len(r.inBuf[i]) >= r.net.cfg.BufferDepth {
+		if int(r.cnt[i]) >= r.depth {
 			continue
 		}
-		f := r.sh.getFlit()
-		*f = flit{pkt: s.pkt, seq: s.next, tail: s.next == s.pkt.NumFlits-1, routerEntry: now}
+		f := flit{pkt: s.pkt, seq: int32(s.next), tail: s.next == s.pkt.NumFlits-1, routerEntry: now}
 		if f.header() {
 			// The wait for a free VC is part of the source router's
 			// residence time and must age the message (Equation 1).
 			s.pkt.Age += now - s.pkt.InjectedAt
 		}
-		r.inBuf[i] = append(r.inBuf[i], f)
-		r.occ |= 1 << uint(i)
-		r.buffered++
-		if len(r.inBuf[i]) == 1 {
-			r.onNewFront(i, now)
-		}
+		r.push(i, f, now)
 		s.next++
 		if s.next == s.pkt.NumFlits {
 			*s = injSlot{}
@@ -508,94 +559,53 @@ func (r *router) fillInjections(now int64) {
 	}
 }
 
-// vcRef addresses one input VC for arbitration.
-type vcRef struct {
-	port, vc int
-}
-
-// activeVCs lists the input VCs holding at least one flit, reusing the
-// router's scratch buffer. With the occupancy bitmap the walk visits only
-// set bits (ascending index — the same (port, vc) lexicographic order the
-// slice scan produced); port/vc come from the network's shared index tables
-// rather than a divide per VC. The slice-header scan remains as the
-// fallback for configurations with more than 64 VCs per router.
-func (r *router) activeVCs() []vcRef {
-	refs := r.refsBuf[:0]
-	if r.occOK {
-		for m := r.occ; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			refs = append(refs, vcRef{int(r.net.portOf[i]), int(r.net.vcOf[i])})
-		}
-	} else {
-		i := 0
-		for p := 0; p < NumPorts; p++ {
-			for vc := 0; vc < r.vcs; vc++ {
-				if len(r.inBuf[i]) > 0 {
-					refs = append(refs, vcRef{p, vc})
-				}
-				i++
-			}
-		}
-	}
-	r.refsBuf = refs
-	return refs
-}
-
-// vaReq is one VC-allocation request.
-type vaReq struct {
-	idx int // flat input VC index
-	c   candidate
-}
-
 // allocateVCs runs the VA stage: for each output port, at most one waiting
 // header is granted a free output VC per cycle, chosen by the prioritized
-// arbitration rule.
-func (r *router) allocateVCs(refs []vcRef, now int64) {
-	reqs := &r.vaBuf
-	for p := range reqs {
-		reqs[p] = reqs[p][:0]
+// arbitration rule. The requesters are exactly the VCs routed but not yet
+// allocated — each has its header at the front, since a header leaves only
+// after VA.
+func (r *router) allocateVCs(now int64) {
+	m := r.routed &^ r.vaDone
+	if m == 0 {
+		return
 	}
-	for _, ref := range refs {
-		i := r.vci(ref.port, ref.vc)
-		f := r.inBuf[i][0]
-		flags := r.inFlags[i]
-		if !f.header() || flags&vcRouted == 0 || flags&vcVADone != 0 || now < r.inVAAt[i] {
+	var want [NumPorts]uint64 // eligible requesters per output port
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if now < r.inVAAt[i] {
 			continue
 		}
-		if flags&vcAdaptive != 0 {
+		if r.inFlags[i]&vcAdaptive != 0 {
 			// Re-evaluate the adaptive choice against current credit
 			// state until VC allocation succeeds.
-			r.inOutPort[i] = int8(r.adaptiveRoute(f.pkt.Dst, f.pkt.VNet))
+			r.inOutPort[i] = int8(r.adaptiveRoute(r.front(i).pkt.Dst, r.pos[i].vnet))
 		}
-		op := int(r.inOutPort[i])
-		reqs[op] = append(reqs[op], vaReq{i, r.makeCandidate(i, f, now, ref.port*64+ref.vc)})
+		want[r.inOutPort[i]] |= 1 << uint(i)
 	}
-	for p := 0; p < NumPorts; p++ {
-		if len(reqs[p]) == 0 {
-			continue
-		}
-		if p == PortLocal {
-			// Ejection needs no VC allocation: the sink always accepts.
-			for _, q := range reqs[p] {
-				r.grantVA(q.idx, 0, -1, now)
-			}
-			continue
-		}
-		for len(reqs[p]) > 0 {
-			best := 0
-			for i := 1; i < len(reqs[p]); i++ {
-				if reqs[p][i].c.beats(reqs[p][best].c, r.net.arb) {
-					best = i
+	// Ejection needs no VC allocation: the sink always accepts.
+	for w := want[PortLocal]; w != 0; w &= w - 1 {
+		r.grantVA(bits.TrailingZeros64(w), 0, -1, now)
+	}
+	for p := PortNorth; p < NumPorts; p++ {
+		for w := want[p]; w != 0; {
+			best := bits.TrailingZeros64(w)
+			if rest := w & (w - 1); rest != 0 {
+				bc := r.makeCandidate(best, now)
+				for ; rest != 0; rest &= rest - 1 {
+					i := bits.TrailingZeros64(rest)
+					if c := r.makeCandidate(i, now); c.beats(bc, r.arb) {
+						best, bc = i, c
+					}
 				}
 			}
-			vi := reqs[p][best].idx
-			if free := r.freeOutVC(p, r.inBuf[vi][0].pkt.VNet); free >= 0 {
-				r.grantVA(vi, free, r.vci(p, free), now)
+			// The VC a packet sits in already names its virtual network.
+			if free := r.freeOutVC(p, r.pos[best].vnet); free >= 0 {
+				r.grantVA(best, free, r.vci(p, free), now)
 			}
 			// Whether granted or out of VCs in its class, this
 			// requester is finished for the cycle; a requester of the
 			// other virtual network may still find a free VC.
-			reqs[p] = append(reqs[p][:best], reqs[p][best+1:]...)
+			w &^= 1 << uint(best)
 		}
 	}
 }
@@ -603,12 +613,14 @@ func (r *router) allocateVCs(refs []vcRef, now int64) {
 // grantVA records a successful VC allocation for input VC i. slot is the flat
 // output VC index taking ownership, or -1 for ejection (no allocation).
 func (r *router) grantVA(i, outVCIdx, slot int, now int64) {
+	bit := uint64(1) << uint(i)
 	r.inFlags[i] |= vcVADone
+	r.vaDone |= bit
 	r.inOutVC[i] = int32(outVCIdx)
 	if slot >= 0 {
-		r.outOwner[slot] = r.inBuf[i][0].pkt
+		r.outOwner[slot] = r.front(i).pkt
 	}
-	if r.fastSetup(r.inBuf[i][0].pkt) {
+	if r.fastSetup(r.high&bit != 0) {
 		r.inSAAt[i] = now // combined setup: SA may happen this cycle
 	} else {
 		r.inSAAt[i] = now + r.div
@@ -628,86 +640,80 @@ func (r *router) freeOutVC(p int, vn VNet) int {
 	return -1
 }
 
-// allocateSwitch runs the two-phase SA stage and dispatches the winners.
-func (r *router) allocateSwitch(refs []vcRef, now int64) {
-	// Phase 1: one candidate per input port.
-	type winner struct {
-		ref vcRef
-		c   candidate
-		ok  bool
+// allocateSwitch runs the two-phase SA stage over the occupied VCs that hold
+// an output VC, and dispatches the winners.
+func (r *router) allocateSwitch(now int64) {
+	m := r.occ & r.vaDone
+	if m == 0 {
+		return
 	}
-	var phase1 [NumPorts]winner
-	for _, ref := range refs {
-		i := r.vci(ref.port, ref.vc)
-		f := r.inBuf[i][0]
-		if !r.saReady(i, f, now) {
+	var won [NumPorts]candidate // per output port; ord is the input VC
+	var wonOK uint
+	for p := 0; m != 0; p++ {
+		// Phase 1: the best ready VC of input port p.
+		pm := m & r.portMask
+		m >>= uint(r.vcs)
+		var best candidate
+		ok := false
+		for ; pm != 0; pm &= pm - 1 {
+			i := p*r.vcs + bits.TrailingZeros64(pm)
+			if !r.saReady(i, now) {
+				continue
+			}
+			if c := r.makeCandidate(i, now); !ok || c.beats(best, r.arb) {
+				best, ok = c, true
+			}
+		}
+		if !ok {
 			continue
 		}
-		c := r.makeCandidate(i, f, now, ref.port*64+ref.vc)
-		if w := &phase1[ref.port]; !w.ok || c.beats(w.c, r.net.arb) {
-			*w = winner{ref, c, true}
-		}
-	}
-	// Phase 2: one winner per output port.
-	var phase2 [NumPorts]winner
-	for p := 0; p < NumPorts; p++ {
-		w := phase1[p]
-		if !w.ok {
-			continue
-		}
-		op := int(r.inOutPort[r.vci(w.ref.port, w.ref.vc)])
-		if cur := &phase2[op]; !cur.ok || w.c.beats(cur.c, r.net.arb) {
-			*cur = w
+		// Phase 2: it contends with the other input ports' winners for
+		// its output port.
+		op := uint(r.inOutPort[best.ord])
+		if wonOK&(1<<op) == 0 || best.beats(won[op], r.arb) {
+			won[op] = best
+			wonOK |= 1 << op
 		}
 	}
 	for op := 0; op < NumPorts; op++ {
-		if phase2[op].ok {
-			r.dispatch(phase2[op].ref, now)
+		if wonOK&(1<<uint(op)) != 0 {
+			r.dispatch(won[op].ord, now)
 		}
 	}
 }
 
-// saReady reports whether the front flit of VC i may compete for the switch.
-func (r *router) saReady(i int, f *flit, now int64) bool {
-	flags := r.inFlags[i]
-	if flags&vcVADone == 0 {
-		return false
-	}
-	if f.header() {
+// saReady reports whether the front flit of VC i, which holds an output VC,
+// may compete for the switch.
+func (r *router) saReady(i int, now int64) bool {
+	if r.frontIsHeader&(1<<uint(i)) != 0 {
 		if now < r.inSAAt[i] {
 			return false
 		}
-	} else {
-		delay := int64(bodyDelay) * r.div
-		if r.net.cfg.Pipeline == config.Pipeline2 {
-			delay = 0
-		}
-		if now < f.routerEntry+delay {
-			return false
-		}
+	} else if now < r.frontEntry[i]+r.bodyWait {
+		return false
 	}
-	if int(r.inOutPort[i]) == PortLocal {
+	op := int(r.inOutPort[i])
+	if op == PortLocal {
 		// Ejection always has room, but mid-reassembly the port belongs to
 		// the packet being ejected.
-		return r.ejPkt == nil || r.ejPkt == f.pkt
+		return r.ejPkt == nil || r.ejPkt == r.front(i).pkt
 	}
-	return r.outCredits[r.vci(int(r.inOutPort[i]), int(r.inOutVC[i]))] > 0
+	return r.outCredits[r.vci(op, int(r.inOutVC[i]))] > 0
 }
 
-// dispatch moves the front flit of the given VC across the switch.
-func (r *router) dispatch(ref vcRef, now int64) {
-	i := r.vci(ref.port, ref.vc)
-	buf := r.inBuf[i]
-	f := buf[0]
-	// Shift down instead of reslicing: the buffer is at most BufferDepth
-	// deep, and keeping its capacity makes the arrival append above
-	// allocation-free in steady state.
-	r.inBuf[i] = buf[:copy(buf, buf[1:])]
-	if len(r.inBuf[i]) == 0 {
-		r.occ &^= 1 << uint(i)
+// dispatch moves the front flit of input VC i across the switch.
+func (r *router) dispatch(i int, now int64) {
+	f := *r.front(i)
+	if h := r.head[i] + 1; int(h) == r.depth {
+		r.head[i] = 0
+	} else {
+		r.head[i] = h
 	}
+	r.cnt[i]--
 	r.buffered--
+	bit := uint64(1) << uint(i)
 	pkt := f.pkt
+	inPort, inVC := int(r.pos[i].port), int(r.pos[i].vc)
 	outPort := int(r.inOutPort[i])
 
 	if f.header() {
@@ -719,14 +725,13 @@ func (r *router) dispatch(ref vcRef, now int64) {
 	}
 
 	r.flitsOut[outPort]++
-	ejected := outPort == PortLocal
-	if ejected {
+	if outPort == PortLocal {
 		if f.tail {
 			r.ejPkt = nil
 		} else if f.header() {
 			r.ejPkt = pkt
 		}
-		r.eject(f, now)
+		r.eject(&f, now)
 	} else {
 		outVC := int(r.inOutVC[i])
 		slot := r.vci(outPort, outVC)
@@ -753,12 +758,12 @@ func (r *router) dispatch(ref vcRef, now int64) {
 	// Return a credit upstream for the freed buffer slot. Credit application
 	// is commutative (each entry gates on its own at, then increments a
 	// counter), so the boundary detour cannot change results.
-	if ref.port != PortLocal {
-		if q := r.xq[ref.port]; q != nil {
-			q.push(boundaryItem{port: opposite(ref.port), vc: ref.vc, at: now + 1})
+	if inPort != PortLocal {
+		if q := r.xq[inPort]; q != nil {
+			q.push(boundaryItem{port: opposite(inPort), vc: inVC, at: now + 1})
 		} else {
-			up := r.neighbor[ref.port]
-			up.credits = append(up.credits, creditMsg{port: opposite(ref.port), vc: ref.vc, at: now + 1})
+			up := r.neighbor[inPort]
+			up.credits = append(up.credits, creditMsg{port: opposite(inPort), vc: inVC, at: now + 1})
 			r.net.wakeAt(up.id, now+1, now)
 		}
 	}
@@ -768,13 +773,13 @@ func (r *router) dispatch(ref vcRef, now int64) {
 		// keep their stale values (and are checkpointed as such) until the
 		// next header overwrites them.
 		r.inFlags[i] &^= vcRouted | vcVADone | vcAdaptive
+		r.routed &^= bit
+		r.vaDone &^= bit
 	}
-	if ejected {
-		// The flit's life ends at the local sink; recycle it.
-		r.sh.putFlit(f)
-	}
-	if len(r.inBuf[i]) > 0 {
-		r.onNewFront(i, now)
+	if r.cnt[i] > 0 {
+		r.newFront(i, r.front(i), now)
+	} else {
+		r.occ &^= bit
 	}
 }
 

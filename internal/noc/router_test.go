@@ -32,7 +32,7 @@ func TestCreditBackpressure(t *testing.T) {
 		r := n.routers[1]
 		tot := 0
 		for vc := 0; vc < r.vcs; vc++ {
-			tot += len(r.inBuf[r.vci(PortWest, vc)])
+			tot += int(r.cnt[r.vci(PortWest, vc)])
 		}
 		if tot > maxBuffered {
 			maxBuffered = tot

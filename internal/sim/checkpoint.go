@@ -96,6 +96,26 @@ func Restore(cfg config.Config, apps []trace.Profile, rd io.Reader) (*Simulator,
 	return s, nil
 }
 
+// RestoreImage is Restore over a checkpoint image already in memory. It
+// decodes img in place — the image is only read, so any number of concurrent
+// restores may share it — where Restore must first buffer its stream, which
+// costs every fork of one warm image several image sizes of copying and
+// garbage (io.ReadAll grows its buffer a quarter at a time).
+func RestoreImage(cfg config.Config, apps []trace.Profile, img []byte) (*Simulator, error) {
+	s, err := New(cfg, apps)
+	if err != nil {
+		return nil, err
+	}
+	r, err := snapshot.NewReaderBytes(img)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.restoreFrom(r); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // RestoreFromSources is Restore over explicit instruction sources (e.g.
 // recorded trace files), mirroring NewFromSources.
 func RestoreFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Profile, rd io.Reader) (*Simulator, error) {
@@ -114,6 +134,10 @@ func (s *Simulator) restore(rd io.Reader) error {
 	if err != nil {
 		return err
 	}
+	return s.restoreFrom(r)
+}
+
+func (s *Simulator) restoreFrom(r *snapshot.Reader) error {
 	key := r.String()
 	if r.Err() == nil && key != s.cfg.SnapshotKey() {
 		return fmt.Errorf("%w: snapshot was taken under an incompatible configuration", snapshot.ErrFormat)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"nocmem/internal/config"
@@ -91,6 +93,55 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 	}
 }
 
+// TestRestoreImageSharesOneImage is the forkrun cache's contract with
+// RestoreImage: several restores decoding one in-memory image at once each
+// finish with the bytes Restore gives from its own copy, and the image is
+// left as it was.
+func TestRestoreImageSharesOneImage(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Run.CheckpointAt = cfg.Run.WarmupCycles
+	apps := fillApps(cfg, "milc", 6)
+	snap, _, _ := takeSnapshot(t, cfg, apps, false, 1)
+	pristine := bytes.Clone(snap)
+	wantJSON, want := resumeRun(t, cfg, apps, false, 1, pristine)
+
+	rcfg := cfg
+	rcfg.Run.ResumeFrom = cfg.Run.CheckpointAt
+	const forks = 4
+	results := make([]*Result, forks)
+	errs := make([]error, forks)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := RestoreImage(rcfg, apps, snap)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i] = s.Run()
+		}()
+	}
+	wg.Wait()
+	for i, got := range results {
+		if errs[i] != nil {
+			t.Fatalf("fork %d: %v", i, errs[i])
+		}
+		var j bytes.Buffer
+		if err := got.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		expectSame(t, fmt.Sprintf("fork_%d", i), wantJSON, want, j.Bytes(), got)
+	}
+	if !bytes.Equal(snap, pristine) {
+		t.Fatal("RestoreImage modified the shared image")
+	}
+	if _, err := RestoreImage(rcfg, apps, snap[:len(snap)/2]); !errors.Is(err, snapshot.ErrFormat) {
+		t.Fatalf("truncated image: got %v, want ErrFormat", err)
+	}
+}
+
 // TestCheckpointPartitionAgnostic pins the property the forkrun cache's key
 // relies on: snapshots carry no stepping layout, so an image taken under one
 // worker count restores under any other — and the resumed run still
@@ -143,6 +194,63 @@ func TestCheckpointMidMeasurementFork(t *testing.T) {
 	snap, wantJSON, want := takeSnapshot(t, cfg, apps, false, 1)
 	gotJSON, got := resumeRun(t, cfg, apps, false, 1, snap)
 	expectSame(t, "mid_measurement_resumed", wantJSON, want, gotJSON, got)
+}
+
+// TestCheckpointDrainedHighPriorityVC checkpoints at cycles where router
+// input VCs are mid-packet but empty — a bypassing high-priority header
+// already left, its body flits are still upstream. Such a VC's priority class
+// is router state derived from the header, which no buffered flit can give
+// back to a restored router; the body flits must still arbitrate as
+// high-priority, or the resumed run drifts from the uninterrupted one. A
+// single snapshot rarely catches a contended arbitration, so the loaded S1+S2
+// warmup is sampled at several such cycles.
+func TestCheckpointDrainedHighPriorityVC(t *testing.T) {
+	cfg := smallConfig().WithSchemes(true, true)
+	cfg.Run.WarmupCycles = 12_000
+	cfg.Run.MeasureCycles = 10_000
+	apps := make([]trace.Profile, cfg.Mesh.Nodes())
+	for i, name := range []string{"mcf", "milc", "lbm", "gcc"} {
+		for tile := i; tile < len(apps); tile += 4 {
+			apps[tile] = trace.MustLookup(name)
+		}
+	}
+	s, err := New(cfg, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step(6_000) // long enough for both schemes to be tagging under load
+	var snaps [][]byte
+	for last := int64(0); len(snaps) < 4 && s.Now() < cfg.Run.WarmupCycles; s.Step(1) {
+		if s.net.DebugDrainedHighVCs() < 2 || s.Now() < last+150 {
+			continue
+		}
+		var snap bytes.Buffer
+		if err := s.Checkpoint(&snap); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap.Bytes())
+		last = s.Now()
+	}
+	if len(snaps) < 4 {
+		t.Fatalf("found %d of 4 cycles with drained high-priority VCs during warmup; the test exercises too little", len(snaps))
+	}
+	finish := func(s *Simulator) ([]byte, *Result) {
+		res := s.Run()
+		var j bytes.Buffer
+		if err := res.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		return j.Bytes(), res
+	}
+	wantJSON, want := finish(s)
+	for i, snap := range snaps {
+		restored, err := Restore(cfg, apps, bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, got := finish(restored)
+		expectSame(t, fmt.Sprintf("restored_at_drained_high_vc_%d", i), wantJSON, want, gotJSON, got)
+	}
 }
 
 // TestCheckpointForksAcrossSchemes exercises the policy-leniency path the
