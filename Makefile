@@ -1,25 +1,21 @@
 # Developer entry points. `make ci` is the gate run before every commit:
-# vet, build, the checkpoint fork-equivalence oracle under the race detector
-# (fast fail), the full test suite under the race detector (which includes
-# the skewed-hotspot and barrier stress oracles), the shard-scaling smoke
-# gate (a 2-worker stealing run must reproduce the sequential stepper byte
-# for byte on the skewed corner-hotspot workload), the analytic-model smoke
-# gate (closed-form estimates cross-checked against short simulated runs,
-# plus the golden-scenario and divergence-oracle unit tests), the simulation
-# daemon's smoke gate (one simulated run, one sub-50ms store hit, one
-# closed-form estimate through a real HTTP round trip), the distributed
-# smoke gate (a coordinator leasing a sweep to two worker processes, one
-# SIGKILLed while holding leases — the merged output must be byte-identical
-# to direct execution), and a smoke run of the perf harness
-# (micro-benchmarks plus the sharded-vs-sequential and bursty
-# dense/event/sharded byte-equality gates, regression-gated; the full
-# harness writing BENCH_8.json is `make bench`), and a vet-and-short-test
-# pass over the nested benchmark module, which the root `go build ./...`
-# does not see.
+# vet, build, a vet-and-short-test pass over the nested benchmark module
+# (which the root `go build ./...` does not see), the checkpoint
+# fork-equivalence oracle under the race detector (fast fail), the full test
+# suite under the race detector (which includes the skewed-hotspot and barrier
+# stress oracles, the daemon's multi-client harness, and the process-level
+# gate in cmd/nocsimd that SIGKILLs a real worker process holding leases),
+# the shard-scaling smoke gate (a 2-worker stealing run must reproduce the
+# sequential stepper byte for byte on the skewed corner-hotspot workload),
+# the analytic-model smoke gate (closed-form estimates cross-checked against
+# short simulated runs, plus the golden-scenario and divergence-oracle unit
+# tests), and a smoke run of the perf harness (micro-benchmarks plus the
+# sharded-vs-sequential and bursty dense/event/sharded byte-equality gates,
+# regression-gated; the full harness writing BENCH_8.json is `make bench`).
 
 GO ?= go
 
-.PHONY: all build vet test race fork-race bench bench-smoke bench-module shard-scaling-smoke estimate-smoke simd-smoke dist-smoke profile ci
+.PHONY: all build vet test race fork-race bench bench-smoke bench-module shard-scaling-smoke estimate-smoke profile loc ci
 
 all: build
 
@@ -80,24 +76,6 @@ estimate-smoke:
 	$(GO) run ./cmd/bench -estimate-smoke
 	$(GO) test -run 'TestGolden|TestOracle' ./internal/analytic
 
-# The simulation daemon's end-to-end smoke gate: build cmd/nocsimd, boot it
-# in-process on a temp store and a real TCP port, and drive it through the
-# client library — a fresh run must simulate, an identical request must be
-# served from the on-disk store in under 50ms without re-simulating, and an
-# estimate request must answer from the closed-form model.
-simd-smoke:
-	$(GO) build ./cmd/nocsimd
-	$(GO) run ./cmd/nocsimd -selftest
-
-# The distributed fault-tolerance gate: boot an in-process coordinator,
-# spawn two real worker processes that join it over HTTP, SIGKILL one while
-# it holds two leases, and require the sweep to finish with every merged
-# summary byte-identical to direct single-process execution, at least one
-# lease recovered by expiry, and zero duplicate-completion byte mismatches.
-dist-smoke:
-	$(GO) build ./cmd/nocsimd
-	$(GO) run ./cmd/nocsimd -dist-smoke
-
 # Profile the harness itself: a quick pass with CPU and heap profiles written
 # next to the repo, ready for `go tool pprof cpu.pprof`. See ARCHITECTURE.md
 # ("Profiling workflow") for how to read the output.
@@ -106,4 +84,8 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: $(GO) tool pprof cpu.pprof"
 
-ci: vet build bench-module fork-race race shard-scaling-smoke estimate-smoke simd-smoke dist-smoke bench-smoke
+# The ROADMAP's tracked size: non-test Go lines outside the benchmark module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
+
+ci: vet build bench-module fork-race race shard-scaling-smoke estimate-smoke bench-smoke

@@ -36,7 +36,7 @@ func main() {
 		shards   = flag.Int("shards", 1, "worker goroutines per simulation (results are identical at any count)")
 		steal    = flag.String("steal", "on", "intra-cycle work stealing in sharded runs: on|off (bisection escape hatch)")
 		fork     = flag.Bool("fork", false, "share one baseline warmup checkpoint across the base/S1/S1+S2 runs (faster; scheme runs then warm up under the baseline policy)")
-		estimate = flag.Bool("estimate", false, "answer from the closed-form analytic model instead of simulating (microseconds, approximate)")
+		estimate = flag.Bool("estimate", false, "answer from the closed-form analytic model instead of simulating (a fraction of a millisecond, approximate)")
 	)
 	flag.Parse()
 	if *steal != "on" && *steal != "off" {
@@ -143,8 +143,8 @@ func main() {
 }
 
 // runEstimate prints the headline table from the closed-form analytic model:
-// no cycles are simulated, so it answers in microseconds at the model's
-// calibrated accuracy (see internal/analytic).
+// no cycles are simulated, so it answers in a fraction of a millisecond at
+// the model's calibrated accuracy (see internal/analytic).
 func runEstimate(cfg nocmem.Config, w nocmem.Workload, jsonOut string, verbose bool) {
 	apps, err := w.Profiles()
 	if err != nil {

@@ -44,7 +44,6 @@ func main() {
 		jobs     = flag.Int("j", 0, "max concurrently executing simulations (0 = all CPUs)")
 		fork     = flag.Bool("fork", true, "share one baseline warmup checkpoint across compatible configs (persisted in the store)")
 		drainFor = flag.Duration("drain-timeout", 10*time.Minute, "how long a SIGTERM drain waits for in-flight jobs")
-		selftest = flag.Bool("selftest", false, "run the in-process smoke test (make simd-smoke) and exit")
 		printCfg = flag.Int("print-config", 0, "print the 16- or 32-core baseline config as JSON (for use in /run requests) and exit")
 
 		coord      = flag.Bool("coordinator", false, "run as a distributed-sweep coordinator: lease simulation points of submitted jobs to joined workers instead of executing them locally")
@@ -52,7 +51,6 @@ func main() {
 		leaseBatch = flag.Int("lease-batch", 4, "coordinator: max points handed out per lease grant; worker mode: points requested per lease poll (0 = parallelism)")
 		join       = flag.String("join", "", "worker mode: join the coordinator daemon at this base URL (e.g. http://10.0.0.1:8347), execute leased points, exit on SIGINT/SIGTERM")
 		workerName = flag.String("worker-name", "", "worker mode: label on the coordinator's /statsz (default hostname-pid)")
-		distSmoke  = flag.Bool("dist-smoke", false, "run the distributed smoke test (make dist-smoke): coordinator + two worker processes, one killed mid-sweep, byte-identical merged output")
 	)
 	flag.Parse()
 
@@ -71,22 +69,6 @@ func main() {
 		if err := enc.Encode(cfg); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	if *selftest {
-		if err := runSelftest(); err != nil {
-			log.Fatalf("selftest: %v", err)
-		}
-		log.Print("selftest: PASS")
-		return
-	}
-
-	if *distSmoke {
-		if err := runDistSmoke(*jobs); err != nil {
-			log.Fatalf("dist-smoke: %v", err)
-		}
-		log.Print("dist-smoke: PASS")
 		return
 	}
 

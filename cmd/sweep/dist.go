@@ -4,29 +4,25 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
 
-	"nocmem"
 	"nocmem/internal/sim"
 	"nocmem/internal/simd"
 	"nocmem/internal/simdclient"
-	"nocmem/internal/stats"
+	"nocmem/internal/workload"
 )
 
-// The distributed sweep path: instead of simulating in-process, every run the
-// table needs — per point the scheme run, the schemes-off base run, and the
-// alone runs of the workload's applications on that point's substrate — is
-// submitted as one job to a coordinator daemon, which leases the points to
-// workers. The rows are then recomputed from the returned sim.Summary JSON
-// with the same stats.WeightedSpeedup call over the same tile order and the
-// same raw scheme counters the in-process path uses, so the printed table is
-// byte-identical to a local `sweep` run in the same fork mode — regardless of
-// worker count, completion order, duplicated completions, or worker deaths
-// mid-sweep.
+// The distributed executor: the planned specs are submitted as one job to a
+// coordinator daemon, which leases the simulation points to workers and
+// answers store hits and estimates itself. The summaries come back as the
+// same canonical JSON simd.ExecuteSpec produces locally, so the table does
+// not depend on worker count, completion order, duplicated completions, or
+// worker deaths mid-sweep.
 
 type distOptions struct {
 	coordinator string // external coordinator base URL ("" = boot one in-process)
@@ -36,153 +32,74 @@ type distOptions struct {
 	verbose     bool
 }
 
-func runDistributedSweep(o distOptions, points []point, w nocmem.Workload) {
+// distributedSweep prints the table of points through a coordinator: the one
+// at o.coordinator (joined by o.workers in-process workers), or one booted
+// in-process for the life of the sweep.
+func distributedSweep(out io.Writer, o distOptions, points []point, w workload.Workload) error {
 	logf := func(string, ...any) {}
 	if o.verbose {
 		logf = log.Printf
 	}
-
-	base := o.coordinator
-	var shutdown func()
+	base, shutdown := o.coordinator, func() {}
 	if base == "" {
 		var err error
 		if base, shutdown, err = bootLocalCoordinator(o, logf); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else if o.workers > 0 {
 		shutdown = bootLocalWorkers(base, o, logf)
 	}
-	if shutdown != nil {
-		defer shutdown()
-	}
-
-	profs, err := w.Profiles()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Assemble the job: dedup by store key client-side (identical substrates
-	// across sweep points share base and alone runs), remembering which keys
-	// each row needs.
-	var specs []simd.RunSpec
-	seen := map[string]bool{}
-	add := func(sp simd.RunSpec) string {
-		rp, err := simd.ResolveSpec(sp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !seen[rp.Key] {
-			seen[rp.Key] = true
-			specs = append(specs, sp)
-		}
-		return rp.Key
-	}
-	schemeKeys := make([]string, len(points))
-	baseKeys := make([]string, len(points))
-	aloneKeys := make([]map[string]string, len(points))
-	for i, pt := range points {
-		schemeKeys[i] = add(simd.RunSpec{Config: pt.cfg, Workload: w.ID})
-		baseCfg := pt.cfg.WithSchemes(false, false)
-		baseKeys[i] = add(simd.RunSpec{Config: baseCfg, Workload: w.ID})
-		alone := map[string]string{}
-		for _, p := range profs {
-			if _, ok := alone[p.Name]; !ok {
-				alone[p.Name] = add(simd.RunSpec{Config: baseCfg, Apps: []string{p.Name}})
-			}
-		}
-		aloneKeys[i] = alone
-	}
-
-	ctx := context.Background()
+	defer shutdown()
 	cl := simdclient.New(base)
 	defer cl.Close()
-	sub, err := cl.Submit(ctx, simd.RunRequest{Points: specs})
+
+	if err := sweep(out, points, w, false, 0, coordinatorExecutor(cl, logf)); err != nil {
+		return err
+	}
+	if !o.verbose {
+		return nil
+	}
+	st, err := cl.Stats(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	logf("submitted %d unique runs for %d sweep points as job %s", len(specs), len(points), sub.ID)
-	var onEvent func(simd.Event)
-	if o.verbose {
-		onEvent = func(e simd.Event) { log.Print(e.Msg) }
-	}
-	js, err := cl.Wait(ctx, sub.ID, onEvent)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if e := js.Err(); e != "" {
-		log.Fatalf("distributed sweep failed: %s", e)
-	}
-
-	byKey := make(map[string]sim.Summary, len(js.Results))
-	for _, pr := range js.Results {
-		var s sim.Summary
-		if err := json.Unmarshal(pr.Summary, &s); err != nil {
-			log.Fatalf("result %s: %v", pr.Key, err)
-		}
-		byKey[pr.Key] = s
-	}
-
-	rows := make([]row, len(points))
-	for i := range points {
-		alone := make(map[string]float64, len(aloneKeys[i]))
-		for name, key := range aloneKeys[i] {
-			s := byKey[key]
-			if len(s.Apps) == 0 || s.Apps[0].IPC <= 0 {
-				log.Fatalf("alone run of %s returned no usable IPC", name)
-			}
-			alone[name] = s.Apps[0].IPC
-		}
-		baseWS, err := summaryWS(byKey[baseKeys[i]], alone)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ws, err := summaryWS(byKey[schemeKeys[i]], alone)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := byKey[schemeKeys[i]]
-		rows[i] = row{
-			norm:   ws / baseWS,
-			netAvg: s.NetAvgLatency,
-			s1Pct:  100 * float64(s.S1Tagged) / float64(s.S1Checked+1),
-			s2Pct:  100 * float64(s.S2Tagged) / float64(s.S2Checked+1),
+	log.Printf("provenance: %d leases granted, %d expired, %d re-leased; %d worker completions, %d duplicates absorbed",
+		st.Runner.LeasesGranted, st.Runner.LeasesExpired, st.Runner.LeasesRelayed,
+		st.Runner.RemoteCompletions, st.Runner.DuplicateCompletions)
+	if st.Dist != nil {
+		for _, ws := range st.Dist.Workers {
+			log.Printf("provenance: worker %s: %d granted, %d completed", ws.ID, ws.Granted, ws.Completed)
 		}
 	}
-	printRows(points, nil, rows)
-
-	if o.verbose {
-		st, err := cl.Stats(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("provenance: %d leases granted, %d expired, %d re-leased; %d worker completions, %d duplicates absorbed",
-			st.Runner.LeasesGranted, st.Runner.LeasesExpired, st.Runner.LeasesRelayed,
-			st.Runner.RemoteCompletions, st.Runner.DuplicateCompletions)
-		if st.Dist != nil {
-			for _, ws := range st.Dist.Workers {
-				log.Printf("provenance: worker %s: %d granted, %d completed", ws.ID, ws.Granted, ws.Completed)
-			}
-		}
-	}
+	return nil
 }
 
-// summaryWS recomputes weighted speedup from a run's summary: the same
-// stats.WeightedSpeedup over the same active-tile order the in-process path
-// uses, with shared IPCs from the summary and alone IPCs from the alone-run
-// summaries. JSON round-trips float64 exactly, so the result is bit-equal to
-// the local computation.
-func summaryWS(s sim.Summary, alone map[string]float64) (float64, error) {
-	shared := make([]float64, 0, len(s.Apps))
-	al := make([]float64, 0, len(s.Apps))
-	for _, a := range s.Apps {
-		ipc, ok := alone[a.App]
-		if !ok {
-			return 0, fmt.Errorf("no alone run for %s", a.App)
+// coordinatorExecutor executes specs as one job on the daemon behind cl.
+func coordinatorExecutor(cl *simdclient.Client, logf func(string, ...any)) executor {
+	return func(specs []simd.RunSpec) (map[string]sim.Summary, error) {
+		ctx := context.Background()
+		sub, err := cl.Submit(ctx, simd.RunRequest{Points: specs})
+		if err != nil {
+			return nil, err
 		}
-		shared = append(shared, a.IPC)
-		al = append(al, ipc)
+		logf("submitted %d unique runs as job %s", len(specs), sub.ID)
+		js, err := cl.Wait(ctx, sub.ID, func(e simd.Event) { logf("%s", e.Msg) })
+		if err != nil {
+			return nil, err
+		}
+		if e := js.Err(); e != "" {
+			return nil, fmt.Errorf("distributed sweep failed: %s", e)
+		}
+		byKey := make(map[string]sim.Summary, len(js.Results))
+		for _, pr := range js.Results {
+			var s sim.Summary
+			if err := json.Unmarshal(pr.Summary, &s); err != nil {
+				return nil, fmt.Errorf("result %s: %w", pr.Key, err)
+			}
+			byKey[pr.Key] = s
+		}
+		return byKey, nil
 	}
-	return stats.WeightedSpeedup(shared, al)
 }
 
 // bootLocalCoordinator starts an in-process coordinator daemon on a loopback

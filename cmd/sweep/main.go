@@ -3,6 +3,14 @@
 // history window, mesh size, memory controllers, router pipeline, VC count,
 // and buffer depth, on a chosen workload.
 //
+// Every mode is one pipeline: plan lists the runs the table needs as
+// simd.RunSpecs (per point the scheme run, the schemes-off base run and the
+// alone runs of the workload's applications, deduplicated by store key), an
+// executor turns specs into sim.Summary values (in this process on one
+// exp.Runner, or through a coordinator daemon — see dist.go), rowsFrom
+// computes the table rows from the summaries and printRows renders them. An
+// estimated sweep is the same plan with RunSpec.Estimate set.
+//
 // Usage:
 //
 //	sweep -what threshold -workload 7
@@ -13,45 +21,341 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
 	"text/tabwriter"
 
-	"nocmem"
+	"nocmem/internal/analytic"
 	"nocmem/internal/config"
+	"nocmem/internal/exp"
 	"nocmem/internal/par"
+	"nocmem/internal/sim"
+	"nocmem/internal/simd"
+	"nocmem/internal/stats"
+	"nocmem/internal/trace"
+	"nocmem/internal/workload"
 )
 
 // point is one sweep point: a label for the table and the full configuration
 // to evaluate (simulated or estimated).
 type point struct {
-	label string
-	cfg   nocmem.Config
+	label  string
+	cfg    config.Config
+	pruned bool // -prune-estimate decided not to simulate it
 }
 
-// row is one printed sweep-table line. Both the in-process path and the
-// distributed path (dist.go) fill the same struct and print through
-// printRows, so their tables are byte-identical by construction.
-type row struct {
-	norm, netAvg, s1Pct, s2Pct float64
+// grid returns the points of the named sweep around base.
+func grid(what string, base config.Config) ([]point, error) {
+	var points []point
+	add := func(label string, c config.Config) { points = append(points, point{label: label, cfg: c}) }
+	s12 := base.WithSchemes(true, true)
+	switch what {
+	case "threshold":
+		for _, f := range []float64{0.8, 0.9, 1.0, 1.1, 1.2, 1.4} {
+			c := s12
+			c.S1.ThresholdFactor = f
+			add(fmt.Sprintf("%.1fx", f), c)
+		}
+	case "history":
+		for _, T := range []int64{500, 1000, 2000, 4000, 8000} {
+			c := s12
+			c.S2.HistoryWindow = T
+			add(fmt.Sprintf("T=%d", T), c)
+		}
+	case "mcs":
+		for _, n := range []int{2, 4} {
+			c := s12
+			c.DRAM.Controllers = n
+			add(fmt.Sprintf("%d MCs", n), c)
+		}
+	case "pipeline":
+		for _, p := range []config.RouterPipeline{config.Pipeline5, config.Pipeline2} {
+			c := s12
+			c.NoC.Pipeline = p
+			add(fmt.Sprintf("%d-stage", p), c)
+		}
+	case "vcs":
+		for _, v := range []int{2, 4, 8} {
+			c := s12
+			c.NoC.VCsPerPort = v
+			add(fmt.Sprintf("%d VCs", v), c)
+		}
+	case "buffers":
+		for _, b := range []int{3, 5, 8, 16} {
+			c := s12
+			c.NoC.BufferDepth = b
+			add(fmt.Sprintf("%d flits", b), c)
+		}
+	case "starvation":
+		for _, s := range []int64{100, 500, 1000, 5000} {
+			c := s12
+			c.NoC.StarvationWindow = s
+			add(fmt.Sprintf("window=%d", s), c)
+		}
+	case "antistarvation":
+		batch := s12
+		batch.NoC.StarvationMode = config.Batching
+		add("age-window", s12)
+		add("batching", batch)
+	case "bypass":
+		off := s12
+		off.NoC.EnableBypass = false
+		add("bypass on", s12)
+		add("bypass off", off)
+	case "routing":
+		wf := s12
+		wf.NoC.Routing = config.RoutingWestFirst
+		add("x-y", s12)
+		add("west-first", wf)
+	case "policy":
+		appNet := base
+		appNet.AppAwareNet = true
+		appMem := base
+		appMem.DRAM.Sched = config.AppAwareMem
+		fcfs := base
+		fcfs.DRAM.Sched = config.FCFS
+		add("scheme-1+2", s12)
+		add("app-aware net", appNet)
+		add("app-aware mem", appMem)
+		add("fcfs memory", fcfs)
+	default:
+		return nil, fmt.Errorf("unknown sweep %q", what)
+	}
+	return points, nil
 }
 
-// printRows renders the sweep table; skipped may be nil.
-func printRows(points []point, skipped []bool, rows []row) {
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "point\tnormalized WS\tnet avg\ts1 tag%%\ts2 tag%%\n")
+// rowKeys names the summaries one table row is computed from.
+type rowKeys struct {
+	scheme, base string
+	alone        map[string]string // application name -> key of its alone run
+}
+
+// plan lists every run the table needs — per point the scheme run, the
+// schemes-off base run on the same substrate (it differs when the sweep
+// changes MCs, pipeline, VCs, buffers) and one alone run per distinct
+// application — deduplicated by store key, and tells each row which keys it
+// reads. Pruned points plan nothing; with estimate set every spec asks for
+// the closed-form model.
+func plan(points []point, w workload.Workload, estimate bool) ([]simd.RunSpec, []rowKeys, error) {
+	profs, err := w.Profiles()
+	if err != nil {
+		return nil, nil, err
+	}
+	var specs []simd.RunSpec
+	seen := map[string]bool{}
+	add := func(sp simd.RunSpec) string {
+		sp.Estimate = estimate
+		rp, rerr := simd.ResolveSpec(sp)
+		if rerr != nil && err == nil {
+			err = rerr
+		}
+		if !seen[rp.Key] {
+			seen[rp.Key] = true
+			specs = append(specs, sp)
+		}
+		return rp.Key
+	}
+	keys := make([]rowKeys, len(points))
 	for i, pt := range points {
-		if skipped != nil && skipped[i] {
-			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\n", pt.label)
+		if pt.pruned {
 			continue
 		}
-		r := rows[i]
-		fmt.Fprintf(tw, "%s\t%.4f\t%.1f\t%.1f\t%.1f\n", pt.label, r.norm, r.netAvg, r.s1Pct, r.s2Pct)
+		baseCfg := pt.cfg.WithSchemes(false, false)
+		keys[i] = rowKeys{
+			scheme: add(simd.RunSpec{Config: pt.cfg, Workload: w.ID}),
+			base:   add(simd.RunSpec{Config: baseCfg, Workload: w.ID}),
+			alone:  map[string]string{},
+		}
+		for _, p := range profs {
+			if _, ok := keys[i].alone[p.Name]; !ok {
+				keys[i].alone[p.Name] = add(simd.RunSpec{Config: baseCfg, Apps: []string{p.Name}})
+			}
+		}
 	}
-	tw.Flush()
+	return specs, keys, err
+}
+
+// executor turns run specs into their summaries, keyed by store key.
+type executor func([]simd.RunSpec) (map[string]sim.Summary, error)
+
+// localExecutor executes specs in this process on one runner: its semaphore
+// bounds the simulations, its fork cache shares warmups, and its Stats are
+// the sweep's provenance.
+func localExecutor(runner *exp.Runner) executor {
+	return func(specs []simd.RunSpec) (map[string]sim.Summary, error) {
+		keys := make([]string, len(specs))
+		sums := make([]sim.Summary, len(specs))
+		g := par.NewGroup(runner.Parallelism())
+		for i, sp := range specs {
+			g.Go(func() error {
+				rp, err := simd.ResolveSpec(sp)
+				if err != nil {
+					return err
+				}
+				data, err := simd.ExecuteSpec(runner, rp)
+				if err != nil {
+					return err
+				}
+				keys[i] = rp.Key
+				return json.Unmarshal(data, &sums[i])
+			})
+		}
+		if err := g.Wait(); err != nil {
+			return nil, err
+		}
+		byKey := make(map[string]sim.Summary, len(specs))
+		for i, k := range keys {
+			byKey[k] = sums[i]
+		}
+		return byKey, nil
+	}
+}
+
+// row is one sweep-table line, with the scheme run's summary it came from.
+type row struct {
+	norm, netAvg, s1Pct, s2Pct float64
+	scheme                     sim.Summary
+}
+
+// rowsFrom computes the table rows from the executed summaries: normalized
+// weighted speedup is stats.WeightedSpeedup over the summary's active-tile
+// order with the alone IPCs from the alone runs, and the tag percentages come
+// from the raw scheme counters (from the model's fractions when the summary
+// is an estimate). JSON round-trips float64 exactly, so the rows do not
+// depend on which executor produced the summaries.
+func rowsFrom(keys []rowKeys, byKey map[string]sim.Summary) ([]row, error) {
+	rows := make([]row, len(keys))
+	for i, k := range keys {
+		if k.scheme == "" { // pruned
+			continue
+		}
+		ws := func(s sim.Summary) (float64, error) {
+			var shared, alone []float64
+			for _, a := range s.Apps {
+				ipc := 0.0 // a missing alone run is WeightedSpeedup's error
+				if al := byKey[k.alone[a.App]]; len(al.Apps) > 0 {
+					ipc = al.Apps[0].IPC
+				}
+				shared, alone = append(shared, a.IPC), append(alone, ipc)
+			}
+			return stats.WeightedSpeedup(shared, alone)
+		}
+		s := byKey[k.scheme]
+		schemeWS, err := ws(s)
+		if err != nil {
+			return nil, err
+		}
+		baseWS, err := ws(byKey[k.base])
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = row{
+			norm:   schemeWS / baseWS,
+			netAvg: s.NetAvgLatency,
+			s1Pct:  100 * float64(s.S1Tagged) / float64(s.S1Checked+1),
+			s2Pct:  100 * float64(s.S2Tagged) / float64(s.S2Checked+1),
+			scheme: s,
+		}
+		if s.Estimated {
+			rows[i].s1Pct, rows[i].s2Pct = 100*s.S1TaggedFrac, 100*s.S2TaggedFrac
+		}
+	}
+	return rows, nil
+}
+
+// printRows renders the sweep table; pruned points print as dashes.
+func printRows(out io.Writer, points []point, rows []row) error {
+	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "point\tnormalized WS\tnet avg\ts1 tag%%\ts2 tag%%\n")
+	for i, pt := range points {
+		if r := rows[i]; pt.pruned {
+			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\n", pt.label)
+		} else {
+			fmt.Fprintf(tw, "%s\t%.4f\t%.1f\t%.1f\t%.1f\n", pt.label, r.norm, r.netAvg, r.s1Pct, r.s2Pct)
+		}
+	}
+	return tw.Flush()
+}
+
+// tableRows is the pipeline up to the rows: plan, execute, rowsFrom.
+func tableRows(points []point, w workload.Workload, estimate bool, run executor) ([]row, error) {
+	specs, keys, err := plan(points, w, estimate)
+	if err != nil {
+		return nil, err
+	}
+	byKey, err := run(specs)
+	if err != nil {
+		return nil, err
+	}
+	return rowsFrom(keys, byKey)
+}
+
+// sweep runs the table's passes through run and prints it. With prune > 0 an
+// estimate pass comes first: a point whose estimated normalized WS sits
+// within prune of the first point's is not simulated — the model says the
+// knob does not move the headline number there. Point 0 always runs (it
+// anchors the deltas), every pruned point is logged so nothing disappears
+// silently, and every point that did simulate is checked against the model
+// (the divergence oracle), so a broken run or a drifting model announces
+// itself instead of silently steering the sweep.
+func sweep(out io.Writer, points []point, w workload.Workload, estimate bool, prune float64, run executor) error {
+	points = append([]point(nil), points...) // pruning marks the copy
+	if prune > 0 {
+		est, err := tableRows(points, w, true, run)
+		if err != nil {
+			return err
+		}
+		for i := 1; i < len(points); i++ {
+			if delta := est[i].norm - est[0].norm; math.Abs(delta) < prune {
+				points[i].pruned = true
+				log.Printf("pruned %s: estimated normalized WS %.4f, delta %+.4f vs %s below threshold %g",
+					points[i].label, est[i].norm, delta, points[0].label, prune)
+			}
+		}
+	}
+	rows, err := tableRows(points, w, estimate, run)
+	if err != nil {
+		return err
+	}
+	if prune > 0 {
+		if err := crossCheck(points, rows, w); err != nil {
+			return err
+		}
+	}
+	return printRows(out, points, rows)
+}
+
+// crossCheck compares every simulated row with the model's prediction for its
+// point and logs divergence beyond the oracle band.
+func crossCheck(points []point, rows []row, w workload.Workload) error {
+	profs, err := w.Profiles()
+	if err != nil {
+		return err
+	}
+	for i, pt := range points {
+		if pt.pruned {
+			continue
+		}
+		padded := make([]trace.Profile, pt.cfg.Mesh.Nodes())
+		copy(padded, profs)
+		rep, err := analytic.CrossCheck(pt.cfg, padded, rows[i].scheme, analytic.OracleBand)
+		if err != nil {
+			return err
+		}
+		if !rep.InBand() {
+			log.Printf("divergence at %s: max leg error %.0f%% (band %.0f%%)",
+				pt.label, 100*rep.MaxLegErr, 100*rep.Band)
+			for _, f := range rep.Flags {
+				log.Printf("divergence at %s: %s %s %s: %s", pt.label, f.Kind, f.Tile, f.App, f.Detail)
+			}
+		}
+	}
+	return nil
 }
 
 func main() {
@@ -62,7 +366,7 @@ func main() {
 		wid     = flag.Int("workload", 7, "Table 2 workload id (1-18)")
 		warmup  = flag.Int64("warmup", 100_000, "warmup cycles")
 		measure = flag.Int64("measure", 300_000, "measurement cycles")
-		jobs    = flag.Int("j", 0, "max concurrent sweep points (0 = all CPUs, 1 = sequential)")
+		jobs    = flag.Int("j", 0, "max concurrent simulations (0 = all CPUs, 1 = sequential)")
 		shards  = flag.Int("shards", 1, "worker goroutines per simulation (results are identical at any count)")
 		steal   = flag.String("steal", "on", "intra-cycle work stealing in sharded runs: on|off (bisection escape hatch)")
 		fork    = flag.Bool("fork", false, "share one baseline warmup checkpoint across compatible sweep points (faster; scheme points then warm up under the baseline policy)")
@@ -84,259 +388,52 @@ func main() {
 	}
 	distributed := *coord != "" || *workers > 0
 	if distributed && (*est || *prune != 0) {
-		log.Fatal("-coordinator/-workers are mutually exclusive with -estimate and -prune-estimate: estimates answer locally in microseconds, there is nothing to distribute")
+		log.Fatal("-coordinator/-workers are mutually exclusive with -estimate and -prune-estimate: estimates answer locally in a fraction of a millisecond, there is nothing to distribute")
 	}
 	if *workers < 0 {
 		log.Fatalf("bad -workers count %d (want >= 0)", *workers)
 	}
-	nocmem.SetParallelism(*jobs)
-	nocmem.SetShareWarmup(*fork)
 
-	w, err := nocmem.GetWorkload(*wid)
+	w, err := workload.Get(*wid)
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := nocmem.Baseline32()
+	base := config.Baseline32()
 	base.Run.WarmupCycles = *warmup
 	base.Run.MeasureCycles = *measure
 	base.Run.Shards = *shards
 	base.Run.NoSteal = *steal == "off"
 	base.S1.UpdatePeriod = *measure / 15
-
-	var points []point
-	switch *what {
-	case "threshold":
-		for _, f := range []float64{0.8, 0.9, 1.0, 1.1, 1.2, 1.4} {
-			c := base.WithSchemes(true, true)
-			c.S1.ThresholdFactor = f
-			points = append(points, point{fmt.Sprintf("%.1fx", f), c})
-		}
-	case "history":
-		for _, T := range []int64{500, 1000, 2000, 4000, 8000} {
-			c := base.WithSchemes(true, true)
-			c.S2.HistoryWindow = T
-			points = append(points, point{fmt.Sprintf("T=%d", T), c})
-		}
-	case "mcs":
-		for _, n := range []int{2, 4} {
-			c := base.WithSchemes(true, true)
-			c.DRAM.Controllers = n
-			points = append(points, point{fmt.Sprintf("%d MCs", n), c})
-		}
-	case "pipeline":
-		for _, p := range []config.RouterPipeline{config.Pipeline5, config.Pipeline2} {
-			c := base.WithSchemes(true, true)
-			c.NoC.Pipeline = p
-			points = append(points, point{fmt.Sprintf("%d-stage", p), c})
-		}
-	case "vcs":
-		for _, v := range []int{2, 4, 8} {
-			c := base.WithSchemes(true, true)
-			c.NoC.VCsPerPort = v
-			points = append(points, point{fmt.Sprintf("%d VCs", v), c})
-		}
-	case "buffers":
-		for _, b := range []int{3, 5, 8, 16} {
-			c := base.WithSchemes(true, true)
-			c.NoC.BufferDepth = b
-			points = append(points, point{fmt.Sprintf("%d flits", b), c})
-		}
-	case "starvation":
-		for _, s := range []int64{100, 500, 1000, 5000} {
-			c := base.WithSchemes(true, true)
-			c.NoC.StarvationWindow = s
-			points = append(points, point{fmt.Sprintf("window=%d", s), c})
-		}
-	case "antistarvation":
-		age := base.WithSchemes(true, true)
-		batch := base.WithSchemes(true, true)
-		batch.NoC.StarvationMode = config.Batching
-		points = append(points, point{"age-window", age}, point{"batching", batch})
-	case "bypass":
-		on := base.WithSchemes(true, true)
-		off := base.WithSchemes(true, true)
-		off.NoC.EnableBypass = false
-		points = append(points, point{"bypass on", on}, point{"bypass off", off})
-	case "routing":
-		xy := base.WithSchemes(true, true)
-		wf := base.WithSchemes(true, true)
-		wf.NoC.Routing = config.RoutingWestFirst
-		points = append(points, point{"x-y", xy}, point{"west-first", wf})
-	case "policy":
-		s12 := base.WithSchemes(true, true)
-		appNet := base
-		appNet.AppAwareNet = true
-		appMem := base
-		appMem.DRAM.Sched = config.AppAwareMem
-		fcfs := base
-		fcfs.DRAM.Sched = config.FCFS
-		points = append(points,
-			point{"scheme-1+2", s12},
-			point{"app-aware net", appNet},
-			point{"app-aware mem", appMem},
-			point{"fcfs memory", fcfs},
-		)
-	default:
-		log.Fatalf("unknown sweep %q", *what)
+	points, err := grid(*what, base)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("sweep %s on %s (%s)\n", *what, w.Name(), w.Category)
-
 	if *est {
-		runEstimatedSweep(points, w)
-		return
+		fmt.Println("estimated (closed-form model, no simulated cycles)")
 	}
-
 	if distributed {
-		runDistributedSweep(distOptions{
+		err = distributedSweep(os.Stdout, distOptions{
 			coordinator: *coord,
 			workers:     *workers,
 			jobs:        *jobs,
 			fork:        *fork,
 			verbose:     *verbose,
 		}, points, w)
-		return
-	}
-
-	// -prune-estimate skips cycle-accurate points whose estimated normalized
-	// WS sits within threshold of the first point's estimate: the model says
-	// the knob does not move the headline number there, so the expensive
-	// simulation buys nothing. Point 0 always runs (it anchors the deltas),
-	// and every pruned point is logged so nothing disappears silently.
-	skipped := make([]bool, len(points))
-	var profiles []nocmem.Profile
-	if *prune > 0 {
-		var err error
-		if profiles, err = w.Profiles(); err != nil {
-			log.Fatal(err)
-		}
-		norms := make([]float64, len(points))
-		for i, pt := range points {
-			n, err := estimatedNorm(pt.cfg, profiles)
-			if err != nil {
-				log.Fatal(err)
-			}
-			norms[i] = n
-		}
-		for i := 1; i < len(points); i++ {
-			if delta := norms[i] - norms[0]; math.Abs(delta) < *prune {
-				skipped[i] = true
-				log.Printf("pruned %s: estimated normalized WS %.4f, delta %+.4f vs %s below threshold %g",
-					points[i].label, norms[i], delta, points[0].label, *prune)
+	} else {
+		runner := exp.NewRunner(exp.Options{Parallelism: *jobs, ShareWarmup: *fork})
+		err = sweep(os.Stdout, points, w, *est, *prune, localExecutor(runner))
+		if st := runner.Stats(); err == nil && *verbose {
+			log.Printf("provenance: %d run requests — %d simulated, %d served by the run cache", st.Runs, st.Executed, st.CacheHits)
+			log.Printf("provenance: %d warmup windows executed, %d runs forked from shared warm checkpoints", st.Warmups, st.Forked)
+			if st.SnapshotMemHits+st.SnapshotDiskHits+st.SnapshotEvictions > 0 {
+				log.Printf("provenance: snapshots: %d memory hits, %d disk hits, %d evictions",
+					st.SnapshotMemHits, st.SnapshotDiskHits, st.SnapshotEvictions)
 			}
 		}
 	}
-
-	// Every sweep point is an independent pair of simulations, so points run
-	// concurrently on a bounded pool; rows are printed afterwards in sweep
-	// order. Each point's goroutine holds its pool slot for its whole body,
-	// so a point waiting on another point's memoized alone run never blocks
-	// the owner from progressing.
-	rows := make([]row, len(points))
-	g := par.NewGroup(nocmem.Parallelism())
-	for i, pt := range points {
-		if skipped[i] {
-			continue
-		}
-		g.Go(func() error {
-			// The base run differs when the sweep changes the substrate
-			// (MCs, pipeline, VCs, buffers), so recompute it per point.
-			baseRun, err := nocmem.RunWorkload(pt.cfg.WithSchemes(false, false), w)
-			if err != nil {
-				return err
-			}
-			baseWS, err := nocmem.WeightedSpeedup(pt.cfg, baseRun)
-			if err != nil {
-				return err
-			}
-			res, err := nocmem.RunWorkload(pt.cfg, w)
-			if err != nil {
-				return err
-			}
-			ws, err := nocmem.WeightedSpeedup(pt.cfg, res)
-			if err != nil {
-				return err
-			}
-			rows[i] = row{
-				norm:   ws / baseWS,
-				netAvg: res.Net.AvgLatency(),
-				s1Pct:  100 * float64(res.S1Tagged) / float64(res.S1Checked+1),
-				s2Pct:  100 * float64(res.S2Tagged) / float64(res.S2Checked+1),
-			}
-			if *prune > 0 {
-				// Divergence oracle: when the model is trusted to prune, check
-				// it against every point that did simulate, so a broken run
-				// (or a drifting model) announces itself instead of silently
-				// steering the sweep.
-				rep, err := nocmem.CrossCheckRun(pt.cfg, profiles, res, nocmem.EstimateOracleBand)
-				if err != nil {
-					return err
-				}
-				if !rep.InBand() {
-					log.Printf("divergence at %s: max leg error %.0f%% (band %.0f%%)",
-						pt.label, 100*rep.MaxLegErr, 100*rep.Band)
-					for _, f := range rep.Flags {
-						log.Printf("divergence at %s: %s %s %s: %s", pt.label, f.Kind, f.Tile, f.App, f.Detail)
-					}
-				}
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		log.Fatal(err)
-	}
-
-	printRows(points, skipped, rows)
-
-	if *verbose {
-		st := nocmem.Stats()
-		log.Printf("provenance: %d run requests — %d simulated, %d served by the alone cache", st.Runs, st.Executed, st.CacheHits)
-		log.Printf("provenance: %d warmup windows executed, %d runs forked from shared warm checkpoints", st.Warmups, st.Forked)
-		if st.SnapshotMemHits+st.SnapshotDiskHits+st.SnapshotEvictions > 0 {
-			log.Printf("provenance: snapshots: %d memory hits, %d disk hits, %d evictions",
-				st.SnapshotMemHits, st.SnapshotDiskHits, st.SnapshotEvictions)
-		}
-	}
-}
-
-// estimatedNorm is the model's normalized weighted speedup for one sweep
-// point: estimated WS under cfg over estimated WS with both schemes off on
-// the same substrate. Both sides come from the model, so its absolute bias
-// divides out.
-func estimatedNorm(cfg nocmem.Config, apps []nocmem.Profile) (float64, error) {
-	ws, err := nocmem.EstimatedWeightedSpeedup(cfg, apps)
-	if err != nil {
-		return 0, err
-	}
-	baseWS, err := nocmem.EstimatedWeightedSpeedup(cfg.WithSchemes(false, false), apps)
-	if err != nil {
-		return 0, err
-	}
-	return ws / baseWS, nil
-}
-
-// runEstimatedSweep prints the sweep table straight from the closed-form
-// model, one estimate per point, without simulating a single cycle.
-func runEstimatedSweep(points []point, w nocmem.Workload) {
-	apps, err := w.Profiles()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("estimated (closed-form model, no simulated cycles)")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "point\tnormalized WS\tnet avg\ts1 tag%%\ts2 tag%%\n")
-	for _, pt := range points {
-		e, err := nocmem.EstimateApps(pt.cfg, apps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		norm, err := estimatedNorm(pt.cfg, apps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(tw, "%s\t%.4f\t%.1f\t%.1f\t%.1f\n",
-			pt.label, norm, e.NetLatency, 100*e.S1TaggedFrac, 100*e.S2TaggedFrac)
-	}
-	tw.Flush()
 }

@@ -252,4 +252,3 @@ func TestFastForwardCountsTicks(t *testing.T) {
 		t.Fatal("fast-forward executed no ticks despite a pending drain")
 	}
 }
-

@@ -19,7 +19,7 @@ import (
 func (r *Runner) weightedSpeedup(cfg config.Config, res *sim.Result) (float64, error) {
 	var shared, alone []float64
 	for _, tile := range res.ActiveTiles() {
-		a, err := r.aloneIPC(cfg, res.Apps[tile])
+		a, err := r.AloneIPC(r.opts.apply(cfg), res.Apps[tile])
 		if err != nil {
 			return 0, err
 		}

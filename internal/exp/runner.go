@@ -85,16 +85,10 @@ type Runner struct {
 	// fork cache dedups the warmup prefix of distinct runs.
 	forks forkrun.Cache
 
+	// progress receives one line per fresh simulation run; logf holds progMu
+	// across the call so concurrent runs cannot interleave torn log lines.
 	progMu   sync.Mutex
 	progress func(format string, args ...any)
-
-	// Progress, if set, receives one line per fresh simulation run.
-	//
-	// Deprecated direct assignment: use SetProgress, which may be called
-	// at any time; assigning Progress directly is only safe before the
-	// first run. Both funnel through one mutex so concurrent runs cannot
-	// interleave torn log lines.
-	Progress func(format string, args ...any)
 
 	// Cache-provenance counters (see Stats).
 	reqs, hits, executed atomic.Int64
@@ -218,18 +212,11 @@ func (r *Runner) SetProgress(fn func(format string, args ...any)) {
 
 func (r *Runner) logf(format string, args ...any) {
 	r.progMu.Lock()
-	fn := r.progress
-	if fn == nil {
-		fn = r.Progress
-	}
-	if fn != nil {
-		fn(format, args...)
+	if r.progress != nil {
+		r.progress(format, args...)
 	}
 	r.progMu.Unlock()
 }
-
-// cfgKey returns the cache key of a fully-applied configuration.
-func cfgKey(cfg config.Config) string { return cfg.Key() }
 
 // RunKey returns the cache key under which a (config, label) run is
 // deduplicated and stored: the config's field-by-field key plus the label
@@ -237,12 +224,7 @@ func cfgKey(cfg config.Config) string { return cfg.Key() }
 // on-disk result store with the same key, so in-memory singleflight and
 // on-disk dedup agree about what "the same run" means.
 func RunKey(cfg config.Config, label string) string {
-	return cfgKey(cfg) + "|" + label
-}
-
-// run executes (or recalls, or waits for) a full workload run.
-func (r *Runner) run(cfg config.Config, apps []trace.Profile, label string) (*sim.Result, error) {
-	return r.runKeyed(r.opts.apply(cfg), apps, label)
+	return cfg.Key() + "|" + label
 }
 
 // RunConfig executes (or recalls) one fully-specified configuration without
@@ -252,15 +234,11 @@ func (r *Runner) run(cfg config.Config, apps []trace.Profile, label string) (*si
 // helpers apply, so concurrent identical requests — even from different
 // clients — execute exactly one simulation.
 func (r *Runner) RunConfig(cfg config.Config, apps []trace.Profile, label string) (*sim.Result, error) {
-	return r.runKeyed(cfg, apps, label)
-}
-
-func (r *Runner) runKeyed(cfg config.Config, apps []trace.Profile, label string) (*sim.Result, error) {
 	key := RunKey(cfg, label)
-	r.reqs.Add(1)
 	r.mu.Lock()
 	if e, ok := r.runs[key]; ok {
 		r.mu.Unlock()
+		r.reqs.Add(1)
 		<-e.done
 		r.hits.Add(1)
 		return e.res, e.err
@@ -269,14 +247,20 @@ func (r *Runner) runKeyed(cfg config.Config, apps []trace.Profile, label string)
 	r.runs[key] = e
 	r.mu.Unlock()
 
-	r.executed.Add(1)
-	e.res, e.err = r.execute(cfg, apps, label)
+	e.res, e.err = r.Execute(cfg, apps, label)
 	close(e.done)
 	return e.res, e.err
 }
 
-// execute performs one fresh simulation under the worker semaphore.
-func (r *Runner) execute(cfg config.Config, apps []trace.Profile, label string) (*sim.Result, error) {
+// Execute performs one fresh simulation of a fully-specified configuration
+// under the worker semaphore, bypassing the run cache: it counts as one
+// request and one execution in Stats. For callers whose labels do not
+// identify the placement (the nocmem facade: halved workloads share a name,
+// custom profiles may too), where caching by (config, label) would be wrong.
+// Placements shorter than the mesh are padded with idle tiles.
+func (r *Runner) Execute(cfg config.Config, apps []trace.Profile, label string) (*sim.Result, error) {
+	r.reqs.Add(1)
+	r.executed.Add(1)
 	r.sem <- struct{}{}
 	defer func() { <-r.sem }()
 	padded := make([]trace.Profile, cfg.Mesh.Nodes())
@@ -297,20 +281,23 @@ func (r *Runner) execute(cfg config.Config, apps []trace.Profile, label string) 
 	return s.Run(), nil
 }
 
-// runWorkload executes a Table 2 workload.
+// runWorkload executes (or recalls, or waits for) a Table 2 workload run under
+// the runner's Options.
 func (r *Runner) runWorkload(cfg config.Config, w workload.Workload) (*sim.Result, error) {
 	apps, err := w.Profiles()
 	if err != nil {
 		return nil, err
 	}
-	return r.run(cfg, apps, w.Name())
+	return r.RunConfig(r.opts.apply(cfg), apps, w.Name())
 }
 
-// aloneIPC measures (and caches) one application's alone IPC on the
-// unprioritized system. The underlying run is deduplicated by the
-// singleflight cache, so concurrent callers share one simulation.
-func (r *Runner) aloneIPC(cfg config.Config, app trace.Profile) (float64, error) {
-	res, err := r.run(cfg.WithSchemes(false, false), []trace.Profile{app}, "alone-"+app.Name)
+// AloneIPC measures (and caches) one application's IPC when it runs alone on
+// tile 0 of the unprioritized system — the denominator of weighted speedup.
+// cfg is used as given (no Options defaults); the run is keyed
+// RunKey(cfg, "alone-"+name) and deduplicated by the singleflight cache, so
+// concurrent callers share one simulation.
+func (r *Runner) AloneIPC(cfg config.Config, app trace.Profile) (float64, error) {
+	res, err := r.RunConfig(cfg.WithSchemes(false, false), []trace.Profile{app}, "alone-"+app.Name)
 	if err != nil {
 		return 0, err
 	}
@@ -364,7 +351,7 @@ func (r *Runner) aloneTasks(cfg config.Config, w workload.Workload) ([]func() er
 		seen[a.Name] = true
 		app := a
 		tasks = append(tasks, func() error {
-			_, err := r.aloneIPC(cfg, app)
+			_, err := r.AloneIPC(r.opts.apply(cfg), app)
 			return err
 		})
 	}

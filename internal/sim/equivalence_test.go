@@ -137,7 +137,10 @@ func TestEventDenseEquivalence(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			denseJSON, denseRes, _ := runOnce(t, tc.cfg, tc.apps, true, 1)
+			denseJSON, denseRes, denseSim := runOnce(t, tc.cfg, tc.apps, true, 1)
+			if got := denseSim.DebugTickedCycles(); got != 0 {
+				t.Fatalf("dense reference went through the event-driven cycle counter (%d cycles): the oracle compares the scheduler with itself", got)
+			}
 			eventJSON, eventRes, eventSim := runOnce(t, tc.cfg, tc.apps, false, 1)
 			expectSame(t, "event", denseJSON, denseRes, eventJSON, eventRes)
 			if tc.wantTicked != 0 {
@@ -193,24 +196,6 @@ func TestLargeMeshRegression(t *testing.T) {
 		if eventRes.CoreStats[tile].Retired == 0 {
 			t.Errorf("tile %d retired nothing under event stepping: the active set is truncated", tile)
 		}
-	}
-}
-
-// TestDenseEnvForcesReference covers the process-wide escape hatch used to
-// re-verify results without code changes.
-func TestDenseEnvForcesReference(t *testing.T) {
-	t.Setenv(denseStepEnv, "1")
-	cfg := smallConfig()
-	s, err := New(cfg, fillApps(cfg, "milc", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.dense {
-		t.Fatal("NOCMEM_DENSE_STEP=1 did not select the dense stepper")
-	}
-	s.Step(1_000)
-	if s.DebugTickedCycles() != 0 {
-		t.Fatal("dense stepper went through the event-driven cycle counter")
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"os"
 )
 
 // The event-driven scheduler replaces the dense per-cycle sweep over every
@@ -64,22 +63,14 @@ func (s *Simulator) activateAll() {
 // SetDenseStepping switches between the event-driven scheduler (default) and
 // the dense reference stepper that ticks every component every cycle. Both
 // produce byte-identical results; the dense stepper is retained as the
-// equivalence oracle for tests and can be forced for a whole process with
-// NOCMEM_DENSE_STEP=1. Safe to call between Step calls at any time.
+// equivalence oracle for tests and benchmarks. Safe to call between Step
+// calls at any time.
 func (s *Simulator) SetDenseStepping(dense bool) {
 	s.dense = dense
 	s.net.SetEventDriven(!dense)
 	if !dense {
 		s.activateAll()
 	}
-}
-
-// denseStepEnv is the debug escape hatch honored at construction.
-const denseStepEnv = "NOCMEM_DENSE_STEP"
-
-func denseFromEnv() bool {
-	v := os.Getenv(denseStepEnv)
-	return v != "" && v != "0"
 }
 
 // stepDense is the retained dense reference loop: every component, every

@@ -30,8 +30,7 @@ import (
 // Because every boundary item is future-dated and the merge order is fixed,
 // the results are *partition-independent*: byte-identical to the sequential
 // stepper for any chunk layout and any worker count — the equivalence tests
-// enforce this, and the sequential path remains the reference semantics
-// (same pattern as NOCMEM_DENSE_STEP).
+// enforce this, and the sequential path remains the reference semantics.
 //
 // Partition independence is also what makes intra-cycle work-stealing safe.
 // The mesh is over-decomposed into more chunks than workers (stealChunksX

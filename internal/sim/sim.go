@@ -162,7 +162,7 @@ func NewFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 		s.mcAt[tile] = mc
 	}
 	s.buildShards()
-	s.SetDenseStepping(denseFromEnv())
+	s.SetDenseStepping(false)
 	return s, nil
 }
 
@@ -343,7 +343,7 @@ func (s *Simulator) mcTileOf(addr uint64) int {
 
 // Step advances the whole system by the given number of cycles, with the
 // event-driven scheduler by default or the dense reference stepper when
-// selected (SetDenseStepping, NOCMEM_DENSE_STEP). Both produce identical
+// selected (SetDenseStepping). Both produce identical
 // results; see sched.go.
 func (s *Simulator) Step(cycles int64) {
 	if s.dense {

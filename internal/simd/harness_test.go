@@ -392,6 +392,25 @@ func TestHarnessConcurrentClients(t *testing.T) {
 	if st.InflightJobs != 0 {
 		t.Errorf("%d jobs still inflight after all clients returned", st.InflightJobs)
 	}
+
+	// The same daemon asked again answers every point from its store with
+	// the same bytes, and an estimate answers from the closed-form model:
+	// neither touches the simulator.
+	estimate := grid[0]
+	estimate.Estimate = true
+	repeat := h.run(0, append(append([]simd.RunSpec{}, grid...), estimate))
+	for i, pr := range repeat.Results[:len(grid)] {
+		if pr.Source != simd.SourceStore || !bytes.Equal(pr.Summary, byKey[pr.Key][0]) {
+			t.Errorf("repeat of grid point %d: source %q, same bytes %v; want a %q hit with the original bytes",
+				i, pr.Source, bytes.Equal(pr.Summary, byKey[pr.Key][0]), simd.SourceStore)
+		}
+	}
+	if got := repeat.Results[len(grid)].Source; got != simd.SourceEstimate {
+		t.Errorf("estimate point source %q, want %q", got, simd.SourceEstimate)
+	}
+	if after := h.stats().Runner.Executed; after != st.Runner.Executed {
+		t.Errorf("store hits and an estimate executed %d simulations", after-st.Runner.Executed)
+	}
 	h.end()
 }
 

@@ -3,6 +3,7 @@ package simd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -233,6 +234,29 @@ func (s *Server) Abort() {
 
 // --- HTTP plumbing ---
 
+// Request limits. A baseline config is 1.5 kB of JSON, so MaxJobPoints fully
+// specified points fit in MaxBodyBytes; larger sweeps split into several jobs.
+const (
+	// MaxBodyBytes caps the body of every POST endpoint (413 beyond it).
+	MaxBodyBytes = 8 << 20
+	// MaxJobPoints caps the points of one POST /run job (400 beyond it).
+	MaxJobPoints = 4096
+)
+
+// decodeBody reads r's JSON body into v, reading at most MaxBodyBytes of it;
+// on failure it answers 413 or 400 and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxBodyBytes)
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return err == nil
+}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -284,12 +308,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Points) == 0 {
 		httpError(w, http.StatusBadRequest, "no points in request")
+		return
+	}
+	if len(req.Points) > MaxJobPoints {
+		httpError(w, http.StatusBadRequest, "%d points in request, at most %d per job", len(req.Points), MaxJobPoints)
 		return
 	}
 	points := make([]ResolvedSpec, len(req.Points))
@@ -372,8 +399,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	id := s.leases.register(req.Name, time.Now())
@@ -404,8 +430,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -425,8 +450,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Worker == "" || req.Key == "" {

@@ -5,7 +5,9 @@ package simd_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -16,7 +18,7 @@ import (
 )
 
 // estimatePoint is an instant, simulation-free point for request-surface
-// tests: the closed-form model answers in microseconds.
+// tests: the closed-form model answers in a fraction of a millisecond.
 func estimatePoint() simd.RunSpec {
 	return simd.RunSpec{Config: testCfg(), Apps: testApps, Estimate: true}
 }
@@ -112,6 +114,53 @@ func TestTerminalJobGC(t *testing.T) {
 	time.Sleep(2 * ttl)
 	if _, err := h.clients[0].Job(ctx, sub.ID, 0); err == nil {
 		t.Error("fetched terminal job still alive after TTL, want collected")
+	}
+	h.end()
+}
+
+// TestRequestLimits: the POST endpoints read at most MaxBodyBytes and a job
+// holds at most MaxJobPoints points — hostile or confused input is refused
+// with 413/400 before any point is resolved — while a body of exactly the
+// limit still goes through.
+func TestRequestLimits(t *testing.T) {
+	h := makeDistHarness(t, 1, time.Minute)
+	h.begin("oversized bodies and oversized jobs rejected, limit-sized body accepted")
+
+	// padded returns a one-estimate job whose body is exactly n bytes: the
+	// padding sits inside the object, so the decoder has to read all of it.
+	padded := func(n int) string {
+		spec, err := json.Marshal(simd.RunRequest{Points: []simd.RunSpec{estimatePoint()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := strings.TrimSuffix(string(spec), "}")
+		return body + strings.Repeat(" ", n-len(body)-1) + "}"
+	}
+	cases := []struct {
+		name, path, body string
+		want             int
+		wantErr          string
+	}{
+		{"run body at the limit", "/run", padded(simd.MaxBodyBytes), http.StatusOK, ""},
+		{"run body one byte over", "/run", padded(simd.MaxBodyBytes + 1), http.StatusRequestEntityTooLarge, "exceeds"},
+		{"register body over", "/dist/register", `{"name":"` + strings.Repeat("w", simd.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
+		{"lease body over", "/dist/lease", `{"worker":"` + strings.Repeat("w", simd.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
+		{"complete body over", "/dist/complete", `{"summary":"` + strings.Repeat("s", simd.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
+		{"too many points", "/run", `{"points":[` + strings.Repeat("{},", simd.MaxJobPoints) + `{}]}`, http.StatusBadRequest, "at most"},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(h.ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || !strings.Contains(string(msg), tc.wantErr) {
+			t.Errorf("%s: status %d body %.80q, want %d mentioning %q", tc.name, resp.StatusCode, msg, tc.want, tc.wantErr)
+		}
+	}
+	if st := h.stats(); st.Jobs != 1 || st.Points != 1 {
+		t.Errorf("%d jobs / %d points accepted, want only the limit-sized one", st.Jobs, st.Points)
 	}
 	h.end()
 }

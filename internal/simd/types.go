@@ -41,8 +41,8 @@ type RunSpec struct {
 	// (remaining tiles stay idle).
 	Apps []string `json:"apps,omitempty"`
 	// Estimate answers from the closed-form analytic model instead of
-	// simulating — microseconds instead of minutes, within the model's
-	// calibration band only.
+	// simulating — a fraction of a millisecond instead of minutes, within the
+	// model's calibration band only.
 	Estimate bool `json:"estimate,omitempty"`
 }
 

@@ -80,7 +80,7 @@ func TestWheelPropertyVsReferenceHeap(t *testing.T) {
 			w := New[int]()
 			ref := &refHeap{}
 			var now int64
-			var base int64 // mirrors the wheel base: last PopDue now + 1
+			var base int64                   // mirrors the wheel base: last PopDue now + 1
 			handles := make(map[uint64]bool) // pending, cancelable
 
 			for op := 0; op < 20_000; op++ {
@@ -95,7 +95,7 @@ func TestWheelPropertyVsReferenceHeap(t *testing.T) {
 					case 7, 8: // level 2
 						d = 4096 + rng.Int63n(262144-4096)
 					default: // overflow
-						d = 262144 + rng.Int63n(1 << 22)
+						d = 262144 + rng.Int63n(1<<22)
 					}
 					if rng.Intn(8) == 0 {
 						// Land exactly on a rollover boundary relative to now.

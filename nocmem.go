@@ -19,13 +19,10 @@ package nocmem
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"nocmem/internal/config"
 	"nocmem/internal/exp"
-	"nocmem/internal/forkrun"
 	"nocmem/internal/par"
 	"nocmem/internal/sim"
 	"nocmem/internal/stats"
@@ -124,34 +121,38 @@ func RunWorkload(cfg Config, w Workload) (*Result, error) {
 }
 
 // RunApps runs an explicit application placement (padded with idle tiles).
+// Every call simulates: labels do not identify a placement here (halved
+// workloads share a Name(), custom profiles may share names), so the
+// runner's (config, label) run cache is bypassed.
 func RunApps(cfg Config, apps []Profile) (*Result, error) {
-	nodes := cfg.Mesh.Nodes()
-	if len(apps) > nodes {
+	if nodes := cfg.Mesh.Nodes(); len(apps) > nodes {
 		return nil, fmt.Errorf("nocmem: %d applications for %d tiles", len(apps), nodes)
 	}
-	facadeRuns.Add(1)
-	padded := make([]Profile, nodes)
-	copy(padded, apps)
-	if ShareWarmup() {
-		return forkCache.Run(cfg, padded)
-	}
-	s, err := sim.New(cfg, padded)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(), nil
+	return runner().Execute(cfg, apps, "apps")
 }
 
-// forkCache holds the warmup snapshots shared across the facade's runs while
-// warmup sharing is on. Keyed by the policy-free configuration prefix, the
-// placement, the warmup length and the shard count (see internal/forkrun),
-// so configurations differing only in Scheme-1/2 or the application-aware
-// baselines fork from one warmed checkpoint.
-var (
-	forkMu      sync.Mutex
-	shareWarmup bool
-	forkCache   forkrun.Cache
-)
+// facade is the execution core behind every package-level run helper: one
+// exp.Runner — its worker semaphore, its singleflight run cache (alone
+// runs), its fork cache and its provenance counters.
+var facade = struct {
+	mu     sync.Mutex
+	opts   exp.Options
+	runner *exp.Runner
+}{runner: exp.NewRunner(exp.Options{})}
+
+func runner() *exp.Runner {
+	facade.mu.Lock()
+	defer facade.mu.Unlock()
+	return facade.runner
+}
+
+// setOptions swaps in a fresh runner built from the changed options.
+func setOptions(change func(*exp.Options)) {
+	facade.mu.Lock()
+	change(&facade.opts)
+	facade.runner = exp.NewRunner(facade.opts)
+	facade.mu.Unlock()
+}
 
 // SetShareWarmup toggles warmup sharing for the package-level run helpers
 // (RunApps, RunWorkload, SpeedupFor, AloneIPC): each group of compatible
@@ -160,119 +161,53 @@ var (
 // measuring a scheme then warm up under the baseline policy instead of their
 // own, so results can differ slightly from cold runs — an explicit opt-in
 // for sweeps that prefer wall-clock over exactness of the warm state.
+//
+// Set it once at start-up: the call replaces the package's runner, dropping
+// the memoized alone runs, the warm checkpoints and the Stats counters
+// (runs already in flight finish on the old runner).
 func SetShareWarmup(on bool) {
-	forkMu.Lock()
-	shareWarmup = on
-	forkMu.Unlock()
+	setOptions(func(o *exp.Options) { o.ShareWarmup = on })
 }
 
 // ShareWarmup reports whether warmup sharing is on.
 func ShareWarmup() bool {
-	forkMu.Lock()
-	defer forkMu.Unlock()
-	return shareWarmup
+	facade.mu.Lock()
+	defer facade.mu.Unlock()
+	return facade.opts.ShareWarmup
 }
-
-// parallelism is the worker-pool width of the facade's parallel helpers
-// (SpeedupFor and the alone-IPC prefetching). Default: GOMAXPROCS.
-var (
-	parMu       sync.Mutex
-	parallelism = runtime.GOMAXPROCS(0)
-)
 
 // SetParallelism bounds how many simulations the package-level helpers run
 // concurrently. n <= 0 restores the default (GOMAXPROCS); n == 1 forces
 // fully sequential execution. Each simulation is an independent
-// deterministic cycle loop, so results are identical at any setting.
+// deterministic cycle loop, so results are identical at any setting. Like
+// SetShareWarmup it replaces the package's runner: set it once at start-up.
 func SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	parMu.Lock()
-	parallelism = n
-	parMu.Unlock()
+	setOptions(func(o *exp.Options) { o.Parallelism = n })
 }
 
 // Parallelism returns the current worker-pool width.
-func Parallelism() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return parallelism
-}
+func Parallelism() int { return runner().Parallelism() }
 
 // RunStats reports the cache and warmup provenance of the package-level run
 // helpers, in the same shape the simulation daemon's /statsz uses for its
 // runner (exp.Stats): how many simulations executed, how many requests the
 // alone-IPC cache absorbed, and — when warmup sharing is on — how many runs
 // forked from a shared warm checkpoint instead of re-executing the warmup.
-// Surfaced by sweep -v.
 type RunStats = exp.Stats
 
-// Stats returns the facade's provenance counters, accumulated since process
-// start across every package-level run helper.
-func Stats() RunStats {
-	fs := forkCache.Stats()
-	executed := facadeRuns.Load()
-	hits := aloneHits.Load()
-	return RunStats{
-		Runs:              executed + hits,
-		Executed:          executed,
-		CacheHits:         hits,
-		Forked:            fs.Forked,
-		Warmups:           fs.Warmups,
-		SnapshotMemHits:   fs.MemHits,
-		SnapshotDiskHits:  fs.DiskHits,
-		SnapshotEvictions: fs.Evictions,
-	}
-}
-
-// facadeRuns counts simulations executed through RunApps; aloneHits counts
-// AloneIPC requests served from the memoized alone cache.
-var facadeRuns, aloneHits atomic.Int64
-
-// aloneCache memoizes alone-run IPCs per (config, application); the alone
-// IPC of an application is independent of its co-runners and of the
-// schemes (alone runs always use the unprioritized baseline, matching the
-// paper's IPC_alone definition). Entries are singleflight slots so
-// concurrent callers of the same (config, app) share one simulation.
-var aloneCache sync.Map // string -> *aloneEntry
-
-type aloneEntry struct {
-	done chan struct{}
-	ipc  float64
-	err  error
-}
-
-func aloneKey(cfg Config, name string) string {
-	return cfg.WithSchemes(false, false).Key() + "|" + name
-}
+// Stats returns the provenance counters of the package's runner, accumulated
+// across every package-level run helper since the last SetParallelism or
+// SetShareWarmup call.
+func Stats() RunStats { return runner().Stats() }
 
 // AloneIPC returns the application's IPC when it runs alone on the system
-// (tile 0), used as the denominator of weighted speedup. Results are
-// memoized per configuration; concurrent callers of the same point wait
-// for (and share) the first caller's run.
+// (tile 0), used as the denominator of weighted speedup. Alone runs always
+// use the unprioritized baseline (the paper's IPC_alone definition), so the
+// result is independent of co-runners and schemes; it is memoized per
+// (configuration, application name), and concurrent callers of the same
+// point wait for (and share) the first caller's run.
 func AloneIPC(cfg Config, app Profile) (float64, error) {
-	key := aloneKey(cfg, app.Name)
-	e := &aloneEntry{done: make(chan struct{})}
-	if prev, loaded := aloneCache.LoadOrStore(key, e); loaded {
-		pe := prev.(*aloneEntry)
-		<-pe.done
-		aloneHits.Add(1)
-		return pe.ipc, pe.err
-	}
-	defer close(e.done)
-	r, err := RunApps(cfg.WithSchemes(false, false), []Profile{app})
-	if err != nil {
-		e.err = err
-		return 0, err
-	}
-	ipc := r.IPC[0]
-	if ipc <= 0 {
-		e.err = fmt.Errorf("nocmem: alone IPC of %s is %v", app.Name, ipc)
-		return 0, e.err
-	}
-	e.ipc = ipc
-	return ipc, nil
+	return runner().AloneIPC(cfg, app)
 }
 
 // WeightedSpeedup computes WS = sum IPC_shared/IPC_alone for a finished run.
@@ -328,72 +263,48 @@ type SpeedupRow struct {
 
 // SpeedupFor runs one workload under base, Scheme-1, and Scheme-1+2, and
 // returns the normalized weighted speedups of Figure 11. The three shared
-// runs and the workload's alone runs are independent simulations; when
-// SetParallelism allows, they execute concurrently on a bounded pool.
+// runs and the workload's alone runs are independent simulations requested
+// together; SetParallelism bounds how many execute at once.
 func SpeedupFor(cfg Config, w Workload) (SpeedupRow, error) {
 	row := SpeedupRow{Workload: w}
-	type variant struct {
+	apps, err := w.Profiles()
+	if err != nil {
+		return row, err
+	}
+	variants := []struct {
 		s1, s2 bool
 		ws     *float64
 		res    **Result
-	}
-	variants := []variant{
+	}{
 		{false, false, &row.BaseWS, &row.Base},
 		{true, false, &row.S1WS, &row.S1},
 		{true, true, &row.S1S2WS, &row.S1S2},
 	}
-	if workers := Parallelism(); workers > 1 {
-		results := make([]*Result, len(variants))
-		g := par.NewGroup(workers)
-		for i, v := range variants {
-			g.Go(func() error {
-				r, err := RunWorkload(cfg.WithSchemes(v.s1, v.s2), w)
-				results[i] = r
-				return err
-			})
-		}
-		// Warm the alone-IPC cache concurrently. Dedupe by name so no two
-		// tasks of this group contend on the same singleflight slot (a
-		// waiter would hold a pool slot its owner might still need).
-		if apps, err := w.Profiles(); err == nil {
-			seen := make(map[string]bool)
-			for _, a := range apps {
-				if a.Name == "" || seen[a.Name] {
-					continue
-				}
-				seen[a.Name] = true
-				g.Go(func() error {
-					_, err := AloneIPC(cfg, a)
-					return err
-				})
-			}
-		}
-		if err := g.Wait(); err != nil {
+	// The group admits every task at once: the runner's semaphore bounds
+	// how many simulations execute, and a task waiting on another's alone
+	// run parks without holding a slot.
+	g := par.NewGroup(len(variants) + len(apps))
+	for _, v := range variants {
+		g.Go(func() error {
+			r, err := RunApps(cfg.WithSchemes(v.s1, v.s2), apps)
+			*v.res = r
+			return err
+		})
+	}
+	for _, a := range apps {
+		g.Go(func() error {
+			_, err := AloneIPC(cfg, a)
+			return err
+		})
+	}
+	if err := g.Wait(); err != nil {
+		return row, err
+	}
+	for _, v := range variants {
+		if *v.ws, err = WeightedSpeedup(cfg, *v.res); err != nil { // alone IPCs now cached
 			return row, err
 		}
-		for i, v := range variants {
-			ws, err := WeightedSpeedup(cfg, results[i]) // alone IPCs now cached
-			if err != nil {
-				return row, err
-			}
-			*v.ws = ws
-			*v.res = results[i]
-		}
-	} else {
-		for _, v := range variants {
-			r, err := RunWorkload(cfg.WithSchemes(v.s1, v.s2), w)
-			if err != nil {
-				return row, err
-			}
-			ws, err := WeightedSpeedup(cfg, r)
-			if err != nil {
-				return row, err
-			}
-			*v.ws = ws
-			*v.res = r
-		}
 	}
-	var err error
 	if row.NormS1, err = stats.NormalizedSpeedup(row.S1WS, row.BaseWS); err != nil {
 		return row, err
 	}

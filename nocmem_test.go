@@ -2,6 +2,7 @@ package nocmem
 
 import (
 	"os"
+	"sync"
 	"testing"
 
 	"nocmem/internal/trace"
@@ -122,6 +123,81 @@ func TestSpeedupForProducesAllVariants(t *testing.T) {
 	for _, v := range []float64{row.NormS1, row.NormS1S2} {
 		if v < 0.8 || v > 1.3 {
 			t.Errorf("normalized speedup %v implausible", v)
+		}
+	}
+}
+
+// TestStatsCountOneExecutionCore: every package-level helper runs on the one
+// default runner, so Stats sees the shared runs (never cached: labels do not
+// identify a facade placement) and the alone runs (cached per application).
+func TestStatsCountOneExecutionCore(t *testing.T) {
+	SetShareWarmup(false) // fresh runner: empty caches, zero counters
+	cfg := quickCfg()
+	w, err := GetWorkload(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := w.Halve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := int64(len(half.Apps))
+	if _, err := SpeedupFor(cfg, half); err != nil {
+		t.Fatal(err)
+	}
+	first := Stats()
+	if first.Executed != 3+distinct || first.Runs != first.Executed+first.CacheHits {
+		t.Errorf("first SpeedupFor: %+v, want %d executed (3 shared + %d alone)", first, 3+distinct, distinct)
+	}
+	if _, err := SpeedupFor(cfg, half); err != nil {
+		t.Fatal(err)
+	}
+	second := Stats()
+	if d := second.Executed - first.Executed; d != 3 {
+		t.Errorf("second SpeedupFor executed %d simulations, want only the 3 shared runs", d)
+	}
+	if second.Runs-first.Runs != 3+(second.CacheHits-first.CacheHits) {
+		t.Errorf("second SpeedupFor: alone requests not all cache hits: %+v -> %+v", first, second)
+	}
+}
+
+// TestAloneIPCSingleflight: concurrent callers of one alone point share one
+// simulation — and with warmup sharing on, that run is one warmup plus one
+// fork. Run under -race.
+func TestAloneIPCSingleflight(t *testing.T) {
+	defer SetShareWarmup(false)
+	cfg := quickCfg()
+	app, err := LookupApp("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, share := range []bool{false, true} {
+		SetShareWarmup(share)
+		var wg sync.WaitGroup
+		ipcs := make([]float64, 8)
+		for i := range ipcs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v, err := AloneIPC(cfg, app)
+				if err != nil {
+					t.Error(err)
+				}
+				ipcs[i] = v
+			}()
+		}
+		wg.Wait()
+		for _, v := range ipcs {
+			if v != ipcs[0] || v <= 0 {
+				t.Fatalf("share=%v: callers saw different alone IPCs: %v", share, ipcs)
+			}
+		}
+		st := Stats()
+		if st.Runs != 8 || st.Executed != 1 || st.CacheHits != 7 {
+			t.Errorf("share=%v: %+v, want 8 requests, 1 executed, 7 cache hits", share, st)
+		}
+		if want := map[bool]int64{false: 0, true: 1}[share]; st.Warmups != want || st.Forked != want {
+			t.Errorf("share=%v: %d warmups, %d forked, want %d each", share, st.Warmups, st.Forked, want)
 		}
 	}
 }
