@@ -76,13 +76,14 @@ estimate-smoke:
 	$(GO) run ./cmd/bench -estimate-smoke
 	$(GO) test -run 'TestGolden|TestOracle' ./internal/analytic
 
-# Profile the harness itself: a quick pass with CPU and heap profiles written
-# next to the repo, ready for `go tool pprof cpu.pprof`. See ARCHITECTURE.md
-# ("Profiling workflow") for how to read the output.
+# CPU-profile the two Step-only loops that bracket the stepper's regimes: the
+# 16x16 bursty shape (mostly idle mesh, MSHR-blocked bursts) and the saturated
+# 32-core machine. Writes cpu.pprof (and the test binary nocmem.test) next to
+# the repo, ready for `go tool pprof nocmem.test cpu.pprof`. See
+# ARCHITECTURE.md ("Profiling workflow") for how to read the output.
 profile:
-	$(GO) run ./cmd/bench -quick -skip-sweep -shards "" -out /dev/null \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "wrote cpu.pprof and mem.pprof; inspect with: $(GO) tool pprof cpu.pprof"
+	$(GO) test -run '^$$' -bench 'StepBursty256|SimCycle32Core' -cpuprofile cpu.pprof .
+	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof nocmem.test cpu.pprof"
 
 # The ROADMAP's tracked size: non-test Go lines outside the benchmark module.
 loc:

@@ -30,7 +30,7 @@ func main() {
 		warmup   = flag.Int64("warmup", 100_000, "warmup cycles")
 		measure  = flag.Int64("measure", 300_000, "measurement cycles")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		verbose  = flag.Bool("v", false, "per-application details")
+		verbose  = flag.Bool("v", false, "per-application details (stdout) and what the stepper elided (stderr)")
 		jsonOut  = flag.String("json", "", "write the scheme-1+2 run's summary as JSON to this file ('-' = stdout)")
 		jobs     = flag.Int("j", 0, "max concurrent simulations (0 = all CPUs, 1 = sequential)")
 		shards   = flag.Int("shards", 1, "worker goroutines per simulation (results are identical at any count)")
@@ -139,6 +139,17 @@ func main() {
 				row.Base.MPKI(tile), h.Mean(), h.Percentile(99))
 		}
 		tw.Flush()
+		// Stepper provenance goes to stderr: it describes the host run, not
+		// the simulated machine, and stdout stays identical across -j,
+		// -shards and -fork.
+		for _, v := range []struct {
+			name string
+			res  *nocmem.Result
+		}{{"base", row.Base}, {"scheme-1", row.S1}, {"scheme-1+2", row.S1S2}} {
+			b := v.res.Blocked
+			fmt.Fprintf(os.Stderr, "%s: stepper elided %d core-stall cycles, %d L2 retry polls, %d credit-only router ticks\n",
+				v.name, b.CoreStallCycles, b.L2RetryPolls, b.CreditWakes)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ type line struct {
 type Cache struct {
 	sets      [][]line
 	lineShift uint
+	setShift  uint // log2 of the set count: where the tag starts in a line number
 	setMask   uint64
 	tick      uint64
 	lip       bool
@@ -47,6 +48,7 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	c := &Cache{
 		sets:      make([][]line, nsets),
 		lineShift: log2(uint64(lineBytes)),
+		setShift:  log2(uint64(nsets)),
 		setMask:   uint64(nsets) - 1,
 	}
 	backing := make([]line, nsets*ways)
@@ -76,7 +78,7 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ ((1 << c.lineShift
 
 func (c *Cache) index(addr uint64) (setIdx uint64, tag uint64) {
 	lineNum := addr >> c.lineShift
-	return lineNum & c.setMask, lineNum >> log2(c.setMask+1)
+	return lineNum & c.setMask, lineNum >> c.setShift
 }
 
 // Access looks up addr, updating LRU state and the hit/miss counters.
@@ -97,6 +99,16 @@ func (c *Cache) Access(addr uint64, isWrite bool) bool {
 	}
 	c.stats.Misses++
 	return false
+}
+
+// ReplayMisses accounts k lookups that each would have missed, without
+// performing them: the LRU clock and the miss counter advance exactly as k
+// missing Access calls would move them, and nothing else changes (a miss
+// touches no line). The simulator uses it to replay, in closed form, the
+// retries of an access that an exhausted MSHR table keeps refusing.
+func (c *Cache) ReplayMisses(k int64) {
+	c.tick += uint64(k)
+	c.stats.Misses += k
 }
 
 // WritebackHit marks the line containing addr dirty if present, without
@@ -193,7 +205,7 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
 }
 
 func (c *Cache) addrOf(set, tag uint64) uint64 {
-	return (tag<<log2(c.setMask+1) | set) << c.lineShift
+	return (tag<<c.setShift | set) << c.lineShift
 }
 
 // Stats returns a copy of the event counters.

@@ -194,22 +194,109 @@ func TestMSHRCoalescing(t *testing.T) {
 	}
 }
 
+// TestMSHRCapacity drives a table at the capacities the simulator uses (16
+// per L2 bank, 32 per L1) through the life cycle an exhausted table sees:
+// refusal when full, coalescing while full, Complete -> Release -> reuse of
+// the freed slot, and Reset. Gen must move exactly when an entry leaves.
 func TestMSHRCapacity(t *testing.T) {
-	m := NewMSHRTable[int](2)
-	m.Allocate(0x100, false, 0)
-	m.Allocate(0x200, false, 0)
-	if !m.Full() {
-		t.Fatal("table should be full")
+	for _, capacity := range []int{3, 16, 32} {
+		m := NewMSHRTable[int](capacity)
+		line := func(i int) uint64 { return uint64(i+1) * 0x100 }
+		for i := 0; i < capacity; i++ {
+			if primary, ok := m.Allocate(line(i), false, i); !primary || !ok {
+				t.Fatalf("cap %d: allocation %d = (%v, %v), want a primary miss", capacity, i, primary, ok)
+			}
+		}
+		if !m.Full() || m.Len() != capacity || m.Cap() != capacity {
+			t.Fatalf("cap %d: full=%v len=%d cap=%d after filling", capacity, m.Full(), m.Len(), m.Cap())
+		}
+		gen := m.Gen()
+		if _, ok := m.Allocate(line(capacity), false, 0); ok {
+			t.Fatalf("cap %d: allocation beyond capacity accepted", capacity)
+		}
+		if m.Pending(line(capacity)) {
+			t.Fatalf("cap %d: refused line reported pending", capacity)
+		}
+		// Coalescing is still allowed when full, onto any entry.
+		for _, i := range []int{0, capacity - 1} {
+			if primary, ok := m.Allocate(line(i), true, 100+i); primary || !ok {
+				t.Fatalf("cap %d: coalescing onto entry %d while full = (%v, %v)", capacity, i, primary, ok)
+			}
+		}
+		if m.Gen() != gen {
+			t.Fatalf("cap %d: generation moved without an entry leaving", capacity)
+		}
+		// Completing an entry in the middle frees one slot; the others stay.
+		mid := capacity / 2
+		e, ok := m.Complete(line(mid))
+		if !ok || e.LineAddr != line(mid) || len(e.Waiters) != 1 || e.Waiters[0] != mid {
+			t.Fatalf("cap %d: completed entry %+v", capacity, e)
+		}
+		if m.Gen() == gen {
+			t.Fatalf("cap %d: generation did not move on Complete", capacity)
+		}
+		if m.Full() || m.Pending(line(mid)) || m.Len() != capacity-1 {
+			t.Fatalf("cap %d: table did not shrink on Complete", capacity)
+		}
+		m.Release(e)
+		if primary, ok := m.Allocate(line(capacity), true, 7); !primary || !ok {
+			t.Fatalf("cap %d: freed slot not reusable", capacity)
+		}
+		if got, ok := m.Entry(line(capacity)); !ok || !got.Dirty || len(got.Waiters) != 1 || got.Waiters[0] != 7 {
+			t.Fatalf("cap %d: recycled entry carries stale state: %+v", capacity, got)
+		}
+		for i := 0; i <= capacity; i++ {
+			if want := i != mid; m.Pending(line(i)) != want {
+				t.Fatalf("cap %d: line %d pending = %v, want %v", capacity, i, !want, want)
+			}
+		}
+		if got, ok := m.Entry(line(0)); !ok || !got.Dirty || len(got.Waiters) != 2 {
+			t.Fatalf("cap %d: coalesced entry %+v", capacity, got)
+		}
+		if lines := m.Lines(); len(lines) != capacity {
+			t.Fatalf("cap %d: Lines returned %d addresses", capacity, len(lines))
+		}
+		gen = m.Gen()
+		m.Reset()
+		if m.Len() != 0 || m.Full() || m.Pending(line(0)) || len(m.Lines()) != 0 || m.Gen() == gen {
+			t.Fatalf("cap %d: Reset left len=%d full=%v", capacity, m.Len(), m.Full())
+		}
+		if primary, ok := m.Allocate(line(0), false, 1); !primary || !ok {
+			t.Fatalf("cap %d: table unusable after Reset", capacity)
+		}
+		if got, _ := m.Entry(line(0)); got.Dirty || len(got.Waiters) != 1 {
+			t.Fatalf("cap %d: entry recycled by Reset carries stale state: %+v", capacity, got)
+		}
 	}
-	if _, ok := m.Allocate(0x300, false, 0); ok {
-		t.Fatal("allocation beyond capacity accepted")
+}
+
+// TestReplayMisses pins the closed-form retry replay to the lookups it stands
+// for: k missing Access calls and ReplayMisses(k) leave identical caches.
+func TestReplayMisses(t *testing.T) {
+	polled, replayed := New(1024, 64, 2), New(1024, 64, 2)
+	for _, c := range []*Cache{polled, replayed} {
+		c.Fill(0x000, false)
+		c.Fill(0x400, true)
 	}
-	// Coalescing is still allowed when full.
-	if _, ok := m.Allocate(0x200, false, 0); !ok {
-		t.Fatal("coalescing rejected while full")
+	const k = 5
+	for i := 0; i < k; i++ {
+		if polled.Access(0x800, false) {
+			t.Fatal("absent line hit")
+		}
 	}
-	if m.Cap() != 2 {
-		t.Fatalf("cap %d", m.Cap())
+	replayed.ReplayMisses(k)
+	// A later touch stamps the same LRU time on both, so the next victim
+	// agrees too.
+	for _, c := range []*Cache{polled, replayed} {
+		c.Access(0x000, false)
+	}
+	if polled.Stats() != replayed.Stats() || polled.tick != replayed.tick {
+		t.Fatalf("polled %+v tick %d, replayed %+v tick %d", polled.Stats(), polled.tick, replayed.Stats(), replayed.tick)
+	}
+	vp, _ := polled.Fill(0x800, false)
+	vr, _ := replayed.Fill(0x800, false)
+	if vp != vr {
+		t.Fatalf("victims differ: polled %+v, replayed %+v", vp, vr)
 	}
 }
 

@@ -72,6 +72,11 @@ type Core struct {
 	pending    trace.Instr
 	hasPending bool
 
+	// refused records that the last tick's fetch stopped on a memory access
+	// the hierarchy would not take. Derived state: every Tick recomputes it,
+	// so a restored core relearns it on its first tick.
+	refused bool
+
 	stats Stats
 }
 
@@ -123,6 +128,7 @@ func (c *Core) commit(now int64) {
 }
 
 func (c *Core) fetch(now int64) {
+	c.refused = false
 	for i := 0; i < c.cfg.Width; i++ {
 		if c.count == c.cfg.WindowSize {
 			c.stats.FetchStalls++
@@ -148,6 +154,7 @@ func (c *Core) fetch(now int64) {
 		*e = robEntry{isMem: true} // written before issue so a same-cycle completion is kept
 		accepted := c.issue(in.Addr, in.IsStore, slot)
 		if !accepted {
+			c.refused = true
 			c.stats.FetchStalls++
 			return
 		}
@@ -157,15 +164,25 @@ func (c *Core) fetch(now int64) {
 	}
 }
 
-// SleepUntil reports whether the core is hard-stalled — instruction window
-// full with an uncommittable head — which is the only state in which its
-// per-cycle effects are closed-form (see CatchUpStall) and the simulator may
-// elide its ticks. The returned cycle is when the head becomes committable;
-// math.MaxInt64 means the head awaits a memory completion, which arrives
-// through the owning tile and re-activates the core before it matters.
+// SleepUntil reports whether the core is stalled in a way that makes its
+// per-cycle effects closed-form (see CatchUpStall), so the simulator may
+// elide its ticks: commit cannot retire — the window is empty or its head
+// unfinished — and fetch cannot place an instruction. Fetch is stuck either
+// on a full window (the hard stall) or on a resource: the next instruction is
+// a memory access that the LSQ has no room for or that the hierarchy refused
+// last tick (Refused). Neither resource frees itself: LSQ room and MSHR
+// entries come back only through Complete calls and fills, which reach the
+// core through its owning tile and re-activate it first.
+//
+// The returned cycle is when the head becomes committable; math.MaxInt64
+// means the core waits on a memory completion alone.
 func (c *Core) SleepUntil(now int64) (wake int64, ok bool) {
-	if c.count != c.cfg.WindowSize {
+	if c.count != c.cfg.WindowSize &&
+		!(c.hasPending && c.pending.IsMem && (c.refused || c.memInFlight >= c.cfg.LSQSize)) {
 		return 0, false
+	}
+	if c.count == 0 {
+		return math.MaxInt64, true
 	}
 	e := &c.rob[c.head]
 	if !e.done {
@@ -177,15 +194,24 @@ func (c *Core) SleepUntil(now int64) (wake int64, ok bool) {
 	return e.doneAt, true
 }
 
+// Refused reports whether the last tick's fetch ended on a memory access the
+// hierarchy refused. While the core sleeps on such a stall, every elided tick
+// would have re-issued — and been refused — the same access; the tile replays
+// the hierarchy's side of those retries next to CatchUpStall.
+func (c *Core) Refused() bool { return c.refused }
+
 // CatchUpStall accounts k elided ticks during which the core was provably
-// hard-stalled (SleepUntil returned ok and no completion fired): each such
-// cycle the dense loop would add exactly one window stall, one fetch stall,
-// and memInFlight to the outstanding-instruction integral, and nothing else.
+// stalled (SleepUntil returned ok and no completion fired): each such cycle
+// the dense loop would add exactly one fetch stall, memInFlight to the
+// outstanding-instruction integral, one window stall when the window is full,
+// and nothing else.
 func (c *Core) CatchUpStall(k int64) {
 	c.stats.Cycles += k
 	c.stats.OutstandSum += k * int64(c.memInFlight)
-	c.stats.WindowStalls += k
 	c.stats.FetchStalls += k
+	if c.count == c.cfg.WindowSize {
+		c.stats.WindowStalls += k
+	}
 }
 
 // Outstanding returns the number of in-flight memory instructions.

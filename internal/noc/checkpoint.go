@@ -94,6 +94,7 @@ func decodeFlit(r *snapshot.Reader, pktRef func() *Packet) flit {
 // out of the snapshot keeps the format stepper-agnostic and byte-stable
 // regardless of which stepper produced the checkpoint.
 func (n *Network) EncodeState(w *snapshot.Writer, pktRef func(*Packet)) {
+	n.settleCredits()
 	for _, sh := range n.shards {
 		for _, q := range sh.edgesIn {
 			if len(q.items) != 0 {
@@ -362,6 +363,15 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 // it again when the next flit of its packet arrives.
 func (r *router) rebuildDerived() {
 	r.occ, r.routed, r.vaDone, r.high, r.frontIsHeader = 0, 0, 0, 0, 0
+	r.arrMask, r.queued = 0, 0
+	for p := range r.arrivals {
+		if len(r.arrivals[p]) > 0 {
+			r.arrMask |= 1 << uint(p)
+		}
+	}
+	for vn := range r.outbox {
+		r.queued += r.outbox[vn].len()
+	}
 	for i := range r.cnt {
 		bit := uint64(1) << uint(i)
 		if r.inFlags[i]&vcRouted != 0 {

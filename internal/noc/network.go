@@ -60,10 +60,11 @@ type Network struct {
 	// wake) or holding only future-dated work, in which case it parks a
 	// timed wake for its exact next deadline (router.nextWake) on its
 	// shard's wake heap. It re-enters through wakeAt, called at every point
-	// work can appear (Inject, arrival hand-off, credit return, boundary
-	// drain), or when its heap wake comes due (TickShard). Spurious wakes
-	// are harmless — a ticked router with nothing due changes no state — so
-	// the sets and heaps may over-approximate but never under-approximate.
+	// work can appear (Inject, arrival hand-off, boundary drain), or when its
+	// heap wake comes due (TickShard). Spurious wakes are harmless — a ticked
+	// router with nothing due changes no state — so the sets and heaps may
+	// over-approximate but never under-approximate. A returned credit is the
+	// one event that wakes nobody: see creditReturned.
 	eventDriven bool
 }
 
@@ -89,6 +90,14 @@ type netShard struct {
 	// spurious tick at its deadline.
 	wakes   *timerwheel.Wheel[int32]
 	wakeBuf []timerwheel.Due[int32] // reused PopDue delivery buffer
+
+	// ticked is the last cycle TickShard ran (-1 before the first), the
+	// horizon up to which deferred credits are settled when router state is
+	// read. creditAt is the latest cycle on which a credit falls due at a
+	// router left asleep (creditReturned): the cycle must still execute, so
+	// QuietTarget does not let the clock jump over it.
+	ticked   int64
+	creditAt int64
 
 	// drainMin is DrainShard's per-phase scratch: the minimum pending
 	// deadline per sleeping destination router, so a router fed by several
@@ -200,12 +209,15 @@ func (n *Network) SetPartition(shardOf []int) {
 		}
 	}
 	var carryStats Stats
+	ticked, creditAt := int64(-1), int64(-1)
 	for _, sh := range n.shards {
 		carryStats.add(sh.stats)
+		ticked, creditAt = max(ticked, sh.ticked), max(creditAt, sh.creditAt)
 	}
 	shards := make([]*netShard, k)
 	for i := range shards {
-		shards[i] = &netShard{id: i, active: bitset.New(len(n.routers)), wakes: timerwheel.New[int32]()}
+		shards[i] = &netShard{id: i, active: bitset.New(len(n.routers)), wakes: timerwheel.New[int32](),
+			ticked: ticked, creditAt: creditAt}
 	}
 	for id, r := range n.routers {
 		s := 0
@@ -240,8 +252,20 @@ func (n *Network) NumShards() int { return len(n.shards) }
 // then shrink as routers drain. Both modes produce identical results; the
 // dense sweep is retained as the equivalence reference.
 func (n *Network) SetEventDriven(on bool) {
+	if !on {
+		n.settleCredits() // the dense sweep defers nothing
+	}
 	n.eventDriven = on
 	n.applyEventMode()
+}
+
+// settleCredits banks, at every router, the returned credits whose cycle has
+// passed while the router slept (see creditReturned), up to the last cycle
+// its shard ticked. After it the routers hold what the dense sweep would.
+func (n *Network) settleCredits() {
+	for _, r := range n.routers {
+		r.bankCredits(r.sh.ticked, false)
+	}
 }
 
 // applyEventMode re-derives the mode-dependent state: per-shard active sets
@@ -297,16 +321,39 @@ func (n *Network) wakeAt(id int, at, now int64) {
 	}
 }
 
+// creditReturned tells the scheduler that a credit falling due at now+1 was
+// appended to router up during cycle now. Unlike an arrival, it wakes nobody
+// when up sleeps and now+1 is one of up's clock edges. A sleeping router has
+// no flit that could use the credit before its next execution: with a flit
+// buffered, injecting or queued it is active or holds a timed wake for its
+// very next edge (nextWake), where the credit is banked on time. Otherwise the
+// credit only ever changes outCredits, which nothing reads but this router's
+// own VA and SA stages, and those run after the tick has banked every
+// credit due — so banking it late, at the next execution or when the state is
+// read (settleCredits), leaves no trace. The dense sweep's tick for it is
+// counted as elided; the cycle is still marked to execute (netShard.creditAt).
+// A clock-divided router whose next edge lies further out keeps a timed wake.
+func (n *Network) creditReturned(up *router, now int64) {
+	if !n.eventDriven || up.sh.active.Has(up.id) {
+		return
+	}
+	if at := up.wakeAlign(now + 1); at == now+1 {
+		up.sh.creditAt = at
+	} else {
+		up.sh.wakes.Push(at, int32(up.id))
+	}
+}
+
 // QuietTarget reports whether every router is quiet at now — all active sets
-// empty and no timed wake due — and, when quiet, the earliest pending router
-// wake (math.MaxInt64 when none), for the simulator's quiescence
-// fast-forward. A due wake (head at <= now) means the cycle must execute so
-// TickShard can drain it. Only meaningful in event-driven mode, between
-// cycles (after all shards drained).
+// empty, no timed wake due and no deferred credit falling due — and, when
+// quiet, the earliest pending router wake (math.MaxInt64 when none), for the
+// simulator's quiescence fast-forward. A due wake (head at <= now) means the
+// cycle must execute so TickShard can drain it. Only meaningful in
+// event-driven mode, between cycles (after all shards drained).
 func (n *Network) QuietTarget(now int64) (next int64, quiet bool) {
 	next = math.MaxInt64
 	for _, sh := range n.shards {
-		if !sh.active.Empty() {
+		if !sh.active.Empty() || sh.creditAt >= now {
 			return 0, false
 		}
 		if at, ok := sh.wakes.Min(); ok {
@@ -373,6 +420,7 @@ func (n *Network) Inject(p *Packet, now int64) error {
 	// The outbox is priority-ordered: endpoints inject expedited messages
 	// first (stable within a class, so normal traffic keeps FIFO order).
 	r.outbox[p.VNet].push(p)
+	r.queued++
 	r.sh.active.Add(p.Src)
 	r.sh.stats.Injected++
 	r.sh.stats.InFlight++
@@ -412,6 +460,7 @@ func (n *Network) Tick(now int64) {
 // their tick would change no state, exactly as in the dense sweep.
 func (n *Network) TickShard(shard int, now int64) {
 	sh := n.shards[shard]
+	sh.ticked = now
 	sh.wakeBuf = sh.wakes.PopDue(now, sh.wakeBuf[:0])
 	for _, d := range sh.wakeBuf {
 		sh.active.Add(int(d.Val))
@@ -443,8 +492,10 @@ func (n *Network) TickShard(shard int, now int64) {
 // covers the rest, so the min suffices and the receiver executes zero ticks
 // before its work is due. Wakes are batched across the whole drain — a
 // router fed by several boundary queues this phase gets one wheel push at
-// the minimum deadline, not one per queue. Must be called by this shard's
-// worker, after the barrier that ends the tick phase.
+// the minimum deadline, not one per queue. A credit due on the receiver's
+// next cycle takes no part in that: as in creditReturned it marks the cycle,
+// not the router. Must be called by this shard's worker, after the barrier
+// that ends the tick phase.
 func (n *Network) DrainShard(shard int) {
 	sh := n.shards[shard]
 	sh.drainMin = sh.drainMin[:0]
@@ -455,16 +506,23 @@ func (n *Network) DrainShard(shard int) {
 		r := n.routers[q.dst]
 		minAt := int64(math.MaxInt64)
 		for _, it := range q.items {
+			at := it.at
 			if it.f.pkt != nil {
-				r.arrivals[it.port] = append(r.arrivals[it.port], arrival{f: it.f, vc: it.vc, at: it.at})
+				r.addArrival(it.port, arrival{f: it.f, vc: it.vc, at: it.at})
 			} else {
 				r.credits = append(r.credits, creditMsg{port: it.port, vc: it.vc, at: it.at})
+				// it.at is the producing cycle plus one: aligned, it is the
+				// receiver's next cycle.
+				if at = r.wakeAlign(at); at == it.at {
+					sh.creditAt = at
+					continue
+				}
 			}
-			if it.at < minAt {
-				minAt = it.at
+			if at < minAt {
+				minAt = at
 			}
 		}
-		if n.eventDriven && !sh.active.Has(q.dst) {
+		if n.eventDriven && minAt != math.MaxInt64 && !sh.active.Has(q.dst) {
 			merged := false
 			for i := range sh.drainMin {
 				if sh.drainMin[i].dst == int32(q.dst) {
@@ -547,6 +605,7 @@ func (n *Network) MaxLinkLoad() int64 {
 // category tripped: a router that holds only scheduled credit returns is
 // reported as such, distinct from one stranding flits or packets.
 func (n *Network) Quiesce() error {
+	n.settleCredits()
 	if inFlight := n.Stats().InFlight; inFlight != 0 {
 		return fmt.Errorf("noc: %d packets still in flight", inFlight)
 	}
@@ -561,12 +620,12 @@ func (n *Network) Quiesce() error {
 		if r.drained() {
 			continue
 		}
-		if r.buffered == 0 && r.injecting == 0 && r.outboxLen() == 0 && r.pendingArrivals() == 0 {
+		if !r.pipelineWork() && r.arrMask == 0 {
 			return fmt.Errorf("noc: router %d not drained: waiting on %d scheduled credit returns (no flit or packet held)",
 				r.id, len(r.credits))
 		}
 		return fmt.Errorf("noc: router %d not drained (buffered=%d injecting=%d outbox=%d arrivals=%d credits=%d)",
-			r.id, r.buffered, r.injecting, r.outboxLen(), r.pendingArrivals(), len(r.credits))
+			r.id, r.buffered, r.injecting, r.queued, r.pendingArrivals(), len(r.credits))
 	}
 	return nil
 }
@@ -595,14 +654,19 @@ func (n *Network) DebugLeaks() error {
 	return nil
 }
 
-// DebugRouterTicks returns how many times router id's tick was invoked and
-// how many of those invocations executed the pipeline stages (the rest were
-// clock-gated or had nothing due). The split is what the scheduler tests
-// pin: executions are identical across dense/event/sharded stepping, while
-// calls collapse to the executed set once timed wakes replace busy-ticking.
-func (n *Network) DebugRouterTicks(id int) (calls, execs int64) {
+// DebugRouterTicks returns how many times router id's tick was invoked, how
+// many of those invocations executed the pipeline stages (the rest were
+// clock-gated or had nothing due), and how many executions the event
+// scheduler elided because they would only have banked a returned credit.
+// The scheduler tests pin the split: execs + elided is identical across
+// dense/event/sharded stepping (the dense sweep elides nothing), while calls
+// collapse to the executed set once timed wakes replace busy-ticking. Credits
+// still deferred are settled first, so elided is complete up to the last
+// ticked cycle.
+func (n *Network) DebugRouterTicks(id int) (calls, execs, elided int64) {
 	r := n.routers[id]
-	return r.tickCalls, r.tickExecs
+	r.bankCredits(r.sh.ticked, false)
+	return r.tickCalls, r.tickExecs, r.creditElided
 }
 
 // DebugDrainedHighVCs counts the input VCs that are mid-packet but empty —

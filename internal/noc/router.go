@@ -184,13 +184,19 @@ type router struct {
 	neighbor [NumPorts]*router // per out port; nil at mesh edges and Local
 
 	arrivals [NumPorts][]arrival
-	credits  []creditMsg
+	credits  []creditMsg // returned credits not yet banked, nondecreasing at
 
 	outbox [NumVNets]pktQueue
 	inj    []injSlot // per local input VC
 
 	buffered  int // flits currently resident in input buffers
 	injecting int // local VCs with an active injection
+
+	// More derived state: arrMask has bit p set while arrivals[p] is
+	// non-empty, so the tick visits only ports with flits in flight; queued
+	// is the number of packets across the outboxes.
+	arrMask uint8
+	queued  int
 
 	// flitsOut counts flits forwarded per output port (Local = ejections),
 	// for link-utilization reporting.
@@ -202,6 +208,11 @@ type router struct {
 	// routers are not busy-ticked.
 	tickCalls int64
 	tickExecs int64
+
+	// creditElided counts the ticks the dense sweep executes at this router
+	// only to bank a returned credit and the event scheduler never runs (see
+	// bankCredits). Debug-only, like the two above.
+	creditElided int64
 
 	// ejPkt locks the local ejection port to one packet from header until
 	// tail: the sink reassembles packets, so flits of competing packets are
@@ -234,12 +245,16 @@ func (r *router) pendingArrivals() int {
 	return n
 }
 
-func (r *router) outboxLen() int {
-	n := 0
-	for v := range r.outbox {
-		n += r.outbox[v].len()
-	}
-	return n
+// addArrival queues a flit in flight toward input port p.
+func (r *router) addArrival(p int, a arrival) {
+	r.arrivals[p] = append(r.arrivals[p], a)
+	r.arrMask |= 1 << uint(p)
+}
+
+// pipelineWork reports whether the router holds anything its pipeline stages
+// act on: a buffered flit, an injection in progress or a queued packet.
+func (r *router) pipelineWork() bool {
+	return r.buffered > 0 || r.injecting > 0 || r.queued > 0
 }
 
 // drained reports whether the router holds no state at all: no buffered or
@@ -248,25 +263,30 @@ func (r *router) outboxLen() int {
 // router that is merely waiting on future-dated work is NOT drained but may
 // still be idleNow.
 func (r *router) drained() bool {
-	return r.buffered == 0 && r.injecting == 0 && len(r.credits) == 0 &&
-		r.outboxLen() == 0 && r.pendingArrivals() == 0
+	return !r.pipelineWork() && len(r.credits) == 0 && r.arrMask == 0
 }
 
 // idleNow reports whether the router has nothing executable at cycle now: no
-// pipeline work (buffered, injecting or outbox flits) and no credit or
-// arrival due by now. Future-dated credits and arrivals leave the router
-// un-drained but still idle this cycle — its tick would be a no-op.
+// pipeline work and no credit or arrival falling due this cycle. Future-dated
+// credits and arrivals leave the router un-drained but still idle this cycle
+// — its tick would be a no-op. Under the event scheduler so does a credit
+// whose clock edge has passed: the dense sweep banked it on that edge, where
+// the event scheduler left the router asleep (see Network.creditReturned), and
+// it is banked the next time the router executes for a reason of its own.
 func (r *router) idleNow(now int64) bool {
-	if r.buffered > 0 || r.injecting > 0 || r.outboxLen() > 0 {
+	if r.pipelineWork() {
 		return false
 	}
 	for _, c := range r.credits {
-		if c.at <= now {
+		if c.at > now {
+			break
+		}
+		if c.at > now-r.div || !r.net.eventDriven { // due on this very clock edge
 			return false
 		}
 	}
-	for p := range r.arrivals {
-		if q := r.arrivals[p]; len(q) > 0 && q[0].at <= now {
+	for m := r.arrMask; m != 0; m &= m - 1 {
+		if r.arrivals[bits.TrailingZeros8(m)][0].at <= now {
 			return false
 		}
 	}
@@ -277,6 +297,9 @@ func (r *router) idleNow(now int64) bool {
 // with div > 1 executes only on div-aligned cycles, so a deadline between
 // grid points cannot be acted on before the next aligned cycle.
 func (r *router) wakeAlign(at int64) int64 {
+	if r.div == 1 {
+		return at
+	}
 	if rem := at % r.div; rem != 0 {
 		at += r.div - rem
 	}
@@ -285,15 +308,19 @@ func (r *router) wakeAlign(at int64) int64 {
 
 // nextWake returns the earliest future cycle at which the router may have
 // executable work, given its state after ticking at now: the next
-// div-aligned cycle when pipeline work (buffered, injecting or outbox flits)
-// exists, and the div-aligned deadline of the earliest pending credit
-// (processCredits) and queued arrival (acceptArrivals). ok is false when the
-// router is drained — no state, no wake needed. The per-port arrival queues
-// are deadline-sorted (each has a single producer appending nondecreasing
-// times, the property acceptArrivals already relies on), so their heads
-// suffice; the credit list is small and scanned whole.
+// div-aligned cycle when pipeline work exists, else the div-aligned deadline
+// of the earliest queued arrival (acceptArrivals). ok is false when nothing
+// calls for a wake. The per-port arrival queues are deadline-sorted (each has
+// a single producer appending nondecreasing times, the property
+// acceptArrivals already relies on), so their heads suffice.
+//
+// A pending credit wakes nothing when its clock edge is the next cycle: a
+// router without pipeline work has no flit waiting on it, so banking it can
+// wait until the router next executes (Network.creditReturned has the
+// argument). The cycle itself is still marked to execute. Only a credit due
+// on a later edge — a clock-divided router's — keeps its timed wake.
 func (r *router) nextWake(now int64) (at int64, ok bool) {
-	if r.buffered > 0 || r.injecting > 0 || r.outboxLen() > 0 {
+	if r.pipelineWork() {
 		// Nothing can beat the next aligned cycle: every credit/arrival
 		// deadline is either already due (clamped up to it) or future-dated
 		// and div-aligned (at least it). Skipping the scans keeps retirement
@@ -302,21 +329,23 @@ func (r *router) nextWake(now int64) (at int64, ok bool) {
 	}
 	at = math.MaxInt64
 	for _, c := range r.credits {
-		if w := r.wakeAlign(c.at); w < at {
+		switch w := r.wakeAlign(c.at); {
+		case w <= now: // its cycle has passed: banked at the next execution
+		case w == now+1:
+			r.sh.creditAt = w
+		case w < at:
 			at = w
 		}
 	}
-	for p := range r.arrivals {
-		if q := r.arrivals[p]; len(q) > 0 {
-			if w := r.wakeAlign(q[0].at); w < at {
-				at = w
-			}
+	for m := r.arrMask; m != 0; m &= m - 1 {
+		if w := r.wakeAlign(r.arrivals[bits.TrailingZeros8(m)][0].at); w < at {
+			at = w
 		}
 	}
 	if at == math.MaxInt64 {
 		return 0, false
 	}
-	if at <= now { // a deadline due but unprocessed: run the next aligned cycle
+	if at <= now { // an arrival due but unprocessed: run the next aligned cycle
 		at = r.wakeAlign(now + 1)
 	}
 	return at, true
@@ -474,7 +503,7 @@ func (r *router) tick(now int64) {
 		return
 	}
 	r.tickExecs++
-	r.processCredits(now)
+	r.bankCredits(now, true)
 	r.acceptArrivals(now)
 	r.fillInjections(now)
 	if r.occ != 0 {
@@ -483,20 +512,42 @@ func (r *router) tick(now int64) {
 	}
 }
 
-func (r *router) processCredits(now int64) {
-	kept := r.credits[:0]
+// bankCredits adds to the output VC counters every returned credit whose
+// clock edge is at or before cycle upto. ticking says the router is executing
+// cycle upto; otherwise its state is being settled for a reader
+// (Network.settleCredits). Either way an edge the router did not execute on is
+// one the dense sweep executed for the credit alone — creditElided counts
+// those, once per edge. The list is in nondecreasing order of at, so the due
+// credits are a prefix and equal edges are adjacent.
+func (r *router) bankCredits(upto int64, ticking bool) {
+	taken, edge := 0, int64(-1)
 	for _, c := range r.credits {
-		if c.at <= now {
-			r.outCredits[r.vci(c.port, c.vc)]++
-		} else {
-			kept = append(kept, c)
+		w := r.wakeAlign(c.at)
+		if w > upto {
+			break
+		}
+		taken++
+		r.outCredits[r.vci(c.port, c.vc)]++
+		if w != edge {
+			edge = w
+			if !ticking || w < upto {
+				r.creditElided++
+			}
 		}
 	}
-	r.credits = kept
+	if taken > 0 {
+		// A handful of 24-byte entries at most: a plain loop beats memmove.
+		rest := r.credits[taken:]
+		for i, c := range rest {
+			r.credits[i] = c
+		}
+		r.credits = r.credits[:len(rest)]
+	}
 }
 
 func (r *router) acceptArrivals(now int64) {
-	for p := range r.arrivals {
+	for m := r.arrMask; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros8(m)
 		q := r.arrivals[p]
 		taken := 0
 		for taken < len(q) && q[taken].at <= now {
@@ -511,6 +562,9 @@ func (r *router) acceptArrivals(now int64) {
 			// would force a fresh allocation on each append cycle.
 			rest := copy(q, q[taken:])
 			r.arrivals[p] = q[:rest]
+			if rest == 0 {
+				r.arrMask &^= 1 << uint(p)
+			}
 		}
 	}
 }
@@ -521,14 +575,17 @@ func (r *router) acceptArrivals(now int64) {
 // draining through the buffer), exactly as a link-side VC accepts
 // back-to-back packets from its upstream router.
 func (r *router) fillInjections(now int64) {
-	for vn := VNet(0); vn < NumVNets; vn++ {
-		lo, hi := r.vnetRange(vn)
-		for vc := lo; vc < hi && r.outbox[vn].len() > 0; vc++ {
-			if r.inj[vc].pkt != nil || int(r.cnt[r.vci(PortLocal, vc)]) >= r.depth {
-				continue
+	if r.queued > 0 {
+		for vn := VNet(0); vn < NumVNets; vn++ {
+			lo, hi := r.vnetRange(vn)
+			for vc := lo; vc < hi && r.outbox[vn].len() > 0; vc++ {
+				if r.inj[vc].pkt != nil || int(r.cnt[r.vci(PortLocal, vc)]) >= r.depth {
+					continue
+				}
+				r.inj[vc] = injSlot{pkt: r.outbox[vn].pop()}
+				r.queued--
+				r.injecting++
 			}
-			r.inj[vc] = injSlot{pkt: r.outbox[vn].pop()}
-			r.injecting++
 		}
 	}
 	if r.injecting == 0 {
@@ -567,6 +624,23 @@ func (r *router) fillInjections(now int64) {
 func (r *router) allocateVCs(now int64) {
 	m := r.routed &^ r.vaDone
 	if m == 0 {
+		return
+	}
+	if m&(m-1) == 0 {
+		// One waiting header — the common case away from saturation: nothing
+		// to arbitrate, so no per-port request masks and no candidates.
+		i := bits.TrailingZeros64(m)
+		if now < r.inVAAt[i] {
+			return
+		}
+		if r.inFlags[i]&vcAdaptive != 0 {
+			r.inOutPort[i] = int8(r.adaptiveRoute(r.front(i).pkt.Dst, r.pos[i].vnet))
+		}
+		if p := int(r.inOutPort[i]); p == PortLocal {
+			r.grantVA(i, 0, -1, now)
+		} else if free := r.freeOutVC(p, r.pos[i].vnet); free >= 0 {
+			r.grantVA(i, free, r.vci(p, free), now)
+		}
 		return
 	}
 	var want [NumPorts]uint64 // eligible requesters per output port
@@ -645,6 +719,13 @@ func (r *router) freeOutVC(p int, vn VNet) int {
 func (r *router) allocateSwitch(now int64) {
 	m := r.occ & r.vaDone
 	if m == 0 {
+		return
+	}
+	if m&(m-1) == 0 {
+		// One VC holds an output VC: it wins both phases unopposed.
+		if i := bits.TrailingZeros64(m); r.saReady(i, now) {
+			r.dispatch(i, now)
+		}
 		return
 	}
 	var won [NumPorts]candidate // per output port; ord is the input VC
@@ -745,8 +826,7 @@ func (r *router) dispatch(i int, now int64) {
 			q.push(boundaryItem{f: f, port: opposite(outPort), vc: outVC, at: now + r.div + 1})
 		} else {
 			nb := r.neighbor[outPort]
-			nb.arrivals[opposite(outPort)] = append(nb.arrivals[opposite(outPort)],
-				arrival{f: f, vc: outVC, at: now + r.div + 1})
+			nb.addArrival(opposite(outPort), arrival{f: f, vc: outVC, at: now + r.div + 1})
 			r.net.wakeAt(nb.id, now+r.div+1, now)
 		}
 		if f.tail {
@@ -764,7 +844,7 @@ func (r *router) dispatch(i int, now int64) {
 		} else {
 			up := r.neighbor[inPort]
 			up.credits = append(up.credits, creditMsg{port: opposite(inPort), vc: inVC, at: now + 1})
-			r.net.wakeAt(up.id, now+1, now)
+			r.net.creditReturned(up, now)
 		}
 	}
 

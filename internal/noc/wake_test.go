@@ -10,12 +10,14 @@ import (
 // div=2 router holding a buffered flit used to stay in the active set and be
 // called every cycle forever, with every odd-cycle call skipped by the clock
 // gate. With timed wakes the router is called only when it can execute.
-// Executed ticks must be identical under dense and event stepping (the
-// byte-equivalence invariant restricted to one router), while event-mode
-// calls collapse to roughly the executed set.
+// Executed ticks must agree under dense and event stepping (the
+// byte-equivalence invariant restricted to one router) once the ticks the
+// event scheduler elided — executions that would only have banked a returned
+// credit — are added back, while event-mode calls collapse to roughly the
+// executed set.
 func TestDiv2RouterTickCounts(t *testing.T) {
 	const cycles = 100
-	run := func(event bool) (calls, execs int64) {
+	run := func(event bool) (calls, execs, elided int64) {
 		cfg := testCfg()
 		cfg.ClockDivisors = map[int]int{0: 2}
 		n := newTestNet(t, 2, 2, cfg)
@@ -33,13 +35,16 @@ func TestDiv2RouterTickCounts(t *testing.T) {
 		}
 		return n.DebugRouterTicks(0)
 	}
-	dCalls, dExecs := run(false)
-	eCalls, eExecs := run(true)
+	dCalls, dExecs, dElided := run(false)
+	eCalls, eExecs, eElided := run(true)
 	if dCalls != cycles {
 		t.Errorf("dense mode called tick %d times, want every cycle (%d)", dCalls, cycles)
 	}
-	if dExecs != eExecs {
-		t.Errorf("executed ticks diverge: dense %d, event %d", dExecs, eExecs)
+	if dElided != 0 {
+		t.Errorf("dense mode elided %d ticks; the reference sweep must execute every one", dElided)
+	}
+	if dExecs != eExecs+eElided {
+		t.Errorf("executed ticks diverge: dense %d, event %d + %d elided", dExecs, eExecs, eElided)
 	}
 	if dExecs >= cycles/2 {
 		t.Errorf("div=2 router executed %d of %d cycles; clock gate broken", dExecs, cycles)
@@ -70,17 +75,17 @@ func TestFutureDatedRouterSleeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Tick(0) // initial all-active tick; router 1 is drained and retires
-	quietCalls, _ := n.DebugRouterTicks(1)
+	quietCalls, _, _ := n.DebugRouterTicks(1)
 	const arrivalAt = 17
 	for now := int64(1); now < arrivalAt; now++ {
 		n.Tick(now)
 	}
-	if calls, _ := n.DebugRouterTicks(1); calls != quietCalls {
+	if calls, _, _ := n.DebugRouterTicks(1); calls != quietCalls {
 		t.Errorf("sleeping router was called %d times while its only work was future-dated",
 			calls-quietCalls)
 	}
 	runUntil(t, n, arrivalAt, 50, func() bool { return got != nil })
-	if _, execs := n.DebugRouterTicks(1); execs == 0 {
+	if _, execs, _ := n.DebugRouterTicks(1); execs == 0 {
 		t.Error("destination router never executed; wake lost")
 	}
 }
@@ -95,6 +100,10 @@ func TestRandomScheduleDrainsClean(t *testing.T) {
 	type outcome struct {
 		stats     Stats
 		delivered map[uint64]int
+		// execs is, per router, the executed ticks plus the credit-only
+		// ticks the event scheduler elided: what the dense sweep executes.
+		execs  [16]int64
+		elided int64
 	}
 	run := func(t *testing.T, seed int64, event bool, shards int) outcome {
 		cfg := testCfg()
@@ -155,12 +164,29 @@ func TestRandomScheduleDrainsClean(t *testing.T) {
 			t.Errorf("seed %d event=%v shards=%d: delivered %d of %d",
 				seed, event, shards, n.Stats().Delivered, injected)
 		}
-		return outcome{stats: n.Stats(), delivered: delivered}
+		out := outcome{stats: n.Stats(), delivered: delivered}
+		for id := range out.execs {
+			_, execs, elided := n.DebugRouterTicks(id)
+			out.execs[id] = execs + elided
+			out.elided += elided
+		}
+		return out
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		ref := run(t, seed, false, 1)
+		if ref.elided != 0 {
+			t.Errorf("seed %d: the dense sweep elided %d ticks", seed, ref.elided)
+		}
 		for _, shards := range []int{1, 2} {
 			got := run(t, seed, true, shards)
+			// A credit returned to a sleeping router wakes nobody, yet every
+			// router executes exactly the dense sweep's ticks minus those.
+			if got.execs != ref.execs {
+				t.Errorf("seed %d shards=%d: executed+elided ticks %v, dense executed %v", seed, shards, got.execs, ref.execs)
+			}
+			if got.elided == 0 {
+				t.Errorf("seed %d shards=%d: no credit-only tick was elided", seed, shards)
+			}
 			if got.stats != ref.stats {
 				t.Errorf("seed %d shards=%d: stats %+v, dense %+v", seed, shards, got.stats, ref.stats)
 			}

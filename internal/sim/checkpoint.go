@@ -26,7 +26,10 @@ import (
 // state via activateAll).
 //
 // The only legal checkpoint boundary is between Step calls: the encoder
-// fails if any cross-shard boundary queue still holds traffic.
+// fails if any cross-shard boundary queue still holds traffic. Sleeping tiles
+// are settled first (the closed-form replay of their elided ticks, and
+// likewise the network's deferred credits), so the image is the one the dense
+// stepper would write at the same cycle, whichever stepper ran.
 //
 // Not captured, by design: free lists and scratch buffers (pure capacity),
 // event-scheduler active sets and wake heaps (Restore re-activates every
@@ -34,6 +37,7 @@ import (
 // generators are deterministic in (profile, core, seed), so only the issue
 // count is stored and replayed).
 func (s *Simulator) Checkpoint(wr io.Writer) error {
+	s.settle()
 	w := snapshot.NewWriter(wr)
 	w.String(s.cfg.SnapshotKey())
 	// Historical shard-count field, kept so the format (and the pinned
@@ -539,8 +543,8 @@ func (n *node) encode(e *encoder) {
 		e.pkt(it.pkt)
 		w.I64(it.at)
 	}
-	w.Len(len(n.l2Queue))
-	for _, it := range n.l2Queue {
+	w.Len(n.l2Queue.len())
+	for _, it := range n.l2Queue.q[n.l2Queue.head:] {
 		e.pkt(it.pkt)
 		w.I64(it.at)
 	}
@@ -718,13 +722,13 @@ func (n *node) decode(d *decoder) {
 	if r.Err() != nil {
 		return
 	}
-	n.l2Queue = n.l2Queue[:0]
+	n.l2Queue = itemQueue{q: n.l2Queue.q[:0]}
 	for i := 0; i < nq; i++ {
 		it, ok := readItem("L2 queue")
 		if !ok {
 			return
 		}
-		n.l2Queue = append(n.l2Queue, it)
+		n.l2Queue.push(it)
 	}
 	nb := r.Len(20)
 	if r.Err() != nil {

@@ -29,6 +29,34 @@ type action struct {
 type l2Job struct {
 	it   inItem
 	done int64
+	// failGen is the L2 MSHR table's generation when the job was last refused
+	// an entry (0: never). Derived, not checkpointed: while the table still
+	// reports that generation the retry provably fails again (cache.
+	// MSHRTable.Gen), and the event stepper replays it instead of running it.
+	failGen uint64
+}
+
+// itemQueue is a FIFO of delivered packets whose pop is O(1) and keeps the
+// backing array: the live window is q[head:], compacted when it empties.
+type itemQueue struct {
+	q    []inItem
+	head int
+}
+
+func (iq *itemQueue) len() int { return len(iq.q) - iq.head }
+
+func (iq *itemQueue) front() inItem { return iq.q[iq.head] }
+
+func (iq *itemQueue) push(it inItem) { iq.q = append(iq.q, it) }
+
+func (iq *itemQueue) pop() inItem {
+	it := iq.q[iq.head]
+	iq.q[iq.head] = inItem{}
+	iq.head++
+	if iq.head == len(iq.q) {
+		iq.q, iq.head = iq.q[:0], 0
+	}
+	return it
 }
 
 // node is one mesh tile: core + private L1 + one bank of the shared L2.
@@ -62,15 +90,28 @@ type node struct {
 	dirWide map[uint64][]uint64
 	dirFree [][]uint64
 
-	inbox   []inItem // delivered packets not yet dispatched
-	l2Queue []inItem // requests waiting for the L2 bank port
-	l2Busy  []l2Job  // requests inside the L2 pipeline
-	delayed []action // L1-side scheduled work (hit completion, miss injection)
+	inbox   []inItem  // delivered packets not yet dispatched
+	l2Queue itemQueue // requests waiting for the L2 bank port
+	l2Busy  []l2Job   // requests inside the L2 pipeline
+	delayed []action  // L1-side scheduled work (hit completion, miss injection)
 
-	// lastCoreTick is the last cycle tickCore ran; the gap to the current
-	// cycle is the span of elided hard-stall core ticks replayed in closed
-	// form (see sched.go and cpu.CatchUpStall).
+	// l2Refused counts the jobs the last tickL2 left waiting for an L2 MSHR.
+	// When that is all of l2Busy the bank is blocked: see trySleep.
+	l2Refused int
+
+	// lastCoreTick is the last cycle the tile ticked; the gap to the current
+	// cycle is the span of elided ticks replayed in closed form (replay).
 	lastCoreTick int64
+
+	// blocked marks a tile asleep on a resource (blocked bank, refused core)
+	// rather than on a deadline; see trySleep.
+	blocked bool
+
+	// elidedStalls and elidedPolls count what the resource-blocked sleep
+	// spared: core ticks of a fetch the LSQ or the L1 MSHRs refused, and L2
+	// job retries the MSHR table was bound to refuse. Pure measurement
+	// (DebugBlockedStats), like execs.
+	elidedStalls, elidedPolls int64
 
 	// execs counts executed front-end ticks, feeding the partition cost
 	// model (partition.go). Pure measurement: never read on a simulated
@@ -186,7 +227,7 @@ func (n *node) dispatchInbox(now int64) {
 				m.txn.ReqAtL2 = it.at
 				m.txn.AgeAtL2 = it.pkt.Age
 			}
-			n.l2Queue = append(n.l2Queue, it)
+			n.l2Queue.push(it)
 		case msgReqL2toMC, msgWBL2toMC:
 			mc := n.s.mcAt[n.id]
 			if mc == nil {
@@ -225,19 +266,34 @@ func (n *node) tickL2(now int64) {
 	// done = now+1, so the scan below never reaches re-appended work and
 	// the queue can be compacted in place afterwards.
 	finished := 0
+	n.l2Refused = 0
 	for finished < len(n.l2Busy) && n.l2Busy[finished].done <= now {
 		job := n.l2Busy[finished]
 		finished++
+		if job.failGen == n.l2m.Gen() && !n.s.dense {
+			// No entry left the table since this job was refused, so the
+			// retry would miss in the bank and be refused again: account
+			// exactly that. (The dense reference runs the retry.)
+			n.l2.ReplayMisses(1)
+			n.elidedPolls++
+			n.requeueRefused(job.it, now)
+			continue
+		}
 		n.finishL2(job.it, now)
 	}
 	if finished > 0 {
 		n.l2Busy = n.l2Busy[:copy(n.l2Busy, n.l2Busy[finished:])]
 	}
-	if len(n.l2Queue) > 0 && n.l2Queue[0].at <= now {
-		it := n.l2Queue[0]
-		n.l2Queue = n.l2Queue[:copy(n.l2Queue, n.l2Queue[1:])]
-		n.l2Busy = append(n.l2Busy, l2Job{it: it, done: now + n.s.cfg.L2.Latency})
+	if n.l2Queue.len() > 0 && n.l2Queue.front().at <= now {
+		n.l2Busy = append(n.l2Busy, l2Job{it: n.l2Queue.pop(), done: now + n.s.cfg.L2.Latency})
 	}
+}
+
+// requeueRefused parks a demand miss the L2 MSHR table refused: it retries
+// next cycle, from the back of the pipeline.
+func (n *node) requeueRefused(it inItem, now int64) {
+	n.l2Busy = append(n.l2Busy, l2Job{it: it, done: now + 1, failGen: n.l2m.Gen()})
+	n.l2Refused++
 }
 
 // finishL2 applies one request after its bank access latency elapsed.
@@ -304,7 +360,7 @@ func (n *node) missToMemory(it inItem, now int64) {
 	t := m.txn
 	primary, ok := n.l2m.Allocate(m.line, t.Store, t)
 	if !ok {
-		n.l2Busy = append(n.l2Busy, l2Job{it: it, done: now + 1})
+		n.requeueRefused(it, now)
 		return
 	}
 	if !primary {
@@ -408,16 +464,51 @@ func (n *node) sendL1Request(t *Txn, line uint64, at int64) {
 		noc.VNetRequest, n.s.pol.BasePriority(n.id), 0, msgReqL1toL2, t, line)
 }
 
-// catchUpCore replays elided hard-stall cycles in closed form (the node only
-// sleeps past a core when cpu.SleepUntil certified the stall; see sched.go).
-// It must run before any of the waking cycle's own effects: an arriving fill
-// decrements the in-flight count, and the elided cycles' outstanding-
-// instruction integral must still observe the old value.
-func (n *node) catchUpCore(now int64) {
-	if n.core != nil && now > n.lastCoreTick+1 {
-		n.core.CatchUpStall(now - n.lastCoreTick - 1)
+// catchUp brings a waking tile up to date before cycle now executes: the
+// cycles it slept through are replayed in closed form. It must run before any
+// of the waking cycle's own effects: an arriving fill decrements the in-flight
+// count and frees MSHRs, and the elided cycles must still observe the old
+// values.
+func (n *node) catchUp(now int64) {
+	if k := now - n.lastCoreTick - 1; k > 0 {
+		n.replay(k)
 	}
 	n.lastCoreTick = now - 1
+	if n.blocked {
+		n.blocked = false
+		n.sh.blocked--
+	}
+}
+
+// replay accounts the k cycles after lastCoreTick, which the tile slept
+// through, exactly as the dense loop would have executed them. trySleep only
+// lets a tile sleep past work whose every cycle is the same:
+//
+//   - a stalled core (cpu.SleepUntil): CatchUpStall, plus one L1 miss per
+//     cycle when the stall is a refused access — each retry looks the line up
+//     again before the full MSHR table refuses it;
+//   - a blocked bank — every job in the pipeline waiting for an L2 MSHR, which
+//     shows as a head job due the cycle after the last tick (a tile never
+//     sleeps past a due job otherwise): each cycle retries every job in order,
+//     each misses in the bank, is refused and goes to the back with
+//     done = cycle+1, which leaves the order as it was.
+func (n *node) replay(k int64) {
+	if n.core != nil {
+		n.core.CatchUpStall(k)
+		if n.core.WindowOccupancy() < n.s.cfg.CPU.WindowSize {
+			n.elidedStalls += k
+		}
+		if n.core.Refused() {
+			n.l1.ReplayMisses(k)
+		}
+	}
+	if m := len(n.l2Busy); m > 0 && n.l2Busy[0].done == n.lastCoreTick+1 {
+		n.l2.ReplayMisses(k * int64(m))
+		n.elidedPolls += k * int64(m)
+		for i := range n.l2Busy {
+			n.l2Busy[i].done += k
+		}
+	}
 }
 
 // tickCore runs delayed L1 work and the core itself.

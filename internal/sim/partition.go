@@ -55,7 +55,7 @@ func (s *Simulator) tileActivity() []int64 {
 	act := make([]int64, len(s.nodes))
 	for i, n := range s.nodes {
 		a := actNodeWeight * n.execs
-		_, rexecs := s.net.DebugRouterTicks(i)
+		_, rexecs, _ := s.net.DebugRouterTicks(i)
 		a += rexecs
 		if mc := s.mcAt[i]; mc != nil {
 			total, ff := mc.ctl.DebugTicks()

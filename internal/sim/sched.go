@@ -22,10 +22,15 @@ import (
 // effects happen only when due, wakes may be spurious but never missing. A
 // spurious tick of a quiescent component is a no-op by construction (every
 // tick body checks its own deadlines), so the active sets may safely
-// over-approximate. The one component whose dense tick is *not* a no-op
-// while quiescent is the core — a hard-stalled core still counts stall
-// cycles — so its elided ticks are replayed in closed form (see
-// cpu.CatchUpStall) when it next runs.
+// over-approximate. Two components have dense ticks that are *not* no-ops
+// while nothing can change for them, and both are replayed in closed form
+// when the tile next runs or is observed (node.replay): a stalled core still
+// counts stall cycles — and, when its fetch is refused for want of an MSHR,
+// re-issues the access — and a bank whose jobs all wait for an L2 MSHR
+// retries them. Those are the three kinds of sleep node.trySleep spells out:
+// idle, window-full, resource-blocked. The network has its own instance of
+// the third: a credit returned to a router nothing waits in is banked late
+// (noc.Network.creditReturned).
 //
 // Active sets are bitset.Set values ([]uint64), sized to the component
 // count. They used to be bare uint64 masks whose all-active initializer
@@ -66,6 +71,9 @@ func (s *Simulator) activateAll() {
 // equivalence oracle for tests and benchmarks. Safe to call between Step
 // calls at any time.
 func (s *Simulator) SetDenseStepping(dense bool) {
+	if dense {
+		s.settle() // the dense loop replays nothing: hand it settled tiles
+	}
 	s.dense = dense
 	s.net.SetEventDriven(!dense)
 	if !dense {
@@ -95,7 +103,7 @@ func (s *Simulator) stepDense(cycles int64) {
 }
 
 // quietTarget reports whether the whole system is quiescent at now — no
-// active component, no packet in flight, no wake or policy push due — and if
+// active or resource-blocked component, no wake or policy push due — and if
 // so, the cycle to fast-forward to: the earliest future deadline, capped at
 // end. A due wake (head at <= now) means the cycle must execute; phaseFront
 // (and TickShard, for router wakes) drains it into the active sets. Routers
@@ -113,7 +121,7 @@ func (s *Simulator) quietTarget(now, end int64) (int64, bool) {
 	}
 	mcNext := int64(math.MaxInt64)
 	for _, sh := range s.shards {
-		if !sh.nodeActive.Empty() || !sh.mcActive.Empty() {
+		if !sh.nodeActive.Empty() || !sh.mcActive.Empty() || sh.blocked > 0 {
 			return 0, false
 		}
 		if at, ok := sh.nodeWakes.Min(); ok {
@@ -209,15 +217,18 @@ func (s *Simulator) stepEvent(cycles int64) {
 	}
 }
 
-// flushCoreStats replays, in closed form, the stall cycles of every sleeping
-// hard-stalled core up to the current cycle, so that reading or resetting
-// statistics observes exactly what the dense loop would have counted. Called
-// at the warmup/measurement boundary and before collecting results.
-func (s *Simulator) flushCoreStats() {
+// settle brings every sleeping tile up to the current cycle — the elided
+// ticks of stalled cores and blocked banks are replayed in closed form
+// (node.replay) — so that reading, resetting or serializing state observes
+// exactly what the dense loop would have left. Called at the
+// warmup/measurement boundary, before collecting results, before a
+// checkpoint and before handing over to the dense stepper. Idempotent. (The
+// network settles its own deferred credits when its state is read.)
+func (s *Simulator) settle() {
 	last := s.now - 1
 	for _, n := range s.nodes {
-		if n.core != nil && last > n.lastCoreTick {
-			n.core.CatchUpStall(last - n.lastCoreTick)
+		if last > n.lastCoreTick {
+			n.replay(last - n.lastCoreTick)
 			n.lastCoreTick = last
 		}
 	}
@@ -227,11 +238,27 @@ func (s *Simulator) flushCoreStats() {
 // cycle, registering a timed wake for its earliest future deadline. The
 // queues consulted are all sorted by deadline (deliveries, L2 pipeline jobs
 // and delayed L1 actions are appended with nondecreasing times), so the head
-// entry is the earliest. A node with a runnable core never sleeps; a node
-// whose core is hard-stalled may, because the elided core ticks are
-// closed-form (see tickCore).
+// entry is the earliest.
+//
+// There are three kinds of sleep. An idle tile has nothing queued. A tile
+// whose core is hard-stalled on a full window sleeps past the core, because
+// the elided core ticks are closed-form. And a tile may sleep
+// resource-blocked: its core's fetch is refused by the LSQ or the L1 MSHRs
+// behind an unfinished head (cpu.SleepUntil), or its bank is blocked — every
+// job in the L2 pipeline was refused an MSHR this cycle, so each has
+// done = now+1 and would be retried, and refused, every cycle. What unblocks
+// either is a fill (the only way an MSHR frees or a missing line appears),
+// and a fill reaches the tile through its inbox, whose delivery wakes it; so
+// a blocked bank contributes no deadline of its own. replay accounts the
+// retries when the tile next runs or is observed.
+//
+// A resource-blocked sleeper still holds the global clock (simShard.blocked): the
+// cycles it sleeps through execute, as they did when such a tile stayed in
+// the active set, so DebugTickedCycles keeps meaning "cycles in which some
+// component was busy or blocked" and fast-forward only skips cycles in which
+// nothing waits on anything.
 func (n *node) trySleep(now int64) {
-	if len(n.l2Queue) > 0 {
+	if n.l2Queue.len() > 0 {
 		return
 	}
 	wakeAt := int64(math.MaxInt64)
@@ -242,8 +269,11 @@ func (n *node) trySleep(now int64) {
 			wakeAt = at
 		}
 	}
+	onResource := false
 	if len(n.l2Busy) > 0 {
-		if d := n.l2Busy[0].done; d <= now {
+		if n.l2Refused == len(n.l2Busy) {
+			onResource = true
+		} else if d := n.l2Busy[0].done; d <= now {
 			return
 		} else if d < wakeAt {
 			wakeAt = d
@@ -264,6 +294,9 @@ func (n *node) trySleep(now int64) {
 		if cw < wakeAt {
 			wakeAt = cw
 		}
+		if n.core.WindowOccupancy() < n.s.cfg.CPU.WindowSize {
+			onResource = true
+		}
 	}
 	if wakeAt <= now+1 {
 		return // due next cycle: staying active beats a heap round trip
@@ -271,6 +304,10 @@ func (n *node) trySleep(now int64) {
 	n.sh.nodeActive.Remove(n.id)
 	if wakeAt != math.MaxInt64 {
 		n.sh.nodeWakes.Push(wakeAt, int32(n.id))
+	}
+	if onResource {
+		n.blocked = true
+		n.sh.blocked++
 	}
 }
 
@@ -324,9 +361,9 @@ func (s *Simulator) QuiesceCheck() error {
 		return err
 	}
 	for _, n := range s.nodes {
-		if k := len(n.inbox) + len(n.l2Queue) + len(n.l2Busy) + len(n.delayed); k != 0 {
+		if k := len(n.inbox) + n.l2Queue.len() + len(n.l2Busy) + len(n.delayed); k != 0 {
 			return fmt.Errorf("sim: tile %d holds %d undone items (inbox=%d l2Queue=%d l2Busy=%d delayed=%d)",
-				n.id, k, len(n.inbox), len(n.l2Queue), len(n.l2Busy), len(n.delayed))
+				n.id, k, len(n.inbox), n.l2Queue.len(), len(n.l2Busy), len(n.delayed))
 		}
 	}
 	for _, mc := range s.mcs {
@@ -335,4 +372,33 @@ func (s *Simulator) QuiesceCheck() error {
 		}
 	}
 	return nil
+}
+
+// BlockedStats counts what the resource-blocked sleeps spared the event
+// stepper, since construction: work the dense stepper executes cycle by cycle
+// and the event stepper replays in closed form or applies late.
+type BlockedStats struct {
+	// CoreStallCycles: core ticks elided while fetch was refused by the LSQ
+	// or the L1 MSHRs behind an unfinished window head.
+	CoreStallCycles int64
+	// L2RetryPolls: retries of L2 demand misses that the bank's full MSHR
+	// table was bound to refuse again, replayed instead of executed.
+	L2RetryPolls int64
+	// CreditWakes: router ticks that would only have banked a returned
+	// credit, skipped because the router had nothing waiting on it.
+	CreditWakes int64
+}
+
+// DebugBlockedStats reports the elision counters. Host-side measurement only:
+// never part of a Summary, stored result bytes or a checkpoint, and zero
+// under the dense stepper.
+func (s *Simulator) DebugBlockedStats() BlockedStats {
+	var b BlockedStats
+	for i, n := range s.nodes {
+		b.CoreStallCycles += n.elidedStalls
+		b.L2RetryPolls += n.elidedPolls
+		_, _, elided := s.net.DebugRouterTicks(i)
+		b.CreditWakes += elided
+	}
+	return b
 }

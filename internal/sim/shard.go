@@ -66,6 +66,10 @@ type simShard struct {
 	mcWakes    *timerwheel.Wheel[int32]
 	wakeBuf    []timerwheel.Due[int32] // reused PopDue delivery buffer
 
+	// blocked counts owned tiles asleep resource-blocked (node.blocked).
+	// While it is nonzero the clock does not fast-forward; see node.trySleep.
+	blocked int
+
 	// col accumulates measurements for events executed by this shard; a
 	// tile-indexed entry may be written by a foreign shard's collector copy
 	// (e.g. SoFar at the MC), so results() merges all shards elementwise.
@@ -136,8 +140,8 @@ func (sh *simShard) recycle(p *noc.Packet) {
 }
 
 // phaseFront runs the first half of one cycle for this shard, in the dense
-// stepper's canonical order: due wakes, MC ticks, node front-ends (core
-// stall catch-up, inbox dispatch, L2 bank), then the shard's routers.
+// stepper's canonical order: due wakes, MC ticks, node front-ends (catch-up
+// of slept-through cycles, inbox dispatch, L2 bank), then the shard's routers.
 // Active components tick in ascending index order, exactly like the
 // sequential stepper restricted to this shard's members.
 func (sh *simShard) phaseFront(now int64) {
@@ -156,7 +160,7 @@ func (sh *simShard) phaseFront(now int64) {
 			w &= w - 1
 			n := sh.s.nodes[i]
 			n.execs++
-			n.catchUpCore(now)
+			n.catchUp(now)
 			n.dispatchInbox(now)
 			n.tickL2(now)
 		}

@@ -262,6 +262,9 @@ func (s *Simulator) rebuildPartition(costs []int64) {
 		sh := s.shards[shardOf[i]]
 		n.sh = sh
 		sh.nodes = append(sh.nodes, n)
+		if n.blocked {
+			sh.blocked++
+		}
 	}
 	for _, mc := range s.mcs {
 		sh := s.shards[shardOf[mc.tile]]
@@ -356,7 +359,7 @@ func (s *Simulator) Step(cycles int64) {
 // resetStats clears every counter at the warmup/measurement boundary while
 // preserving learned state (cache contents, scheme thresholds, open rows).
 func (s *Simulator) resetStats() {
-	s.flushCoreStats()
+	s.settle()
 	for _, sh := range s.shards {
 		sh.col = newCollector(len(s.nodes))
 		sh.col.measuring = true
@@ -412,6 +415,13 @@ type Result struct {
 	S1Tagged, S1Checked int64
 	S2Tagged, S2Checked int64
 	S1Thresholds        []int64
+
+	// Blocked is host-side provenance, not a measurement of the simulated
+	// machine: what the stepper that produced this result elided (see
+	// DebugBlockedStats), counted since the simulator was built or restored.
+	// It depends on the stepper, so nothing derived from a Result — Summary,
+	// JSON, the stored bytes — reads it.
+	Blocked BlockedStats
 }
 
 // collector returns the merged measurements: the single shard's collector
@@ -432,7 +442,7 @@ func (s *Simulator) collector() *Collector {
 }
 
 func (s *Simulator) results() *Result {
-	s.flushCoreStats()
+	s.settle()
 	r := &Result{
 		Cfg:        s.cfg,
 		Apps:       s.apps,
@@ -444,6 +454,7 @@ func (s *Simulator) results() *Result {
 		Collector:  s.collector(),
 		IdleSeries: s.idleSeries,
 		Net:        s.net.Stats(),
+		Blocked:    s.DebugBlockedStats(),
 	}
 	for i, n := range s.nodes {
 		r.L1[i] = n.l1.Stats()
