@@ -161,9 +161,6 @@ func (c *Controller) Enqueue(r *Request, now int64) error {
 	return nil
 }
 
-// QueueLen returns the number of waiting (unscheduled) requests at a bank.
-func (c *Controller) QueueLen(bankIdx int) int { return c.banks[bankIdx].pending() }
-
 // PendingAll returns the total number of waiting requests across banks.
 func (c *Controller) PendingAll() int {
 	n := 0

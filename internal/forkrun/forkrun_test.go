@@ -51,18 +51,23 @@ func TestForkedBaselineMatchesCold(t *testing.T) {
 	}
 }
 
-// TestPolicyVariantsShareOneSnapshot: the base/S1/S1+S2 cross product of one
-// workload — the shape of every figure sweep — must execute exactly one
-// warmup, and each forked variant must still produce a live measurement.
+// TestPolicyVariantsShareOneSnapshot: the scheme cross product of one
+// workload — the shape of every figure sweep — and every other dimension
+// config.SnapshotKey zeroes (a scheme parameter, application-aware network
+// arbitration, the DRAM scheduler) must execute exactly one warmup, and each
+// forked variant must still produce a live measurement.
 func TestPolicyVariantsShareOneSnapshot(t *testing.T) {
 	cfg, apps := testConfig()
 	var c Cache
 	for _, variant := range []config.Config{
 		cfg,
 		cfg.WithSchemes(true, false),
+		cfg.WithSchemes(false, true),
 		cfg.WithSchemes(true, true),
+		func() config.Config { v := cfg.WithSchemes(true, false); v.S1.ThresholdFactor = 1.0; return v }(),
 		func() config.Config { v := cfg; v.AppAwareNet = true; return v }(),
 		func() config.Config { v := cfg; v.DRAM.Sched = config.FCFS; return v }(),
+		func() config.Config { v := cfg; v.DRAM.Sched = config.AppAwareMem; return v }(),
 	} {
 		res, err := c.Run(variant, apps)
 		if err != nil {

@@ -6,23 +6,23 @@ import (
 	"nocmem/internal/config"
 )
 
-// BenchmarkNetworkTick measures one op = one tick of a loaded 4x8 mesh
-// under a steady synthetic offered load (each tile periodically sends a
-// single-flit packet to the diagonally opposite tile). Flits are values in
-// the routers' rings and packets come from a free list, so steady state must
-// hold allocs/op at 0.
-func BenchmarkNetworkTick(b *testing.B) {
+// loadedMesh builds a 4x8 mesh under a steady synthetic offered load (each
+// tile periodically sends a single-flit packet to the diagonally opposite
+// tile), warms it until the pipelines are full and the queues and packet free
+// list have grown, and returns the function that advances it one cycle.
+func loadedMesh(tb testing.TB) (tick func()) {
 	cfg := config.Baseline32()
 	n, err := New(cfg.Mesh, cfg.NoC)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var pool PacketPool
 	for i := 0; i < n.Nodes(); i++ {
 		n.SetSink(i, func(p *Packet, at int64) { pool.Put(p) })
 	}
 	nodes := n.Nodes()
-	inject := func(now int64) {
+	var now int64
+	tick = func() {
 		for src := 0; src < nodes; src++ {
 			if (now+int64(src))%16 != 0 {
 				continue
@@ -39,20 +39,37 @@ func BenchmarkNetworkTick(b *testing.B) {
 				p.VNet = VNetResponse
 			}
 			if err := n.Inject(p, now); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
-	}
-	var now int64
-	for ; now < 4_000; now++ { // warm up: fill pipelines, grow queues and the packet free list
-		inject(now)
 		n.Tick(now)
+		now++
 	}
+	for now < 4_000 {
+		tick()
+	}
+	return tick
+}
+
+// BenchmarkNetworkTick measures one op = one tick of the loaded 4x8 mesh.
+func BenchmarkNetworkTick(b *testing.B) {
+	tick := loadedMesh(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inject(now)
-		n.Tick(now)
-		now++
+		tick()
+	}
+}
+
+// TestNetworkTickAllocs: flits are values in the routers' rings and packets
+// come from a free list, so a steady-state tick must not allocate at all.
+func TestNetworkTickAllocs(t *testing.T) {
+	tick := loadedMesh(t)
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2_000; i++ {
+			tick()
+		}
+	}); n != 0 {
+		t.Errorf("2000 ticks of the loaded mesh allocated %.0f times, want 0", n)
 	}
 }

@@ -244,9 +244,6 @@ func (n *Network) SetPartition(shardOf []int) {
 	n.applyEventMode()
 }
 
-// NumShards returns the partition's shard count.
-func (n *Network) NumShards() int { return len(n.shards) }
-
 // SetEventDriven switches between the dense Tick (every router, every cycle)
 // and active-set ticking. Enabling it marks every router active; the sets
 // then shrink as routers drain. Both modes produce identical results; the

@@ -7,39 +7,13 @@ import (
 	"nocmem/internal/trace"
 )
 
-// burstSource alternates a burst of loads and stores to distinct lines that
-// all live in one L2 bank with a stretch of non-memory instructions. One
-// burst is more than the L1 holds MSHRs for, and the L1 holds more MSHRs
-// than an L2 bank, so every burst first exhausts the bank's table (its
-// refused requests retry) and then the core's (its fetch is refused), and the
-// gap lets both drain again.
-type burstSource struct {
-	burst, gap       int
-	hotLeft, gapLeft int
-	line, lineStride uint64
-}
-
-func (b *burstSource) Next() trace.Instr {
-	if b.hotLeft > 0 {
-		b.hotLeft--
-		if b.hotLeft == 0 {
-			b.gapLeft = b.gap
-		}
-		a := b.line * 64
-		b.line += b.lineStride
-		return trace.Instr{IsMem: true, IsStore: b.hotLeft%4 == 0, Addr: a}
-	}
-	b.gapLeft--
-	if b.gapLeft <= 0 {
-		b.hotLeft = b.burst
-	}
-	return trace.Instr{}
-}
-
-func (b *burstSource) PrewarmLines() (hot, warm []uint64) { return nil, nil }
-
-// TestBlockedStallEquivalence is the oracle for the third kind of sleep. The
-// workload provably exhausts both MSHR levels; the dense reference, the event
+// TestBlockedStallEquivalence is the oracle for the third kind of sleep. Each
+// core alternates a burst of loads and stores to distinct lines that all live
+// in one L2 bank with a stretch of non-memory instructions. One burst is more
+// than the L1 holds MSHRs for, and the L1 holds more MSHRs than an L2 bank, so
+// every burst first exhausts the bank's table (its refused requests retry) and
+// then the core's (its fetch is refused), and the gap lets both drain again.
+// With both MSHR levels provably exhausted, the dense reference, the event
 // stepper and the 2-worker sharded stepper must agree on every statistic —
 // including the per-tile cache counters, which carry the replayed retry misses
 // and LRU clock — across a warmup/measurement boundary that falls while cores
@@ -62,8 +36,8 @@ func TestBlockedStallEquivalence(t *testing.T) {
 	for j, tile := range coreTiles {
 		apps[tile] = trace.Profile{Name: "burst"}
 		src := &burstSource{
-			burst: 3 * cfg.L1.MSHRs, gap: 1_500, gapLeft: 1 + 400*j,
-			line: uint64(j+1)<<20 + bank, lineStride: uint64(nodes),
+			burst: 3 * cfg.L1.MSHRs, gap: 1_500, gapLeft: 1 + 400*j, storeEvery: 4,
+			addr: 64 * (uint64(j+1)<<20 + bank), stride: 64 * uint64(nodes),
 		}
 		var buf bytes.Buffer
 		if err := trace.Record(&buf, src, 120_000); err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -15,11 +16,18 @@ import (
 // stepper and shard count, runs the configured window and returns the
 // serialized summary plus the raw result for field-level comparison and the
 // simulator itself for scheduler-counter assertions. shards <= 1 selects the
-// sequential stepper.
-func runOnce(t *testing.T, cfg config.Config, apps []trace.Profile, dense bool, shards int) ([]byte, *Result, *Simulator) {
+// sequential stepper. Profile-named workloads leave srcs nil; synthetic ones
+// pass a factory so every run gets fresh, deterministic source state.
+func runOnce(t *testing.T, cfg config.Config, apps []trace.Profile, srcs func() []trace.AppSource, dense bool, shards int) ([]byte, *Result, *Simulator) {
 	t.Helper()
 	cfg.Run.Shards = shards
-	s, err := New(cfg, apps)
+	var s *Simulator
+	var err error
+	if srcs != nil {
+		s, err = NewFromSources(cfg, srcs(), apps)
+	} else {
+		s, err = New(cfg, apps)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +38,58 @@ func runOnce(t *testing.T, cfg config.Config, apps []trace.Profile, dense bool, 
 		t.Fatal(err)
 	}
 	return buf.Bytes(), r, s
+}
+
+// burstSource is this package's one synthetic instruction stream: burst
+// memory accesses stride bytes apart (every storeEvery-th a store), then gap
+// non-memory instructions, over and over. Cold strided misses hard-stall the
+// core against off-chip latency while the gap lets the mesh drain — the load
+// shape profile-driven traces never produce. A stride of 512 lines (64*512
+// bytes) pins every access to DRAM controller 0 and L2 bank 0, both at tile
+// 0's corner.
+type burstSource struct {
+	burst, gap       int // phase lengths, in instructions
+	storeEvery       int
+	hotLeft, gapLeft int
+	addr, stride     uint64
+}
+
+func (b *burstSource) Next() trace.Instr {
+	if b.hotLeft > 0 {
+		b.hotLeft--
+		if b.hotLeft == 0 {
+			b.gapLeft = b.gap
+		}
+		a := b.addr
+		b.addr += b.stride
+		return trace.Instr{IsMem: true, IsStore: b.hotLeft%b.storeEvery == 0, Addr: a}
+	}
+	b.gapLeft--
+	if b.gapLeft <= 0 {
+		b.hotLeft = b.burst
+	}
+	return trace.Instr{}
+}
+
+func (b *burstSource) PrewarmLines() (hot, warm []uint64) { return nil, nil }
+
+// burstWorkload puts one burstSource on each listed tile (mk builds the j-th)
+// and returns the profile slice NewFromSources wants beside a factory of
+// fresh sources.
+func burstWorkload(cfg config.Config, tiles []int, mk func(j int) burstSource) ([]trace.Profile, func() []trace.AppSource) {
+	nodes := cfg.Mesh.Nodes()
+	apps := make([]trace.Profile, nodes)
+	for _, tile := range tiles {
+		apps[tile] = trace.Profile{Name: "burst"}
+	}
+	return apps, func() []trace.AppSource {
+		out := make([]trace.AppSource, nodes)
+		for j, tile := range tiles {
+			b := mk(j)
+			out[tile] = &b
+		}
+		return out
+	}
 }
 
 // expectSame fails the test unless the run labelled name matches the dense
@@ -76,7 +136,8 @@ func expectSameHistograms(t *testing.T, name string, ref, got *Result) {
 // byte-identical summaries and identical core counters (which include the
 // stall and outstanding-instruction integrals the closed-form catch-up
 // reconstructs) — across workloads exercising idle tiles, hard-stalled
-// cores, saturation, both schemes and heterogeneous router clocks. Run
+// cores, saturation, both schemes and heterogeneous router clocks, on the
+// 16-tile test machine and on the paper's non-square 4x8 mesh. Run
 // under -race (make ci), this doubles as the data-race oracle for the
 // boundary-queue construction.
 func TestEventDenseEquivalence(t *testing.T) {
@@ -90,26 +151,44 @@ func TestEventDenseEquivalence(t *testing.T) {
 	schemes := smallConfig().WithSchemes(true, true)
 	schemes.S1.UpdatePeriod = 2_000
 
-	// The bench harness's mixed_w1_half_16 shape: the 16-core halved variant
-	// of workload 1 occupying every tile of the 16-tile mesh — the moderate-
-	// occupancy mix where the event stepper historically regressed.
-	w1, err := workload.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, err := w1.Halve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := half.Profiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// mixed_w1_half_16: the 16-core halved variant of workload 1 occupying
+	// every tile of the 16-tile mesh — the moderate-occupancy mix where the
+	// event stepper historically regressed.
+	mixed := workloadApps(t, 1, true)
+
+	// The paper's machine, on short windows: the non-square 4x8 mesh with
+	// four corner controllers that every figure runs on.
+	paper := config.Baseline32()
+	paper.Run.WarmupCycles, paper.Run.MeasureCycles = 2_000, 6_000
+
+	// Six bursty cores spread over the mesh, the rest idle, and three routers
+	// below the mesh clock: every burst leaves arrivals and credit returns
+	// rippling through a mesh whose div-aligned timed wakes sit on a hot path.
+	bursty := paper
+	bursty.NoC.ClockDivisors = map[int]int{10: 2, 13: 2, 19: 4}
+	burstyApps, burstySrcs := burstWorkload(bursty, []int{2, 5, 11, 20, 26, 29}, func(j int) burstSource {
+		return burstSource{burst: 200, gap: 8_000, storeEvery: 5, addr: uint64(j+1) << 30, stride: 64 * 512}
+	})
+
+	// One core issuing long all-store streams with LSQSize 1: exactly one
+	// read-for-ownership is outstanding at a time while evicted dirty lines
+	// pile writebacks into the controllers, which between completions have
+	// nothing but internal deadlines (drain issues, refreshes, idleness
+	// samples). The running core keeps the mesh lit, so no globally quiescent
+	// window opens and the closed-form replay cannot engage: what elides
+	// controller Ticks here is the exact NextWake deadline alone.
+	drain := paper
+	drain.Run.MeasureCycles = 8_000
+	drain.CPU.LSQSize = 1
+	drainApps, drainSrcs := burstWorkload(drain, []int{2}, func(int) burstSource {
+		return burstSource{burst: 2_000, gap: 500, storeEvery: 1, addr: 1 << 30, stride: 64 * 512}
+	})
 
 	cases := []struct {
 		name string
 		cfg  config.Config
 		apps []trace.Profile
+		srcs func() []trace.AppSource // nil: profile-driven
 		// wantTicked, when nonzero, pins the event stepper's executed-cycle
 		// count (every shard count must match). On an always-busy workload
 		// every cycle must execute; a timed wake silently skipped by wake
@@ -124,46 +203,70 @@ func TestEventDenseEquivalence(t *testing.T) {
 		// wall-clock bounded on small hosts (the skewed-hotspot test below
 		// covers 8 workers with stealing on and off separately).
 		allWorkers bool
+		// fewerDRAMTicks requires every non-dense run to execute strictly
+		// fewer controller Ticks than the dense per-cycle sweep: the same
+		// bytes from less work, or the deadlines are not being used.
+		fewerDRAMTicks bool
 	}{
-		{"all_idle", base, make([]trace.Profile, base.Mesh.Nodes()), 0, false},
-		{"alone_mcf", base, fillApps(base, "mcf", 1), 0, false},
-		{"milc_8", base, fillApps(base, "milc", 8), 0, false},
-		{"saturated_mcf_16", base, fillApps(base, "mcf", 16), 0, true},
-		{"schemes_mcf_12", schemes, fillApps(schemes, "mcf", 12), 0, false},
-		{"hetero_clocks_milc_8", hetero, fillApps(hetero, "milc", 8), 0, false},
-		{"mixed_w1_half_16", base, mixed, base.Run.WarmupCycles + base.Run.MeasureCycles, true},
+		{name: "all_idle", cfg: base, apps: make([]trace.Profile, base.Mesh.Nodes())},
+		{name: "alone_mcf", cfg: base, apps: fillApps(base, "mcf", 1)},
+		{name: "milc_8", cfg: base, apps: fillApps(base, "milc", 8)},
+		{name: "saturated_mcf_16", cfg: base, apps: fillApps(base, "mcf", 16), allWorkers: true},
+		{name: "schemes_mcf_12", cfg: schemes, apps: fillApps(schemes, "mcf", 12)},
+		{name: "hetero_clocks_milc_8", cfg: hetero, apps: fillApps(hetero, "milc", 8)},
+		{name: "mixed_w1_half_16", cfg: base, apps: mixed, wantTicked: base.Run.WarmupCycles + base.Run.MeasureCycles, allWorkers: true},
+		{name: "idle_4x8", cfg: paper, apps: make([]trace.Profile, paper.Mesh.Nodes()), fewerDRAMTicks: true},
+		{name: "bursty_hot_idle_4x8", cfg: bursty, apps: burstyApps, srcs: burstySrcs},
+		{name: "store_drain_4x8", cfg: drain, apps: drainApps, srcs: drainSrcs, fewerDRAMTicks: true},
+		{name: "saturated_w7_4x8", cfg: paper, apps: workloadApps(t, 7, false)},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			denseJSON, denseRes, denseSim := runOnce(t, tc.cfg, tc.apps, true, 1)
+			denseJSON, denseRes, denseSim := runOnce(t, tc.cfg, tc.apps, tc.srcs, true, 1)
 			if got := denseSim.DebugTickedCycles(); got != 0 {
 				t.Fatalf("dense reference went through the event-driven cycle counter (%d cycles): the oracle compares the scheduler with itself", got)
 			}
-			eventJSON, eventRes, eventSim := runOnce(t, tc.cfg, tc.apps, false, 1)
-			expectSame(t, "event", denseJSON, denseRes, eventJSON, eventRes)
-			if tc.wantTicked != 0 {
-				if got := eventSim.DebugTickedCycles(); got != tc.wantTicked {
-					t.Errorf("event stepper executed %d cycles, want %d", got, tc.wantTicked)
-				}
-			}
-			workerCounts := []int{2, 4}
+			denseTicks, _ := denseSim.DebugDRAMTicks()
+			workerCounts := []int{1, 2, 4}
 			if tc.allWorkers {
-				workerCounts = []int{2, 3, 4, 8}
+				workerCounts = []int{1, 2, 3, 4, 8}
 			}
 			for _, shards := range workerCounts {
-				name := fmt.Sprintf("sharded_%d", shards)
-				gotJSON, gotRes, gotSim := runOnce(t, tc.cfg, tc.apps, false, shards)
+				name := "event"
+				if shards > 1 {
+					name = fmt.Sprintf("sharded_%d", shards)
+				}
+				gotJSON, gotRes, gotSim := runOnce(t, tc.cfg, tc.apps, tc.srcs, false, shards)
 				expectSame(t, name, denseJSON, denseRes, gotJSON, gotRes)
-				if tc.wantTicked != 0 {
-					if got := gotSim.DebugTickedCycles(); got != tc.wantTicked {
-						t.Errorf("%s executed %d cycles, want %d", name, got, tc.wantTicked)
-					}
+				if got := gotSim.DebugTickedCycles(); tc.wantTicked != 0 && got != tc.wantTicked {
+					t.Errorf("%s executed %d cycles, want %d", name, got, tc.wantTicked)
+				}
+				if got, _ := gotSim.DebugDRAMTicks(); tc.fewerDRAMTicks && got >= denseTicks {
+					t.Errorf("%s executed %d DRAM ticks, dense reference %d: nothing was elided", name, got, denseTicks)
 				}
 			}
 		})
 	}
+}
+
+// workloadApps expands one of the paper's Table-2 workloads, or its 16-core
+// halved variant, into per-tile profiles.
+func workloadApps(t *testing.T, id int, halve bool) []trace.Profile {
+	t.Helper()
+	w, err := workload.Get(id)
+	if err == nil && halve {
+		w, err = w.Halve()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps, err := w.Profiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return apps
 }
 
 // TestLargeMeshRegression is the regression test for the headline bug: the
@@ -187,10 +290,10 @@ func TestLargeMeshRegression(t *testing.T) {
 	for _, tile := range []int{0, 20, 63, 64, 100, 200, 255} {
 		apps[tile] = p
 	}
-	denseJSON, denseRes, _ := runOnce(t, cfg, apps, true, 1)
-	eventJSON, eventRes, _ := runOnce(t, cfg, apps, false, 1)
+	denseJSON, denseRes, _ := runOnce(t, cfg, apps, nil, true, 1)
+	eventJSON, eventRes, _ := runOnce(t, cfg, apps, nil, false, 1)
 	expectSame(t, "event", denseJSON, denseRes, eventJSON, eventRes)
-	shardJSON, shardRes, _ := runOnce(t, cfg, apps, false, 4)
+	shardJSON, shardRes, _ := runOnce(t, cfg, apps, nil, false, 4)
 	expectSame(t, "sharded_4", denseJSON, denseRes, shardJSON, shardRes)
 	for _, tile := range []int{64, 100, 200, 255} {
 		if eventRes.CoreStats[tile].Retired == 0 {
@@ -200,9 +303,11 @@ func TestLargeMeshRegression(t *testing.T) {
 }
 
 // TestEventFastForwardsIdle proves the quiescence fast-forward actually
-// skips work: an all-idle system only executes the cycles on which a memory
-// controller samples idleness (every 100 cycles) or refreshes, a tiny
-// fraction of simulated time.
+// skips work: every tile and controller of an all-idle system is quiescent
+// from cycle zero, but each memory controller still samples idleness every
+// 100 cycles and refreshes. Those deadlines must be replayed in closed form
+// (tryDrainFastForward) rather than cap every jump at one sample period, so
+// the whole run collapses to a handful of executed cycles.
 func TestEventFastForwardsIdle(t *testing.T) {
 	cfg := smallConfig()
 	s, err := New(cfg, make([]trace.Profile, cfg.Mesh.Nodes()))
@@ -214,44 +319,25 @@ func TestEventFastForwardsIdle(t *testing.T) {
 	if s.Now() != cycles {
 		t.Fatalf("Now = %d after Step(%d)", s.Now(), cycles)
 	}
-	if got := s.DebugTickedCycles(); got > cycles/20 {
+	if got := s.DebugTickedCycles(); got > 10 {
 		t.Fatalf("executed %d of %d cycles; fast-forward is not engaging", got, cycles)
 	}
-}
-
-// drainSource is a finite synthetic application: count memory accesses
-// (every fourth a store) striding whole L1 sets apart to force misses,
-// evictions and writebacks, then non-memory instructions forever. Used to
-// prove the system runs completely dry — and that no wakeup was lost, since
-// a stranded message would stay parked in a queue QuiesceCheck inspects.
-type drainSource struct {
-	left   int
-	addr   uint64
-	stride uint64
-}
-
-func (d *drainSource) Next() trace.Instr {
-	if d.left <= 0 {
-		return trace.Instr{}
+	if total, ff := s.DebugDRAMTicks(); ff == 0 {
+		t.Fatalf("none of %d DRAM ticks was fast-forwarded: the idle replay never engaged", total)
 	}
-	d.left--
-	a := d.addr
-	d.addr += d.stride
-	return trace.Instr{IsMem: true, IsStore: d.left%4 == 0, Addr: a}
 }
 
-func (d *drainSource) PrewarmLines() (hot, warm []uint64) { return nil, nil }
-
+// TestQuiesceAfterDrain runs two finite applications — a few thousand
+// accesses striding whole L1 sets apart to force misses, evictions and
+// writebacks, then non-memory instructions for ever — to prove the system
+// runs completely dry, and that no wakeup was lost: a stranded message would
+// stay parked in a queue QuiesceCheck inspects.
 func TestQuiesceAfterDrain(t *testing.T) {
 	cfg := smallConfig()
-	nodes := cfg.Mesh.Nodes()
-	srcs := make([]trace.AppSource, nodes)
-	apps := make([]trace.Profile, nodes)
-	srcs[0] = &drainSource{left: 2_000, stride: 64 * 512}
-	apps[0] = trace.Profile{Name: "drain"}
-	srcs[5] = &drainSource{left: 1_000, addr: 1 << 30, stride: 64 * 512}
-	apps[5] = trace.Profile{Name: "drain"}
-	s, err := NewFromSources(cfg, srcs, apps)
+	apps, srcs := burstWorkload(cfg, []int{0, 5}, func(j int) burstSource {
+		return burstSource{burst: 2_000 / (j + 1), gap: math.MaxInt, storeEvery: 4, addr: uint64(j) << 30, stride: 64 * 512}
+	})
+	s, err := NewFromSources(cfg, srcs(), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,85 +358,39 @@ func TestQuiesceAfterDrain(t *testing.T) {
 	}
 }
 
-// hotspotSource issues an endless stream of memory accesses whose stride (64
-// lines x 512) pins every request to DRAM controller 0 and L2 bank 0 — both
-// resident at tile 0's mesh corner. With several of these running, the
-// corner quadrant carries nearly all simulation work while the far quadrants
-// idle: the load shape where the old rectangular shard split degenerated to
-// one busy worker, and the one most sensitive to partition placement and
-// steal ordering.
-type hotspotSource struct {
-	addr uint64
-}
-
-func (h *hotspotSource) Next() trace.Instr {
-	a := h.addr
-	h.addr += 64 * 512
-	return trace.Instr{IsMem: true, IsStore: h.addr%5 == 0, Addr: a}
-}
-
-func (h *hotspotSource) PrewarmLines() (hot, warm []uint64) { return nil, nil }
-
-// skewedWorkload puts hotspot sources on a quarter of the tiles, spread over
-// the whole mesh, all hammering the controller-0 corner.
-func skewedWorkload(cfg config.Config) ([]trace.Profile, func() []trace.AppSource) {
-	nodes := cfg.Mesh.Nodes()
-	apps := make([]trace.Profile, nodes)
-	var tiles []int
-	for i := 0; i < nodes; i += 4 {
-		apps[i] = trace.Profile{Name: "hotspot"}
-		tiles = append(tiles, i)
-	}
-	srcs := func() []trace.AppSource {
-		out := make([]trace.AppSource, nodes)
-		for j, tile := range tiles {
-			out[tile] = &hotspotSource{addr: uint64(j+1) << 30}
-		}
-		return out
-	}
-	return apps, srcs
-}
-
 // TestSkewedHotspotEquivalence pins the sharded stepper on the skewed load:
-// every worker count (1, 2, 4, 8), with work stealing enabled and disabled,
-// must reproduce the dense reference byte for byte even though nearly all
-// work lands in one corner of the mesh. Under -race (make ci) this is also
+// a quarter of the tiles, spread over the whole mesh, issue near-continuous
+// accesses that all land on the controller-0 corner, so that quadrant carries
+// nearly all simulation work while the far ones idle — the shape where the
+// old rectangular shard split degenerated to one busy worker, and the one
+// most sensitive to partition placement and steal ordering. Every worker
+// count (1, 2, 4, 8), with work stealing enabled and disabled, must reproduce
+// the dense reference byte for byte. Under -race (make ci) this is also
 // the data-race oracle for the stealing fast path: stolen chunks of the hot
 // quadrant execute on whichever worker claims them while the cold quadrants'
 // owners go idle and steal.
 func TestSkewedHotspotEquivalence(t *testing.T) {
 	cfg := smallConfig()
-	// Seven runs of this workload; a tighter window than smallConfig's keeps
+	// Eight runs of this workload; a tighter window than smallConfig's keeps
 	// the raced suite's wall-clock bounded without losing coverage — the
 	// hotspot saturates the corner within a few hundred cycles.
 	cfg.Run.WarmupCycles, cfg.Run.MeasureCycles = 2_000, 8_000
-	apps, srcs := skewedWorkload(cfg)
-
-	run := func(dense bool, shards int, noSteal bool) ([]byte, *Result) {
-		t.Helper()
-		c := cfg
-		c.Run.Shards = shards
-		c.Run.NoSteal = noSteal
-		s, err := NewFromSources(c, srcs(), apps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetDenseStepping(dense)
-		r := s.Run()
-		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), r
+	var tiles []int
+	for i := 0; i < cfg.Mesh.Nodes(); i += 4 {
+		tiles = append(tiles, i)
 	}
+	apps, srcs := burstWorkload(cfg, tiles, func(j int) burstSource {
+		return burstSource{burst: 400, gap: 100, storeEvery: 5, addr: uint64(j+1) << 30, stride: 64 * 512}
+	})
 
-	denseJSON, denseRes := run(true, 1, false)
-	eventJSON, eventRes := run(false, 1, false)
+	denseJSON, denseRes, _ := runOnce(t, cfg, apps, srcs, true, 1)
+	eventJSON, eventRes, _ := runOnce(t, cfg, apps, srcs, false, 1)
 	expectSame(t, "event", denseJSON, denseRes, eventJSON, eventRes)
 	for _, workers := range []int{2, 4, 8} {
 		for _, noSteal := range []bool{false, true} {
 			name := fmt.Sprintf("sharded_%d_steal_%v", workers, !noSteal)
-			gotJSON, gotRes := run(false, workers, noSteal)
+			cfg.Run.NoSteal = noSteal
+			gotJSON, gotRes, _ := runOnce(t, cfg, apps, srcs, false, workers)
 			expectSame(t, name, denseJSON, denseRes, gotJSON, gotRes)
 		}
 	}

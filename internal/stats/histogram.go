@@ -10,7 +10,7 @@ import (
 	"sort"
 )
 
-// Histogram is a fixed-width bucket histogram over [0, BucketWidth*len).
+// Histogram is a fixed-width bucket histogram over [0, width*len).
 // Values beyond the last bucket are clamped into it. The zero value is not
 // usable; construct with NewHistogram.
 type Histogram struct {
@@ -103,9 +103,6 @@ func (h *Histogram) Buckets() []int64 {
 	copy(out, h.buckets)
 	return out
 }
-
-// BucketWidth returns the bucket width in cycles.
-func (h *Histogram) BucketWidth() int64 { return h.width }
 
 // Point is one (x, y) sample of a distribution curve.
 type Point struct {
