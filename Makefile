@@ -6,10 +6,12 @@
 # = event = sharded on the 16-tile machine and the paper's 4x8 mesh, the
 # skewed-hotspot and barrier stress oracles, the analytic model's golden
 # cross-checks, the fractional allocation gates, the daemon's multi-client
-# harness, and the process-level gate in cmd/nocsimd that SIGKILLs a real
-# worker process holding leases), and a regeneration of results/fig6.tsv
-# diffed against the committed file. Times are measured in one place only:
-# `bash benchmark/run.sh` (BENCHMARK.json, benchmark/README.md).
+# harness, every figure at quick windows against internal/exp/testdata/quick,
+# and the process-level gate in cmd/nocsimd that SIGKILLs a real worker
+# process holding leases), and a regeneration of results/fig6.tsv diffed
+# against the committed file (`make results-check EXP=all` for all fifteen).
+# Times are measured in one place only: `bash benchmark/run.sh`
+# (BENCHMARK.json, benchmark/README.md).
 
 GO ?= go
 
@@ -45,14 +47,19 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # results/ is a committed record, so it has to stay true of HEAD: regenerate
-# the cheapest simulated file (fig6, one simulation at the full windows of
-# results/README.md, ~10 s) and compare it with the committed bytes. A diff
-# means simulated behaviour changed: regenerate results/ with the README's
-# command and say so in the PR.
+# EXP at the full windows of results/README.md and compare every regenerated
+# file with the committed bytes. The default is the cheapest simulated file
+# (fig6, one simulation, ~10 s) and is what `ci` runs; `make results-check
+# EXP=all` is the full oracle (~12 min on 2 CPUs) that a PR touching
+# internal/exp or claiming unchanged simulated bytes runs once. A diff means
+# simulated behaviour changed: regenerate results/ with the README's command
+# and say so in the PR.
+EXP ?= fig6
 results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/figures -exp fig6 -out "$$tmp" -warmup 100000 -measure 400000 -push 25000 -q && \
-	diff results/fig6.tsv "$$tmp/fig6.tsv" && echo "results/fig6.tsv reproduces"
+	$(GO) run ./cmd/figures -exp $(EXP) -out "$$tmp" -warmup 100000 -measure 400000 -push 25000 -q && \
+	for f in "$$tmp"/*.tsv; do diff "results/$${f##*/}" "$$f" || exit 1; done && \
+	echo "results/ reproduces: $(EXP)"
 
 # CPU-profile the two Step-only loops that bracket the stepper's regimes: the
 # 16x16 bursty shape (mostly idle mesh, MSHR-blocked bursts) and the saturated
@@ -64,7 +71,7 @@ profile:
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof nocmem.test cpu.pprof"
 
 # The ROADMAP's tracked size: non-test Go lines outside the benchmark module
-# (18 853 at PR 16, 17 444 at PR 18).
+# (18 853 at PR 16, 17 444 at PR 18, 17 179 at PR 19).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

@@ -1,28 +1,24 @@
 // Command figures regenerates the data behind every table and figure of the
-// paper's evaluation section.
+// paper's evaluation section. The experiments and their parameters are the
+// table exp.Figures(); `figures -h` lists the ids.
 //
 // Usage:
 //
 //	figures -exp fig11                 # one experiment to stdout
 //	figures -exp all -out results/     # everything, one file per experiment
 //	figures -exp fig4 -measure 1000000 # longer measurement window
-//
-// Experiments: table1 table2 fig4 fig5 fig6 fig9 fig11 fig12 fig13 fig14
-// fig15 fig16a fig16b fig16c fig17 all.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"nocmem/internal/config"
 	"nocmem/internal/exp"
 	"nocmem/internal/par"
 )
@@ -30,8 +26,15 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
+	figs := exp.Figures()
+	byID := map[string]exp.Figure{}
+	var all []string
+	for _, f := range figs {
+		byID[f.ID] = f
+		all = append(all, f.ID)
+	}
 	var (
-		which   = flag.String("exp", "all", "experiment id (table1, table2, fig4..fig17, all)")
+		which   = flag.String("exp", "all", "comma-separated experiment ids: "+strings.Join(all, " ")+", or all")
 		outDir  = flag.String("out", "", "directory for per-experiment .tsv files (default: stdout)")
 		warmup  = flag.Int64("warmup", 100_000, "warmup cycles")
 		measure = flag.Int64("measure", 300_000, "measurement cycles")
@@ -42,6 +45,18 @@ func main() {
 		fork    = flag.Bool("fork", false, "share one baseline warmup checkpoint across compatible runs (faster; scheme runs then warm up under the baseline policy)")
 	)
 	flag.Parse()
+
+	// Every id is resolved before the first simulation starts.
+	if *which != "all" {
+		figs = nil
+		for _, id := range strings.Split(*which, ",") {
+			f, ok := byID[id]
+			if !ok {
+				log.Fatalf("unknown experiment %q (want one of %s)", id, strings.Join(all, " "))
+			}
+			figs = append(figs, f)
+		}
+	}
 
 	runner := exp.NewRunner(exp.Options{
 		WarmupCycles:        *warmup,
@@ -54,125 +69,46 @@ func main() {
 	if !*quiet {
 		runner.SetProgress(func(format string, args ...any) { log.Printf(format, args...) })
 	}
-	cfg := config.Baseline32()
 
-	all := []string{"table1", "table2", "fig4", "fig5", "fig6", "fig9", "fig11",
-		"fig12", "fig13", "fig14", "fig15", "fig16a", "fig16b", "fig16c", "fig17"}
-	ids := strings.Split(*which, ",")
-	if *which == "all" {
-		ids = all
-	}
-
-	allWorkloads := func() []int {
-		out := make([]int, 18)
-		for i := range out {
-			out[i] = i + 1
-		}
-		return out
-	}()
-
-	runExp := func(id string, w io.Writer) error {
-		switch id {
-		case "table1":
-			exp.Table1(w, cfg)
+	// Render every experiment concurrently into its own buffer: the shared
+	// runner's semaphore (not this group) bounds the actual simulations, and
+	// its singleflight cache dedups runs shared across experiments. Outputs
+	// are emitted afterwards in the requested order, so the bytes written do
+	// not depend on -j.
+	bufs := make([]bytes.Buffer, len(figs))
+	tooks := make([]time.Duration, len(figs))
+	g := par.NewGroup(len(figs))
+	for i, f := range figs {
+		g.Go(func() error {
+			start := time.Now()
+			if err := f.Run(runner, &bufs[i]); err != nil {
+				return fmt.Errorf("%s: %v", f.ID, err)
+			}
+			tooks[i] = time.Since(start)
 			return nil
-		case "table2":
-			exp.Table2(w)
-			return nil
-		case "fig4":
-			return runner.Fig4(w, cfg)
-		case "fig5":
-			return runner.Fig5(w, cfg)
-		case "fig6":
-			return runner.Fig6(w, cfg)
-		case "fig9":
-			return runner.Fig9(w, cfg)
-		case "fig11":
-			return runner.Fig11(w, cfg, allWorkloads)
-		case "fig12":
-			return runner.Fig12(w, cfg)
-		case "fig13":
-			return runner.Fig13(w, cfg)
-		case "fig14":
-			return runner.Fig14(w, cfg)
-		case "fig15":
-			return runner.Fig15(w, allWorkloads)
-		case "fig16a":
-			return runner.Fig16a(w, cfg, []float64{1.0, 1.2, 1.4})
-		case "fig16b":
-			return runner.Fig16b(w, cfg, []int64{1000, 2000, 4000})
-		case "fig16c":
-			return runner.Fig16c(w, cfg)
-		case "fig17":
-			return runner.Fig17(w, cfg)
-		default:
-			return fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(all, " "))
-		}
+		})
 	}
-
-	emit := func(id string, buf *bytes.Buffer, took time.Duration) {
-		w, closeFn, err := output(*outDir, id)
-		if err != nil {
-			log.Fatal(err)
+	if err := g.Wait(); err != nil {
+		log.Fatal(err)
+	}
+	for i, f := range figs {
+		if err := emit(*outDir, f.ID, bufs[i].Bytes()); err != nil {
+			log.Fatalf("%s: %v", f.ID, err)
 		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			log.Fatalf("%s: %v", id, err)
-		}
-		closeFn()
 		if !*quiet {
-			log.Printf("%s done in %.1fs", id, took.Seconds())
+			log.Printf("%s done in %.1fs", f.ID, tooks[i].Seconds())
 		}
-	}
-
-	if runner.Parallelism() > 1 && len(ids) > 1 {
-		// Render every experiment concurrently into its own buffer; the
-		// shared runner's worker pool bounds the actual simulations, and
-		// its singleflight cache dedups runs shared across experiments.
-		// Outputs are emitted afterwards in the requested order, so the
-		// bytes written are identical to a sequential invocation.
-		bufs := make([]bytes.Buffer, len(ids))
-		tooks := make([]time.Duration, len(ids))
-		g := par.NewGroup(len(ids))
-		for i, id := range ids {
-			g.Go(func() error {
-				start := time.Now()
-				if err := runExp(id, &bufs[i]); err != nil {
-					return fmt.Errorf("%s: %v", id, err)
-				}
-				tooks[i] = time.Since(start)
-				return nil
-			})
-		}
-		if err := g.Wait(); err != nil {
-			log.Fatal(err)
-		}
-		for i, id := range ids {
-			emit(id, &bufs[i], tooks[i])
-		}
-		return
-	}
-
-	for _, id := range ids {
-		var buf bytes.Buffer
-		start := time.Now()
-		if err := runExp(id, &buf); err != nil {
-			log.Fatalf("%s: %v", id, err)
-		}
-		emit(id, &buf, time.Since(start))
 	}
 }
 
-// output returns the writer for one experiment.
-func output(dir, id string) (io.Writer, func(), error) {
+// emit writes one experiment's bytes to stdout, or to dir/id.tsv.
+func emit(dir, id string, b []byte) error {
 	if dir == "" {
-		return os.Stdout, func() {}, nil
+		_, err := os.Stdout.Write(b)
+		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
+		return err
 	}
-	f, err := os.Create(filepath.Join(dir, id+".tsv"))
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
+	return os.WriteFile(filepath.Join(dir, id+".tsv"), b, 0o644)
 }

@@ -37,7 +37,6 @@ import (
 	"nocmem/internal/sim"
 	"nocmem/internal/simd"
 	"nocmem/internal/stats"
-	"nocmem/internal/trace"
 	"nocmem/internal/workload"
 )
 
@@ -341,9 +340,7 @@ func crossCheck(points []point, rows []row, w workload.Workload) error {
 		if pt.pruned {
 			continue
 		}
-		padded := make([]trace.Profile, pt.cfg.Mesh.Nodes())
-		copy(padded, profs)
-		rep, err := analytic.CrossCheck(pt.cfg, padded, rows[i].scheme, analytic.OracleBand)
+		rep, err := analytic.CrossCheck(pt.cfg, profs, rows[i].scheme, analytic.OracleBand)
 		if err != nil {
 			return err
 		}

@@ -28,16 +28,10 @@ const (
 	EstimateOracleBand     = analytic.OracleBand
 )
 
-// EstimateApps predicts an explicit application placement (padded with idle
-// tiles) in closed form.
+// EstimateApps predicts an explicit application placement (tiles past the end
+// of apps stay idle) in closed form.
 func EstimateApps(cfg Config, apps []Profile) (*Estimate, error) {
-	nodes := cfg.Mesh.Nodes()
-	if len(apps) > nodes {
-		return nil, fmt.Errorf("nocmem: %d applications for %d tiles", len(apps), nodes)
-	}
-	padded := make([]Profile, nodes)
-	copy(padded, apps)
-	return analytic.Predict(cfg, padded)
+	return analytic.Predict(cfg, apps)
 }
 
 // EstimateWorkload predicts one workload on cfg in closed form.
@@ -94,11 +88,5 @@ func EstimatedWeightedSpeedup(cfg Config, apps []Profile) (float64, error) {
 // silent). Use EstimateOracleBand to hunt simulator bugs,
 // EstimateCalibratedBand to gate model accuracy.
 func CrossCheckRun(cfg Config, apps []Profile, r *Result, band float64) (*EstimateReport, error) {
-	nodes := cfg.Mesh.Nodes()
-	if len(apps) > nodes {
-		return nil, fmt.Errorf("nocmem: %d applications for %d tiles", len(apps), nodes)
-	}
-	padded := make([]Profile, nodes)
-	copy(padded, apps)
-	return analytic.CrossCheck(cfg, padded, r.Summary(), band)
+	return analytic.CrossCheck(cfg, apps, r.Summary(), band)
 }

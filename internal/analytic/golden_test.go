@@ -221,20 +221,25 @@ func TestEstimateSummaryShape(t *testing.T) {
 	}
 }
 
-// TestPredictDeterministic: the fixed point must be reproducible.
+// TestPredictDeterministic: the fixed point must be reproducible, and a
+// placement shorter than the mesh predicts what its idle-padded copy does
+// (no caller pads).
 func TestPredictDeterministic(t *testing.T) {
 	cfg := config.Baseline32()
-	apps := pad(cfg, mustProfiles(t, 3, false))
-	a, err := analytic.Predict(cfg, apps)
-	if err != nil {
-		t.Fatal(err)
+	short := mustProfiles(t, 3, true)
+	var got [3]string
+	for i, apps := range [][]trace.Profile{short, short, pad(cfg, short)} {
+		e, err := analytic.Predict(cfg, apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = fmt.Sprintf("%+v", e.Apps)
 	}
-	b, err := analytic.Predict(cfg, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", a.Apps) != fmt.Sprintf("%+v", b.Apps) {
+	if got[0] != got[1] {
 		t.Error("Predict is not deterministic")
+	}
+	if got[0] != got[2] {
+		t.Error("Predict(short) differs from Predict(padded)")
 	}
 }
 

@@ -1,14 +1,11 @@
 // Package bitset provides a small fixed-capacity bit set backed by []uint64,
-// used for the simulator's per-class active sets. It replaces the bare uint64
-// masks that silently saturated at 64 components: allMask(k) returned all-ones
-// for k >= 64, so meshes beyond 64 tiles ran with truncated active sets and
-// produced wrong results without any error. A Set carries as many words as its
-// capacity needs and panics on out-of-range indices instead of wrapping.
+// used for the simulator's per-class active sets. A Set carries as many words
+// as its capacity needs and panics on out-of-range indices instead of wrapping.
 //
 // The hot loops that consume these sets iterate word by word at the call site
 // (snapshot one word, then bits.TrailingZeros64 over it) so membership changes
 // made while iterating a word — a component removing itself, for example —
-// keep the same snapshot semantics the single-word masks had.
+// do not affect the word being walked.
 package bitset
 
 import (

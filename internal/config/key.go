@@ -7,10 +7,8 @@ import (
 
 // Key returns a deterministic, cheap cache key for the configuration: an
 // explicit field-by-field encoding, so two equal configs always produce the
-// same key and any field change produces a different one. It replaces the
-// former fmt.Sprintf("%+v", cfg) key of the experiment runner, which
-// allocated heavily on every cache lookup (reflection plus a multi-hundred
-// byte string per call) and sat on the hot path of the run cache.
+// same key and any field change produces a different one. It sits on the hot
+// path of the run cache, hence no reflection.
 //
 // The encoding writes every field in declaration order separated by ','.
 // ClockDivisors, the only map, is flattened in ascending router-id order so

@@ -1,13 +1,15 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (Section 4). Each Fig*/Table* function runs the simulations it needs
 // (sharing runs and alone-IPC measurements through an in-process cache) and
-// writes the same rows/series the paper plots as tab-separated text.
+// writes the same rows/series the paper plots as tab-separated text; Figures
+// is the ordered table of all of them with the paper's own parameters.
 package exp
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"nocmem/internal/config"
 	"nocmem/internal/sim"
@@ -15,11 +17,117 @@ import (
 	"nocmem/internal/workload"
 )
 
-// weightedSpeedup computes WS for a finished run.
-func (r *Runner) weightedSpeedup(cfg config.Config, res *sim.Result) (float64, error) {
+// Figure is one experiment of the paper's evaluation, bound to the paper's
+// parameters: Run renders it on r (tables ignore the runner).
+type Figure struct {
+	ID  string
+	Run func(r *Runner, w io.Writer) error
+}
+
+// Figures returns every experiment in the paper's order. cmd/figures, the
+// golden and smoke tests and the root benchmarks all iterate this table, so
+// an experiment added here is dispatched, byte-checked and timed with no
+// other edit.
+func Figures() []Figure {
+	cfg := config.Baseline32()
+	var all []int
+	for _, wl := range workload.All() {
+		all = append(all, wl.ID)
+	}
+	on := func(fig func(*Runner, io.Writer, config.Config) error) func(*Runner, io.Writer) error {
+		return func(r *Runner, w io.Writer) error { return fig(r, w, cfg) }
+	}
+	return []Figure{
+		{"table1", func(_ *Runner, w io.Writer) error { Table1(w, cfg); return nil }},
+		{"table2", func(_ *Runner, w io.Writer) error { Table2(w); return nil }},
+		{"fig4", on((*Runner).Fig4)},
+		{"fig5", on((*Runner).Fig5)},
+		{"fig6", on((*Runner).Fig6)},
+		{"fig9", on((*Runner).Fig9)},
+		{"fig11", func(r *Runner, w io.Writer) error { return r.Fig11(w, cfg, all) }},
+		{"fig12", on((*Runner).Fig12)},
+		{"fig13", on((*Runner).Fig13)},
+		{"fig14", on((*Runner).Fig14)},
+		{"fig15", func(r *Runner, w io.Writer) error { return r.Fig15(w, all) }},
+		{"fig16a", func(r *Runner, w io.Writer) error { return r.Fig16a(w, cfg, []float64{1.0, 1.2, 1.4}) }},
+		{"fig16b", func(r *Runner, w io.Writer) error { return r.Fig16b(w, cfg, []int64{1000, 2000, 4000}) }},
+		{"fig16c", on((*Runner).Fig16c)},
+		{"fig17", on((*Runner).Fig17)},
+	}
+}
+
+// substrate is one machine of a normalized-speedup experiment: its
+// schemes-off run is the base, its alone IPCs are the denominators of every
+// weighted speedup taken on it, and variants are the configurations whose
+// weighted speedups are normalized to the base.
+type substrate struct {
+	cfg      config.Config
+	variants []config.Config
+}
+
+// normRow is one workload's outcome of normalized.
+type normRow struct {
+	base []float64 // weighted speedup of each substrate's base run
+	norm []float64 // every variant over its substrate's base, substrates in order
+}
+
+// normalized measures every variant of every substrate on every workload
+// (the core of Figures 11, 15, 16 and 17). With Parallelism > 1 every run it
+// will ask for (base, variants, alone IPCs) is first prefetched across the
+// worker pool; the assembly pass below is then served from the cache, so the
+// rows are identical to a sequential execution. The repository benchmark
+// compares the requests of both passes exactly (Stats.Runs, Stats.CacheHits:
+// one per task, one per run recalled, one per active tile's alone IPC), so
+// neither pass may ask for a run more or less.
+func (r *Runner) normalized(subs []substrate, ws []workload.Workload) ([]normRow, error) {
+	var tasks []func() error
+	for _, w := range ws {
+		for _, s := range subs {
+			tasks = append(tasks, r.runTask(s.cfg.WithSchemes(false, false), w))
+			for _, v := range s.variants {
+				tasks = append(tasks, r.runTask(v, w))
+			}
+			alone, err := r.aloneTasks(s.cfg, w)
+			if err != nil {
+				return nil, err
+			}
+			tasks = append(tasks, alone...)
+		}
+	}
+	if err := r.prefetch(tasks); err != nil {
+		return nil, err
+	}
+
+	rows := make([]normRow, len(ws))
+	for i, w := range ws {
+		for _, s := range subs {
+			base, err := r.weightedSpeedup(s.cfg, s.cfg.WithSchemes(false, false), w)
+			if err != nil {
+				return nil, err
+			}
+			rows[i].base = append(rows[i].base, base)
+			for _, v := range s.variants {
+				scheme, err := r.weightedSpeedup(s.cfg, v, w)
+				if err != nil {
+					return nil, err
+				}
+				rows[i].norm = append(rows[i].norm, scheme/base)
+			}
+		}
+	}
+	return rows, nil
+}
+
+// weightedSpeedup runs (or recalls) w under cfg and computes its WS against
+// the alone IPCs of the substrate sub.
+func (r *Runner) weightedSpeedup(sub, cfg config.Config, w workload.Workload) (float64, error) {
+	res, err := r.runWorkload(cfg, w)
+	if err != nil {
+		return 0, err
+	}
 	var shared, alone []float64
 	for _, tile := range res.ActiveTiles() {
-		a, err := r.AloneIPC(r.opts.apply(cfg), res.Apps[tile])
+		a, err := r.AloneIPC(r.opts.apply(sub), res.Apps[tile])
 		if err != nil {
 			return 0, err
 		}
@@ -38,57 +146,53 @@ type SpeedupRow struct {
 }
 
 // Speedups measures the normalized weighted speedups of the given workloads
-// under a configuration (Figure 11 / 15 / 16 / 17 core loop). With
-// Parallelism > 1 every run (workload x scheme, plus the alone-IPC runs) is
-// prefetched across the worker pool; assembly below is then served from the
-// cache, so the rows are identical to a sequential execution.
+// under a configuration: Scheme-1 alone and Scheme-1+2 over cfg's
+// schemes-off run (Figures 11 and 15).
 func (r *Runner) Speedups(cfg config.Config, ws []workload.Workload) ([]SpeedupRow, error) {
-	var tasks []func() error
-	for _, w := range ws {
-		for _, s := range [][2]bool{{false, false}, {true, false}, {true, true}} {
-			tasks = append(tasks, r.runTask(cfg.WithSchemes(s[0], s[1]), w))
-		}
-		alone, err := r.aloneTasks(cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, alone...)
+	norm, err := r.normalized([]substrate{{cfg, []config.Config{
+		cfg.WithSchemes(true, false), cfg.WithSchemes(true, true)}}}, ws)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SpeedupRow, len(ws))
+	for i, n := range norm {
+		rows[i] = SpeedupRow{Workload: ws[i], Base: n.base[0], NormS1: n.norm[0], NormS1S2: n.norm[1]}
+	}
+	return rows, nil
+}
+
+// results runs Table 2 workload id under each configuration — prefetched
+// through the pool when there are several, then recalled in order.
+func (r *Runner) results(id int, cfgs ...config.Config) ([]*sim.Result, error) {
+	wl, err := workload.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	tasks := make([]func() error, len(cfgs))
+	for i, c := range cfgs {
+		tasks[i] = r.runTask(c, wl)
 	}
 	if err := r.prefetch(tasks); err != nil {
 		return nil, err
 	}
-
-	var rows []SpeedupRow
-	for _, w := range ws {
-		row := SpeedupRow{Workload: w}
-		base, err := r.runWorkload(cfg.WithSchemes(false, false), w)
-		if err != nil {
+	out := make([]*sim.Result, len(cfgs))
+	for i, c := range cfgs {
+		if out[i], err = r.runWorkload(c, wl); err != nil {
 			return nil, err
 		}
-		if row.Base, err = r.weightedSpeedup(cfg, base); err != nil {
-			return nil, err
-		}
-		s1, err := r.runWorkload(cfg.WithSchemes(true, false), w)
-		if err != nil {
-			return nil, err
-		}
-		ws1, err := r.weightedSpeedup(cfg, s1)
-		if err != nil {
-			return nil, err
-		}
-		s12, err := r.runWorkload(cfg.WithSchemes(true, true), w)
-		if err != nil {
-			return nil, err
-		}
-		ws12, err := r.weightedSpeedup(cfg, s12)
-		if err != nil {
-			return nil, err
-		}
-		row.NormS1 = ws1 / row.Base
-		row.NormS1S2 = ws12 / row.Base
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return out, nil
+}
+
+// milc returns the base-system run of workload-2 and the tile of its first
+// milc instance, the subject of Figures 4, 5 and 9.
+func (r *Runner) milc(cfg config.Config) (*sim.Result, int, error) {
+	res, err := r.results(2, cfg.WithSchemes(false, false))
+	if err != nil {
+		return nil, 0, err
+	}
+	tile, err := findApp(res[0], "milc")
+	return res[0], tile, err
 }
 
 // findApp returns the first tile of the run executing the named application.
@@ -137,15 +241,7 @@ func Table2(w io.Writer) {
 // Fig4 prints the per-leg delay breakdown by total-delay range for the first
 // milc instance in workload-2 (base system).
 func (r *Runner) Fig4(w io.Writer, cfg config.Config) error {
-	wl, err := workload.Get(2)
-	if err != nil {
-		return err
-	}
-	res, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
-	if err != nil {
-		return err
-	}
-	tile, err := findApp(res, "milc")
+	res, tile, err := r.milc(cfg)
 	if err != nil {
 		return err
 	}
@@ -163,15 +259,7 @@ func (r *Runner) Fig4(w io.Writer, cfg config.Config) error {
 
 // Fig5 prints the latency distribution of the same milc instance.
 func (r *Runner) Fig5(w io.Writer, cfg config.Config) error {
-	wl, err := workload.Get(2)
-	if err != nil {
-		return err
-	}
-	res, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
-	if err != nil {
-		return err
-	}
-	tile, err := findApp(res, "milc")
+	res, tile, err := r.milc(cfg)
 	if err != nil {
 		return err
 	}
@@ -190,17 +278,13 @@ func (r *Runner) Fig5(w io.Writer, cfg config.Config) error {
 // Fig6 prints the average idleness of the banks of the first memory
 // controller under workload-1 (base system).
 func (r *Runner) Fig6(w io.Writer, cfg config.Config) error {
-	wl, err := workload.Get(1)
-	if err != nil {
-		return err
-	}
-	res, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
+	res, err := r.results(1, cfg.WithSchemes(false, false))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "# Fig 6: average idleness of MC0 banks (workload-1, base)\n")
 	fmt.Fprintf(w, "bank\tidleness\n")
-	for b, v := range res.BankIdleness[0] {
+	for b, v := range res[0].BankIdleness[0] {
 		fmt.Fprintf(w, "%d\t%.3f\n", b, v)
 	}
 	return nil
@@ -209,15 +293,7 @@ func (r *Runner) Fig6(w io.Writer, cfg config.Config) error {
 // Fig9 prints the round-trip and so-far delay distributions with the
 // averages and the Scheme-1 threshold marked (milc, workload-2).
 func (r *Runner) Fig9(w io.Writer, cfg config.Config) error {
-	wl, err := workload.Get(2)
-	if err != nil {
-		return err
-	}
-	res, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
-	if err != nil {
-		return err
-	}
-	tile, err := findApp(res, "milc")
+	res, tile, err := r.milc(cfg)
 	if err != nil {
 		return err
 	}
@@ -236,28 +312,48 @@ func (r *Runner) Fig9(w io.Writer, cfg config.Config) error {
 	return nil
 }
 
-// Fig11 prints the normalized weighted speedups of all 18 workloads on the
-// 32-core system (Scheme-1 alone and Scheme-1+2).
-func (r *Runner) Fig11(w io.Writer, cfg config.Config, ids []int) error {
-	var wls []workload.Workload
-	for _, id := range ids {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
+// workloads resolves Table 2 ids.
+func workloads(ids []int) ([]workload.Workload, error) {
+	wls := make([]workload.Workload, len(ids))
+	for i, id := range ids {
+		var err error
+		if wls[i], err = workload.Get(id); err != nil {
+			return nil, err
 		}
-		wls = append(wls, wl)
 	}
+	return wls, nil
+}
+
+// printSpeedups measures wls under cfg and prints Figure 11/15's header and
+// one row per workload.
+func (r *Runner) printSpeedups(w io.Writer, title string, cfg config.Config, wls []workload.Workload) ([]SpeedupRow, error) {
 	rows, err := r.Speedups(cfg, wls)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(w, "# Fig 11: normalized weighted speedup, %d-core system\n", cfg.Mesh.Nodes())
+	fmt.Fprintf(w, "# %s\n", title)
 	fmt.Fprintf(w, "workload\tcategory\tbase_ws\tscheme1\tscheme1+2\n")
-	sums := map[workload.Category][3]float64{}
-	counts := map[workload.Category]int{}
 	for _, row := range rows {
 		fmt.Fprintf(w, "w-%d\t%s\t%.3f\t%.4f\t%.4f\n",
 			row.Workload.ID, row.Workload.Category, row.Base, row.NormS1, row.NormS1S2)
+	}
+	return rows, nil
+}
+
+// Fig11 prints the normalized weighted speedups of all 18 workloads on the
+// 32-core system (Scheme-1 alone and Scheme-1+2), then the category averages.
+func (r *Runner) Fig11(w io.Writer, cfg config.Config, ids []int) error {
+	wls, err := workloads(ids)
+	if err != nil {
+		return err
+	}
+	rows, err := r.printSpeedups(w, fmt.Sprintf("Fig 11: normalized weighted speedup, %d-core system", cfg.Mesh.Nodes()), cfg, wls)
+	if err != nil {
+		return err
+	}
+	sums := map[workload.Category][3]float64{}
+	counts := map[workload.Category]int{}
+	for _, row := range rows {
 		s := sums[row.Workload.Category]
 		s[0] += row.Base
 		s[1] += row.NormS1
@@ -281,24 +377,11 @@ func (r *Runner) Fig11(w io.Writer, cfg config.Config, ids []int) error {
 // Fig12 prints the CDFs of the first 8 applications of workload-1 under the
 // base system and under Scheme-1, plus the lbm PDF shift (regions 1/2).
 func (r *Runner) Fig12(w io.Writer, cfg config.Config) error {
-	wl, err := workload.Get(1)
+	res, err := r.results(1, cfg.WithSchemes(false, false), cfg.WithSchemes(true, false))
 	if err != nil {
 		return err
 	}
-	if err := r.prefetch([]func() error{
-		r.runTask(cfg.WithSchemes(false, false), wl),
-		r.runTask(cfg.WithSchemes(true, false), wl),
-	}); err != nil {
-		return err
-	}
-	base, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
-	if err != nil {
-		return err
-	}
-	s1, err := r.runWorkload(cfg.WithSchemes(true, false), wl)
-	if err != nil {
-		return err
-	}
+	base, s1 := res[0], res[1]
 	tiles := base.ActiveTiles()[:8]
 	fmt.Fprintf(w, "# Fig 12a/b: off-chip latency CDFs of the first 8 applications of workload-1\n")
 	fmt.Fprintf(w, "delay")
@@ -356,24 +439,11 @@ func (r *Runner) Fig12(w io.Writer, cfg config.Config) error {
 
 // Fig13 prints per-bank idleness with and without Scheme-2 (workload-1).
 func (r *Runner) Fig13(w io.Writer, cfg config.Config) error {
-	wl, err := workload.Get(1)
+	res, err := r.results(1, cfg.WithSchemes(false, false), cfg.WithSchemes(false, true))
 	if err != nil {
 		return err
 	}
-	if err := r.prefetch([]func() error{
-		r.runTask(cfg.WithSchemes(false, false), wl),
-		r.runTask(cfg.WithSchemes(false, true), wl),
-	}); err != nil {
-		return err
-	}
-	base, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
-	if err != nil {
-		return err
-	}
-	s2, err := r.runWorkload(cfg.WithSchemes(false, true), wl)
-	if err != nil {
-		return err
-	}
+	base, s2 := res[0], res[1]
 	fmt.Fprintf(w, "# Fig 13: MC0 bank idleness, default vs Scheme-2 (workload-1)\n")
 	fmt.Fprintf(w, "bank\tdefault\tscheme2\n")
 	for b := range base.BankIdleness[0] {
@@ -384,21 +454,7 @@ func (r *Runner) Fig13(w io.Writer, cfg config.Config) error {
 
 // Fig14 prints average bank idleness over time, default vs Scheme-2.
 func (r *Runner) Fig14(w io.Writer, cfg config.Config) error {
-	wl, err := workload.Get(1)
-	if err != nil {
-		return err
-	}
-	if err := r.prefetch([]func() error{
-		r.runTask(cfg.WithSchemes(false, false), wl),
-		r.runTask(cfg.WithSchemes(false, true), wl),
-	}); err != nil {
-		return err
-	}
-	base, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
-	if err != nil {
-		return err
-	}
-	s2, err := r.runWorkload(cfg.WithSchemes(false, true), wl)
+	res, err := r.results(1, cfg.WithSchemes(false, false), cfg.WithSchemes(false, true))
 	if err != nil {
 		return err
 	}
@@ -416,7 +472,7 @@ func (r *Runner) Fig14(w io.Writer, cfg config.Config) error {
 		}
 		return sum
 	}
-	b, s := avgAt(base), avgAt(s2)
+	b, s := avgAt(res[0]), avgAt(res[1])
 	var cycles []int64
 	for c := range b {
 		cycles = append(cycles, c)
@@ -432,270 +488,86 @@ func (r *Runner) Fig14(w io.Writer, cfg config.Config) error {
 
 // Fig15 prints the 16-core speedups (halved workloads, 4x4 mesh, 2 MCs).
 func (r *Runner) Fig15(w io.Writer, ids []int) error {
-	cfg := config.Baseline16()
-	var wls []workload.Workload
-	for _, id := range ids {
-		full, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		half, err := full.Halve()
-		if err != nil {
-			return err
-		}
-		wls = append(wls, half)
-	}
-	rows, err := r.Speedups(cfg, wls)
+	wls, err := workloads(ids)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "# Fig 15: normalized weighted speedup, 16-core 4x4 system, halved workloads\n")
-	fmt.Fprintf(w, "workload\tcategory\tbase_ws\tscheme1\tscheme1+2\n")
-	for _, row := range rows {
-		fmt.Fprintf(w, "w-%d\t%s\t%.3f\t%.4f\t%.4f\n",
-			row.Workload.ID, row.Workload.Category, row.Base, row.NormS1, row.NormS1S2)
+	for i := range wls {
+		if wls[i], err = wls[i].Halve(); err != nil {
+			return err
+		}
+	}
+	_, err = r.printSpeedups(w, "Fig 15: normalized weighted speedup, 16-core 4x4 system, halved workloads", config.Baseline16(), wls)
+	return err
+}
+
+// sensitivity prints one row per mixed workload (1-6) holding every variant's
+// normalized weighted speedup, one column per variant across subs.
+func (r *Runner) sensitivity(w io.Writer, title string, cols []string, subs ...substrate) error {
+	wls, err := workloads([]int{1, 2, 3, 4, 5, 6})
+	if err != nil {
+		return err
+	}
+	rows, err := r.normalized(subs, wls)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "# %s\n", title)
+	fmt.Fprintf(w, "workload\t%s\n", strings.Join(cols, "\t"))
+	for i, row := range rows {
+		fmt.Fprintf(w, "w-%d", wls[i].ID)
+		for _, v := range row.norm {
+			fmt.Fprintf(w, "\t%.4f", v)
+		}
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
 // Fig16a prints the Scheme-1 threshold sensitivity (workloads 1-6).
 func (r *Runner) Fig16a(w io.Writer, cfg config.Config, factors []float64) error {
-	var tasks []func() error
-	for id := 1; id <= 6; id++ {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, r.runTask(cfg.WithSchemes(false, false), wl))
-		alone, err := r.aloneTasks(cfg, wl)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, alone...)
-		for _, f := range factors {
-			c := cfg.WithSchemes(true, false)
-			c.S1.ThresholdFactor = f
-			tasks = append(tasks, r.runTask(c, wl))
-		}
-	}
-	if err := r.prefetch(tasks); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "# Fig 16a: Scheme-1 threshold sensitivity (mixed workloads)\n")
-	fmt.Fprintf(w, "workload")
+	sub := substrate{cfg: cfg}
+	var cols []string
 	for _, f := range factors {
-		fmt.Fprintf(w, "\t%.1fx", f)
+		c := cfg.WithSchemes(true, false)
+		c.S1.ThresholdFactor = f
+		sub.variants = append(sub.variants, c)
+		cols = append(cols, fmt.Sprintf("%.1fx", f))
 	}
-	fmt.Fprintln(w)
-	for id := 1; id <= 6; id++ {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		base, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
-		if err != nil {
-			return err
-		}
-		bws, err := r.weightedSpeedup(cfg, base)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "w-%d", id)
-		for _, f := range factors {
-			c := cfg.WithSchemes(true, false)
-			c.S1.ThresholdFactor = f
-			res, err := r.runWorkload(c, wl)
-			if err != nil {
-				return err
-			}
-			ws, err := r.weightedSpeedup(cfg, res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\t%.4f", ws/bws)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	return r.sensitivity(w, "Fig 16a: Scheme-1 threshold sensitivity (mixed workloads)", cols, sub)
 }
 
 // Fig16b prints the Scheme-2 history-length sensitivity (workloads 1-6).
 func (r *Runner) Fig16b(w io.Writer, cfg config.Config, windows []int64) error {
-	var tasks []func() error
-	for id := 1; id <= 6; id++ {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, r.runTask(cfg.WithSchemes(false, false), wl))
-		alone, err := r.aloneTasks(cfg, wl)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, alone...)
-		for _, T := range windows {
-			c := cfg.WithSchemes(true, true)
-			c.S2.HistoryWindow = T
-			tasks = append(tasks, r.runTask(c, wl))
-		}
-	}
-	if err := r.prefetch(tasks); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "# Fig 16b: Scheme-2 history length T sensitivity (mixed workloads)\n")
-	fmt.Fprintf(w, "workload")
+	sub := substrate{cfg: cfg}
+	var cols []string
 	for _, T := range windows {
-		fmt.Fprintf(w, "\tT=%d", T)
+		c := cfg.WithSchemes(true, true)
+		c.S2.HistoryWindow = T
+		sub.variants = append(sub.variants, c)
+		cols = append(cols, fmt.Sprintf("T=%d", T))
 	}
-	fmt.Fprintln(w)
-	for id := 1; id <= 6; id++ {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		base, err := r.runWorkload(cfg.WithSchemes(false, false), wl)
-		if err != nil {
-			return err
-		}
-		bws, err := r.weightedSpeedup(cfg, base)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "w-%d", id)
-		for _, T := range windows {
-			c := cfg.WithSchemes(true, true)
-			c.S2.HistoryWindow = T
-			res, err := r.runWorkload(c, wl)
-			if err != nil {
-				return err
-			}
-			ws, err := r.weightedSpeedup(cfg, res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\t%.4f", ws/bws)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	return r.sensitivity(w, "Fig 16b: Scheme-2 history length T sensitivity (mixed workloads)", cols, sub)
+}
+
+// bothSchemes is the single-variant substrate of Figures 16c and 17:
+// Scheme-1+2 on machine c over c's own base and alone IPCs.
+func bothSchemes(c config.Config) substrate {
+	return substrate{c, []config.Config{c.WithSchemes(true, true)}}
 }
 
 // Fig16c prints the sensitivity to the number of memory controllers.
 func (r *Runner) Fig16c(w io.Writer, cfg config.Config) error {
-	var tasks []func() error
-	for id := 1; id <= 6; id++ {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		for _, mcs := range []int{2, 4} {
-			c := cfg
-			c.DRAM.Controllers = mcs
-			tasks = append(tasks,
-				r.runTask(c.WithSchemes(false, false), wl),
-				r.runTask(c.WithSchemes(true, true), wl))
-			alone, err := r.aloneTasks(c, wl)
-			if err != nil {
-				return err
-			}
-			tasks = append(tasks, alone...)
-		}
-	}
-	if err := r.prefetch(tasks); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "# Fig 16c: 2 vs 4 memory controllers, Scheme-1+2 (mixed workloads)\n")
-	fmt.Fprintf(w, "workload\t2mc\t4mc\n")
-	for id := 1; id <= 6; id++ {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "w-%d", id)
-		for _, mcs := range []int{2, 4} {
-			c := cfg
-			c.DRAM.Controllers = mcs
-			base, err := r.runWorkload(c.WithSchemes(false, false), wl)
-			if err != nil {
-				return err
-			}
-			bws, err := r.weightedSpeedup(c, base)
-			if err != nil {
-				return err
-			}
-			res, err := r.runWorkload(c.WithSchemes(true, true), wl)
-			if err != nil {
-				return err
-			}
-			ws, err := r.weightedSpeedup(c, res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\t%.4f", ws/bws)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	mc2, mc4 := cfg, cfg
+	mc2.DRAM.Controllers, mc4.DRAM.Controllers = 2, 4
+	return r.sensitivity(w, "Fig 16c: 2 vs 4 memory controllers, Scheme-1+2 (mixed workloads)",
+		[]string{"2mc", "4mc"}, bothSchemes(mc2), bothSchemes(mc4))
 }
 
 // Fig17 prints the router-pipeline sensitivity (5-stage vs 2-stage).
 func (r *Runner) Fig17(w io.Writer, cfg config.Config) error {
-	var tasks []func() error
-	for id := 1; id <= 6; id++ {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		for _, p := range []config.RouterPipeline{config.Pipeline5, config.Pipeline2} {
-			c := cfg
-			c.NoC.Pipeline = p
-			tasks = append(tasks,
-				r.runTask(c.WithSchemes(false, false), wl),
-				r.runTask(c.WithSchemes(true, true), wl))
-			alone, err := r.aloneTasks(c, wl)
-			if err != nil {
-				return err
-			}
-			tasks = append(tasks, alone...)
-		}
-	}
-	if err := r.prefetch(tasks); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "# Fig 17: 5-stage vs 2-stage router pipelines, Scheme-1+2 (mixed workloads)\n")
-	fmt.Fprintf(w, "workload\t5stage\t2stage\n")
-	for id := 1; id <= 6; id++ {
-		wl, err := workload.Get(id)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "w-%d", id)
-		for _, p := range []config.RouterPipeline{config.Pipeline5, config.Pipeline2} {
-			c := cfg
-			c.NoC.Pipeline = p
-			base, err := r.runWorkload(c.WithSchemes(false, false), wl)
-			if err != nil {
-				return err
-			}
-			bws, err := r.weightedSpeedup(c, base)
-			if err != nil {
-				return err
-			}
-			res, err := r.runWorkload(c.WithSchemes(true, true), wl)
-			if err != nil {
-				return err
-			}
-			ws, err := r.weightedSpeedup(c, res)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "\t%.4f", ws/bws)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	p5, p2 := cfg, cfg
+	p5.NoC.Pipeline, p2.NoC.Pipeline = config.Pipeline5, config.Pipeline2
+	return r.sensitivity(w, "Fig 17: 5-stage vs 2-stage router pipelines, Scheme-1+2 (mixed workloads)",
+		[]string{"5stage", "2stage"}, bothSchemes(p5), bothSchemes(p2))
 }

@@ -112,39 +112,26 @@ func TestFig16aShape(t *testing.T) {
 	}
 }
 
-// TestAllFiguresSmoke drives every figure generator once at miniature scale,
-// verifying that each produces parseable, non-empty output.
+// TestAllFiguresSmoke drives every experiment of the Figures table once at
+// miniature scale on the default worker pool, verifying that each produces
+// parseable, non-empty output.
 func TestAllFiguresSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep in -short mode")
 	}
-	r := NewRunner(Options{WarmupCycles: 1_000, MeasureCycles: 8_000, Seed: 1, ThresholdPushPeriod: 2_000})
-	cfg := config.Baseline32()
-	cases := []struct {
-		name string
-		run  func(buf *bytes.Buffer) error
-	}{
-		{"fig5", func(b *bytes.Buffer) error { return r.Fig5(b, cfg) }},
-		{"fig9", func(b *bytes.Buffer) error { return r.Fig9(b, cfg) }},
-		{"fig11", func(b *bytes.Buffer) error { return r.Fig11(b, cfg, []int{13}) }},
-		{"fig12", func(b *bytes.Buffer) error { return r.Fig12(b, cfg) }},
-		{"fig13", func(b *bytes.Buffer) error { return r.Fig13(b, cfg) }},
-		{"fig14", func(b *bytes.Buffer) error { return r.Fig14(b, cfg) }},
-		{"fig15", func(b *bytes.Buffer) error { return r.Fig15(b, []int{13}) }},
-		{"fig16b", func(b *bytes.Buffer) error { return r.Fig16b(b, cfg, []int64{2000}) }},
-	}
-	for _, tc := range cases {
+	r := NewRunner(Options{WarmupCycles: 500, MeasureCycles: 2_000, Seed: 1, ThresholdPushPeriod: 1_000})
+	for _, f := range Figures() {
 		var buf bytes.Buffer
-		if err := tc.run(&buf); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		if err := f.Run(r, &buf); err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
 		}
 		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 		if len(lines) < 3 {
-			t.Errorf("%s produced only %d lines", tc.name, len(lines))
+			t.Errorf("%s produced only %d lines", f.ID, len(lines))
 		}
 		for _, l := range lines {
 			if strings.Contains(l, "NaN") || strings.Contains(l, "Inf") {
-				t.Errorf("%s contains invalid numbers: %s", tc.name, l)
+				t.Errorf("%s contains invalid numbers: %s", f.ID, l)
 			}
 		}
 	}

@@ -103,3 +103,30 @@ func TestStatsColdRunner(t *testing.T) {
 		t.Errorf("cold runner touched the fork cache: %+v", st)
 	}
 }
+
+// TestSpeedupsRequestCounts pins the request sequence of Speedups on the
+// benchmark's fig11 sweep: per workload three shared runs and one alone run
+// per distinct application are prefetched, then recalled as three runs and
+// three times 32 alone IPCs. Runs and CacheHits count requests, not work, so
+// they hold at any window; the repository benchmark compares all three
+// exactly.
+func TestSpeedupsRequestCounts(t *testing.T) {
+	ws, err := workloads([]int{1, 7, 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(Options{WarmupCycles: 200, MeasureCycles: 800, Seed: 1, ThresholdPushPeriod: 400, Parallelism: 2})
+	if _, err := r.Speedups(config.Baseline32(), ws); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.Runs != 350 || st.Executed != 36 || st.CacheHits != 314 {
+		t.Errorf("runs=%d executed=%d hits=%d, want 350/36/314", st.Runs, st.Executed, st.CacheHits)
+	}
+	if _, err := r.Speedups(config.Baseline32(), ws); err != nil {
+		t.Fatal(err)
+	}
+	if again := r.Stats(); again.Executed != st.Executed || again.Runs != 2*st.Runs {
+		t.Errorf("second call: runs=%d executed=%d, want %d/%d", again.Runs, again.Executed, 2*st.Runs, st.Executed)
+	}
+}

@@ -86,7 +86,7 @@ func decodeFlit(r *snapshot.Reader, pktRef func() *Packet) flit {
 // Boundary queues must be empty — they always are between Step calls, which
 // is the only legal checkpoint boundary.
 //
-// Scheduler state (per-shard active sets and router wake heaps) is
+// Scheduler state (per-shard active sets and router wake wheels) is
 // deliberately NOT serialized: it is an over-approximation of "may have work"
 // that restore re-derives by re-arming every router active (sim.Restore calls
 // SetDenseStepping, whose event-mode switch runs applyEventMode), after which

@@ -59,10 +59,10 @@ type Network struct {
 	// it has nothing executable next cycle — either drained (no state, no
 	// wake) or holding only future-dated work, in which case it parks a
 	// timed wake for its exact next deadline (router.nextWake) on its
-	// shard's wake heap. It re-enters through wakeAt, called at every point
+	// shard's wake wheel. It re-enters through wakeAt, called at every point
 	// work can appear (Inject, arrival hand-off, boundary drain), or when its
-	// heap wake comes due (TickShard). Spurious wakes are harmless — a ticked
-	// router with nothing due changes no state — so the sets and heaps may
+	// timed wake comes due (TickShard). Spurious wakes are harmless — a ticked
+	// router with nothing due changes no state — so the sets and wheels may
 	// over-approximate but never under-approximate. A returned credit is the
 	// one event that wakes nobody: see creditReturned.
 	eventDriven bool
@@ -266,7 +266,7 @@ func (n *Network) settleCredits() {
 }
 
 // applyEventMode re-derives the mode-dependent state: per-shard active sets
-// and wake heaps (every router active with an empty heap in event mode —
+// and wake wheels (every router active with an empty wheel in event mode —
 // exact wakes re-derive as the sets shrink — both unused in dense mode) and
 // the routers' live boundary queues. Boundary queues are active only in
 // event mode with more than one shard — the dense sweep is single-goroutine
@@ -299,8 +299,8 @@ func (n *Network) applyEventMode() {
 
 // wakeAt tells the scheduler router id may have executable work at cycle at
 // (produced during cycle now): an already-active router needs nothing, a
-// sleeping one gets a timed wake on its shard's heap — or immediate
-// re-activation when the deadline is effectively next cycle, where a heap
+// sleeping one gets a timed wake on its shard's wheel — or immediate
+// re-activation when the deadline is effectively next cycle, where a wheel
 // round trip buys nothing. Only ever called for routers of the shard
 // executing the current phase; cross-shard activation happens in DrainShard.
 func (n *Network) wakeAt(id int, at, now int64) {
@@ -450,7 +450,7 @@ func (n *Network) Tick(now int64) {
 // wakes re-join the active set first (so woken routers tick in the same
 // ascending-id order as everyone else), then each active router ticks and is
 // retired again if its next executable work lies beyond the next cycle —
-// with a heap wake for that exact deadline unless it drained completely.
+// with a timed wake for that exact deadline unless it drained completely.
 // Routers activated mid-sweep by an earlier router's dispatch only gained
 // future-dated work (arrivals land at now+div+1, credits at now+1), so
 // whether the sweep happens to reach them this cycle or not is immaterial —
@@ -628,7 +628,7 @@ func (n *Network) Quiesce() error {
 }
 
 // DebugLeaks verifies the event scheduler reached its true fixed point after
-// a full drain: every router drained, every shard's active set and wake heap
+// a full drain: every router drained, every shard's active set and wake wheel
 // empty, every boundary queue empty. A leaked wake or active bit would keep
 // re-ticking (or re-scheduling) a drained router forever; a missing one
 // shows up earlier as stranded work in Quiesce. Stale-but-future wakes are

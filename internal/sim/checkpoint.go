@@ -32,7 +32,7 @@ import (
 // stepper would write at the same cycle, whichever stepper ran.
 //
 // Not captured, by design: free lists and scratch buffers (pure capacity),
-// event-scheduler active sets and wake heaps (Restore re-activates every
+// event-scheduler active sets and wake wheels (Restore re-activates every
 // component; spurious ticks are no-ops), and PRNG internals (the trace
 // generators are deterministic in (profile, core, seed), so only the issue
 // count is stored and replayed).

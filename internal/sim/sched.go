@@ -6,7 +6,7 @@ import (
 )
 
 // The event-driven scheduler replaces the dense per-cycle sweep over every
-// component with active sets plus a min-heap of timed wakes:
+// component with active sets plus a timing wheel of timed wakes:
 //
 //   - A component (node, memory controller, router) is *active* while it may
 //     change state this cycle; active components are ticked exactly like the
@@ -33,10 +33,7 @@ import (
 // (noc.Network.creditReturned).
 //
 // Active sets are bitset.Set values ([]uint64), sized to the component
-// count. They used to be bare uint64 masks whose all-active initializer
-// silently saturated at 64 components, so meshes beyond 64 tiles ran with
-// truncated active sets and produced wrong results with no error; the typed
-// set instead panics on out-of-range indices and scales to any mesh
+// count: the set panics on out-of-range indices and scales to any mesh
 // config.Validate accepts.
 //
 // The scheduler state lives on simShard (shard.go): with Run.Shards > 1 the
@@ -299,7 +296,7 @@ func (n *node) trySleep(now int64) {
 		}
 	}
 	if wakeAt <= now+1 {
-		return // due next cycle: staying active beats a heap round trip
+		return // due next cycle: staying active beats a wheel round trip
 	}
 	n.sh.nodeActive.Remove(n.id)
 	if wakeAt != math.MaxInt64 {

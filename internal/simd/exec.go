@@ -73,9 +73,7 @@ func ResolveSpec(sp RunSpec) (ResolvedSpec, error) {
 // runner) must agree on for a given key.
 func ExecuteSpec(runner *exp.Runner, rp ResolvedSpec) ([]byte, error) {
 	if rp.Estimate {
-		padded := make([]trace.Profile, rp.Cfg.Mesh.Nodes())
-		copy(padded, rp.Apps)
-		est, err := analytic.Predict(rp.Cfg, padded)
+		est, err := analytic.Predict(rp.Cfg, rp.Apps)
 		if err != nil {
 			return nil, err
 		}

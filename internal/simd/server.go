@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -257,6 +258,31 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return err == nil
 }
 
+// jobPoints is the points array of a POST /run body, decoded one element at a
+// time so that it stops at the cap: MaxBodyBytes of `{},` spell ~2.8 M points,
+// each a full RunSpec once materialised, while the body itself is already
+// bounded.
+type jobPoints []RunSpec
+
+func (p *jobPoints) UnmarshalJSON(b []byte) error {
+	*p = nil
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if _, err := dec.Token(); err != nil { // '[', or null for no points
+		return err
+	}
+	for dec.More() {
+		if len(*p) == MaxJobPoints {
+			return fmt.Errorf("at most %d points per job", MaxJobPoints)
+		}
+		var sp RunSpec
+		if err := dec.Decode(&sp); err != nil {
+			return err
+		}
+		*p = append(*p, sp)
+	}
+	return nil
+}
+
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -307,16 +333,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining, not accepting jobs")
 		return
 	}
-	var req RunRequest
+	var req struct { // a RunRequest
+		Points jobPoints `json:"points"`
+	}
 	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Points) == 0 {
 		httpError(w, http.StatusBadRequest, "no points in request")
-		return
-	}
-	if len(req.Points) > MaxJobPoints {
-		httpError(w, http.StatusBadRequest, "%d points in request, at most %d per job", len(req.Points), MaxJobPoints)
 		return
 	}
 	points := make([]ResolvedSpec, len(req.Points))

@@ -147,16 +147,25 @@ func TestRequestLimits(t *testing.T) {
 		{"lease body over", "/dist/lease", `{"worker":"` + strings.Repeat("w", simd.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
 		{"complete body over", "/dist/complete", `{"summary":"` + strings.Repeat("s", simd.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
 		{"too many points", "/run", `{"points":[` + strings.Repeat("{},", simd.MaxJobPoints) + `{}]}`, http.StatusBadRequest, "at most"},
+		{"body at the limit full of empty points", "/run", `{"points":[` + strings.Repeat("{},", (simd.MaxBodyBytes-15)/3) + `{}]}`, http.StatusBadRequest, "at most"},
 	}
 	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		resp, err := http.Post(h.ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		runtime.ReadMemStats(&after)
 		if resp.StatusCode != tc.want || !strings.Contains(string(msg), tc.wantErr) {
 			t.Errorf("%s: status %d body %.80q, want %d mentioning %q", tc.name, resp.StatusCode, msg, tc.want, tc.wantErr)
+		}
+		// Buffering a limit-sized body costs the decoder a few copies of it;
+		// what must not happen is one RunSpec per `{}` of a hostile array.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8*simd.MaxBodyBytes {
+			t.Errorf("%s: handling allocated %d MiB, want at most %d", tc.name, got>>20, 8*simd.MaxBodyBytes>>20)
 		}
 	}
 	if st := h.stats(); st.Jobs != 1 || st.Points != 1 {

@@ -3,7 +3,7 @@
 // dominated by short horizons — DRAM completions a few hundred cycles out,
 // idleness samples every 100 cycles, router arrivals a handful of cycles
 // ahead — where a binary heap pays O(log n) sifts (and their branchy element
-// swaps) on every push and pop. The wheel makes push, cancel and pop O(1)
+// swaps) on every push and pop. The wheel makes push and pop O(1)
 // amortized over that short range and keeps a small (at, seq) min-heap only
 // as an overflow level for far-future deadlines (refresh periods, policy
 // pushes), which are rare enough that their log factor never shows.
@@ -66,8 +66,8 @@ type entry[T any] struct {
 // (a late push becomes due immediately, never lost).
 type Wheel[T any] struct {
 	base int64  // all live entries have at >= base
-	seq  uint64 // monotonic push counter; also the cancel handle
-	n    int    // stored entries, including canceled-but-unreaped ones
+	seq  uint64 // monotonic push counter: the tie-break of delivery order
+	n    int    // stored entries
 
 	slots [numLevels][numSlots][]entry[T]
 	occ   [numLevels]uint64 // per-level slot occupancy bitmaps
@@ -75,42 +75,24 @@ type Wheel[T any] struct {
 	// ovf holds entries with at-base >= span: a min-heap on (at, seq).
 	ovf []entry[T]
 
-	// canceled marks live handles whose entries must be dropped instead of
-	// delivered; entries are reaped lazily when their slot is next touched.
-	// Nil until the first Cancel — the simulator never cancels, so the hot
-	// path never allocates or consults it.
-	canceled map[uint64]struct{}
-
 	scratch []entry[T] // delivery buffer, reused across PopDue calls
 }
 
 // New returns an empty wheel based at cycle 0.
 func New[T any]() *Wheel[T] { return &Wheel[T]{} }
 
-// Len returns the number of pending (non-canceled) entries.
-func (w *Wheel[T]) Len() int { return w.n - len(w.canceled) }
+// Len returns the number of pending entries.
+func (w *Wheel[T]) Len() int { return w.n }
 
-// Push schedules v at cycle at (clamped up to the wheel base if in the past)
-// and returns a handle usable with Cancel until the entry is delivered.
-func (w *Wheel[T]) Push(at int64, v T) uint64 {
+// Push schedules v at cycle at (clamped up to the wheel base if in the past).
+// There is no cancel: the schedulers' wakes are allowed to be spurious.
+func (w *Wheel[T]) Push(at int64, v T) {
 	if at < w.base {
 		at = w.base
 	}
 	w.seq++
 	w.place(entry[T]{at: at, seq: w.seq, val: v})
 	w.n++
-	return w.seq
-}
-
-// Cancel drops the entry behind a handle returned by Push. The handle must
-// still be pending: canceling an already-delivered (or already-canceled)
-// handle corrupts the count. The schedulers never cancel — wakes there are
-// allowed to be spurious — so this exists for callers that need exactness.
-func (w *Wheel[T]) Cancel(handle uint64) {
-	if w.canceled == nil {
-		w.canceled = make(map[uint64]struct{})
-	}
-	w.canceled[handle] = struct{}{}
 }
 
 // Reset discards every entry and rebases the wheel at cycle 0. Slot and
@@ -126,22 +108,13 @@ func (w *Wheel[T]) Reset() {
 	}
 	clearEntries(w.ovf)
 	w.ovf = w.ovf[:0]
-	w.canceled = nil
 	w.n = 0
 	w.base = 0
 }
 
-// place files an entry at the level matching its distance from the base,
-// dropping it if canceled (cascades route stale entries through here, which
-// is where they die). Precondition for live entries: e.at >= w.base.
+// place files an entry at the level matching its distance from the base.
+// Precondition: e.at >= w.base.
 func (w *Wheel[T]) place(e entry[T]) {
-	if len(w.canceled) != 0 {
-		if _, dead := w.canceled[e.seq]; dead {
-			delete(w.canceled, e.seq)
-			w.n--
-			return
-		}
-	}
 	d := e.at - w.base
 	if d >= span {
 		w.ovfPush(e)
@@ -197,7 +170,7 @@ func (w *Wheel[T]) advanceTo(nb int64) {
 	}
 }
 
-// flush re-files every entry of a higher-level slot. Live entries always move
+// flush re-files every entry of a higher-level slot. Entries always move
 // to a strictly lower level (their window has become current), so place never
 // appends back into the slot being drained.
 func (w *Wheel[T]) flush(l, s int) {
@@ -210,23 +183,6 @@ func (w *Wheel[T]) flush(l, s int) {
 	w.slots[l][s] = es[:0]
 }
 
-// reap drops canceled entries from a slot in place and returns the survivors.
-func (w *Wheel[T]) reap(l, s int) []entry[T] {
-	es := w.slots[l][s]
-	kept := es[:0]
-	for _, e := range es {
-		if _, dead := w.canceled[e.seq]; dead {
-			delete(w.canceled, e.seq)
-			w.n--
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	clearEntries(es[len(kept):])
-	w.slots[l][s] = kept
-	return kept
-}
-
 // Min returns the earliest pending deadline; ok is false when empty. It never
 // advances the base: per level it probes the occupancy bitmap for the
 // earliest-window slot and takes that slot's minimum (sufficient, since any
@@ -237,60 +193,31 @@ func (w *Wheel[T]) Min() (at int64, ok bool) {
 
 	// Level 0: slots hold exactly one tick each, at offsets 0..63 from the
 	// base; the earliest occupied slot in circular order is the level min.
-	// Slots emptied by reaping are retried so a canceled entry can't hide
-	// a later live one.
-	for w.occ[0] != 0 {
+	if w.occ[0] != 0 {
 		cur := int(w.base) & slotMask
 		rot := bits.RotateLeft64(w.occ[0], -cur)
 		s := (cur + bits.TrailingZeros64(rot)) & slotMask
-		es := w.slots[0][s]
-		if len(w.canceled) != 0 {
-			es = w.reap(0, s)
-		}
-		if len(es) == 0 {
-			w.occ[0] &^= 1 << s
-			continue
-		}
-		best, any = es[0].at, true
-		break
+		best, any = w.slots[0][s][0].at, true
 	}
 
 	for l := 1; l < numLevels; l++ {
-		shift := uint(slotBits * l)
-		cur := int(w.base>>shift) & slotMask
-		for w.occ[l] != 0 {
-			// Slot windows sit at offsets 1..64 after the base's window
-			// (offset 0 would have cascaded), so rotate past cur itself.
-			rot := bits.RotateLeft64(w.occ[l], -(cur + 1))
-			s := (cur + 1 + bits.TrailingZeros64(rot)) & slotMask
-			es := w.slots[l][s]
-			if len(w.canceled) != 0 {
-				es = w.reap(l, s)
+		if w.occ[l] == 0 {
+			continue
+		}
+		// Slot windows sit at offsets 1..64 after the base's window
+		// (offset 0 would have cascaded), so rotate past cur itself.
+		cur := int(w.base>>uint(slotBits*l)) & slotMask
+		rot := bits.RotateLeft64(w.occ[l], -(cur + 1))
+		s := (cur + 1 + bits.TrailingZeros64(rot)) & slotMask
+		for _, e := range w.slots[l][s] {
+			if e.at < best {
+				best, any = e.at, true
 			}
-			if len(es) == 0 {
-				w.occ[l] &^= 1 << s
-				continue
-			}
-			for _, e := range es {
-				if e.at < best {
-					best, any = e.at, true
-				}
-			}
-			break
 		}
 	}
 
-	for len(w.ovf) > 0 {
-		if _, dead := w.canceled[w.ovf[0].seq]; dead {
-			e := w.ovfPop()
-			delete(w.canceled, e.seq)
-			w.n--
-			continue
-		}
-		if w.ovf[0].at < best {
-			best, any = w.ovf[0].at, true
-		}
-		break
+	if len(w.ovf) > 0 && w.ovf[0].at < best {
+		best, any = w.ovf[0].at, true
 	}
 	return best, any
 }
@@ -309,9 +236,6 @@ func (w *Wheel[T]) PopDue(now int64, out []Due[T]) []Due[T] {
 		w.advanceTo(at)
 		s := int(at) & slotMask
 		es := w.slots[0][s]
-		if len(w.canceled) != 0 {
-			es = w.reap(0, s)
-		}
 		w.scratch = append(w.scratch[:0], es...)
 		clearEntries(es)
 		w.slots[0][s] = es[:0]

@@ -7,8 +7,8 @@ import (
 )
 
 // refHeap is the reference model: a plain sorted list delivering entries in
-// (at, seq) order with exact cancellation. Everything the wheel does must
-// match it operation for operation.
+// (at, seq) order. Everything the wheel does must match it operation for
+// operation.
 type refEntry struct {
 	at  int64
 	seq uint64
@@ -24,15 +24,6 @@ func (h *refHeap) push(at int64, seq uint64, val int, base int64) {
 		at = base
 	}
 	h.pending = append(h.pending, refEntry{at, seq, val})
-}
-
-func (h *refHeap) cancel(seq uint64) {
-	for i, e := range h.pending {
-		if e.seq == seq {
-			h.pending = append(h.pending[:i], h.pending[i+1:]...)
-			return
-		}
-	}
 }
 
 func (h *refHeap) min() (int64, bool) {
@@ -66,7 +57,7 @@ func (h *refHeap) popDue(now int64) []refEntry {
 	return due
 }
 
-// TestWheelPropertyVsReferenceHeap drives random push/cancel/advance
+// TestWheelPropertyVsReferenceHeap drives random push/advance
 // sequences through the wheel and the reference model simultaneously and
 // requires identical Min values and identical pop order at every step. The
 // deadline distribution is weighted toward the short horizons the simulator
@@ -80,8 +71,7 @@ func TestWheelPropertyVsReferenceHeap(t *testing.T) {
 			w := New[int]()
 			ref := &refHeap{}
 			var now int64
-			var base int64                   // mirrors the wheel base: last PopDue now + 1
-			handles := make(map[uint64]bool) // pending, cancelable
+			var base int64 // mirrors the wheel base: last PopDue now + 1
 
 			for op := 0; op < 20_000; op++ {
 				switch r := rng.Intn(100); {
@@ -105,16 +95,8 @@ func TestWheelPropertyVsReferenceHeap(t *testing.T) {
 					if rng.Intn(16) == 0 {
 						at = now - rng.Int63n(10) // past deadline: clamps to base
 					}
-					h := w.Push(at, op)
-					ref.push(at, h, op, base)
-					handles[h] = true
-				case r < 65: // cancel a random pending handle
-					for h := range handles {
-						w.Cancel(h)
-						ref.cancel(h)
-						delete(handles, h)
-						break
-					}
+					w.Push(at, op)
+					ref.push(at, uint64(op), op, base) // op orders pushes as the wheel's counter does
 				default: // advance time and pop everything due
 					now += rng.Int63n(300)
 					if rng.Intn(10) == 0 {
@@ -132,7 +114,6 @@ func TestWheelPropertyVsReferenceHeap(t *testing.T) {
 							t.Fatalf("op %d: PopDue(%d)[%d] = (at=%d val=%d), reference (at=%d val=%d)",
 								op, now, i, got[i].At, got[i].Val, want[i].at, want[i].val)
 						}
-						delete(handles, want[i].seq)
 					}
 				}
 				if wAt, wOK := w.Min(); true {
@@ -195,13 +176,13 @@ func TestWheelRolloverStepwise(t *testing.T) {
 	ref := &refHeap{}
 	var seq int
 	for at := int64(1); at < 130; at += 3 {
-		h := w.Push(at, seq)
-		ref.push(at, h, seq, 0)
+		w.Push(at, seq)
+		ref.push(at, uint64(seq), seq, 0)
 		seq++
 	}
 	for at := int64(4090); at < 4105; at++ {
-		h := w.Push(at, seq)
-		ref.push(at, h, seq, 0)
+		w.Push(at, seq)
+		ref.push(at, uint64(seq), seq, 0)
 		seq++
 	}
 	for now := int64(0); now < 4200; now++ {

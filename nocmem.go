@@ -210,16 +210,25 @@ func AloneIPC(cfg Config, app Profile) (float64, error) {
 	return runner().AloneIPC(cfg, app)
 }
 
-// WeightedSpeedup computes WS = sum IPC_shared/IPC_alone for a finished run.
-func WeightedSpeedup(cfg Config, r *Result) (float64, error) {
-	var shared, alone []float64
+// ipcs pairs each active tile's IPC in a finished run with its application's
+// alone IPC on cfg.
+func ipcs(cfg Config, r *Result) (shared, alone []float64, err error) {
 	for _, tile := range r.ActiveTiles() {
 		a, err := AloneIPC(cfg, r.Apps[tile])
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
 		shared = append(shared, r.IPC[tile])
 		alone = append(alone, a)
+	}
+	return shared, alone, nil
+}
+
+// WeightedSpeedup computes WS = sum IPC_shared/IPC_alone for a finished run.
+func WeightedSpeedup(cfg Config, r *Result) (float64, error) {
+	shared, alone, err := ipcs(cfg, r)
+	if err != nil {
+		return 0, err
 	}
 	return stats.WeightedSpeedup(shared, alone)
 }
@@ -228,14 +237,9 @@ func WeightedSpeedup(cfg Config, r *Result) (float64, error) {
 // and the harmonic speedup of a finished run — the fairness-oriented
 // companions to weighted speedup.
 func Fairness(cfg Config, r *Result) (maxSlowdown, harmonic float64, err error) {
-	var shared, alone []float64
-	for _, tile := range r.ActiveTiles() {
-		a, err := AloneIPC(cfg, r.Apps[tile])
-		if err != nil {
-			return 0, 0, err
-		}
-		shared = append(shared, r.IPC[tile])
-		alone = append(alone, a)
+	shared, alone, err := ipcs(cfg, r)
+	if err != nil {
+		return 0, 0, err
 	}
 	if maxSlowdown, err = stats.MaxSlowdown(shared, alone); err != nil {
 		return 0, 0, err
