@@ -1,5 +1,7 @@
 # Developer entry points. `make ci` is the gate run before every commit:
-# vet, build, a vet-and-short-test pass over the nested benchmark module
+# vet, build, a coverage pass that lists every function tier-1 never executes
+# and fails on one in internal/sim or internal/noc (`dark`), a
+# vet-and-short-test pass over the nested benchmark module
 # (which the root `go build ./...` does not see), the checkpoint
 # fork-equivalence oracle under the race detector (fast fail), the full test
 # suite under the race detector (every byte-equality oracle lives there: dense
@@ -15,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fork-race bench-module results-check profile loc ci
+.PHONY: all build vet test race dark fork-race bench-module results-check profile loc ci
 
 all: build
 
@@ -38,6 +40,19 @@ race:
 # also includes them) so snapshot-format breakage fails CI within a minute.
 fork-race:
 	$(GO) test -race -run 'TestCheckpointForkEquivalence|TestCheckpointRoundTrip' ./internal/sim
+
+# Dark code: one coverage pass of the tier-1 suite over every package, then
+# each non-test function that no test executed. The list is printed in full;
+# the target fails when an entry lies in internal/sim or internal/noc, where
+# every byte-identity argument rests on the oracles actually running the
+# code (a mechanism only the benchmark's timed region reaches is compared by
+# nothing). String methods are exempt: they only format panic text.
+dark:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test -count=1 -coverprofile="$$tmp/cover.out" -coverpkg=./internal/...,. ./... && \
+	$(GO) tool cover -func="$$tmp/cover.out" | awk '$$NF == "0.0%" { print; \
+		if ($$1 ~ /\/internal\/(sim|noc)\// && $$2 != "String") bad++ } \
+		END { if (bad) { print "dark: " bad " function(s) of internal/sim or internal/noc never execute under tier-1"; exit 1 } }'
 
 # benchmark/ is a module of its own that imports nocmem/internal/...: the
 # root module's build and tests never compile it, so an internal API change
@@ -71,8 +86,8 @@ profile:
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof nocmem.test cpu.pprof"
 
 # The ROADMAP's tracked size: non-test Go lines outside the benchmark module
-# (18 853 at PR 16, 17 444 at PR 18, 17 179 at PR 19).
+# (18 853 at PR 16, 17 444 at PR 18, 17 179 at PR 19, 16 987 at PR 20).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
-ci: vet build bench-module fork-race race results-check
+ci: vet build dark bench-module fork-race race results-check

@@ -417,6 +417,9 @@ func (c Config) Validate() error {
 	case c.Mesh.Nodes() > MaxMeshTiles:
 		return fmt.Errorf("config: mesh %dx%d has %d tiles (max %d)",
 			c.Mesh.Width, c.Mesh.Height, c.Mesh.Nodes(), MaxMeshTiles)
+	case c.Mesh.Nodes()&(c.Mesh.Nodes()-1) != 0:
+		return fmt.Errorf("config: mesh %dx%d has %d tiles; S-NUCA bank interleaving needs a power-of-two tile count",
+			c.Mesh.Width, c.Mesh.Height, c.Mesh.Nodes())
 	case c.NoC.VCsPerPort < NumVNets || c.NoC.VCsPerPort%NumVNets != 0:
 		return fmt.Errorf("config: VCsPerPort %d must be a positive multiple of the %d virtual networks (VCs are split evenly per vnet; a remainder would strand trailing VCs)",
 			c.NoC.VCsPerPort, NumVNets)

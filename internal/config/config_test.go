@@ -55,6 +55,8 @@ func TestValidationRejects(t *testing.T) {
 	}{
 		{"tiny mesh", func(c *Config) { c.Mesh.Width = 1 }},
 		{"huge mesh", func(c *Config) { c.Mesh.Width = 64; c.Mesh.Height = 64 }},
+		{"non-pow2 tiles", func(c *Config) { c.Mesh = Mesh{Width: 6, Height: 4} }},
+		{"non-pow2 tiles, square", func(c *Config) { c.Mesh = Mesh{Width: 24, Height: 24} }},
 		{"odd VCs", func(c *Config) { c.NoC.VCsPerPort = 3 }},
 		{"zero buffers", func(c *Config) { c.NoC.BufferDepth = 0 }},
 		{"buffers past the ring cursors", func(c *Config) { c.NoC.BufferDepth = 256 }},

@@ -134,9 +134,6 @@ func NewController(cfg config.DRAM, id int, onComplete func(*Request, int64)) *C
 	return c
 }
 
-// ID returns the controller's channel index.
-func (c *Controller) ID() int { return c.id }
-
 // SetIdleSeries registers a sink receiving the controller-average idleness
 // sample at every monitoring interval (used by Figure 14).
 func (c *Controller) SetIdleSeries(f func(cycle int64, avgIdle float64)) { c.idleSeries = f }

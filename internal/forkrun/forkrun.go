@@ -9,10 +9,11 @@
 //
 // Compatibility follows sim.Restore's own rules: a snapshot is keyed by
 // config.SnapshotKey (the policy-free configuration prefix), the application
-// placement, the warmup length and the shard count. Variants differing only
-// in Scheme-1/Scheme-2, the application-aware baselines or the memory
-// scheduler share a snapshot; anything touching the substrate (mesh, caches,
-// DRAM timing, seed, ...) forms its own group.
+// placement and the warmup length. Variants differing only in
+// Scheme-1/Scheme-2, the application-aware baselines, the memory scheduler or
+// the stepping layout (worker count, stealing) share a snapshot; anything
+// touching the substrate (mesh, caches, DRAM timing, seed, ...) forms its own
+// group.
 //
 // The trade-off: a forked run warms up under the baseline policy even when
 // it measures a scheme, so its results can differ slightly from a cold run

@@ -51,7 +51,7 @@ type Network struct {
 
 	// shards partition the routers for (optionally parallel) stepping; see
 	// netShard. There is always at least one shard — New builds a single
-	// shard holding every router, SetPartition rebuilds the split.
+	// shard holding every router, SetPartition splits it before the first tick.
 	shards []*netShard
 
 	// eventDriven switches Tick from the dense sweep over all routers to
@@ -178,26 +178,26 @@ func New(mesh config.Mesh, cfg config.NoC) (*Network, error) {
 	return n, nil
 }
 
-// SetPartition rebuilds the shard split. shardOf maps router id -> shard
-// index (indices must cover 0..max contiguously); nil means one shard owning
-// everything. Cross-shard adjacencies get one SPSC edge queue per direction,
-// created in fixed (source router ascending, then port ascending) order and
-// appended to the destination shard's drain list in that same order, which is
-// what makes the boundary merge deterministic regardless of worker timing.
-// Accumulated stats are folded into shard 0.
+// SetPartition fixes the shard split of a network that has not run yet.
+// shardOf maps router id -> shard index (indices must cover 0..max
+// contiguously); nil means one shard owning everything. Cross-shard
+// adjacencies get one SPSC edge queue per direction, created in fixed (source
+// router ascending, then port ascending) order and appended to the
+// destination shard's drain list in that same order, which is what makes the
+// boundary merge deterministic regardless of worker timing.
 func (n *Network) SetPartition(shardOf []int) {
 	if shardOf != nil && len(shardOf) != len(n.routers) {
 		panic(fmt.Sprintf("noc: partition over %d routers, mesh has %d", len(shardOf), len(n.routers)))
 	}
-	// Rebuilding drops the old edge queues, so any parked boundary item
-	// would be lost. Legal call sites (construction, the repartition point
-	// between cycles) always have them drained; assert it.
-	for _, sh := range n.shards {
-		for _, q := range sh.edgesIn {
-			if len(q.items) != 0 {
-				panic(fmt.Sprintf("noc: SetPartition with %d undrained boundary items toward router %d", len(q.items), q.dst))
-			}
-		}
+	// The split is a construction-time constant: nothing a shard accumulates
+	// (counters, deferred-credit horizons, parked boundary items) is carried
+	// into the new layout, so there must be nothing yet.
+	used := n.Stats() != (Stats{})
+	for _, r := range n.routers {
+		used = used || r.tickCalls != 0
+	}
+	if used {
+		panic("noc: SetPartition on a network that has already injected or ticked")
 	}
 	k := 1
 	for _, s := range shardOf {
@@ -208,16 +208,10 @@ func (n *Network) SetPartition(shardOf []int) {
 			k = s + 1
 		}
 	}
-	var carryStats Stats
-	ticked, creditAt := int64(-1), int64(-1)
-	for _, sh := range n.shards {
-		carryStats.add(sh.stats)
-		ticked, creditAt = max(ticked, sh.ticked), max(creditAt, sh.creditAt)
-	}
 	shards := make([]*netShard, k)
 	for i := range shards {
 		shards[i] = &netShard{id: i, active: bitset.New(len(n.routers)), wakes: timerwheel.New[int32](),
-			ticked: ticked, creditAt: creditAt}
+			ticked: -1, creditAt: -1}
 	}
 	for id, r := range n.routers {
 		s := 0
@@ -239,7 +233,6 @@ func (n *Network) SetPartition(shardOf []int) {
 			nb.sh.edgesIn = append(nb.sh.edgesIn, q)
 		}
 	}
-	shards[0].stats = carryStats
 	n.shards = shards
 	n.applyEventMode()
 }
@@ -366,12 +359,6 @@ func (n *Network) QuietTarget(now int64) (next int64, quiet bool) {
 
 // Nodes returns the number of tiles.
 func (n *Network) Nodes() int { return len(n.routers) }
-
-// Width returns the mesh width.
-func (n *Network) Width() int { return n.w }
-
-// Height returns the mesh height.
-func (n *Network) Height() int { return n.h }
 
 func (n *Network) xOf(node int) int { return node % n.w }
 func (n *Network) yOf(node int) int { return node / n.w }

@@ -132,13 +132,6 @@ func (pp *PacketPool) Get() *Packet {
 	return &Packet{}
 }
 
-// Absorb moves every pooled packet from other into pp, leaving other
-// empty; used when a partition rebuild folds old shards' pools together.
-func (pp *PacketPool) Absorb(other *PacketPool) {
-	pp.free = append(pp.free, other.free...)
-	other.free = nil
-}
-
 // Put retires a packet. The caller must not retain references: every field
 // (including Payload) is cleared.
 func (pp *PacketPool) Put(p *Packet) {
@@ -159,8 +152,6 @@ type pktQueue struct {
 }
 
 func (pq *pktQueue) len() int { return len(pq.q) - pq.head }
-
-func (pq *pktQueue) front() *Packet { return pq.q[pq.head] }
 
 func (pq *pktQueue) pop() *Packet {
 	p := pq.q[pq.head]

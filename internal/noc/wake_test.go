@@ -224,4 +224,33 @@ func TestQuiesceReportsCreditCategory(t *testing.T) {
 	if err := n.Quiesce(); err != nil {
 		t.Fatalf("still not drained after clearing: %v", err)
 	}
+	// A flit stranded on a link is the other category: the report counts it.
+	n.routers[3].addArrival(PortNorth, arrival{f: flit{pkt: &Packet{}}, at: 100})
+	if err := n.Quiesce(); err == nil || !strings.Contains(err.Error(), "arrivals=1 credits=0") {
+		t.Errorf("stranded arrival reported as %v, want the per-category counts", err)
+	}
+}
+
+// TestSetPartitionRefusesUsedNetwork: the shard split is fixed before the
+// network runs and carries nothing over, so re-splitting a network that has
+// injected or ticked — under either stepper — must panic rather than drop
+// its counters and deferred credits.
+func TestSetPartitionRefusesUsedNetwork(t *testing.T) {
+	for name, use := range map[string]func(n *Network){
+		"injected":     func(n *Network) { n.Inject(&Packet{Src: 0, Dst: 3, NumFlits: 1}, 0) },
+		"ticked dense": func(n *Network) { n.Tick(0) },
+		"ticked event": func(n *Network) { n.SetEventDriven(true); n.Tick(0) },
+	} {
+		n := newTestNet(t, 2, 2, testCfg())
+		n.SetPartition([]int{0, 0, 1, 1}) // fresh: legal, as often as wanted
+		use(n)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SetPartition accepted a used network", name)
+				}
+			}()
+			n.SetPartition(nil)
+		}()
+	}
 }

@@ -273,32 +273,41 @@ func workloadApps(t *testing.T, id int, halve bool) []trace.Profile {
 // former uint64 active-set masks silently saturated at 64 tiles, so a 16x16
 // mesh ran with most of its tiles permanently excluded from event-driven
 // stepping and produced wrong results with no error. The widened bitset
-// implementation must instead simulate a 256-tile mesh correctly: the
+// implementation must instead simulate a large mesh correctly: the
 // event-driven and 4-way-sharded runs reproduce the dense reference, and
-// tiles beyond index 63 demonstrably make progress.
+// tiles beyond index 63 demonstrably make progress. The 32x32 row is the
+// execution behind config.MaxMeshTiles: the largest mesh Validate admits.
 func TestLargeMeshRegression(t *testing.T) {
 	if testing.Short() {
-		t.Skip("256-tile equivalence run is slow")
+		t.Skip("256- and 1024-tile equivalence runs are slow")
 	}
-	cfg := smallConfig()
-	cfg.Mesh.Width, cfg.Mesh.Height = 16, 16
-	cfg.Run.WarmupCycles = 1_000
-	cfg.Run.MeasureCycles = 3_000
-	apps := make([]trace.Profile, cfg.Mesh.Nodes())
-	p := trace.MustLookup("mcf")
-	// Activity on both sides of the old 64-tile truncation boundary.
-	for _, tile := range []int{0, 20, 63, 64, 100, 200, 255} {
-		apps[tile] = p
-	}
-	denseJSON, denseRes, _ := runOnce(t, cfg, apps, nil, true, 1)
-	eventJSON, eventRes, _ := runOnce(t, cfg, apps, nil, false, 1)
-	expectSame(t, "event", denseJSON, denseRes, eventJSON, eventRes)
-	shardJSON, shardRes, _ := runOnce(t, cfg, apps, nil, false, 4)
-	expectSame(t, "sharded_4", denseJSON, denseRes, shardJSON, shardRes)
-	for _, tile := range []int{64, 100, 200, 255} {
-		if eventRes.CoreStats[tile].Retired == 0 {
-			t.Errorf("tile %d retired nothing under event stepping: the active set is truncated", tile)
-		}
+	for _, tc := range []struct {
+		side  int
+		tiles []int // mcf here: both sides of the old 64-tile boundary, out to the last tile
+	}{
+		{16, []int{0, 20, 63, 64, 100, 200, 255}},
+		{32, []int{0, 63, 64, 255, 256, 700, 1023}},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.side, tc.side), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Mesh.Width, cfg.Mesh.Height = tc.side, tc.side
+			cfg.Run.WarmupCycles = 1_000
+			cfg.Run.MeasureCycles = 3_000
+			apps := make([]trace.Profile, cfg.Mesh.Nodes())
+			for _, tile := range tc.tiles {
+				apps[tile] = trace.MustLookup("mcf")
+			}
+			denseJSON, denseRes, _ := runOnce(t, cfg, apps, nil, true, 1)
+			eventJSON, eventRes, _ := runOnce(t, cfg, apps, nil, false, 1)
+			expectSame(t, "event", denseJSON, denseRes, eventJSON, eventRes)
+			shardJSON, shardRes, _ := runOnce(t, cfg, apps, nil, false, 4)
+			expectSame(t, "sharded_4", denseJSON, denseRes, shardJSON, shardRes)
+			for _, tile := range tc.tiles {
+				if tile >= 64 && eventRes.CoreStats[tile].Retired == 0 {
+					t.Errorf("tile %d retired nothing under event stepping: the active set is truncated", tile)
+				}
+			}
+		})
 	}
 }
 

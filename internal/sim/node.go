@@ -110,13 +110,8 @@ type node struct {
 	// elidedStalls and elidedPolls count what the resource-blocked sleep
 	// spared: core ticks of a fetch the LSQ or the L1 MSHRs refused, and L2
 	// job retries the MSHR table was bound to refuse. Pure measurement
-	// (DebugBlockedStats), like execs.
+	// (DebugBlockedStats): never read on a simulated path, not checkpointed.
 	elidedStalls, elidedPolls int64
-
-	// execs counts executed front-end ticks, feeding the partition cost
-	// model (partition.go). Pure measurement: never read on a simulated
-	// path, not checkpointed.
-	execs int64
 }
 
 func newNode(id int, s *Simulator) *node {

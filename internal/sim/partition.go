@@ -9,10 +9,9 @@ package sim
 //
 // Costs are estimates, not semantics: the results are partition-independent
 // by the boundary-queue construction (see shard.go), so a bad estimate only
-// wastes wall-clock time. The initial build uses static weights (a tile with
-// a core or a memory controller is busier than an empty one); at repartition
-// points the weights refresh from the activity counters the previous window
-// actually measured.
+// wastes wall-clock time. The weights are static (a tile with a core or a
+// memory controller is busier than an empty one) and the partition is built
+// once, at construction (buildShards).
 
 // Static per-tile cost weights: every tile pays for its router, an
 // application core dominates an idle tile, and an MC tile also runs the DRAM
@@ -21,13 +20,6 @@ const (
 	costRouter     = 1
 	costActiveCore = 4
 	costMCTile     = 8
-)
-
-// Measured-activity weights (see tileActivity): executed node front-end and
-// controller ticks cover more work per invocation than a router tick.
-const (
-	actNodeWeight = 2
-	actMCWeight   = 2
 )
 
 // staticCosts estimates per-tile stepping cost from the configuration alone.
@@ -42,42 +34,6 @@ func (s *Simulator) staticCosts() []int64 {
 			c += costMCTile
 		}
 		costs[i] = c
-	}
-	return costs
-}
-
-// tileActivity returns the cumulative executed-tick activity of every tile
-// since construction: node front-end executions, router pipeline executions,
-// and in-cycle controller ticks (fast-forwarded replays excluded — they cost
-// no stepping time). Monotone counters; repartitioning differences them
-// against the snapshot taken at the previous partition build.
-func (s *Simulator) tileActivity() []int64 {
-	act := make([]int64, len(s.nodes))
-	for i, n := range s.nodes {
-		a := actNodeWeight * n.execs
-		_, rexecs, _ := s.net.DebugRouterTicks(i)
-		a += rexecs
-		if mc := s.mcAt[i]; mc != nil {
-			total, ff := mc.ctl.DebugTicks()
-			a += actMCWeight * (total - ff)
-		}
-		act[i] = a
-	}
-	return act
-}
-
-// measuredCosts converts the activity delta since the last partition build
-// into per-tile costs. The +1 floor keeps every range non-empty partitionable
-// and stops a fully idle stretch from collapsing the model to zeros.
-func (s *Simulator) measuredCosts() []int64 {
-	act := s.tileActivity()
-	costs := make([]int64, len(act))
-	for i := range act {
-		d := act[i] - s.costBase[i]
-		if d < 0 { // counters are monotone; guard anyway
-			d = 0
-		}
-		costs[i] = 1 + d
 	}
 	return costs
 }

@@ -198,20 +198,35 @@ func (s *Simulator) stepEvent(cycles int64) {
 	}
 	sh := s.shards[0]
 	for s.now < end {
-		now := s.now
-		if now >= s.polNext {
-			s.pol.Tick(now)
-			s.polNext = s.pol.NextWake()
+		if now, exec := s.cycleHead(end); exec {
+			sh.phaseFront(now)
+			sh.phaseBack(now)
 		}
-		if next, quiet := s.quietTarget(now, end); quiet {
-			s.now = next
-			continue
-		}
-		sh.phaseFront(now)
-		sh.phaseBack(now)
-		s.ticked++
-		s.now++
 	}
+}
+
+// cycleHead is the serial head of one cycle of the event-driven scheduler,
+// shared by the sequential loop above and the parallel driver's serial
+// section (cycleSerial): the policy ticks when due, then either the whole
+// system is quiescent and the clock fast-forwards to the next deadline
+// (capped at end; exec is false and no phase runs), or cycle now is counted
+// as executed and the caller runs its two phases. The clock advances before
+// the phases run; within the cycle every code path receives the executing
+// cycle as a parameter (node.issue reads it from lastCoreTick), so nothing
+// observes the early advance.
+func (s *Simulator) cycleHead(end int64) (now int64, exec bool) {
+	now = s.now
+	if now >= s.polNext {
+		s.pol.Tick(now)
+		s.polNext = s.pol.NextWake()
+	}
+	if next, quiet := s.quietTarget(now, end); quiet {
+		s.now = next
+		return now, false
+	}
+	s.ticked++
+	s.now = now + 1
+	return now, true
 }
 
 // settle brings every sleeping tile up to the current cycle — the elided
@@ -319,16 +334,6 @@ func (m *mcNode) trySleep(now int64) {
 	m.sh.mcActive.Remove(m.idx)
 	m.sh.mcWakes.Push(wakeAt, int32(m.idx))
 }
-
-// DebugTruncateActiveWords arms a fault-injection hook for the divergence
-// oracle's mutation tests: every shard's node sweep only visits the first
-// `words` 64-bit words of its active set, so tiles with id >= 64*words never
-// tick — the exact symptom of the old allMask(64) truncation bug this
-// repository once shipped. Their work stays queued (the active bits remain
-// set), which also suppresses quiescence fast-forwarding; the run still
-// terminates because Step executes a fixed cycle budget. 0 disables the
-// hook. Never use outside tests.
-func (s *Simulator) DebugTruncateActiveWords(words int) { s.truncActiveWords = words }
 
 // DebugTickedCycles returns the number of cycles the event-driven scheduler
 // actually executed (as opposed to fast-forwarded over); used by tests to

@@ -17,7 +17,7 @@ import (
 // cycle runs in two phases separated by barriers:
 //
 //	barrier (serial: policy tick, quiescence fast-forward, cycle advance,
-//	         repartition trigger, work-cursor reset)
+//	         work-cursor reset)
 //	phaseFront: MC ticks, node front-ends, network tick   — per chunk
 //	barrier (serial: work-cursor reset)
 //	phaseBack: boundary drain, cores, sleep bookkeeping   — per chunk
@@ -83,18 +83,6 @@ type simShard struct {
 	msgFree []*message
 }
 
-// nodeSweep returns the node active-set words a phase sweep must visit.
-// Normally that is the whole set; with the DebugTruncateActiveWords test
-// hook armed it is a truncated prefix, reproducing the pre-fix allMask(64)
-// bug (tiles beyond the first 64*words never tick) for the divergence-oracle
-// mutation tests.
-func (sh *simShard) nodeSweep() bitset.Set {
-	if t := sh.s.truncActiveWords; t > 0 && t < len(sh.nodeActive) {
-		return sh.nodeActive[:t]
-	}
-	return sh.nodeActive
-}
-
 // drainWakes activates components whose timed wakes are due.
 func (sh *simShard) drainWakes(now int64) {
 	sh.wakeBuf = sh.nodeWakes.PopDue(now, sh.wakeBuf[:0])
@@ -154,12 +142,11 @@ func (sh *simShard) phaseFront(now int64) {
 			sh.s.mcs[i].ctl.Tick(now)
 		}
 	}
-	for wi, w := range sh.nodeSweep() {
+	for wi, w := range sh.nodeActive {
 		for w != 0 {
 			i := wi*64 + bits.TrailingZeros64(w)
 			w &= w - 1
 			n := sh.s.nodes[i]
-			n.execs++
 			n.catchUp(now)
 			n.dispatchInbox(now)
 			n.tickL2(now)
@@ -173,14 +160,14 @@ func (sh *simShard) phaseFront(now int64) {
 // then retire quiescent components from the active sets.
 func (sh *simShard) phaseBack(now int64) {
 	sh.s.net.DrainShard(sh.id)
-	for wi, w := range sh.nodeSweep() {
+	for wi, w := range sh.nodeActive {
 		for w != 0 {
 			i := wi*64 + bits.TrailingZeros64(w)
 			w &= w - 1
 			sh.s.nodes[i].tickCore(now)
 		}
 	}
-	for wi, w := range sh.nodeSweep() {
+	for wi, w := range sh.nodeActive {
 		for w != 0 {
 			i := wi*64 + bits.TrailingZeros64(w)
 			w &= w - 1
@@ -262,41 +249,27 @@ func (s *Simulator) resetCursors() {
 // start) and read by workers after the barrier, so access needs no further
 // synchronization.
 type stepPar struct {
-	bar    *par.Barrier
-	end    int64
-	stop   bool  // workers return: done, or a repartition is pending
-	repart bool  // stopped to rebuild the partition; stepSharded resumes
-	skip   bool  // this round fast-forwarded; no phases to run
-	cycle  int64 // the cycle the phases execute
+	bar   *par.Barrier
+	end   int64
+	stop  bool  // end reached: workers return
+	skip  bool  // this round fast-forwarded; no phases to run
+	cycle int64 // the cycle the phases execute
 }
 
 // stepSharded advances the system to end with Run.Shards worker goroutines.
-// The calling goroutine doubles as worker 0. When the serial section decides
-// the partition has gone stale (repartEvery), the workers quiesce, the
-// chunks are rebuilt from measured activity at this — provably drained —
-// cycle boundary, and a fresh worker set resumes. Repartitioning changes
-// wall-clock time only, never results.
+// The calling goroutine doubles as worker 0.
 func (s *Simulator) stepSharded(end int64) {
-	if s.repartNext == 0 && s.repartEvery > 0 {
-		s.repartNext = s.now + s.repartEvery
+	s.par = stepPar{bar: par.NewBarrier(s.workers), end: end}
+	var wg sync.WaitGroup
+	for w := 1; w < s.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s.shardWorker(w)
+		}(w)
 	}
-	for {
-		s.par = stepPar{bar: par.NewBarrier(s.workers), end: end}
-		var wg sync.WaitGroup
-		for w := 1; w < s.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				s.shardWorker(w)
-			}(w)
-		}
-		s.shardWorker(0)
-		wg.Wait()
-		if !s.par.repart {
-			return
-		}
-		s.repartition()
-	}
+	s.shardWorker(0)
+	wg.Wait()
 }
 
 // shardWorker is the per-worker cycle loop. All workers observe the same
@@ -319,39 +292,17 @@ func (s *Simulator) shardWorker(w int) {
 }
 
 // cycleSerial is the per-cycle serial section, run by the barrier's last
-// arriver while the other workers spin: policy tick, the global quiescence
-// fast-forward decision, the repartition trigger, and the cycle advance.
-// Identical in effect to the head of the sequential stepEvent loop.
+// arriver while the other workers spin: the end-of-Step check, then the same
+// cycle head as the sequential loop (cycleHead), published to the workers.
 func (s *Simulator) cycleSerial() {
-	now := s.now
-	if now >= s.par.end {
+	if s.now >= s.par.end {
 		s.par.stop = true
 		return
 	}
-	if s.repartEvery > 0 && now >= s.repartNext {
-		// Between cycles every boundary queue is drained — the same
-		// invariant that makes this a legal checkpoint boundary makes it the
-		// only safe repartition point. Park the workers; stepSharded
-		// rebuilds and respawns.
-		s.repartNext = now + s.repartEvery
-		s.par.stop, s.par.repart = true, true
-		return
+	now, exec := s.cycleHead(s.par.end)
+	s.par.skip = !exec
+	if exec {
+		s.par.cycle = now
+		s.resetCursors()
 	}
-	if now >= s.polNext {
-		s.pol.Tick(now)
-		s.polNext = s.pol.NextWake()
-	}
-	if next, quiet := s.quietTarget(now, s.par.end); quiet {
-		s.now = next
-		s.par.skip = true
-		return
-	}
-	s.par.skip = false
-	s.par.cycle = now
-	s.ticked++
-	s.resetCursors()
-	// s.now advances before the phases run; within the cycle every code path
-	// receives the executing cycle as a parameter (node.issue reads it from
-	// lastCoreTick), so nothing observes the early advance.
-	s.now = now + 1
 }

@@ -44,25 +44,12 @@ type Simulator struct {
 	steal   bool        // intra-cycle work stealing between workers
 	queues  []workQueue // per-worker chunk claim queues, len == workers
 
-	// Adaptive repartitioning: every repartEvery cycles the serial section
-	// parks the workers and rebuilds the chunks from the activity measured
-	// since costBase was snapshotted. 0 disables (static partition).
-	repartEvery int64
-	repartNext  int64
-	costBase    []int64 // per-tile cumulative activity at the last build
-
 	// Event-driven scheduler state (see sched.go): dense selects the
 	// reference stepper instead, polNext is the next cycle the policy has
 	// work, and ticked counts executed (not fast-forwarded) cycles.
 	dense   bool
 	polNext int64
 	ticked  int64
-
-	// truncActiveWords, when positive, truncates every shard's node
-	// active-set sweep to its first N 64-bit words — a test-only fault
-	// injection reproducing the historical allMask(64) bug. See
-	// DebugTruncateActiveWords.
-	truncActiveWords int
 
 	// par coordinates the parallel shard workers of one Step call.
 	par stepPar
@@ -100,9 +87,6 @@ func NewFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 		return nil, err
 	}
 	nodes := cfg.Mesh.Nodes()
-	if nodes&(nodes-1) != 0 {
-		return nil, fmt.Errorf("sim: S-NUCA needs a power-of-two tile count, got %d", nodes)
-	}
 	if len(srcs) != nodes || len(apps) != nodes {
 		return nil, fmt.Errorf("sim: %d sources / %d app entries for %d tiles", len(srcs), len(apps), nodes)
 	}
@@ -173,46 +157,31 @@ func NewFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 // worker's load.
 const stealChunksPerWorker = 4
 
-// defaultRepartEvery is the adaptive repartition period in simulated cycles:
-// long enough to amortize the worker restart and gather a meaningful
-// activity sample, short enough to track phase changes in the workload.
-const defaultRepartEvery = 50_000
-
-// buildShards derives the stepping layout from Run.Shards at construction:
-// worker count, stealing mode, repartition cadence, and the initial
-// cost-balanced partition from the static per-tile cost model.
+// buildShards derives the stepping layout from Run.Shards, once, at
+// construction: worker count, stealing mode, and the tiles split into
+// contiguous chunks balancing the static per-tile cost model. The partition
+// is mirrored onto the network, every node and memory controller is handed
+// its owning chunk, and the chunks are grouped into per-worker claim queues
+// (themselves cost-balanced).
 func (s *Simulator) buildShards() {
+	nodes := len(s.nodes)
 	w := s.cfg.Run.Shards
 	if w < 1 {
 		w = 1
 	}
-	if w > len(s.nodes) {
-		w = len(s.nodes)
+	if w > nodes {
+		w = nodes
 	}
 	s.workers = w
 	s.steal = w > 1 && !s.cfg.Run.NoSteal
-	if w > 1 {
-		s.repartEvery = defaultRepartEvery
-	}
-	s.rebuildPartition(s.staticCosts())
-	s.costBase = s.tileActivity()
-}
-
-// rebuildPartition splits the tiles into contiguous chunks balancing the
-// given per-tile costs, mirrors the partition onto the network, hands every
-// node and memory controller its owning chunk, and groups the chunks into
-// per-worker claim queues (themselves cost-balanced). Measurement state and
-// object pools carry over from any previous partition, so rebuilding
-// mid-run is invisible in the results.
-func (s *Simulator) rebuildPartition(costs []int64) {
-	nodes := len(s.nodes)
-	chunks := s.workers
+	chunks := w
 	if s.steal {
-		chunks = s.workers * stealChunksPerWorker
+		chunks = w * stealChunksPerWorker
 		if chunks > nodes {
 			chunks = nodes
 		}
 	}
+	costs := s.staticCosts()
 	ends := linearPartition(costs, chunks)
 	shardOf := make([]int, nodes)
 	start := 0
@@ -223,20 +192,6 @@ func (s *Simulator) rebuildPartition(costs []int64) {
 		start = end
 	}
 	s.net.SetPartition(shardOf)
-
-	// Carry accumulated measurements and pooled objects into the new
-	// layout: the merged collector lands on chunk 0 (results() merges
-	// elementwise, so placement is immaterial), pools are pure capacity.
-	var carryCol *Collector
-	var carryPkts noc.PacketPool
-	var carryMsgs []*message
-	if len(s.shards) > 0 {
-		carryCol = s.collector()
-		for _, sh := range s.shards {
-			carryPkts.Absorb(&sh.pkts)
-			carryMsgs = append(carryMsgs, sh.msgFree...)
-		}
-	}
 
 	s.shards = make([]*simShard, len(ends))
 	for i := range s.shards {
@@ -250,21 +205,10 @@ func (s *Simulator) rebuildPartition(costs []int64) {
 			col:        newCollector(nodes),
 		}
 	}
-	if carryCol != nil {
-		s.shards[0].col = carryCol
-		for _, sh := range s.shards[1:] {
-			sh.col.measuring = carryCol.measuring
-		}
-		s.shards[0].pkts = carryPkts
-		s.shards[0].msgFree = carryMsgs
-	}
 	for i, n := range s.nodes {
 		sh := s.shards[shardOf[i]]
 		n.sh = sh
 		sh.nodes = append(sh.nodes, n)
-		if n.blocked {
-			sh.blocked++
-		}
 	}
 	for _, mc := range s.mcs {
 		sh := s.shards[shardOf[mc.tile]]
@@ -295,19 +239,6 @@ func (s *Simulator) rebuildPartition(costs []int64) {
 	}
 }
 
-// repartition rebuilds the chunk layout from the activity measured since the
-// last build. Called between Step rounds with every queue drained (the
-// serial section stopped the workers at a cycle boundary); activateAll
-// re-arms the fresh shards' scheduler state — spurious ticks of quiescent
-// components are no-ops, so results are unchanged.
-func (s *Simulator) repartition() {
-	s.rebuildPartition(s.measuredCosts())
-	s.costBase = s.tileActivity()
-	if !s.dense {
-		s.activateAll()
-	}
-}
-
 // prewarm functionally installs an application's resident working sets:
 // hot lines into its L1 and home L2 banks, warm lines into the L2. This is
 // the usual fast functional warming that precedes detailed simulation; the
@@ -335,9 +266,6 @@ func (s *Simulator) prewarm(src trace.AppSource, n *node) {
 
 // Now returns the current cycle.
 func (s *Simulator) Now() int64 { return s.now }
-
-// Config returns the configuration the simulator was built with.
-func (s *Simulator) Config() config.Config { return s.cfg }
 
 // mcTileOf returns the tile hosting the memory controller owning addr.
 func (s *Simulator) mcTileOf(addr uint64) int {

@@ -121,7 +121,7 @@ func TestTerminalJobGC(t *testing.T) {
 // TestRequestLimits: the POST endpoints read at most MaxBodyBytes and a job
 // holds at most MaxJobPoints points — hostile or confused input is refused
 // with 413/400 before any point is resolved — while a body of exactly the
-// limit still goes through.
+// limit still goes through. A point config.Validate refuses is a 400 too.
 func TestRequestLimits(t *testing.T) {
 	h := makeDistHarness(t, 1, time.Minute)
 	h.begin("oversized bodies and oversized jobs rejected, limit-sized body accepted")
@@ -136,12 +136,24 @@ func TestRequestLimits(t *testing.T) {
 		body := strings.TrimSuffix(string(spec), "}")
 		return body + strings.Repeat(" ", n-len(body)-1) + "}"
 	}
+	// A mesh the simulator cannot build (S-NUCA needs a power-of-two tile
+	// count) is refused at submission, also when only an estimate is asked.
+	oddMesh := estimatePoint()
+	oddMesh.Config.Mesh.Width, oddMesh.Config.Mesh.Height = 6, 4
+	if _, err := simd.ResolveSpec(oddMesh); err == nil || !strings.Contains(err.Error(), "power-of-two") {
+		t.Errorf("ResolveSpec of a 6x4 mesh: %v, want the power-of-two rule", err)
+	}
+	oddBody, err := json.Marshal(simd.RunRequest{Points: []simd.RunSpec{oddMesh}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, path, body string
 		want             int
 		wantErr          string
 	}{
 		{"run body at the limit", "/run", padded(simd.MaxBodyBytes), http.StatusOK, ""},
+		{"6x4 mesh", "/run", string(oddBody), http.StatusBadRequest, "power-of-two"},
 		{"run body one byte over", "/run", padded(simd.MaxBodyBytes + 1), http.StatusRequestEntityTooLarge, "exceeds"},
 		{"register body over", "/dist/register", `{"name":"` + strings.Repeat("w", simd.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},
 		{"lease body over", "/dist/lease", `{"worker":"` + strings.Repeat("w", simd.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, "exceeds"},

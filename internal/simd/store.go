@@ -54,9 +54,6 @@ func OpenStore(dir string, logf func(format string, args ...any)) (*Store, error
 	return &Store{dir: dir, logf: logf}, nil
 }
 
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Stats returns the store's traffic counters.
 func (st *Store) Stats() StoreStats {
 	return StoreStats{

@@ -101,9 +101,6 @@ type coldStream struct {
 	burstLeft int
 }
 
-// Profile returns the profile the generator was built from.
-func (g *Generator) Profile() Profile { return g.p }
-
 // Issued returns the number of instructions generated so far.
 func (g *Generator) Issued() uint64 { return g.issued }
 
