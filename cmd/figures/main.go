@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -24,8 +25,14 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("figures: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && err != flag.ErrHelp {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	logger := log.New(stderr, "figures: ", 0)
 	figs := exp.Figures()
 	byID := map[string]exp.Figure{}
 	var all []string
@@ -33,18 +40,22 @@ func main() {
 		byID[f.ID] = f
 		all = append(all, f.ID)
 	}
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		which   = flag.String("exp", "all", "comma-separated experiment ids: "+strings.Join(all, " ")+", or all")
-		outDir  = flag.String("out", "", "directory for per-experiment .tsv files (default: stdout)")
-		warmup  = flag.Int64("warmup", 100_000, "warmup cycles")
-		measure = flag.Int64("measure", 300_000, "measurement cycles")
-		seed    = flag.Int64("seed", 1, "workload seed")
-		push    = flag.Int64("push", 20_000, "scheme-1 threshold push period (cycles)")
-		jobs    = flag.Int("j", 0, "max concurrent simulations (0 = all CPUs, 1 = sequential)")
-		quiet   = flag.Bool("q", false, "suppress progress output")
-		fork    = flag.Bool("fork", false, "share one baseline warmup checkpoint across compatible runs (faster; scheme runs then warm up under the baseline policy)")
+		which   = fs.String("exp", "all", "comma-separated experiment ids: "+strings.Join(all, " ")+", or all")
+		outDir  = fs.String("out", "", "directory for per-experiment .tsv files (default: stdout)")
+		warmup  = fs.Int64("warmup", 100_000, "warmup cycles")
+		measure = fs.Int64("measure", 300_000, "measurement cycles")
+		seed    = fs.Int64("seed", 1, "workload seed")
+		push    = fs.Int64("push", 20_000, "scheme-1 threshold push period (cycles)")
+		jobs    = fs.Int("j", 0, "max concurrent simulations (0 = all CPUs, 1 = sequential)")
+		quiet   = fs.Bool("q", false, "suppress progress output")
+		fork    = fs.Bool("fork", false, "share one baseline warmup checkpoint across compatible runs (faster; scheme runs then warm up under the baseline policy)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Every id is resolved before the first simulation starts.
 	if *which != "all" {
@@ -52,7 +63,7 @@ func main() {
 		for _, id := range strings.Split(*which, ",") {
 			f, ok := byID[id]
 			if !ok {
-				log.Fatalf("unknown experiment %q (want one of %s)", id, strings.Join(all, " "))
+				return fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(all, " "))
 			}
 			figs = append(figs, f)
 		}
@@ -67,7 +78,7 @@ func main() {
 		ShareWarmup:         *fork,
 	})
 	if !*quiet {
-		runner.SetProgress(func(format string, args ...any) { log.Printf(format, args...) })
+		runner.SetProgress(logger.Printf)
 	}
 
 	// Render every experiment concurrently into its own buffer: the shared
@@ -89,22 +100,23 @@ func main() {
 		})
 	}
 	if err := g.Wait(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, f := range figs {
-		if err := emit(*outDir, f.ID, bufs[i].Bytes()); err != nil {
-			log.Fatalf("%s: %v", f.ID, err)
+		if err := emit(stdout, *outDir, f.ID, bufs[i].Bytes()); err != nil {
+			return fmt.Errorf("%s: %v", f.ID, err)
 		}
 		if !*quiet {
-			log.Printf("%s done in %.1fs", f.ID, tooks[i].Seconds())
+			logger.Printf("%s done in %.1fs", f.ID, tooks[i].Seconds())
 		}
 	}
+	return nil
 }
 
 // emit writes one experiment's bytes to stdout, or to dir/id.tsv.
-func emit(dir, id string, b []byte) error {
+func emit(stdout io.Writer, dir, id string, b []byte) error {
 	if dir == "" {
-		_, err := os.Stdout.Write(b)
+		_, err := stdout.Write(b)
 		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -12,9 +12,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,126 +26,108 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("plot: ")
-	var (
-		col      = flag.Int("col", -1, "value column to plot (default: last numeric column)")
-		spark    = flag.Bool("spark", false, "render each numeric column as a sparkline")
-		width    = flag.Int("width", 50, "bar width in characters")
-		baseline = flag.Float64("baseline", 0, "draw a marker at this value (e.g. 1.0 for normalized speedups)")
-		svgOut   = flag.String("svg", "", "write an SVG figure to this file instead of terminal output")
-		line     = flag.Bool("line", false, "with -svg: line chart with column 0 as the x axis")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		log.Fatal("usage: plot [flags] <file.tsv>")
-	}
-	header, rows, err := readTSV(flag.Arg(0))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(rows) == 0 {
-		log.Fatal("no data rows")
-	}
-
-	if *svgOut != "" {
-		if err := writeSVG(*svgOut, flag.Arg(0), header, rows, *line, *baseline); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *svgOut)
-		return
-	}
-
-	if *spark {
-		for c := 1; c < len(header); c++ {
-			vals, ok := column(rows, c)
-			if !ok {
-				continue
-			}
-			lo, hi := minMax(vals)
-			fmt.Printf("%-12s %s  [%.3g .. %.3g]\n", header[c], ascii.Spark(vals), lo, hi)
-		}
-		return
-	}
-
-	c := *col
-	if c < 0 {
-		for k := len(header) - 1; k >= 1; k-- {
-			if _, ok := column(rows, k); ok {
-				c = k
-				break
-			}
-		}
-	}
-	vals, ok := column(rows, c)
-	if !ok {
-		log.Fatalf("column %d is not numeric", c)
-	}
-	labels := make([]string, len(rows))
-	for i, r := range rows {
-		labels[i] = r[0]
-	}
-	fmt.Printf("%s — %s\n", flag.Arg(0), header[c])
-	b := ascii.Bar{Width: *width, Baseline: *baseline}
-	if err := b.Render(os.Stdout, labels, vals); err != nil {
-		log.Fatal(err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && err != flag.ErrHelp {
+		fmt.Fprintln(os.Stderr, "plot:", err)
+		os.Exit(1)
 	}
 }
 
-// writeSVG renders the table as a grouped bar chart, or as a line chart with
-// column 0 as the x axis when line is set.
-func writeSVG(path, title string, header []string, rows [][]string, line bool, baseline float64) error {
-	f, err := os.Create(path)
+// run renders one chart or returns an error: the chart is complete in memory
+// before a byte reaches stdout or the -svg file is created.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("plot", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		col      = fs.Int("col", -1, "value column to plot (default: last numeric column)")
+		spark    = fs.Bool("spark", false, "render each numeric column as a sparkline")
+		width    = fs.Int("width", 50, "bar width in characters")
+		baseline = fs.Float64("baseline", 0, "draw a marker at this value (e.g. 1.0 for normalized speedups)")
+		svgOut   = fs.String("svg", "", "write an SVG figure to this file instead of terminal output")
+		line     = fs.Bool("line", false, "with -svg: line chart with column 0 as the x axis")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return errors.New("usage: plot [flags] <file.tsv>")
+	}
+	path := fs.Arg(0)
+	header, rows, err := readTSV(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if line {
-		xs, ok := column(rows, 0)
-		if !ok {
-			return fmt.Errorf("column 0 is not numeric; a line chart needs a numeric x axis")
-		}
-		var series []svg.Series
-		for c := 1; c < len(header); c++ {
-			ys, ok := column(rows, c)
-			if !ok {
-				continue
-			}
-			series = append(series, svg.Series{Name: header[c], X: xs, Y: ys})
-		}
-		chart := svg.Chart{Title: title, XLabel: header[0], Series: series}
-		if err := chart.Render(f); err != nil {
-			return err
-		}
-		return f.Close()
+	if len(rows) == 0 {
+		return errors.New("no data rows")
 	}
+
+	// Every mode charts the numeric columns right of the label column; a
+	// file without one (the prose of Tables 1 and 2, Fig. 12's two stacked
+	// tables) is refused here.
 	var names []string
 	var cols [][]float64
 	for c := 1; c < len(header); c++ {
-		vals, ok := column(rows, c)
-		if !ok {
-			continue
+		if vals, ok := column(rows, c); ok {
+			names = append(names, header[c])
+			cols = append(cols, vals)
 		}
-		names = append(names, header[c])
-		cols = append(cols, vals)
 	}
 	if len(cols) == 0 {
-		return fmt.Errorf("no numeric columns")
+		return errors.New("no numeric columns")
 	}
 	labels := make([]string, len(rows))
-	values := make([][]float64, len(rows))
 	for i, r := range rows {
 		labels[i] = r[0]
-		values[i] = make([]float64, len(cols))
-		for c := range cols {
-			values[i][c] = cols[c][i]
-		}
 	}
-	chart := svg.BarChart{Title: title, Labels: labels, Series: names, Values: values, Baseline: baseline}
-	if err := chart.Render(f); err != nil {
+
+	var out bytes.Buffer
+	switch {
+	case *svgOut != "" && *line:
+		xs, ok := column(rows, 0)
+		if !ok {
+			return errors.New("column 0 is not numeric; a line chart needs a numeric x axis")
+		}
+		chart := svg.Chart{Title: path, XLabel: header[0]}
+		for c, ys := range cols {
+			chart.Series = append(chart.Series, svg.Series{Name: names[c], X: xs, Y: ys})
+		}
+		err = chart.Render(&out)
+	case *svgOut != "":
+		values := make([][]float64, len(rows))
+		for i := range rows {
+			for _, vals := range cols {
+				values[i] = append(values[i], vals[i])
+			}
+		}
+		err = svg.BarChart{Title: path, Labels: labels, Series: names, Values: values, Baseline: *baseline}.Render(&out)
+	case *spark:
+		for c, vals := range cols {
+			lo, hi := minMax(vals)
+			fmt.Fprintf(&out, "%-12s %s  [%.3g .. %.3g]\n", names[c], ascii.Spark(vals), lo, hi)
+		}
+	default:
+		name, vals := names[len(cols)-1], cols[len(cols)-1]
+		if *col >= 0 {
+			var ok bool
+			if vals, ok = column(rows, *col); !ok || *col >= len(header) { // a row may be longer than the header
+				return fmt.Errorf("column %d is not numeric", *col)
+			}
+			name = header[*col]
+		}
+		fmt.Fprintf(&out, "%s — %s\n", path, name)
+		err = ascii.Bar{Width: *width, Baseline: *baseline}.Render(&out, labels, vals)
+	}
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	if *svgOut != "" {
+		if err := os.WriteFile(*svgOut, out.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", *svgOut)
+		return nil
+	}
+	_, err = stdout.Write(out.Bytes())
+	return err
 }
 
 // readTSV loads a cmd/figures output file: '#' comment lines, then a header

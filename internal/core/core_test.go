@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"nocmem/internal/config"
 	"nocmem/internal/noc"
+	"nocmem/internal/snapshot"
 )
 
 func s1cfg() config.Scheme1 {
@@ -257,5 +260,49 @@ func TestPolicyAppAwareComposition(t *testing.T) {
 	}
 	if p.ResponsePriority(1, 0) != noc.Normal {
 		t.Error("intensive app's response should stay normal")
+	}
+}
+
+// TestSkipConsumesWhatEncodeWrote: a snapshot taken with a scheme enabled
+// restores into a configuration without it by skipping the scheme's block,
+// so Skip has to read exactly the bytes Encode wrote — a field added to one
+// and not the other misaligns everything behind it — and a block cut short
+// anywhere is a snapshot.ErrFormat, not a panic.
+func TestSkipConsumesWhatEncodeWrote(t *testing.T) {
+	s1 := NewScheme1(s1cfg(), 4)
+	s1.RecordRoundTrip(0, 1000)
+	s1.Classify(0, 2000)
+	s2cfg := config.Baseline32().S2
+	s2cfg.Enabled = true
+	s2 := NewScheme2(s2cfg, 3, 8)
+	s2.Classify(1, 5, 40)
+
+	for name, c := range map[string]struct {
+		encode func(*snapshot.Writer)
+		skip   func(*snapshot.Reader)
+	}{
+		"scheme-1": {s1.Encode, SkipScheme1},
+		"scheme-2": {s2.Encode, SkipScheme2},
+	} {
+		var buf bytes.Buffer
+		w := snapshot.NewWriter(&buf)
+		header := buf.Len()
+		c.encode(w)
+		if w.Err() != nil {
+			t.Fatal(w.Err())
+		}
+		for n := header; n <= buf.Len(); n++ {
+			r, err := snapshot.NewReaderBytes(buf.Bytes()[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.skip(r)
+			switch {
+			case n < buf.Len() && !errors.Is(r.Err(), snapshot.ErrFormat):
+				t.Fatalf("%s cut to %d of %d bytes: skip returned %v, want ErrFormat", name, n-header, buf.Len()-header, r.Err())
+			case n == buf.Len() && (r.Err() != nil || r.Remaining() != 0):
+				t.Fatalf("%s: skip left %d of %d bytes unread (%v)", name, r.Remaining(), buf.Len()-header, r.Err())
+			}
+		}
 	}
 }

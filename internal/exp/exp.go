@@ -125,14 +125,9 @@ func (r *Runner) weightedSpeedup(sub, cfg config.Config, w workload.Workload) (f
 	if err != nil {
 		return 0, err
 	}
-	var shared, alone []float64
-	for _, tile := range res.ActiveTiles() {
-		a, err := r.AloneIPC(r.opts.apply(sub), res.Apps[tile])
-		if err != nil {
-			return 0, err
-		}
-		shared = append(shared, res.IPC[tile])
-		alone = append(alone, a)
+	shared, alone, err := r.IPCPairs(r.opts.apply(sub), res)
+	if err != nil {
+		return 0, err
 	}
 	return stats.WeightedSpeedup(shared, alone)
 }

@@ -308,6 +308,22 @@ func (r *Runner) AloneIPC(cfg config.Config, app trace.Profile) (float64, error)
 	return ipc, nil
 }
 
+// IPCPairs pairs each active tile's IPC in a finished run with the alone IPC
+// of that tile's application on cfg (used as given, like AloneIPC): the two
+// operands of weighted speedup and its fairness companions. It requests one
+// alone run per active tile, in tile order.
+func (r *Runner) IPCPairs(cfg config.Config, res *sim.Result) (shared, alone []float64, err error) {
+	for _, tile := range res.ActiveTiles() {
+		a, err := r.AloneIPC(cfg, res.Apps[tile])
+		if err != nil {
+			return nil, nil, err
+		}
+		shared = append(shared, res.IPC[tile])
+		alone = append(alone, a)
+	}
+	return shared, alone, nil
+}
+
 // --- Prefetching: the parallel execution engine ---
 
 // prefetch runs the given tasks concurrently on the worker pool and returns

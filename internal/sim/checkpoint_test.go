@@ -283,6 +283,28 @@ func TestCheckpointForksAcrossSchemes(t *testing.T) {
 			t.Fatalf("schemes: Scheme-1 never classified a response after forking")
 		}
 	}
+
+	// The reverse direction: a snapshot that carries both scheme blocks
+	// restores into the schemes-off machine by skipping them. Restore
+	// refuses an image with bytes left over, and the collector and the idle
+	// series sit behind the blocks, so core.SkipScheme1/2 out of step with
+	// Encode cannot pass here.
+	schemes.Run.CheckpointAt = schemes.Run.WarmupCycles
+	snap, _, tagged := takeSnapshot(t, schemes, apps, false, 1)
+	if tagged.S1Checked == 0 || tagged.S2Checked == 0 {
+		t.Fatalf("the scheme run classified nothing: %d responses, %d requests", tagged.S1Checked, tagged.S2Checked)
+	}
+	_, res := resumeRun(t, base, apps, false, 1, snap)
+	if res.S1Checked != 0 || res.S2Checked != 0 || res.CoreStats[res.ActiveTiles()[0]].Retired == 0 {
+		t.Errorf("schemes-off fork: %d/%d classified, %d retired", res.S1Checked, res.S2Checked, res.CoreStats[res.ActiveTiles()[0]].Retired)
+	}
+	// Cut short — inside the idle series, the collector, the scheme blocks
+	// and beyond — the image is refused as a format error.
+	for _, cut := range []int{1, 64, 4096, len(snap) / 4, len(snap) / 2} {
+		if _, err := Restore(base, apps, bytes.NewReader(snap[:len(snap)-cut])); !errors.Is(err, snapshot.ErrFormat) {
+			t.Errorf("image cut by %d bytes: %v, want ErrFormat", cut, err)
+		}
+	}
 }
 
 // TestCheckpointRoundTrip asserts the format's determinism directly:

@@ -14,6 +14,7 @@ import (
 
 	"nocmem/internal/exp"
 	"nocmem/internal/simd"
+	"nocmem/internal/simdclient"
 )
 
 // TestDistributedSweepByteIdentical: three workers race on one policy grid;
@@ -159,21 +160,7 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lease simd.Lease
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		lr, err := c.Lease(ctx, reg.WorkerID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(lr.Leases) > 0 {
-			lease = lr.Leases[0]
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never granted a lease")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	lease := leaseOne(t, c, reg.WorkerID)
 
 	rp, err := simd.ResolveSpec(lease.Spec)
 	if err != nil {
@@ -224,6 +211,66 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	}
 	if !bytes.Equal(js.Results[0].Summary, data) {
 		t.Error("job result differs from the first accepted completion")
+	}
+	h.end()
+}
+
+// leaseOne polls until the coordinator grants the worker one lease.
+func leaseOne(t *testing.T, c *simdclient.Client, workerID string) simd.Lease {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		lr, err := c.Lease(context.Background(), workerID, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lr.Leases) > 0 {
+			return lr.Leases[0]
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("never granted a lease")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAbortFailsLeasedPoints: killing a coordinator while a worker holds a
+// lease fails the point (and its job) at once instead of waiting out the
+// TTL, and the worker's late completion is absorbed as a duplicate — nothing
+// of it is merged or byte-checked.
+func TestAbortFailsLeasedPoints(t *testing.T) {
+	h := makeDistHarness(t, 1, time.Minute)
+	h.begin("abort with one point leased: job fails, late completion is a duplicate")
+	ctx := context.Background()
+	c := h.clients[0]
+
+	reg, err := c.RegisterWorker(ctx, "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.Submit(ctx, simd.RunRequest{Points: policyGrid()[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := leaseOne(t, c, reg.WorkerID)
+
+	h.srv.Abort()
+	js, err := c.Wait(ctx, sub.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := js.Err(); js.Status != simd.StatusFailed || !strings.Contains(e, "aborted before completion") {
+		t.Fatalf("job after abort: status %q, error %q", js.Status, e)
+	}
+	status, err := c.Complete(ctx, simd.CompleteRequest{
+		Worker: reg.WorkerID, LeaseID: lease.ID, Key: lease.Key, Summary: []byte(`{"cycles":1}`),
+	})
+	if err != nil || status != simd.CompleteDuplicate {
+		t.Fatalf("late completion: %q, %v, want %q", status, err, simd.CompleteDuplicate)
+	}
+	st := h.stats()
+	if st.Runner.DuplicateCompletions != 1 || st.Runner.RemoteCompletions != 0 || st.Dist.Mismatches != 0 {
+		t.Errorf("after the late completion: %d duplicates, %d merged, %d mismatches; want 1, 0, 0",
+			st.Runner.DuplicateCompletions, st.Runner.RemoteCompletions, st.Dist.Mismatches)
 	}
 	h.end()
 }

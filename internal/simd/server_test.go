@@ -1,4 +1,4 @@
-// Regression tests for the daemon's request-surface bugfixes: strict cursor
+// Regression tests for the daemon's request surface: liveness, strict cursor
 // validation on GET /jobs/{id}, and the terminal-job GC that keeps the
 // in-memory jobs map bounded under churn.
 package simd_test
@@ -30,6 +30,17 @@ func TestCursorValidation(t *testing.T) {
 	h := makeHarness(t, 1, "", 0)
 	h.begin("malformed and out-of-range cursors rejected with 400")
 	ctx := context.Background()
+
+	// Liveness is a 200 with a fixed body, whatever the daemon is doing.
+	if resp, err := http.Get(h.ts.URL + "/healthz"); err != nil {
+		t.Fatal(err)
+	} else {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != `{"status":"ok"}` {
+			t.Errorf("GET /healthz: status %d body %q", resp.StatusCode, body)
+		}
+	}
 
 	js := h.run(0, []simd.RunSpec{estimatePoint()})
 	for _, q := range []string{"abc", "-1", "1.5", "1e3", "0x10", "%20"} {

@@ -32,7 +32,6 @@ const (
 type Writer struct {
 	w          *bufio.Writer
 	headerDone bool
-	records    int64
 }
 
 // NewWriter wraps w. WriteHeader must be called before the first Write.
@@ -92,12 +91,8 @@ func (t *Writer) Write(in Instr) error {
 			return err
 		}
 	}
-	t.records++
 	return nil
 }
-
-// Records returns the number of instruction records written.
-func (t *Writer) Records() int64 { return t.records }
 
 // Flush drains buffered output.
 func (t *Writer) Flush() error { return t.w.Flush() }

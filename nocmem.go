@@ -72,12 +72,6 @@ func LookupApp(name string) (Profile, error) { return trace.Lookup(name) }
 // Apps returns every built-in application profile.
 func Apps() []Profile { return trace.Profiles() }
 
-// NewSimulator builds a simulator with one application per tile (empty
-// profiles leave tiles idle).
-func NewSimulator(cfg Config, apps []Profile) (*sim.Simulator, error) {
-	return sim.New(cfg, apps)
-}
-
 // OpenTrace loads a recorded instruction trace (written by cmd/tracegen or
 // trace.Record) for replay.
 func OpenTrace(path string) (*trace.FileTrace, error) { return trace.OpenFile(path) }
@@ -169,13 +163,6 @@ func SetShareWarmup(on bool) {
 	setOptions(func(o *exp.Options) { o.ShareWarmup = on })
 }
 
-// ShareWarmup reports whether warmup sharing is on.
-func ShareWarmup() bool {
-	facade.mu.Lock()
-	defer facade.mu.Unlock()
-	return facade.opts.ShareWarmup
-}
-
 // SetParallelism bounds how many simulations the package-level helpers run
 // concurrently. n <= 0 restores the default (GOMAXPROCS); n == 1 forces
 // fully sequential execution. Each simulation is an independent
@@ -184,9 +171,6 @@ func ShareWarmup() bool {
 func SetParallelism(n int) {
 	setOptions(func(o *exp.Options) { o.Parallelism = n })
 }
-
-// Parallelism returns the current worker-pool width.
-func Parallelism() int { return runner().Parallelism() }
 
 // RunStats reports the cache and warmup provenance of the package-level run
 // helpers, in the same shape the simulation daemon's /statsz uses for its
@@ -210,23 +194,9 @@ func AloneIPC(cfg Config, app Profile) (float64, error) {
 	return runner().AloneIPC(cfg, app)
 }
 
-// ipcs pairs each active tile's IPC in a finished run with its application's
-// alone IPC on cfg.
-func ipcs(cfg Config, r *Result) (shared, alone []float64, err error) {
-	for _, tile := range r.ActiveTiles() {
-		a, err := AloneIPC(cfg, r.Apps[tile])
-		if err != nil {
-			return nil, nil, err
-		}
-		shared = append(shared, r.IPC[tile])
-		alone = append(alone, a)
-	}
-	return shared, alone, nil
-}
-
 // WeightedSpeedup computes WS = sum IPC_shared/IPC_alone for a finished run.
 func WeightedSpeedup(cfg Config, r *Result) (float64, error) {
-	shared, alone, err := ipcs(cfg, r)
+	shared, alone, err := runner().IPCPairs(cfg, r)
 	if err != nil {
 		return 0, err
 	}
@@ -237,7 +207,7 @@ func WeightedSpeedup(cfg Config, r *Result) (float64, error) {
 // and the harmonic speedup of a finished run — the fairness-oriented
 // companions to weighted speedup.
 func Fairness(cfg Config, r *Result) (maxSlowdown, harmonic float64, err error) {
-	shared, alone, err := ipcs(cfg, r)
+	shared, alone, err := runner().IPCPairs(cfg, r)
 	if err != nil {
 		return 0, 0, err
 	}

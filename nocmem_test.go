@@ -125,6 +125,14 @@ func TestSpeedupForProducesAllVariants(t *testing.T) {
 			t.Errorf("normalized speedup %v implausible", v)
 		}
 	}
+	// Sharing the machine slows every application down at least a little.
+	slow, harmonic, err := Fairness(cfg, row.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow < 1 || harmonic <= 0 || harmonic > 1 {
+		t.Errorf("max slowdown %v (want >= 1), harmonic speedup %v (want in (0, 1])", slow, harmonic)
+	}
 }
 
 // TestStatsCountOneExecutionCore: every package-level helper runs on the one
