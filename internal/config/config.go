@@ -98,6 +98,13 @@ const (
 	MaxBufferDepth = 255
 )
 
+// MaxStarvationWindow bounds StarvationWindow. A router ranks its arbitration
+// contenders by an integer key that adds the window to a message age and packs
+// the sum above a few class and index bits (noc.arbKey); ages stay below 2^40
+// over any run the simulator can execute, so a window up to 2^40 — far beyond
+// "never starve-protect" — leaves the key twelve bits of headroom.
+const MaxStarvationWindow int64 = 1 << 40
+
 // NoC holds the network-on-chip parameters (Table 1, "NoC parameters").
 type NoC struct {
 	Pipeline RouterPipeline
@@ -124,7 +131,8 @@ type NoC struct {
 
 	// StarvationWindow is the AgeWindow bound: a high-priority flit
 	// loses arbitration against a normal flit whose age exceeds the
-	// high-priority flit's age by more than this many cycles.
+	// high-priority flit's age by more than this many cycles, 0 to
+	// MaxStarvationWindow.
 	StarvationWindow int64
 
 	// BatchInterval is the batch length in cycles for the Batching mode.
@@ -432,8 +440,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: FlitBits %d too small for a header", c.NoC.FlitBits)
 	case c.NoC.Pipeline != Pipeline5 && c.NoC.Pipeline != Pipeline2:
 		return fmt.Errorf("config: unsupported router pipeline %d", c.NoC.Pipeline)
-	case c.NoC.StarvationWindow < 0:
-		return errors.New("config: StarvationWindow must be >= 0")
+	case c.NoC.StarvationWindow < 0 || c.NoC.StarvationWindow > MaxStarvationWindow:
+		return fmt.Errorf("config: StarvationWindow %d outside [0, %d]", c.NoC.StarvationWindow, MaxStarvationWindow)
 	case c.NoC.StarvationMode != AgeWindow && c.NoC.StarvationMode != Batching:
 		return fmt.Errorf("config: unknown anti-starvation mode %d", c.NoC.StarvationMode)
 	case c.NoC.StarvationMode == Batching && c.NoC.BatchInterval <= 0:

@@ -131,6 +131,32 @@ func TestValidateVCsPerVNet(t *testing.T) {
 	}
 }
 
+// TestValidateStarvationWindow pins both ends of the window's range: the
+// router adds it to message ages inside a packed arbitration key, so it is
+// bounded above as well as below.
+func TestValidateStarvationWindow(t *testing.T) {
+	cases := []struct {
+		window int64
+		ok     bool
+	}{
+		{-1, false},
+		{0, true},
+		{100, true},
+		{MaxStarvationWindow, true},
+		{MaxStarvationWindow + 1, false},
+		{1 << 62, false},
+	}
+	for _, tc := range cases {
+		for _, mode := range []AntiStarvation{AgeWindow, Batching} {
+			cfg := Baseline32()
+			cfg.NoC.StarvationMode, cfg.NoC.StarvationWindow = mode, tc.window
+			if err := cfg.Validate(); (err == nil) != tc.ok {
+				t.Errorf("StarvationWindow=%d mode %d: Validate = %v, want ok=%v", tc.window, mode, err, tc.ok)
+			}
+		}
+	}
+}
+
 // TestValidateCheckpointFields covers the checkpoint/resume configuration
 // surface. Snapshots are partition-agnostic — the stepping layout (Shards,
 // NoSteal) is free to differ between save and restore — so no cross-config

@@ -14,71 +14,63 @@ func newArbPolicy(cfg config.NoC) arbPolicy {
 	return arbPolicy{mode: cfg.StarvationMode, window: cfg.StarvationWindow, batchInterval: cfg.BatchInterval}
 }
 
-// candidate is one arbitration contender: the front flit of an input VC,
-// reduced to what the rule compares — its packet's priority class, its
-// effective age (packet so-far delay plus local residence, per Section 3.3:
-// "the routers also consider the local delays in addition to the age fields")
-// and, for batching mode, the batch its packet was injected in. It holds no
-// pointer: building and comparing candidates touches no flit or packet memory.
-type candidate struct {
-	high  bool
-	age   int64
-	batch int64
-	// ord is the contender's flat input VC index; it breaks ties
-	// deterministically in (port, vc) order.
-	ord int
-}
-
-// makeCandidate builds the contender for the front flit of input VC i from
-// the router's own per-VC state: the priority bit and so-far delay its
-// header carried past (see router.inAge) plus the front flit's local
-// residence. No live Packet field is read, so arbitration at one router never
-// observes (or races with) header progress at another — batching mode alone
-// looks up the packet's immutable injection cycle.
-func (r *router) makeCandidate(i int, now int64) candidate {
-	c := candidate{high: r.high&(1<<uint(i)) != 0, age: r.inAge[i] + (now - r.frontEntry[i]), ord: i}
-	if r.arb.mode == config.Batching {
-		c.batch = r.front(i).pkt.InjectedAt / r.arb.batchInterval
-	}
-	return c
-}
-
-// beats reports whether candidate a should win arbitration over b.
+// arbKey ranks one arbitration contender — the front flit of an input VC —
+// among the others: the contender with the greatest key wins.
+//
+// Section 3.3 compares effective ages, the so-far delay the packet's header
+// carried into the router plus the front flit's local residence ("the routers
+// also consider the local delays in addition to the age fields"), i.e.
+// inAge + now - routerEntry. The cycle now is common to every contender of an
+// arbitration, so the rule only ever compares age' = inAge - routerEntry, a
+// constant of the front flit. That makes the whole rule a static total order,
+// fixed when the flit reaches the front of its VC (router.newFront) and held
+// in the router's derived state; VA and SA load and compare keys and read no
+// flit or packet memory.
 //
 // AgeWindow (the paper's default): a high-priority flit beats a normal one
 // unless the normal flit's age exceeds the high-priority flit's age by more
-// than the starvation window; within a class, older wins.
+// than the starvation window; within a class, older wins. That is the
+// lexicographic order on (age' + window·[high], [high], -vc index): the fixed
+// class priority plus an age offset.
 //
-// Batching: packets of older batches always rank first; priority (then age)
-// only breaks ties within a batch.
-func (a candidate) beats(b candidate, pol arbPolicy) bool {
-	if pol.mode == config.Batching && a.batch != b.batch {
-		return a.batch < b.batch
-	}
-	if a.high != b.high {
-		if pol.mode == config.Batching {
-			return a.high // within a batch, priority rules unconditionally
-		}
-		if a.high {
-			// a keeps its high-priority advantage only while b has
-			// not starved past the window.
-			return b.age-a.age <= pol.window
-		}
-		return a.age-b.age > pol.window
-	}
-	if a.age != b.age {
-		return a.age > b.age // oldest first
-	}
-	return a.ord < b.ord
+// Batching: packets of older batches always rank first; priority, then age,
+// only break ties within a batch: (-batch, [high], age', -vc index).
+//
+// The index makes keys of distinct VCs distinct (ties resolve in (port, vc)
+// order). Each order is packed into two words compared lexicographically —
+// AgeWindow's fits in hi alone, so lo is never consulted there. With cycle
+// counts and ages below 2^40, |age'| < 2^41, and config.Validate bounds the
+// window by config.MaxStarvationWindow = 2^40: the widest packed field,
+// (2^44 + age') << 6, stays below 2^51.
+type arbKey struct{ hi, lo int64 }
+
+// Packing constants: a VC index takes the low idxBits (NumPorts·MaxVCsPerPort
+// ≤ 64), stored inverted so that the lower index has the greater key.
+const (
+	idxBits   = 6
+	idxMask   = 1<<idxBits - 1
+	classStep = 1 << 44 // dominates any age' within a Batching class
+)
+
+// over reports whether k wins arbitration against o.
+func (k arbKey) over(o arbKey) bool {
+	return k.hi > o.hi || (k.hi == o.hi && k.lo > o.lo)
 }
 
-// pickBest returns the index of the winning candidate, or -1 when empty.
-func pickBest(cands []candidate, pol arbPolicy) int {
-	best := -1
-	for i := range cands {
-		if best == -1 || cands[i].beats(cands[best], pol) {
-			best = i
-		}
+// key builds the arbitration key of a flit of pkt at the front of input VC i:
+// high is the packet's priority class as the VC recorded it, age the carried
+// so-far delay less the flit's entry cycle (age' above). No live Packet field
+// is read — arbitration at one router never observes (or races with) header
+// progress at another — except, in batching mode, the immutable injection
+// cycle.
+func (pol arbPolicy) key(high bool, age int64, pkt *Packet, i int) arbKey {
+	var class int64
+	if high {
+		class = 1
 	}
-	return best
+	idx := int64(idxMask - i)
+	if pol.mode == config.Batching {
+		return arbKey{hi: -(pkt.InjectedAt / pol.batchInterval), lo: (class*classStep+age)<<idxBits | idx}
+	}
+	return arbKey{hi: (age+class*pol.window)<<(idxBits+1) | class<<idxBits | idx}
 }

@@ -193,7 +193,6 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 	for _, rt := range n.routers {
 		rt.pktSeq = r.U64()
 		rt.buffered = 0
-		rt.injecting = 0
 		rt.ejPkt = nil
 		for p := 0; p < NumPorts; p++ {
 			for vc := 0; vc < vcs; vc++ {
@@ -343,9 +342,6 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 				return
 			}
 			rt.inj[i] = injSlot{pkt: pkt, next: next}
-			if pkt != nil {
-				rt.injecting++
-			}
 		}
 		for p := 0; p < NumPorts; p++ {
 			rt.flitsOut[p] = r.I64()
@@ -358,12 +354,13 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 	}
 }
 
-// rebuildDerived recomputes the masks and the front cache from the rings,
-// inFlags and the front packets. An empty VC gets a clear high bit; push sets
-// it again when the next flit of its packet arrives.
+// rebuildDerived recomputes the masks, the output-side index and the
+// selection state from the rings, inFlags, the output VCs, the ejection lock
+// and the front packets. An empty VC gets a clear high bit; push sets it again
+// when the next flit of its packet arrives.
 func (r *router) rebuildDerived() {
-	r.occ, r.routed, r.vaDone, r.high, r.frontIsHeader = 0, 0, 0, 0, 0
-	r.arrMask, r.queued = 0, 0
+	r.occ, r.full, r.routed, r.vaDone, r.high, r.ejecting, r.saOK = 0, 0, 0, 0, 0, 0, 0
+	r.outBusy, r.injBusy, r.arrMask, r.queued = 0, 0, 0, 0
 	for p := range r.arrivals {
 		if len(r.arrivals[p]) > 0 {
 			r.arrMask |= 1 << uint(p)
@@ -372,23 +369,51 @@ func (r *router) rebuildDerived() {
 	for vn := range r.outbox {
 		r.queued += r.outbox[vn].len()
 	}
+	for vc := range r.inj {
+		if r.inj[vc].pkt != nil {
+			r.injBusy |= 1 << uint(vc)
+		}
+	}
+	for slot := range r.outOwner {
+		r.outHolder[slot] = -1
+		if r.outOwner[slot] != nil {
+			r.outBusy |= 1 << uint(slot)
+		}
+	}
 	for i := range r.cnt {
 		bit := uint64(1) << uint(i)
 		if r.inFlags[i]&vcRouted != 0 {
 			r.routed |= bit
 		}
-		if r.inFlags[i]&vcVADone != 0 {
-			r.vaDone |= bit
+		header := false
+		if r.cnt[i] > 0 {
+			f := r.front(i)
+			r.occ |= bit
+			if int(r.cnt[i]) == r.depth {
+				r.full |= bit
+			}
+			setBit(&r.high, bit, f.pkt.Priority == High)
+			r.setKey(i, f)
+			if header = f.header(); header {
+				r.sel[i].saAt = r.inSAAt[i]
+			} else {
+				r.sel[i].saAt = f.routerEntry + r.bodyWait
+			}
 		}
-		if r.cnt[i] == 0 {
+		if r.inFlags[i]&vcVADone == 0 {
 			continue
 		}
-		f := r.front(i)
-		r.occ |= bit
-		r.frontEntry[i] = f.routerEntry
-		if f.header() {
-			r.frontIsHeader |= bit
+		r.vaDone |= bit
+		if p := int(r.inOutPort[i]); p != PortLocal {
+			slot := r.vci(p, int(r.inOutVC[i]))
+			r.outHolder[slot] = int8(i)
+			setBit(&r.saOK, bit, r.outCredits[slot] > 0)
+		} else {
+			// A VC past VA whose header has left — the rest of the packet
+			// behind it or still upstream — is mid-ejection: there is at most
+			// one, and the lock is its own.
+			r.ejecting |= bit
+			setBit(&r.saOK, bit, r.ejPkt == nil || !header)
 		}
-		r.setHigh(bit, f.pkt.Priority == High)
 	}
 }

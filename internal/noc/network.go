@@ -132,6 +132,10 @@ func New(mesh config.Mesh, cfg config.NoC) (*Network, error) {
 		}
 		r.vcs = cfg.VCsPerPort
 		r.portMask = 1<<uint(cfg.VCsPerPort) - 1
+		for vn := range r.vnMask {
+			lo, hi := r.vnetRange(VNet(vn))
+			r.vnMask[vn] = 1<<uint(hi) - 1<<uint(lo)
+		}
 		r.depth = cfg.BufferDepth
 		r.pos = pos
 		r.arb = arb
@@ -151,11 +155,13 @@ func New(mesh config.Mesh, cfg config.NoC) (*Network, error) {
 		r.inVAAt = make([]int64, nv)
 		r.inSAAt = make([]int64, nv)
 		r.inAge = make([]int64, nv)
-		r.frontEntry = make([]int64, nv)
+		r.sel = make([]vcSel, nv)
 		r.outOwner = make([]*Packet, nv)
 		r.outCredits = make([]int32, nv)
+		r.outHolder = make([]int8, nv)
 		for i := range r.outCredits {
 			r.outCredits[i] = int32(cfg.BufferDepth)
+			r.outHolder[i] = -1
 		}
 		r.inj = make([]injSlot, cfg.VCsPerPort)
 		n.routers[i] = r
@@ -609,7 +615,7 @@ func (n *Network) Quiesce() error {
 				r.id, len(r.credits))
 		}
 		return fmt.Errorf("noc: router %d not drained (buffered=%d injecting=%d outbox=%d arrivals=%d credits=%d)",
-			r.id, r.buffered, r.injecting, r.queued, r.pendingArrivals(), len(r.credits))
+			r.id, r.buffered, bits.OnesCount64(r.injBusy), r.queued, r.pendingArrivals(), len(r.credits))
 	}
 	return nil
 }

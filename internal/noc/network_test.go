@@ -223,6 +223,7 @@ func TestConservationRandomTraffic(t *testing.T) {
 			injected++
 		}
 		n.Tick(now)
+		checkAllDerived(t, n, now)
 		if now > 5000 && n.Stats().InFlight == 0 {
 			// A few extra ticks let in-flight credit returns settle.
 			for k := int64(1); k <= 3; k++ {

@@ -105,10 +105,11 @@ type vcPos struct {
 //
 // Two kinds of state live here. Authoritative state is what a checkpoint
 // carries: the flit rings, inFlags and the per-VC pipeline fields, the output
-// side, the queues. Derived state — the occupancy/flag bitmasks and the
-// front-of-VC cache — mirrors it so that VA and SA can pick their contenders
-// with mask arithmetic and read no flit or packet memory until a winner is
-// dispatched; DecodeState rebuilds it (rebuildDerived).
+// side, the queues, the ejection lock. Derived state mirrors it so that VA, SA
+// and injection select their contenders with mask arithmetic and a key
+// compare, and read no flit or packet memory until a winner is dispatched. It
+// is maintained where the authoritative state changes, never re-derived per
+// cycle; DecodeState rebuilds it (rebuildDerived).
 type router struct {
 	id   int
 	x, y int
@@ -129,10 +130,11 @@ type router struct {
 	div int64
 
 	// Configuration the hot path consults, copied out of Network at New.
-	vcs      int     // VCs per port; per-VC slice lengths are NumPorts*vcs
-	portMask uint64  // the low vcs bits: one port's share of a per-VC mask
-	depth    int     // flits per input VC (BufferDepth)
-	pos      []vcPos // shared flat-index table, see vcPos
+	vcs      int              // VCs per port; per-VC slice lengths are NumPorts*vcs
+	portMask uint64           // the low vcs bits: one port's share of a per-VC mask
+	vnMask   [NumVNets]uint64 // the share of portMask serving each virtual network
+	depth    int              // flits per input VC (BufferDepth)
+	pos      []vcPos          // shared flat-index table, see vcPos
 	arb      arbPolicy
 	adaptive bool  // west-first routing: out port re-chosen until VA succeeds
 	fastAll  bool  // 2-stage pipeline: every header uses the one-cycle setup
@@ -153,7 +155,7 @@ type router struct {
 	inOutPort []int8
 	inOutVC   []int32
 	inVAAt    []int64 // VA eligibility cycle
-	inSAAt    []int64 // SA eligibility cycle
+	inSAAt    []int64 // SA eligibility cycle of the header
 
 	// inAge is the packet's so-far delay as carried by its header when it
 	// reached the front of this VC. Arbitration for the following body and
@@ -167,19 +169,34 @@ type router struct {
 	inAge []int64
 
 	// Derived state, one bit per input VC (config.Validate bounds
-	// NumPorts*vcs to 64). occ marks non-empty rings; routed and vaDone
-	// mirror the inFlags bits; frontIsHeader and frontEntry cache the front
-	// flit's kind and routerEntry. high is the priority class of the packet
-	// the VC is serving: set when its header reaches the front and again
-	// whenever a flit enters the empty VC, since a restored router cannot
-	// recover it for a packet whose header already left and whose remaining
-	// flits are still upstream.
-	occ, routed, vaDone, high, frontIsHeader uint64
-	frontEntry                               []int64
+	// NumPorts*vcs to 64). occ marks non-empty rings and full the rings
+	// holding depth flits; routed and vaDone mirror the inFlags bits. high is
+	// the priority class of the packet the VC is serving: set when its header
+	// reaches the front and again whenever a flit enters the empty VC, since
+	// a restored router cannot recover it for a packet whose header already
+	// left and whose remaining flits are still upstream.
+	//
+	// ejecting marks the vaDone VCs bound for the local port. saOK marks the
+	// vaDone VCs whose output can take a flit: the output VC has a credit, or
+	// the VC ejects and the ejection port is free or locked to its own packet.
+	// occ & vaDone & saOK is what SA arbitrates among; only the pipeline
+	// deadline sel[i].saAt is left to test per cycle.
+	occ, full, routed, vaDone, high, ejecting, saOK uint64
 
-	// Output VCs: downstream allocation and credit state.
+	// sel holds, per input VC, what the allocators compare: the front flit's
+	// arbitration key (written when it reaches the front) and, once the VC
+	// holds an output VC, the cycle from which the front flit may compete for
+	// the switch — the header's inSAAt, or a body flit's entry plus bodyWait.
+	sel []vcSel
+
+	// Output VCs: downstream allocation and credit state. outBusy (one bit
+	// per output VC, same flat index) and outHolder (the input VC holding it,
+	// -1 when free) are derived from outOwner and the input side's
+	// inOutPort/inOutVC.
 	outOwner   []*Packet // packet holding the VC, nil when free
 	outCredits []int32
+	outBusy    uint64
+	outHolder  []int8
 
 	neighbor [NumPorts]*router // per out port; nil at mesh edges and Local
 
@@ -189,12 +206,13 @@ type router struct {
 	outbox [NumVNets]pktQueue
 	inj    []injSlot // per local input VC
 
-	buffered  int // flits currently resident in input buffers
-	injecting int // local VCs with an active injection
+	buffered int // flits currently resident in input buffers
 
-	// More derived state: arrMask has bit p set while arrivals[p] is
-	// non-empty, so the tick visits only ports with flits in flight; queued
-	// is the number of packets across the outboxes.
+	// More derived state: injBusy has bit vc set while inj[vc] holds a
+	// packet; arrMask has bit p set while arrivals[p] is non-empty, so the
+	// tick visits only ports with flits in flight; queued is the number of
+	// packets across the outboxes.
+	injBusy uint64
 	arrMask uint8
 	queued  int
 
@@ -220,6 +238,16 @@ type router struct {
 	// arbitration, where a draining packet's accumulated age kept it ahead.)
 	ejPkt *Packet
 }
+
+// vcSel is one input VC's entry in router.sel.
+type vcSel struct {
+	key  arbKey
+	saAt int64
+}
+
+// The local port's VCs come first in every per-VC mask and slice: a local VC's
+// flat index is its VC number.
+const _ = -uint(PortLocal)
 
 // vci maps (port, vc) to the flat per-VC index.
 func (r *router) vci(p, vc int) int { return p*r.vcs + vc }
@@ -254,7 +282,7 @@ func (r *router) addArrival(p int, a arrival) {
 // pipelineWork reports whether the router holds anything its pipeline stages
 // act on: a buffered flit, an injection in progress or a queued packet.
 func (r *router) pipelineWork() bool {
-	return r.buffered > 0 || r.injecting > 0 || r.queued > 0
+	return r.buffered > 0 || r.injBusy != 0 || r.queued > 0
 }
 
 // drained reports whether the router holds no state at all: no buffered or
@@ -437,39 +465,44 @@ func (r *router) push(i int, f flit, now int64) {
 	*r.flitAt(i, n) = f
 	r.cnt[i]++
 	r.buffered++
+	bit := uint64(1) << uint(i)
+	if n+1 == r.depth {
+		r.full |= bit
+	}
 	if n == 0 {
-		bit := uint64(1) << uint(i)
 		r.occ |= bit
 		// For a body flit the VC drained mid-packet: its high bit is
 		// normally still in place from the header, but not after a restore.
-		r.setHigh(bit, f.pkt.Priority == High)
+		setBit(&r.high, bit, f.pkt.Priority == High)
 		r.newFront(i, &f, now)
 	}
 }
 
-func (r *router) setHigh(bit uint64, on bool) {
+func setBit(mask *uint64, bit uint64, on bool) {
 	if on {
-		r.high |= bit
+		*mask |= bit
 	} else {
-		r.high &^= bit
+		*mask &^= bit
 	}
 }
 
-// newFront refreshes the front cache for f, the flit that just reached the
-// front of VC i, and — when f is a header — initializes its packet's pipeline
-// state: priority class, carried age, route, VA eligibility.
+// newFront refreshes the selection state for f, the flit that just reached
+// the front of VC i: its arbitration key and, for a body flit, its SA
+// deadline. When f is a header it also initializes its packet's pipeline
+// state: priority class, carried age, route, VA eligibility (grantVA sets the
+// header's SA deadline).
 func (r *router) newFront(i int, f *flit, now int64) {
 	bit := uint64(1) << uint(i)
-	r.frontEntry[i] = f.routerEntry
 	if !f.header() {
-		r.frontIsHeader &^= bit
+		r.sel[i].saAt = f.routerEntry + r.bodyWait
+		r.setKey(i, f)
 		return
 	}
-	r.frontIsHeader |= bit
 	pkt := f.pkt
 	high := pkt.Priority == High
-	r.setHigh(bit, high)
+	setBit(&r.high, bit, high)
 	r.inAge[i] = pkt.Age
+	r.setKey(i, f)
 	if r.adaptive {
 		r.inFlags[i] = vcRouted | vcAdaptive
 		r.inOutPort[i] = int8(r.adaptiveRoute(pkt.Dst, r.pos[i].vnet))
@@ -483,6 +516,12 @@ func (r *router) newFront(i int, f *flit, now int64) {
 	} else {
 		r.inVAAt[i] = now + r.vaWait
 	}
+}
+
+// setKey writes the arbitration key of f, the front flit of VC i, from the
+// VC's high bit and carried age.
+func (r *router) setKey(i int, f *flit) {
+	r.sel[i].key = r.arb.key(r.high&(1<<uint(i)) != 0, r.inAge[i]-f.routerEntry, f.pkt, i)
 }
 
 // fastSetup reports whether a packet's headers may use the single-cycle setup
@@ -518,7 +557,8 @@ func (r *router) tick(now int64) {
 // (Network.settleCredits). Either way an edge the router did not execute on is
 // one the dense sweep executed for the credit alone — creditElided counts
 // those, once per edge. The list is in nondecreasing order of at, so the due
-// credits are a prefix and equal edges are adjacent.
+// credits are a prefix and equal edges are adjacent. A credit makes the input
+// VC holding its output VC switch-ready again (saOK).
 func (r *router) bankCredits(upto int64, ticking bool) {
 	taken, edge := 0, int64(-1)
 	for _, c := range r.credits {
@@ -527,7 +567,11 @@ func (r *router) bankCredits(upto int64, ticking bool) {
 			break
 		}
 		taken++
-		r.outCredits[r.vci(c.port, c.vc)]++
+		slot := r.vci(c.port, c.vc)
+		r.outCredits[slot]++
+		if h := r.outHolder[slot]; h >= 0 {
+			r.saOK |= 1 << uint(h)
+		}
 		if w != edge {
 			edge = w
 			if !ticking || w < upto {
@@ -576,51 +620,40 @@ func (r *router) acceptArrivals(now int64) {
 // back-to-back packets from its upstream router.
 func (r *router) fillInjections(now int64) {
 	if r.queued > 0 {
-		for vn := VNet(0); vn < NumVNets; vn++ {
-			lo, hi := r.vnetRange(vn)
-			for vc := lo; vc < hi && r.outbox[vn].len() > 0; vc++ {
-				if r.inj[vc].pkt != nil || int(r.cnt[r.vci(PortLocal, vc)]) >= r.depth {
-					continue
-				}
-				r.inj[vc] = injSlot{pkt: r.outbox[vn].pop()}
+		idle := r.portMask &^ (r.injBusy | r.full)
+		for vn := range r.outbox {
+			q := &r.outbox[vn]
+			for m := idle & r.vnMask[vn]; m != 0 && q.len() > 0; m &= m - 1 {
+				vc := bits.TrailingZeros64(m)
+				r.inj[vc] = injSlot{pkt: q.pop()}
 				r.queued--
-				r.injecting++
+				r.injBusy |= 1 << uint(vc)
 			}
 		}
 	}
-	if r.injecting == 0 {
-		return
-	}
-	// Advance active injections.
-	for vc := range r.inj {
+	// Advance the active injections whose VC has room.
+	for m := r.injBusy &^ r.full; m != 0; m &= m - 1 {
+		vc := bits.TrailingZeros64(m)
 		s := &r.inj[vc]
-		if s.pkt == nil {
-			continue
-		}
-		i := r.vci(PortLocal, vc)
-		if int(r.cnt[i]) >= r.depth {
-			continue
-		}
 		f := flit{pkt: s.pkt, seq: int32(s.next), tail: s.next == s.pkt.NumFlits-1, routerEntry: now}
 		if f.header() {
 			// The wait for a free VC is part of the source router's
 			// residence time and must age the message (Equation 1).
 			s.pkt.Age += now - s.pkt.InjectedAt
 		}
-		r.push(i, f, now)
+		r.push(vc, f, now)
 		s.next++
 		if s.next == s.pkt.NumFlits {
 			*s = injSlot{}
-			r.injecting--
+			r.injBusy &^= 1 << uint(vc)
 		}
 	}
 }
 
-// allocateVCs runs the VA stage: for each output port, at most one waiting
-// header is granted a free output VC per cycle, chosen by the prioritized
-// arbitration rule. The requesters are exactly the VCs routed but not yet
-// allocated — each has its header at the front, since a header leaves only
-// after VA.
+// allocateVCs runs the VA stage: on each output port, the waiting headers of
+// a virtual network take its free output VCs in arbitration order until either
+// runs out. The requesters are exactly the VCs routed but not yet allocated —
+// each has its header at the front, since a header leaves only after VA.
 func (r *router) allocateVCs(now int64) {
 	m := r.routed &^ r.vaDone
 	if m == 0 {
@@ -628,7 +661,7 @@ func (r *router) allocateVCs(now int64) {
 	}
 	if m&(m-1) == 0 {
 		// One waiting header — the common case away from saturation: nothing
-		// to arbitrate, so no per-port request masks and no candidates.
+		// to arbitrate, so no per-port request masks.
 		i := bits.TrailingZeros64(m)
 		if now < r.inVAAt[i] {
 			return
@@ -638,12 +671,16 @@ func (r *router) allocateVCs(now int64) {
 		}
 		if p := int(r.inOutPort[i]); p == PortLocal {
 			r.grantVA(i, 0, -1, now)
-		} else if free := r.freeOutVC(p, r.pos[i].vnet); free >= 0 {
-			r.grantVA(i, free, r.vci(p, free), now)
+		} else if free := r.freeOutVCs(p, r.pos[i].vnet); free != 0 {
+			vc := bits.TrailingZeros64(free)
+			r.grantVA(i, vc, r.vci(p, vc), now)
 		}
 		return
 	}
-	var want [NumPorts]uint64 // eligible requesters per output port
+	// Eligible requesters per class — an output port's share of a virtual
+	// network. The VC a packet sits in already names its virtual network.
+	var want [NumPorts * int(NumVNets)]uint64
+	var classes uint
 	for ; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		if now < r.inVAAt[i] {
@@ -654,34 +691,41 @@ func (r *router) allocateVCs(now int64) {
 			// state until VC allocation succeeds.
 			r.inOutPort[i] = int8(r.adaptiveRoute(r.front(i).pkt.Dst, r.pos[i].vnet))
 		}
-		want[r.inOutPort[i]] |= 1 << uint(i)
+		c := uint(r.inOutPort[i])*uint(NumVNets) + uint(r.pos[i].vnet)
+		want[c] |= 1 << uint(i)
+		classes |= 1 << c
 	}
-	// Ejection needs no VC allocation: the sink always accepts.
-	for w := want[PortLocal]; w != 0; w &= w - 1 {
-		r.grantVA(bits.TrailingZeros64(w), 0, -1, now)
-	}
-	for p := PortNorth; p < NumPorts; p++ {
-		for w := want[p]; w != 0; {
-			best := bits.TrailingZeros64(w)
-			if rest := w & (w - 1); rest != 0 {
-				bc := r.makeCandidate(best, now)
-				for ; rest != 0; rest &= rest - 1 {
-					i := bits.TrailingZeros64(rest)
-					if c := r.makeCandidate(i, now); c.beats(bc, r.arb) {
-						best, bc = i, c
-					}
-				}
+	for ; classes != 0; classes &= classes - 1 {
+		c := bits.TrailingZeros(classes)
+		w, p, vn := want[c], c/int(NumVNets), VNet(c%int(NumVNets))
+		if p == PortLocal {
+			// Ejection needs no VC allocation: the sink always accepts.
+			for ; w != 0; w &= w - 1 {
+				r.grantVA(bits.TrailingZeros64(w), 0, -1, now)
 			}
-			// The VC a packet sits in already names its virtual network.
-			if free := r.freeOutVC(p, r.pos[best].vnet); free >= 0 {
-				r.grantVA(best, free, r.vci(p, free), now)
-			}
-			// Whether granted or out of VCs in its class, this
-			// requester is finished for the cycle; a requester of the
-			// other virtual network may still find a free VC.
+			continue
+		}
+		// Free VCs only shrink within a cycle: once the class has none, its
+		// remaining requesters are finished for the cycle.
+		for free := r.freeOutVCs(p, vn); w != 0 && free != 0; free &= free - 1 {
+			best := r.bestKey(w)
+			vc := bits.TrailingZeros64(free)
+			r.grantVA(best, vc, r.vci(p, vc), now)
 			w &^= 1 << uint(best)
 		}
 	}
+}
+
+// bestKey returns the input VC with the winning arbitration key among the
+// non-empty set m.
+func (r *router) bestKey(m uint64) int {
+	best := bits.TrailingZeros64(m)
+	for m &= m - 1; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); r.sel[i].key.over(r.sel[best].key) {
+			best = i
+		}
+	}
+	return best
 }
 
 // grantVA records a successful VC allocation for input VC i. slot is the flat
@@ -693,93 +737,71 @@ func (r *router) grantVA(i, outVCIdx, slot int, now int64) {
 	r.inOutVC[i] = int32(outVCIdx)
 	if slot >= 0 {
 		r.outOwner[slot] = r.front(i).pkt
+		r.outHolder[slot] = int8(i)
+		r.outBusy |= 1 << uint(slot)
+		setBit(&r.saOK, bit, r.outCredits[slot] > 0)
+	} else {
+		// Ejection always has room, but mid-reassembly the port belongs to
+		// the packet being ejected.
+		r.ejecting |= bit
+		setBit(&r.saOK, bit, r.ejPkt == nil)
 	}
 	if r.fastSetup(r.high&bit != 0) {
 		r.inSAAt[i] = now // combined setup: SA may happen this cycle
 	} else {
 		r.inSAAt[i] = now + r.div
 	}
+	r.sel[i].saAt = r.inSAAt[i]
 }
 
-// freeOutVC returns a free output VC index on port p within the vnet class,
-// or -1.
-func (r *router) freeOutVC(p int, vn VNet) int {
-	lo, hi := r.vnetRange(vn)
-	base := p * r.vcs
-	for vc := lo; vc < hi; vc++ {
-		if r.outOwner[base+vc] == nil {
-			return vc
-		}
-	}
-	return -1
+// freeOutVCs returns the free output VCs of port p within the vnet class, as a
+// mask over the port's VC numbers.
+func (r *router) freeOutVCs(p int, vn VNet) uint64 {
+	return ^r.outBusy >> uint(p*r.vcs) & r.vnMask[vn]
 }
 
 // allocateSwitch runs the two-phase SA stage over the occupied VCs that hold
-// an output VC, and dispatches the winners.
+// an output VC able to take a flit, and dispatches the winners.
 func (r *router) allocateSwitch(now int64) {
-	m := r.occ & r.vaDone
+	m := r.occ & r.vaDone & r.saOK
 	if m == 0 {
 		return
 	}
 	if m&(m-1) == 0 {
-		// One VC holds an output VC: it wins both phases unopposed.
-		if i := bits.TrailingZeros64(m); r.saReady(i, now) {
+		// One VC is switch-ready: it wins both phases unopposed.
+		if i := bits.TrailingZeros64(m); now >= r.sel[i].saAt {
 			r.dispatch(i, now)
 		}
 		return
 	}
-	var won [NumPorts]candidate // per output port; ord is the input VC
+	sel := r.sel
+	var won [NumPorts]int // winning input VC per output port
 	var wonOK uint
-	for p := 0; m != 0; p++ {
-		// Phase 1: the best ready VC of input port p.
+	for base := 0; m != 0; base += r.vcs {
+		// Phase 1: the best ready VC of this input port.
 		pm := m & r.portMask
 		m >>= uint(r.vcs)
-		var best candidate
-		ok := false
+		best, bk := -1, arbKey{}
 		for ; pm != 0; pm &= pm - 1 {
-			i := p*r.vcs + bits.TrailingZeros64(pm)
-			if !r.saReady(i, now) {
-				continue
-			}
-			if c := r.makeCandidate(i, now); !ok || c.beats(best, r.arb) {
-				best, ok = c, true
+			i := base + bits.TrailingZeros64(pm)
+			if s := &sel[i]; now >= s.saAt && (best < 0 || s.key.over(bk)) {
+				best, bk = i, s.key
 			}
 		}
-		if !ok {
+		if best < 0 {
 			continue
 		}
 		// Phase 2: it contends with the other input ports' winners for
 		// its output port.
-		op := uint(r.inOutPort[best.ord])
-		if wonOK&(1<<op) == 0 || best.beats(won[op], r.arb) {
+		op := uint(r.inOutPort[best])
+		if wonOK&(1<<op) == 0 || bk.over(sel[won[op]].key) {
 			won[op] = best
 			wonOK |= 1 << op
 		}
 	}
-	for op := 0; op < NumPorts; op++ {
-		if wonOK&(1<<uint(op)) != 0 {
-			r.dispatch(won[op].ord, now)
-		}
+	for ; wonOK != 0; wonOK &= wonOK - 1 {
+		r.dispatch(won[bits.TrailingZeros(wonOK)], now)
 	}
-}
-
-// saReady reports whether the front flit of VC i, which holds an output VC,
-// may compete for the switch.
-func (r *router) saReady(i int, now int64) bool {
-	if r.frontIsHeader&(1<<uint(i)) != 0 {
-		if now < r.inSAAt[i] {
-			return false
-		}
-	} else if now < r.frontEntry[i]+r.bodyWait {
-		return false
-	}
-	op := int(r.inOutPort[i])
-	if op == PortLocal {
-		// Ejection always has room, but mid-reassembly the port belongs to
-		// the packet being ejected.
-		return r.ejPkt == nil || r.ejPkt == r.front(i).pkt
-	}
-	return r.outCredits[r.vci(op, int(r.inOutVC[i]))] > 0
 }
 
 // dispatch moves the front flit of input VC i across the switch.
@@ -793,6 +815,7 @@ func (r *router) dispatch(i int, now int64) {
 	r.cnt[i]--
 	r.buffered--
 	bit := uint64(1) << uint(i)
+	r.full &^= bit
 	pkt := f.pkt
 	inPort, inVC := int(r.pos[i].port), int(r.pos[i].vc)
 	outPort := int(r.inOutPort[i])
@@ -808,15 +831,21 @@ func (r *router) dispatch(i int, now int64) {
 	r.flitsOut[outPort]++
 	if outPort == PortLocal {
 		if f.tail {
+			// The port is free again for every VC waiting to eject.
 			r.ejPkt = nil
+			r.ejecting &^= bit
+			r.saOK |= r.ejecting
 		} else if f.header() {
 			r.ejPkt = pkt
+			r.saOK &^= r.ejecting &^ bit
 		}
 		r.eject(&f, now)
 	} else {
 		outVC := int(r.inOutVC[i])
 		slot := r.vci(outPort, outVC)
-		r.outCredits[slot]--
+		if r.outCredits[slot]--; r.outCredits[slot] == 0 {
+			r.saOK &^= bit
+		}
 		// A cross-shard neighbor's state belongs to another worker: hand
 		// the flit through the boundary queue instead of appending directly.
 		// Same-shard appends keep the direct path — each arrivals[port]
@@ -831,6 +860,8 @@ func (r *router) dispatch(i int, now int64) {
 		}
 		if f.tail {
 			r.outOwner[slot] = nil
+			r.outHolder[slot] = -1
+			r.outBusy &^= 1 << uint(slot)
 		}
 		r.sh.stats.FlitHops++
 	}
@@ -855,6 +886,7 @@ func (r *router) dispatch(i int, now int64) {
 		r.inFlags[i] &^= vcRouted | vcVADone | vcAdaptive
 		r.routed &^= bit
 		r.vaDone &^= bit
+		r.saOK &^= bit
 	}
 	if r.cnt[i] > 0 {
 		r.newFront(i, r.front(i), now)

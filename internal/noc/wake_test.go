@@ -138,9 +138,7 @@ func TestRandomScheduleDrainsClean(t *testing.T) {
 				injected++
 			}
 			n.Tick(now)
-			if now%37 == 0 {
-				checkAllDerived(t, n, now)
-			}
+			checkAllDerived(t, n, now)
 			if now > 3000 && n.Stats().InFlight == 0 {
 				break
 			}

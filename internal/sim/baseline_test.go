@@ -9,9 +9,12 @@ import (
 )
 
 // mixedHalf returns the halved mixed workload-1 for a 16-tile system.
-func mixedHalf(t *testing.T) []trace.Profile {
+func mixedHalf(t *testing.T) []trace.Profile { return halved(t, 1) }
+
+// halved returns workload id halved onto a 16-tile system.
+func halved(t *testing.T, id int) []trace.Profile {
 	t.Helper()
-	w, err := workload.Get(1)
+	w, err := workload.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}

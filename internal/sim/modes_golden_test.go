@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"nocmem/internal/config"
-	"nocmem/internal/trace"
-	"nocmem/internal/workload"
 )
 
 // routerModes is one row per router configuration that the quick figure
@@ -50,26 +48,22 @@ var routerModes = []struct {
 //
 //	go test ./internal/sim -run TestRouterModesGolden -update
 func TestRouterModesGolden(t *testing.T) {
-	w, err := workload.Get(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, err := w.Halve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	apps, err := half.Profiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	apps := halved(t, 7)
 	for _, m := range routerModes {
-		m := m
 		t.Run(m.name, func(t *testing.T) {
 			cfg := config.Baseline16().WithSchemes(true, true)
 			cfg.Run.WarmupCycles = 2_000
 			cfg.Run.MeasureCycles = 10_000
 			m.set(&cfg)
-			got := runSummaryJSON(t, cfg, apps)
+			s, err := New(cfg, apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var j bytes.Buffer
+			if err := s.Run().WriteJSON(&j); err != nil {
+				t.Fatal(err)
+			}
+			got := j.Bytes()
 			path := filepath.Join("testdata", "modes", m.name+".json")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -89,17 +83,4 @@ func TestRouterModesGolden(t *testing.T) {
 			}
 		})
 	}
-}
-
-func runSummaryJSON(t *testing.T, cfg config.Config, apps []trace.Profile) []byte {
-	t.Helper()
-	s, err := New(cfg, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var j bytes.Buffer
-	if err := s.Run().WriteJSON(&j); err != nil {
-		t.Fatal(err)
-	}
-	return j.Bytes()
 }
