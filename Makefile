@@ -75,18 +75,19 @@ results-check:
 	for f in "$$tmp"/*.tsv; do diff "results/$${f##*/}" "$$f" || exit 1; done && \
 	echo "results/ reproduces: $(EXP)"
 
-# CPU-profile the two Step-only loops that bracket the stepper's regimes: the
-# 16x16 bursty shape (mostly idle mesh, MSHR-blocked bursts) and the saturated
-# 32-core machine. Writes cpu.pprof (and the test binary nocmem.test) next to
+# CPU-profile the two Step-only loops that bracket the stepper's regimes (the
+# 16x16 bursty shape: mostly idle mesh, MSHR-blocked bursts; and the saturated
+# 32-core machine) and the two Step-free halves of a warm-up fork on that
+# machine (Checkpoint, RestoreImage). Writes cpu.pprof (and the test binary nocmem.test) next to
 # the repo, ready for `go tool pprof nocmem.test cpu.pprof`. See
 # ARCHITECTURE.md ("Profiling workflow") for how to read the output.
 profile:
-	$(GO) test -run '^$$' -bench 'StepBursty256|SimCycle32Core' -cpuprofile cpu.pprof .
+	$(GO) test -run '^$$' -bench 'StepBursty256|SimCycle32Core|Checkpoint32|RestoreImage32' -cpuprofile cpu.pprof .
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof nocmem.test cpu.pprof"
 
 # The ROADMAP's tracked size: non-test Go lines outside the benchmark module
 # (18 853 at PR 16, 17 444 at PR 18, 17 179 at PR 19, 16 987 at PR 20,
-# 16 914 at PR 21, 16 977 at PR 22).
+# 16 914 at PR 21, 16 977 at PR 22, 17 082 at PR 23).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

@@ -1,15 +1,21 @@
 package cache
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"nocmem/internal/snapshot"
 )
 
+// encodedLine is the size of one way in a checkpoint: tag (u64), valid and
+// dirty (one byte each, 0 or 1), LRU timestamp (u64), little-endian.
+const encodedLine = 8 + 1 + 1 + 8
+
 // Encode serializes the cache contents: LRU clock, every way of every set,
 // and the event counters. Geometry (set/way counts) is derived from the
 // configuration but encoded too, so Decode can reject a snapshot taken
-// under a different cache shape.
+// under a different cache shape. The ways are an array of fixed-size records
+// and are written as one: a set at a time into space reserved in the writer.
 func (c *Cache) Encode(w *snapshot.Writer) {
 	w.U64(c.tick)
 	w.Len(len(c.sets))
@@ -18,12 +24,18 @@ func (c *Cache) Encode(w *snapshot.Writer) {
 	}
 	w.Len(len(c.sets[0]))
 	for _, set := range c.sets {
+		b := w.Reserve(len(set) * encodedLine)
 		for i := range set {
-			l := &set[i]
-			w.U64(l.tag)
-			w.Bool(l.valid)
-			w.Bool(l.dirty)
-			w.U64(l.used)
+			l, rec := &set[i], b[i*encodedLine:][:encodedLine]
+			binary.LittleEndian.PutUint64(rec, l.tag)
+			rec[8], rec[9] = 0, 0
+			if l.valid {
+				rec[8] = 1
+			}
+			if l.dirty {
+				rec[9] = 1
+			}
+			binary.LittleEndian.PutUint64(rec[10:], l.used)
 		}
 	}
 	st := c.stats
@@ -34,7 +46,10 @@ func (c *Cache) Encode(w *snapshot.Writer) {
 	w.I64(st.Writebacks)
 }
 
-// Decode restores the cache contents in place.
+// Decode restores the cache contents in place, replacing every line, the LRU
+// clock and the counters: nothing of what the cache held before survives. The
+// ways are read from one bounds-checked view of the image; a truncated array
+// and a valid or dirty byte other than 0 or 1 are format errors.
 func (c *Cache) Decode(r *snapshot.Reader) {
 	tick := r.U64()
 	nsets := r.Len(1)
@@ -57,14 +72,25 @@ func (c *Cache) Decode(r *snapshot.Reader) {
 		r.Fail("cache way count mismatch: snapshot %d, config %d", ways, len(c.sets[0]))
 		return
 	}
+	b := r.Next(nsets * ways * encodedLine)
+	if b == nil {
+		return
+	}
 	c.tick = tick
 	for _, set := range c.sets {
 		for i := range set {
-			l := &set[i]
-			l.tag = r.U64()
-			l.valid = r.Bool()
-			l.dirty = r.Bool()
-			l.used = r.U64()
+			rec := b[:encodedLine]
+			b = b[encodedLine:]
+			if rec[8]|rec[9] > 1 {
+				r.Fail("invalid bool byte in a cache line")
+				return
+			}
+			set[i] = line{
+				tag:   binary.LittleEndian.Uint64(rec),
+				valid: rec[8] == 1,
+				dirty: rec[9] == 1,
+				used:  binary.LittleEndian.Uint64(rec[10:]),
+			}
 		}
 	}
 	c.stats.Hits = r.I64()

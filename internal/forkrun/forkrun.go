@@ -214,17 +214,41 @@ func (c *Cache) snapshot(cfg config.Config, apps []trace.Profile) ([]byte, bool,
 		return nil, false, err
 	}
 	s.Step(cfg.Run.WarmupCycles)
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
+	if e.snap, err = exactImage(s); err != nil {
 		e.err = err
 		return nil, false, err
 	}
-	e.snap = buf.Bytes()
 	c.warmups.Add(1)
 	if st != nil {
 		st.SaveSnapshot(key, e.snap)
 	}
 	return e.snap, false, nil
+}
+
+// byteCount is an io.Writer that only measures.
+type byteCount int
+
+func (n *byteCount) Write(p []byte) (int, error) {
+	*n += byteCount(len(p))
+	return len(p), nil
+}
+
+// exactImage checkpoints s into a slice of exactly the image's size. An image
+// is retained for the life of the cache and shared by every fork, so it is
+// encoded twice — once to count, once into the sized slice — rather than grown:
+// a doubling buffer holds a dead half-size copy while the image is written and
+// keeps its unused tail for as long as the image lives. The second walk costs
+// a few milliseconds per executed warmup.
+func exactImage(s *sim.Simulator) ([]byte, error) {
+	var n byteCount
+	if err := s.Checkpoint(&n); err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	if err := s.Checkpoint(buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // evict drops a poisoned snapshot from the in-memory cache and the

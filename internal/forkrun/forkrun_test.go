@@ -104,4 +104,10 @@ func TestSubstrateVariantsDoNotShare(t *testing.T) {
 	if got := c.Snapshots(); got != 3 {
 		t.Fatalf("substrate variants produced %d warmup snapshots, want 3 distinct", got)
 	}
+	// An image lives as long as the cache does: it carries no unused tail.
+	for _, e := range c.snaps {
+		if len(e.snap) == 0 || cap(e.snap) != len(e.snap) {
+			t.Errorf("retained image of %d bytes has capacity %d", len(e.snap), cap(e.snap))
+		}
+	}
 }

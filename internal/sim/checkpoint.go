@@ -77,70 +77,68 @@ func (s *Simulator) Checkpoint(wr io.Writer) error {
 	return w.Err()
 }
 
-// Restore builds a simulator from cfg and apps exactly as New does, then
-// overlays the state read from rd. The snapshot must have been taken under
-// a structurally compatible configuration (same SnapshotKey — geometry,
-// timing, seed) and the same application placement; the stepping layout
-// (Run.Shards, NoSteal) is free to differ — snapshots are partition-
-// agnostic. The prioritization schemes and the memory scheduling policy may
-// differ:
-// a baseline warmup snapshot restores into a scheme-enabled measurement
-// configuration, with the scheme state starting cold.
+// Restore builds a simulator from cfg and apps and overlays the state read
+// from rd. The snapshot must have been taken under a structurally compatible
+// configuration (same SnapshotKey — geometry, timing, seed) and the same
+// application placement; the stepping layout (Run.Shards, NoSteal) is free to
+// differ — snapshots are partition-agnostic. The prioritization schemes and
+// the memory scheduling policy may differ: a baseline warmup snapshot restores
+// into a scheme-enabled measurement configuration, with the scheme state
+// starting cold.
+//
+// The machine is wired as New wires it, except that nothing is prewarmed:
+// everything the functional warming writes — every L1 and L2 line, the LRU
+// clocks, the cache counters, the directory — is state the image carries in
+// full and the decode replaces wholesale (cache.Decode, node.decode), and
+// listing an application's resident lines draws nothing from its generator's
+// PRNG, so the replayed issue count lands on the same stream.
 //
 // If cfg.Run.ResumeFrom is non-zero it must equal the cycle the snapshot
 // was taken at.
 func Restore(cfg config.Config, apps []trace.Profile, rd io.Reader) (*Simulator, error) {
-	s, err := New(cfg, apps)
+	s, err := newSynthetic(cfg, apps, false)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restore(rd); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s.restored(snapshot.NewReader(rd))
 }
 
 // RestoreImage is Restore over a checkpoint image already in memory. It
 // decodes img in place — the image is only read, so any number of concurrent
-// restores may share it — where Restore must first buffer its stream, which
-// costs every fork of one warm image several image sizes of copying and
-// garbage (io.ReadAll grows its buffer a quarter at a time).
+// restores may share it — where Restore must first buffer its stream.
 func RestoreImage(cfg config.Config, apps []trace.Profile, img []byte) (*Simulator, error) {
-	s, err := New(cfg, apps)
+	s, err := newSynthetic(cfg, apps, false)
 	if err != nil {
 		return nil, err
 	}
-	r, err := snapshot.NewReaderBytes(img)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.restoreFrom(r); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s.restored(snapshot.NewReaderBytes(img))
 }
 
 // RestoreFromSources is Restore over explicit instruction sources (e.g.
 // recorded trace files), mirroring NewFromSources.
 func RestoreFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Profile, rd io.Reader) (*Simulator, error) {
-	s, err := NewFromSources(cfg, srcs, apps)
+	s, err := newFromSources(cfg, srcs, apps, false)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restore(rd); err != nil {
+	return s.restored(snapshot.NewReader(rd))
+}
+
+// restored finishes a Restore: s with the image behind r decoded into it, or
+// no simulator at all.
+func (s *Simulator) restored(r *snapshot.Reader, err error) (*Simulator, error) {
+	if err == nil {
+		err = s.restoreFrom(r)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *Simulator) restore(rd io.Reader) error {
-	r, err := snapshot.NewReader(rd)
-	if err != nil {
-		return err
-	}
-	return s.restoreFrom(r)
-}
-
+// restoreFrom decodes the image behind r into s, which must be as its
+// constructor left it (prewarmed or not: the oracle in checkpoint_test.go
+// holds the two to the same bytes).
 func (s *Simulator) restoreFrom(r *snapshot.Reader) error {
 	key := r.String()
 	if r.Err() == nil && key != s.cfg.SnapshotKey() {
@@ -217,14 +215,14 @@ func (s *Simulator) restoreFrom(r *snapshot.Reader) error {
 		}
 	}
 
-	col := newCollector(len(s.nodes))
+	// The merged collector lands in shard 0's; the other shards keep the
+	// empty ones they were built with.
+	col := s.shards[0].col
 	decodeCollector(r, col)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	s.shards[0].col = col
 	for _, sh := range s.shards[1:] {
-		sh.col = newCollector(len(s.nodes))
 		sh.col.measuring = col.measuring
 	}
 
@@ -669,9 +667,10 @@ func (n *node) decode(d *decoder) {
 		}
 		n.dirWide = make(map[uint64][]uint64, nd)
 		n.dirFree = nil
+		slab := make([]uint64, nd*words) // every mask of the bank in one allocation
 		for i := 0; i < nd; i++ {
 			line := r.U64()
-			mask := make([]uint64, words)
+			mask := slab[i*words:][:words:words]
 			zero := true
 			for wi := range mask {
 				mask[wi] = r.U64()

@@ -61,6 +61,11 @@ type Simulator struct {
 // assigns one application per tile in order; a zero-value profile (empty
 // name) leaves the tile's core idle, which is how alone runs are expressed.
 func New(cfg config.Config, apps []trace.Profile) (*Simulator, error) {
+	return newSynthetic(cfg, apps, true)
+}
+
+// newSynthetic is New with the choice a Restore makes: see newFromSources.
+func newSynthetic(cfg config.Config, apps []trace.Profile, prewarm bool) (*Simulator, error) {
 	if len(apps) != cfg.Mesh.Nodes() {
 		return nil, fmt.Errorf("sim: %d applications for %d tiles", len(apps), cfg.Mesh.Nodes())
 	}
@@ -75,7 +80,7 @@ func New(cfg config.Config, apps []trace.Profile) (*Simulator, error) {
 		}
 		srcs[i] = gen
 	}
-	return NewFromSources(cfg, srcs, apps)
+	return newFromSources(cfg, srcs, apps, prewarm)
 }
 
 // NewFromSources builds a simulator over explicit instruction sources (e.g.
@@ -83,6 +88,14 @@ func New(cfg config.Config, apps []trace.Profile) (*Simulator, error) {
 // per-tile metadata (name for reporting, MPKI for the application-aware
 // baseline) and may hold zero values when unknown.
 func NewFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Profile) (*Simulator, error) {
+	return newFromSources(cfg, srcs, apps, true)
+}
+
+// newFromSources wires the machine. prewarm installs the applications'
+// resident working sets, which is how a run from cycle 0 starts; a Restore
+// passes false and builds the caches and directories empty, because the image
+// replaces every one of them (see Restore).
+func newFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Profile, prewarm bool) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -122,9 +135,11 @@ func NewFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 			n.core = cpu.New(i, cfg.CPU, srcs[i], n.issue)
 		}
 	}
-	for i, src := range srcs {
-		if src != nil {
-			s.prewarm(src, s.nodes[i])
+	if prewarm {
+		for i, src := range srcs {
+			if src != nil {
+				s.prewarm(src, s.nodes[i])
+			}
 		}
 	}
 	if cfg.AppAwareNet || cfg.DRAM.Sched == config.AppAwareMem {

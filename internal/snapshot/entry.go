@@ -36,19 +36,17 @@ func (w *Writer) Blob(b []byte) {
 
 // Blob reads a length-prefixed byte slice.
 func (r *Reader) Blob() []byte {
-	n := r.Len(1)
-	if r.err != nil {
-		return nil
-	}
-	b := make([]byte, n)
-	r.bytes(b)
-	return b
+	return bytes.Clone(r.Next(r.Len(1)))
 }
 
 // EncodeEntry frames payload under key as one store entry.
 func EncodeEntry(key string, payload []byte) ([]byte, error) {
+	// The frame's size is known: the sink is allocated once, and the writer
+	// buffers only what precedes the payload, which then goes straight in.
+	head := len(Magic) + 4 + 4 + len(key) + 4
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	buf.Grow(head + len(payload) + 8)
+	w := newWriter(&buf, head)
 	w.String(key)
 	w.Blob(payload)
 	w.U64(entryCRC(key, payload))

@@ -6,6 +6,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,10 +48,19 @@ func FuzzRestore(f *testing.F) {
 	}
 	f.Add(golden)
 	f.Add(golden[:len(golden)/3])
+	// The cache arrays are decoded from one view of the image: seed the four
+	// ways that can go wrong (the rows of sim's TestRestoreErrors).
+	cfg, apps := fuzzConfig()
+	lo, hi := firstL2Array(f, golden, cfg)
+	valid2, dirtyFF := bytes.Clone(golden), bytes.Clone(golden)
+	valid2[lo+8], dirtyFF[lo+18+9] = 2, 0xff
+	f.Add(valid2)
+	f.Add(dirtyFF)
+	f.Add(golden[:(lo+hi)/2])
+	f.Add(golden[:hi-1])
 	f.Add([]byte("NOCSNAP1\x01\x00\x00\x00"))
 	f.Add([]byte{})
 
-	cfg, apps := fuzzConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := sim.Restore(cfg, apps, bytes.NewReader(data))
 		if err != nil {
@@ -59,4 +69,29 @@ func FuzzRestore(f *testing.F) {
 		// A snapshot that decodes fully must yield a working simulator.
 		s.Step(3)
 	})
+}
+
+// firstL2Array is a copy of the helper of the same name in
+// internal/sim/checkpoint_test.go, which explains it: the byte range of tile
+// 0's L2 line array, found by the L1 and L2 headers standing one L1 array, its
+// counters and a clock apart.
+func firstL2Array(f *testing.F, img []byte, cfg config.Config) (lo, hi int) {
+	f.Helper()
+	header := func(c config.Cache) ([]byte, int) {
+		h := binary.LittleEndian.AppendUint32(nil, uint32(c.Sets()))
+		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), c.Sets() * c.Ways * 18
+	}
+	l1, l1Array := header(cfg.L1)
+	l2, l2Array := header(cfg.L2)
+	for at := 0; ; at++ {
+		i := bytes.Index(img[at:], l1)
+		if i < 0 {
+			f.Fatal("no L1 header followed by an L2 header in the image")
+		}
+		at += i
+		if next := at + len(l1) + l1Array + 40 + 8; next+len(l2) <= len(img) && bytes.Equal(img[next:next+len(l2)], l2) {
+			lo = next + len(l2)
+			return lo, lo + l2Array
+		}
+	}
 }

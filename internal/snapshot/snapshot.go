@@ -12,6 +12,8 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -35,24 +37,40 @@ const Version = 2
 // ErrFormat tags every decode error produced by this package.
 var ErrFormat = errors.New("snapshot: invalid checkpoint")
 
+// writerBuf bounds what a Writer holds back from its sink. It is the only
+// memory a Writer owns, whatever the size of the image.
+const writerBuf = 64 << 10
+
 // Writer serializes primitive values with a sticky error. All methods are
-// no-ops after the first write failure.
+// no-ops after the first failure.
+//
+// Writes are buffered: bytes reach the sink when the buffer (64 KB) fills,
+// when a single write at least that large passes through it, and when Err is
+// called. Err is therefore the end of every encoding — a sink read before it
+// is missing up to a buffer of bytes.
 type Writer struct {
 	w   io.Writer
-	buf [8]byte
+	buf []byte // pending bytes; the capacity is fixed at construction
 	err error
 }
 
 // NewWriter wraps w and emits the magic and version header.
-func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w}
+func NewWriter(w io.Writer) *Writer { return newWriter(w, writerBuf) }
+
+// newWriter is NewWriter with a buffer of the given size, for an encoder
+// that knows it has less than writerBuf to buffer (EncodeEntry).
+func newWriter(w io.Writer, size int) *Writer {
+	sw := &Writer{w: w, buf: make([]byte, 0, size)}
 	sw.write([]byte(Magic))
 	sw.U32(Version)
 	return sw
 }
 
-// Err returns the first write error, if any.
-func (w *Writer) Err() error { return w.err }
+// Err flushes the buffer and returns the first error, if any.
+func (w *Writer) Err() error {
+	w.flush()
+	return w.err
+}
 
 // Fail records an application-level encoding error.
 func (w *Writer) Fail(format string, args ...any) {
@@ -61,15 +79,44 @@ func (w *Writer) Fail(format string, args ...any) {
 	}
 }
 
+// flush empties the buffer: into the sink, or nowhere once an error stuck.
+func (w *Writer) flush() {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+}
+
+// Reserve returns the next n bytes of the stream for the caller to fill in
+// before its next call on w: array-shaped state (a cache set) is encoded in
+// place instead of a field at a time. n is limited to the buffer size.
+func (w *Writer) Reserve(n int) []byte {
+	if n > cap(w.buf) {
+		w.Fail("reserve of %d bytes exceeds the %d-byte buffer", n, cap(w.buf))
+		return make([]byte, n) // scratch: the stream is dead
+	}
+	if n > cap(w.buf)-len(w.buf) {
+		w.flush()
+	}
+	off := len(w.buf)
+	w.buf = w.buf[:off+n]
+	return w.buf[off:]
+}
+
 func (w *Writer) write(b []byte) {
-	if w.err != nil {
+	if len(b) >= cap(w.buf) {
+		// Too large to gain from a copy: straight to the sink.
+		w.flush()
+		if w.err == nil {
+			_, w.err = w.w.Write(b)
+		}
 		return
 	}
-	_, w.err = w.w.Write(b)
+	copy(w.Reserve(len(b)), b)
 }
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.write([]byte{v}) }
+func (w *Writer) U8(v uint8) { w.Reserve(1)[0] = v }
 
 // Bool writes a bool as one byte.
 func (w *Writer) Bool(v bool) {
@@ -81,21 +128,10 @@ func (w *Writer) Bool(v bool) {
 }
 
 // U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	w.buf[0] = byte(v)
-	w.buf[1] = byte(v >> 8)
-	w.buf[2] = byte(v >> 16)
-	w.buf[3] = byte(v >> 24)
-	w.write(w.buf[:4])
-}
+func (w *Writer) U32(v uint32) { binary.LittleEndian.PutUint32(w.Reserve(4), v) }
 
 // U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	for i := 0; i < 8; i++ {
-		w.buf[i] = byte(v >> (8 * i))
-	}
-	w.write(w.buf[:8])
-}
+func (w *Writer) U64(v uint64) { binary.LittleEndian.PutUint64(w.Reserve(8), v) }
 
 // I64 writes an int64 as its two's-complement uint64 image.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -140,28 +176,34 @@ func (w *Writer) F64s(vs []float64) {
 // Reader decodes a checkpoint stream with a sticky error. It buffers the
 // whole input up front so every length prefix can be validated against the
 // bytes actually remaining — corrupted or truncated input fails cleanly
-// instead of provoking huge allocations or panics.
+// instead of provoking huge allocations or panics. A Reader never writes to
+// its image, so any number of Readers may decode one image at once.
 type Reader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-// NewReader consumes r fully and validates the magic and version header.
+// NewReader consumes r fully and validates the magic and version header. A
+// stream that knows its length (*bytes.Buffer, *bytes.Reader) is buffered in
+// one allocation of that size; any other grows by doubling.
 func NewReader(r io.Reader) (*Reader, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() > 0 {
+		// ReadFrom asks for MinRead spare bytes before every read, the one
+		// that returns io.EOF included.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	return NewReaderBytes(data)
+	return NewReaderBytes(buf.Bytes())
 }
 
 // NewReaderBytes validates the header of an in-memory checkpoint image.
 func NewReaderBytes(data []byte) (*Reader, error) {
 	sr := &Reader{data: data}
-	magic := make([]byte, len(Magic))
-	sr.bytes(magic)
-	if sr.err != nil || string(magic) != Magic {
+	if magic := sr.Next(len(Magic)); string(magic) != Magic {
 		return nil, fmt.Errorf("%w: bad magic (not a checkpoint file)", ErrFormat)
 	}
 	if v := sr.U32(); sr.err != nil || v != Version {
@@ -183,23 +225,32 @@ func (r *Reader) Fail(format string, args ...any) {
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.data) - r.off }
 
-func (r *Reader) bytes(dst []byte) {
+// Next consumes the next n bytes and returns them as a view into the image,
+// or nil with the error set when n is negative or more than remain (or an
+// earlier read failed). The view is read-only — the image may be shared with
+// concurrent decoders — and its capacity is its length, so an append by the
+// caller copies instead of writing into the image. Array-shaped state (a
+// cache's lines) is decoded from one view in one loop instead of a field at
+// a time.
+func (r *Reader) Next(n int) []byte {
 	if r.err != nil {
-		return
+		return nil
 	}
-	if r.off+len(dst) > len(r.data) {
-		r.Fail("truncated: need %d bytes, have %d", len(dst), len(r.data)-r.off)
-		return
+	if n < 0 || n > len(r.data)-r.off {
+		r.Fail("truncated: need %d bytes, have %d", n, len(r.data)-r.off)
+		return nil
 	}
-	copy(dst, r.data[r.off:])
-	r.off += len(dst)
+	b := r.data[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b
 }
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	var b [1]byte
-	r.bytes(b[:])
-	return b[0]
+	if b := r.Next(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 // Bool reads a bool; any byte other than 0 or 1 is an error.
@@ -217,20 +268,18 @@ func (r *Reader) Bool() bool {
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
-	var b [4]byte
-	r.bytes(b[:])
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	if b := r.Next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
 }
 
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
-	var b [8]byte
-	r.bytes(b[:])
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
+	if b := r.Next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return v
+	return 0
 }
 
 // I64 reads an int64.
@@ -265,13 +314,7 @@ func (r *Reader) Len(elemSize int) int {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.Len(1)
-	if r.err != nil {
-		return ""
-	}
-	b := make([]byte, n)
-	r.bytes(b)
-	return string(b)
+	return string(r.Next(r.Len(1)))
 }
 
 // I64s reads a length-prefixed int64 slice.
