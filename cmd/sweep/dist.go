@@ -35,10 +35,10 @@ type distOptions struct {
 // distributedSweep prints the table of points through a coordinator: the one
 // at o.coordinator (joined by o.workers in-process workers), or one booted
 // in-process for the life of the sweep.
-func distributedSweep(out io.Writer, o distOptions, points []point, w workload.Workload) error {
+func distributedSweep(out io.Writer, logger *log.Logger, o distOptions, points []point, w workload.Workload) error {
 	logf := func(string, ...any) {}
 	if o.verbose {
-		logf = log.Printf
+		logf = logger.Printf
 	}
 	base, shutdown := o.coordinator, func() {}
 	if base == "" {
@@ -53,7 +53,7 @@ func distributedSweep(out io.Writer, o distOptions, points []point, w workload.W
 	cl := simdclient.New(base)
 	defer cl.Close()
 
-	if err := sweep(out, points, w, false, 0, coordinatorExecutor(cl, logf)); err != nil {
+	if err := sweep(out, logger, points, w, false, 0, coordinatorExecutor(cl, logf)); err != nil {
 		return err
 	}
 	if !o.verbose {
@@ -63,20 +63,22 @@ func distributedSweep(out io.Writer, o distOptions, points []point, w workload.W
 	if err != nil {
 		return err
 	}
-	log.Printf("provenance: %d leases granted, %d expired, %d re-leased; %d worker completions, %d duplicates absorbed",
+	logger.Printf("provenance: %d leases granted, %d expired, %d re-leased; %d worker completions, %d duplicates absorbed",
 		st.Runner.LeasesGranted, st.Runner.LeasesExpired, st.Runner.LeasesRelayed,
 		st.Runner.RemoteCompletions, st.Runner.DuplicateCompletions)
 	if st.Dist != nil {
 		for _, ws := range st.Dist.Workers {
-			log.Printf("provenance: worker %s: %d granted, %d completed", ws.ID, ws.Granted, ws.Completed)
+			logger.Printf("provenance: worker %s: %d granted, %d completed", ws.ID, ws.Granted, ws.Completed)
 		}
 	}
 	return nil
 }
 
-// coordinatorExecutor executes specs as one job on the daemon behind cl.
+// coordinatorExecutor executes specs as one job on the daemon behind cl. The
+// answer is outside input: it must hold one result per spec, each under the
+// key the spec resolves to, before any of it reaches the table.
 func coordinatorExecutor(cl *simdclient.Client, logf func(string, ...any)) executor {
-	return func(specs []simd.RunSpec) (map[string]sim.Summary, error) {
+	return func(specs []simd.RunSpec) ([]sim.Summary, error) {
 		ctx := context.Background()
 		sub, err := cl.Submit(ctx, simd.RunRequest{Points: specs})
 		if err != nil {
@@ -90,15 +92,23 @@ func coordinatorExecutor(cl *simdclient.Client, logf func(string, ...any)) execu
 		if e := js.Err(); e != "" {
 			return nil, fmt.Errorf("distributed sweep failed: %s", e)
 		}
-		byKey := make(map[string]sim.Summary, len(js.Results))
-		for _, pr := range js.Results {
-			var s sim.Summary
-			if err := json.Unmarshal(pr.Summary, &s); err != nil {
+		if len(js.Results) != len(specs) {
+			return nil, fmt.Errorf("job %s answered %d results for %d runs", sub.ID, len(js.Results), len(specs))
+		}
+		sums := make([]sim.Summary, len(specs))
+		for i, pr := range js.Results {
+			rp, err := simd.ResolveSpec(specs[i])
+			if err != nil {
+				return nil, err
+			}
+			if pr.Key != rp.Key {
+				return nil, fmt.Errorf("job %s: result %d is %s, want %s", sub.ID, i, pr.Key, rp.Key)
+			}
+			if err := json.Unmarshal(pr.Summary, &sums[i]); err != nil {
 				return nil, fmt.Errorf("result %s: %w", pr.Key, err)
 			}
-			byKey[pr.Key] = s
 		}
-		return byKey, nil
+		return sums, nil
 	}
 }
 

@@ -47,19 +47,19 @@ func TestDeterminismAcrossExecutionModes(t *testing.T) {
 
 	seqOpts := opts
 	seqOpts.Parallelism = 1
-	seqRes, err := NewRunner(seqOpts).runWorkload(config.Baseline32(), w)
+	seqRes, err := NewRunner(seqOpts).results(w.ID, config.Baseline32())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := summaryBytes(t, seqRes)
+	seq := summaryBytes(t, seqRes[0])
 
 	parOpts := opts
 	parOpts.Parallelism = 4
-	parRes, err := NewRunner(parOpts).runWorkload(config.Baseline32(), w)
+	parRes, err := NewRunner(parOpts).results(w.ID, config.Baseline32())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := summaryBytes(t, parRes)
+	par := summaryBytes(t, parRes[0])
 
 	if !bytes.Equal(direct, seq) {
 		t.Errorf("sequential runner summary differs from direct simulation\ndirect: %d bytes\nrunner: %d bytes", len(direct), len(seq))

@@ -56,80 +56,30 @@ func Figures() []Figure {
 	}
 }
 
-// substrate is one machine of a normalized-speedup experiment: its
-// schemes-off run is the base, its alone IPCs are the denominators of every
-// weighted speedup taken on it, and variants are the configurations whose
-// weighted speedups are normalized to the base.
-type substrate struct {
-	cfg      config.Config
-	variants []config.Config
-}
-
-// normRow is one workload's outcome of normalized.
-type normRow struct {
-	base []float64 // weighted speedup of each substrate's base run
-	norm []float64 // every variant over its substrate's base, substrates in order
-}
-
 // normalized measures every variant of every substrate on every workload
-// (the core of Figures 11, 15, 16 and 17). With Parallelism > 1 every run it
-// will ask for (base, variants, alone IPCs) is first prefetched across the
-// worker pool; the assembly pass below is then served from the cache, so the
-// rows are identical to a sequential execution. The repository benchmark
-// compares the requests of both passes exactly (Stats.Runs, Stats.CacheHits:
-// one per task, one per run recalled, one per active tile's alone IPC), so
-// neither pass may ask for a run more or less.
-func (r *Runner) normalized(subs []substrate, ws []workload.Workload) ([]normRow, error) {
-	var tasks []func() error
-	for _, w := range ws {
-		for _, s := range subs {
-			tasks = append(tasks, r.runTask(s.cfg.WithSchemes(false, false), w))
-			for _, v := range s.variants {
-				tasks = append(tasks, r.runTask(v, w))
-			}
-			alone, err := r.aloneTasks(s.cfg, w)
-			if err != nil {
-				return nil, err
-			}
-			tasks = append(tasks, alone...)
-		}
-	}
-	if err := r.prefetch(tasks); err != nil {
+// (the core of Figures 11, 15, 16 and 17) under the runner's Options: it
+// plans the table, executes each listed run once on the worker pool and
+// computes the rows from the runs' summaries. Which goroutine ran what
+// cannot reach the rows: they are a function of the summaries alone.
+func (r *Runner) normalized(subs []Substrate, ws []workload.Workload) ([]NormRow, error) {
+	p, err := NewPlan(subs, ws)
+	if err != nil {
 		return nil, err
 	}
-
-	rows := make([]normRow, len(ws))
-	for i, w := range ws {
-		for _, s := range subs {
-			base, err := r.weightedSpeedup(s.cfg, s.cfg.WithSchemes(false, false), w)
-			if err != nil {
-				return nil, err
-			}
-			rows[i].base = append(rows[i].base, base)
-			for _, v := range s.variants {
-				scheme, err := r.weightedSpeedup(s.cfg, v, w)
-				if err != nil {
-					return nil, err
-				}
-				rows[i].norm = append(rows[i].norm, scheme/base)
-			}
+	sums := make([]sim.Summary, len(p.Runs))
+	err = r.each(len(p.Runs), func(i int) error {
+		run := p.Runs[i]
+		res, err := r.RunConfig(r.opts.apply(run.Cfg), run.Apps, run.Label)
+		if err != nil {
+			return err
 		}
-	}
-	return rows, nil
-}
-
-// weightedSpeedup runs (or recalls) w under cfg and computes its WS against
-// the alone IPCs of the substrate sub.
-func (r *Runner) weightedSpeedup(sub, cfg config.Config, w workload.Workload) (float64, error) {
-	res, err := r.runWorkload(cfg, w)
+		sums[i] = res.Summary()
+		return nil
+	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	shared, alone, err := r.IPCPairs(r.opts.apply(sub), res)
-	if err != nil {
-		return 0, err
-	}
-	return stats.WeightedSpeedup(shared, alone)
+	return p.Rows(sums)
 }
 
 // SpeedupRow is one workload's Figure 11 data point.
@@ -144,39 +94,35 @@ type SpeedupRow struct {
 // under a configuration: Scheme-1 alone and Scheme-1+2 over cfg's
 // schemes-off run (Figures 11 and 15).
 func (r *Runner) Speedups(cfg config.Config, ws []workload.Workload) ([]SpeedupRow, error) {
-	norm, err := r.normalized([]substrate{{cfg, []config.Config{
+	norm, err := r.normalized([]Substrate{{cfg, []config.Config{
 		cfg.WithSchemes(true, false), cfg.WithSchemes(true, true)}}}, ws)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]SpeedupRow, len(ws))
 	for i, n := range norm {
-		rows[i] = SpeedupRow{Workload: ws[i], Base: n.base[0], NormS1: n.norm[0], NormS1S2: n.norm[1]}
+		rows[i] = SpeedupRow{Workload: ws[i], Base: n.Base[0], NormS1: n.Norm[0], NormS1S2: n.Norm[1]}
 	}
 	return rows, nil
 }
 
-// results runs Table 2 workload id under each configuration — prefetched
-// through the pool when there are several, then recalled in order.
+// results runs (or recalls, or waits for) Table 2 workload id under each
+// configuration, with the runner's Options, on the worker pool.
 func (r *Runner) results(id int, cfgs ...config.Config) ([]*sim.Result, error) {
 	wl, err := workload.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	tasks := make([]func() error, len(cfgs))
-	for i, c := range cfgs {
-		tasks[i] = r.runTask(c, wl)
-	}
-	if err := r.prefetch(tasks); err != nil {
+	apps, err := wl.Profiles()
+	if err != nil {
 		return nil, err
 	}
 	out := make([]*sim.Result, len(cfgs))
-	for i, c := range cfgs {
-		if out[i], err = r.runWorkload(c, wl); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	err = r.each(len(cfgs), func(i int) (err error) {
+		out[i], err = r.RunConfig(r.opts.apply(cfgs[i]), apps, wl.Name())
+		return err
+	})
+	return out, err
 }
 
 // milc returns the base-system run of workload-2 and the tile of its first
@@ -498,7 +444,7 @@ func (r *Runner) Fig15(w io.Writer, ids []int) error {
 
 // sensitivity prints one row per mixed workload (1-6) holding every variant's
 // normalized weighted speedup, one column per variant across subs.
-func (r *Runner) sensitivity(w io.Writer, title string, cols []string, subs ...substrate) error {
+func (r *Runner) sensitivity(w io.Writer, title string, cols []string, subs ...Substrate) error {
 	wls, err := workloads([]int{1, 2, 3, 4, 5, 6})
 	if err != nil {
 		return err
@@ -511,7 +457,7 @@ func (r *Runner) sensitivity(w io.Writer, title string, cols []string, subs ...s
 	fmt.Fprintf(w, "workload\t%s\n", strings.Join(cols, "\t"))
 	for i, row := range rows {
 		fmt.Fprintf(w, "w-%d", wls[i].ID)
-		for _, v := range row.norm {
+		for _, v := range row.Norm {
 			fmt.Fprintf(w, "\t%.4f", v)
 		}
 		fmt.Fprintln(w)
@@ -521,12 +467,12 @@ func (r *Runner) sensitivity(w io.Writer, title string, cols []string, subs ...s
 
 // Fig16a prints the Scheme-1 threshold sensitivity (workloads 1-6).
 func (r *Runner) Fig16a(w io.Writer, cfg config.Config, factors []float64) error {
-	sub := substrate{cfg: cfg}
+	sub := Substrate{Cfg: cfg}
 	var cols []string
 	for _, f := range factors {
 		c := cfg.WithSchemes(true, false)
 		c.S1.ThresholdFactor = f
-		sub.variants = append(sub.variants, c)
+		sub.Variants = append(sub.Variants, c)
 		cols = append(cols, fmt.Sprintf("%.1fx", f))
 	}
 	return r.sensitivity(w, "Fig 16a: Scheme-1 threshold sensitivity (mixed workloads)", cols, sub)
@@ -534,12 +480,12 @@ func (r *Runner) Fig16a(w io.Writer, cfg config.Config, factors []float64) error
 
 // Fig16b prints the Scheme-2 history-length sensitivity (workloads 1-6).
 func (r *Runner) Fig16b(w io.Writer, cfg config.Config, windows []int64) error {
-	sub := substrate{cfg: cfg}
+	sub := Substrate{Cfg: cfg}
 	var cols []string
 	for _, T := range windows {
 		c := cfg.WithSchemes(true, true)
 		c.S2.HistoryWindow = T
-		sub.variants = append(sub.variants, c)
+		sub.Variants = append(sub.Variants, c)
 		cols = append(cols, fmt.Sprintf("T=%d", T))
 	}
 	return r.sensitivity(w, "Fig 16b: Scheme-2 history length T sensitivity (mixed workloads)", cols, sub)
@@ -547,8 +493,8 @@ func (r *Runner) Fig16b(w io.Writer, cfg config.Config, windows []int64) error {
 
 // bothSchemes is the single-variant substrate of Figures 16c and 17:
 // Scheme-1+2 on machine c over c's own base and alone IPCs.
-func bothSchemes(c config.Config) substrate {
-	return substrate{c, []config.Config{c.WithSchemes(true, true)}}
+func bothSchemes(c config.Config) Substrate {
+	return Substrate{c, []config.Config{c.WithSchemes(true, true)}}
 }
 
 // Fig16c prints the sensitivity to the number of memory controllers.

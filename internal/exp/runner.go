@@ -11,7 +11,6 @@ import (
 	"nocmem/internal/par"
 	"nocmem/internal/sim"
 	"nocmem/internal/trace"
-	"nocmem/internal/workload"
 )
 
 // Options scales the measurement protocol. The zero value selects the
@@ -68,9 +67,9 @@ func (o Options) apply(cfg config.Config) config.Config {
 // result — singleflight semantics, so a run shared by several figures is
 // executed exactly once even when the figures are generated in parallel.
 // Actual simulation execution is gated by a worker semaphore of
-// Options.Parallelism slots; the figure helpers prefetch the runs they need
-// through that pool before assembling their output sequentially, which
-// keeps output bytes identical to a sequential execution.
+// Options.Parallelism slots; the figure helpers execute the runs they need
+// through that pool and compute their output from the collected results, so
+// output bytes are identical to a sequential execution.
 type Runner struct {
 	opts    Options
 	workers int
@@ -281,16 +280,6 @@ func (r *Runner) Execute(cfg config.Config, apps []trace.Profile, label string) 
 	return s.Run(), nil
 }
 
-// runWorkload executes (or recalls, or waits for) a Table 2 workload run under
-// the runner's Options.
-func (r *Runner) runWorkload(cfg config.Config, w workload.Workload) (*sim.Result, error) {
-	apps, err := w.Profiles()
-	if err != nil {
-		return nil, err
-	}
-	return r.RunConfig(r.opts.apply(cfg), apps, w.Name())
-}
-
 // AloneIPC measures (and caches) one application's IPC when it runs alone on
 // tile 0 of the unprioritized system — the denominator of weighted speedup.
 // cfg is used as given (no Options defaults); the run is keyed
@@ -324,52 +313,23 @@ func (r *Runner) IPCPairs(cfg config.Config, res *sim.Result) (shared, alone []f
 	return shared, alone, nil
 }
 
-// --- Prefetching: the parallel execution engine ---
-
-// prefetch runs the given tasks concurrently on the worker pool and returns
-// the first error. With Parallelism <= 1 it is a no-op: the sequential
-// assembly code that follows performs exactly the original run sequence.
-func (r *Runner) prefetch(tasks []func() error) error {
-	if r.workers <= 1 || len(tasks) < 2 {
+// each calls fn(0) .. fn(n-1) on the worker pool and returns the first
+// error; with one worker, in index order on the calling goroutine.
+func (r *Runner) each(n int, fn func(i int) error) error {
+	if r.workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
-	// The group may admit every task at once: the run semaphore (not the
-	// group) bounds how many simulations actually execute, and waiters of
-	// deduplicated runs park on a channel without holding a worker slot.
-	g := par.NewGroup(len(tasks))
-	for _, fn := range tasks {
-		g.Go(fn)
+	// The group admits every call at once: the run semaphore (not the group)
+	// bounds how many simulations execute, and a waiter of a run another
+	// figure started parks on a channel without holding a worker slot.
+	g := par.NewGroup(n)
+	for i := 0; i < n; i++ {
+		g.Go(func() error { return fn(i) })
 	}
 	return g.Wait()
-}
-
-// runTask returns a prefetch task executing one workload run.
-func (r *Runner) runTask(cfg config.Config, w workload.Workload) func() error {
-	return func() error {
-		_, err := r.runWorkload(cfg, w)
-		return err
-	}
-}
-
-// aloneTasks returns prefetch tasks for the alone runs weightedSpeedup will
-// request for this workload under cfg (one per distinct application).
-func (r *Runner) aloneTasks(cfg config.Config, w workload.Workload) ([]func() error, error) {
-	apps, err := w.Profiles()
-	if err != nil {
-		return nil, err
-	}
-	var tasks []func() error
-	seen := make(map[string]bool)
-	for _, a := range apps {
-		if a.Name == "" || seen[a.Name] {
-			continue
-		}
-		seen[a.Name] = true
-		app := a
-		tasks = append(tasks, func() error {
-			_, err := r.AloneIPC(r.opts.apply(cfg), app)
-			return err
-		})
-	}
-	return tasks, nil
 }
