@@ -86,3 +86,100 @@ func ExampleResult_breakdown() {
 	// 800-900 cycles: [266 143 221 118 124]
 	// 900-1000 cycles: [150 58 480 152 108]
 }
+
+// A custom application: a latency-sensitive pointer chaser in the middle of
+// the 32-core mesh, surrounded by streamers, measured against its IPC alone.
+func ExampleAloneIPC() {
+	cfg := quick(nocmem.Baseline32())
+	victim := nocmem.Profile{Name: "pointer-chaser", MPKI: 12, WarmAPKI: 90, MemFrac: 0.33,
+		StoreFrac: 0.10, RowBurst: 1, Streams: 1, HotLines: 128, WarmLines: 2048}
+	stream := nocmem.Profile{Name: "streamer", MPKI: 35, WarmAPKI: 60, MemFrac: 0.30,
+		StoreFrac: 0.40, RowBurst: 512, Streams: 8, HotLines: 128, WarmLines: 1024}
+	apps := make([]nocmem.Profile, cfg.Mesh.Nodes())
+	for i := range apps {
+		apps[i] = stream
+	}
+	const tile = 11 // (x=3, y=1): central, far from every controller corner
+	apps[tile] = victim
+	alone, err := nocmem.AloneIPC(cfg, victim)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("alone: IPC %.3f\n", alone)
+	for _, v := range []struct {
+		name   string
+		s1, s2 bool
+	}{{"base", false, false}, {"scheme-1", true, false}, {"scheme-1+2", true, true}} {
+		res, err := nocmem.RunApps(cfg.WithSchemes(v.s1, v.s2), apps)
+		if err != nil {
+			log.Fatal(err)
+		}
+		h := res.Collector.RoundTrip[tile]
+		fmt.Printf("%s: IPC %.3f (%.0f%% of alone), latency mean %.0f p99 %d\n",
+			v.name, res.IPC[tile], 100*res.IPC[tile]/alone, h.Mean(), h.Percentile(99))
+	}
+	// Output:
+	// alone: IPC 0.659
+	// base: IPC 0.412 (63% of alone), latency mean 452 p99 775
+	// scheme-1: IPC 0.430 (65% of alone), latency mean 435 p99 725
+	// scheme-1+2: IPC 0.462 (70% of alone), latency mean 418 p99 625
+}
+
+// Fairness beside weighted speedup: a memory-intensive mix halved onto the
+// 16-core machine, under the base network and under Scheme-1+2.
+func ExampleFairness() {
+	cfg := quick(nocmem.Baseline16())
+	w8, _ := nocmem.GetWorkload(8)
+	w, err := w8.Halve()
+	if err != nil {
+		log.Fatal(err)
+	}
+	row, err := nocmem.SpeedupFor(cfg, w)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("normalized WS: scheme-1 %.4f, scheme-1+2 %.4f\n", row.NormS1, row.NormS1S2)
+	for _, sys := range []struct {
+		name string
+		res  *nocmem.Result
+	}{{"base", row.Base}, {"scheme-1+2", row.S1S2}} {
+		slowdown, harmonic, err := nocmem.Fairness(cfg, sys.res)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s: max slowdown %.2f, harmonic speedup %.4f, net latency %.1f\n",
+			sys.name, slowdown, harmonic, sys.res.Net.AvgLatency())
+	}
+	// Output:
+	// normalized WS: scheme-1 1.0324, scheme-1+2 1.0445
+	// base: max slowdown 2.62, harmonic speedup 0.4818, net latency 69.1
+	// scheme-1+2: max slowdown 2.33, harmonic speedup 0.5053, net latency 70.6
+}
+
+// Equation 1 normalizes each router's residence time by its own clock, so
+// ages stay comparable when a column of routers runs at a third of the speed.
+func ExampleWeightedSpeedup() {
+	w, _ := nocmem.GetWorkload(8)
+	base := quick(nocmem.Baseline32())
+	slow := base
+	slow.NoC.ClockDivisors = map[int]int{4: 3, 12: 3, 20: 3, 28: 3} // column x=4 at f/3
+	for _, sys := range []struct {
+		name string
+		cfg  nocmem.Config
+	}{{"homogeneous", base}, {"slow column", slow}} {
+		var ws [2]float64
+		for i, schemes := range []bool{false, true} {
+			res, err := nocmem.RunWorkload(sys.cfg.WithSchemes(schemes, schemes), w)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if ws[i], err = nocmem.WeightedSpeedup(sys.cfg, res); err != nil {
+				log.Fatal(err)
+			}
+		}
+		fmt.Printf("%s: WS %.3f -> %.3f with scheme-1+2 (%.4fx)\n", sys.name, ws[0], ws[1], ws[1]/ws[0])
+	}
+	// Output:
+	// homogeneous: WS 13.377 -> 13.383 with scheme-1+2 (1.0005x)
+	// slow column: WS 6.155 -> 6.321 with scheme-1+2 (1.0271x)
+}
