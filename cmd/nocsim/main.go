@@ -24,6 +24,7 @@ import (
 	"text/tabwriter"
 
 	"nocmem"
+	"nocmem/internal/exp"
 )
 
 func main() {
@@ -64,8 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *steal != "on" && *steal != "off" {
 		return fmt.Errorf("bad -steal value %q (want on or off)", *steal)
 	}
-	nocmem.SetParallelism(*jobs)
-	nocmem.SetShareWarmup(*fork)
 
 	var cfg nocmem.Config
 	switch *cores {
@@ -102,7 +101,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	} else {
-		if row, err = nocmem.SpeedupFor(cfg, w); err != nil {
+		runner := exp.NewRunner(exp.Options{Parallelism: *jobs, ShareWarmup: *fork})
+		if row, err = runner.SpeedupFor(cfg, w); err != nil {
 			return err
 		}
 		systems = [3]system{

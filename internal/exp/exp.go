@@ -8,6 +8,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -104,6 +105,61 @@ func (r *Runner) Speedups(cfg config.Config, ws []workload.Workload) ([]SpeedupR
 		rows[i] = SpeedupRow{Workload: ws[i], Base: n.Base[0], NormS1: n.Norm[0], NormS1S2: n.Norm[1]}
 	}
 	return rows, nil
+}
+
+// SchemeRuns is one workload's Figure 11 data point on a caller's machine,
+// with the three shared runs kept for deeper inspection (latency CDFs, bank
+// idleness, the tagged return path, what the stepper elided).
+type SchemeRuns struct {
+	Workload workload.Workload
+
+	BaseWS, S1WS, S1S2WS float64
+
+	// NormS1 and NormS1S2 are normalized to the unprioritized base.
+	NormS1, NormS1S2 float64
+
+	Base, S1, S1S2 *sim.Result
+}
+
+// SpeedupFor runs w on cfg as given (no Options defaults) under the base,
+// Scheme-1 and Scheme-1+2, and computes the three weighted speedups and the
+// two normalized ones from the plan of that one-cell table. The shared runs
+// bypass the run cache (see Execute: a halved workload keeps its parent's
+// name); the alone runs are cached like AloneIPC's.
+func (r *Runner) SpeedupFor(cfg config.Config, w workload.Workload) (SchemeRuns, error) {
+	row := SchemeRuns{Workload: w}
+	p, err := NewPlan([]Substrate{{cfg, []config.Config{
+		cfg.WithSchemes(true, false), cfg.WithSchemes(true, true)}}}, []workload.Workload{w})
+	if err != nil {
+		return row, err
+	}
+	c := p.cells[0][0]
+	res := make([]*sim.Result, len(p.Runs))
+	sums := make([]sim.Summary, len(p.Runs))
+	err = r.each(len(p.Runs), func(i int) (err error) {
+		run := p.Runs[i]
+		if i == c.base || slices.Contains(c.variants, i) {
+			res[i], err = r.Execute(run.Cfg, run.Apps, run.Label)
+		} else {
+			res[i], err = r.RunConfig(run.Cfg, run.Apps, run.Label)
+		}
+		if err == nil {
+			sums[i] = res[i].Summary()
+		}
+		return err
+	})
+	if err != nil {
+		return row, err
+	}
+	rows, err := p.Rows(sums)
+	if err != nil {
+		return row, err
+	}
+	n := rows[0]
+	row.BaseWS, row.S1WS, row.S1S2WS = n.Base[0], n.WS[0], n.WS[1]
+	row.NormS1, row.NormS1S2 = n.Norm[0], n.Norm[1]
+	row.Base, row.S1, row.S1S2 = res[c.base], res[n.Variant[0]], res[n.Variant[1]]
+	return row, nil
 }
 
 // results runs (or recalls, or waits for) Table 2 workload id under each

@@ -72,7 +72,7 @@ func NewPlan(subs []Substrate, ws []workload.Workload) (*Plan, error) {
 			}
 			for _, a := range apps {
 				if _, ok := c.alone[a.Name]; !ok && a.Name != "" {
-					c.alone[a.Name] = add(Run{Cfg: off, Apps: []trace.Profile{a}, Label: "alone-" + a.Name})
+					c.alone[a.Name] = add(Run{Cfg: off, Apps: []trace.Profile{a}, Label: aloneLabel(a)})
 				}
 			}
 			p.cells[wi] = append(p.cells[wi], c)
@@ -84,6 +84,7 @@ func NewPlan(subs []Substrate, ws []workload.Workload) (*Plan, error) {
 // NormRow is one workload's row of a plan's table.
 type NormRow struct {
 	Base    []float64 // weighted speedup of each substrate's base run
+	WS      []float64 // weighted speedup of each variant, parallel to Norm
 	Norm    []float64 // every variant over its substrate's base, substrates in order
 	Variant []int     // the Runs index behind each Norm entry
 }
@@ -113,7 +114,7 @@ func (p *Plan) Rows(sums []sim.Summary) ([]NormRow, error) {
 				if err != nil {
 					return nil, fmt.Errorf("exp: %s under the base configuration: %w", p.Runs[c.base].Label, err)
 				}
-				row.Norm, row.Variant = append(row.Norm, norm), append(row.Variant, v)
+				row.WS, row.Norm, row.Variant = append(row.WS, scheme), append(row.Norm, norm), append(row.Variant, v)
 			}
 		}
 	}

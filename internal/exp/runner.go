@@ -283,10 +283,10 @@ func (r *Runner) Execute(cfg config.Config, apps []trace.Profile, label string) 
 // AloneIPC measures (and caches) one application's IPC when it runs alone on
 // tile 0 of the unprioritized system — the denominator of weighted speedup.
 // cfg is used as given (no Options defaults); the run is keyed
-// RunKey(cfg, "alone-"+name) and deduplicated by the singleflight cache, so
+// RunKey(cfg, aloneLabel(app)) and deduplicated by the singleflight cache, so
 // concurrent callers share one simulation.
 func (r *Runner) AloneIPC(cfg config.Config, app trace.Profile) (float64, error) {
-	res, err := r.RunConfig(cfg.WithSchemes(false, false), []trace.Profile{app}, "alone-"+app.Name)
+	res, err := r.RunConfig(cfg.WithSchemes(false, false), []trace.Profile{app}, aloneLabel(app))
 	if err != nil {
 		return 0, err
 	}
@@ -295,6 +295,18 @@ func (r *Runner) AloneIPC(cfg config.Config, app trace.Profile) (float64, error)
 		return 0, fmt.Errorf("exp: alone IPC of %s is %v", app.Name, ipc)
 	}
 	return ipc, nil
+}
+
+// aloneLabel is the label of app's alone run. A built-in profile keeps
+// "alone-"+name, the key of every Table 2 alone run and of the daemon's stored
+// results; any other profile is labelled by all of its parameters, because a
+// custom profile may share its name with a built-in one or with another custom
+// profile, and the label is what the run cache tells them apart by.
+func aloneLabel(app trace.Profile) string {
+	if p, err := trace.Lookup(app.Name); err == nil && p == app {
+		return "alone-" + app.Name
+	}
+	return fmt.Sprintf("alone-%+v", app)
 }
 
 // IPCPairs pairs each active tile's IPC in a finished run with the alone IPC

@@ -2,7 +2,6 @@ package nocmem
 
 import (
 	"os"
-	"sync"
 	"testing"
 
 	"nocmem/internal/trace"
@@ -135,12 +134,12 @@ func TestSpeedupForProducesAllVariants(t *testing.T) {
 	}
 }
 
-// TestStatsCountOneExecutionCore: every package-level helper runs on the one
-// default runner, so Stats sees the shared runs (never cached: labels do not
-// identify a facade placement) and the alone runs (cached per application).
-func TestStatsCountOneExecutionCore(t *testing.T) {
-	SetShareWarmup(false) // fresh runner: empty caches, zero counters
-	cfg := quickCfg()
+// TestSpeedupForKeepsPlacementsApart: a halved workload keeps its parent's
+// Name(), so the shared runs of SpeedupFor must not be cached by label — on
+// the 32-tile machine the full and the halved mix each read their own runs.
+func TestSpeedupForKeepsPlacementsApart(t *testing.T) {
+	cfg := Baseline32()
+	cfg.Run.WarmupCycles, cfg.Run.MeasureCycles, cfg.S1.UpdatePeriod = 2_000, 6_000, 400
 	w, err := GetWorkload(13)
 	if err != nil {
 		t.Fatal(err)
@@ -149,64 +148,28 @@ func TestStatsCountOneExecutionCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distinct := int64(len(half.Apps))
-	if _, err := SpeedupFor(cfg, half); err != nil {
-		t.Fatal(err)
+	if half.Name() != w.Name() {
+		t.Fatalf("halved workload renamed %q -> %q: the test no longer pins anything", w.Name(), half.Name())
 	}
-	first := Stats()
-	if first.Executed != 3+distinct || first.Runs != first.Executed+first.CacheHits {
-		t.Errorf("first SpeedupFor: %+v, want %d executed (3 shared + %d alone)", first, 3+distinct, distinct)
-	}
-	if _, err := SpeedupFor(cfg, half); err != nil {
-		t.Fatal(err)
-	}
-	second := Stats()
-	if d := second.Executed - first.Executed; d != 3 {
-		t.Errorf("second SpeedupFor executed %d simulations, want only the 3 shared runs", d)
-	}
-	if second.Runs-first.Runs != 3+(second.CacheHits-first.CacheHits) {
-		t.Errorf("second SpeedupFor: alone requests not all cache hits: %+v -> %+v", first, second)
-	}
-}
-
-// TestAloneIPCSingleflight: concurrent callers of one alone point share one
-// simulation — and with warmup sharing on, that run is one warmup plus one
-// fork. Run under -race.
-func TestAloneIPCSingleflight(t *testing.T) {
-	defer SetShareWarmup(false)
-	cfg := quickCfg()
-	app, err := LookupApp("milc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, share := range []bool{false, true} {
-		SetShareWarmup(share)
-		var wg sync.WaitGroup
-		ipcs := make([]float64, 8)
-		for i := range ipcs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				v, err := AloneIPC(cfg, app)
-				if err != nil {
-					t.Error(err)
-				}
-				ipcs[i] = v
-			}()
+	var rows [2]SpeedupRow
+	for i, wl := range []Workload{half, w, half} {
+		row, err := SpeedupFor(cfg, wl)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-		for _, v := range ipcs {
-			if v != ipcs[0] || v <= 0 {
-				t.Fatalf("share=%v: callers saw different alone IPCs: %v", share, ipcs)
+		for _, res := range []*Result{row.Base, row.S1, row.S1S2} {
+			if got := len(res.ActiveTiles()); got != wl.Size() {
+				t.Errorf("%s of %d applications: a shared run has %d active tiles", wl.Name(), wl.Size(), got)
 			}
 		}
-		st := Stats()
-		if st.Runs != 8 || st.Executed != 1 || st.CacheHits != 7 {
-			t.Errorf("share=%v: %+v, want 8 requests, 1 executed, 7 cache hits", share, st)
+		if i < 2 {
+			rows[i] = row
+		} else if row.BaseWS != rows[0].BaseWS || row.NormS1S2 != rows[0].NormS1S2 {
+			t.Errorf("halved mix after the full one: %+v, first %+v", row, rows[0])
 		}
-		if want := map[bool]int64{false: 0, true: 1}[share]; st.Warmups != want || st.Forked != want {
-			t.Errorf("share=%v: %d warmups, %d forked, want %d each", share, st.Warmups, st.Forked, want)
-		}
+	}
+	if rows[0].BaseWS == rows[1].BaseWS {
+		t.Errorf("halved and full mix share base WS %v", rows[0].BaseWS)
 	}
 }
 
