@@ -141,6 +141,11 @@ func newFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 				s.prewarm(src, s.nodes[i])
 			}
 		}
+		// Every application's warm lines land in shared banks: zero the
+		// banks' counters once, after the last one.
+		for _, nd := range s.nodes {
+			nd.l2.ResetStats()
+		}
 	}
 	if cfg.AppAwareNet || cfg.DRAM.Sched == config.AppAwareMem {
 		mpki := make([]float64, nodes)
@@ -258,7 +263,8 @@ func (s *Simulator) buildShards() {
 // hot lines into its L1 and home L2 banks, warm lines into the L2. This is
 // the usual fast functional warming that precedes detailed simulation; the
 // timed warmup then only has to settle queues and schedulers, not stream
-// megabytes through a crawling cold-start system.
+// megabytes through a crawling cold-start system. It zeroes the L1's counters;
+// the caller zeroes the L2 banks' once every application is installed.
 func (s *Simulator) prewarm(src trace.AppSource, n *node) {
 	hot, warm := src.PrewarmLines()
 	for _, line := range warm {
@@ -274,9 +280,6 @@ func (s *Simulator) prewarm(src trace.AppSource, n *node) {
 		n.l1.Fill(line, false)
 	}
 	n.l1.ResetStats()
-	for _, nd := range s.nodes {
-		nd.l2.ResetStats()
-	}
 }
 
 // Now returns the current cycle.
