@@ -14,18 +14,21 @@ type Stats struct {
 	Writebacks int64 // dirty evictions
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
 // Cache is a set-associative write-back cache. It tracks tags only (no
 // data), which is all a performance model needs. Not safe for concurrent
 // use.
+//
+// The tag array is three flat per-way arrays indexed set*ways+way. keys holds
+// tag<<1 | valid, so a lookup is one compare per way and the eight ways of an
+// L2 set share one 64-byte host cache line; used holds the LRU timestamps and
+// dirty the dirty bits. An invalid way keeps whatever tag, timestamp and
+// dirty bit it last held (zeros after Invalidate): the checkpoint carries them
+// as they are.
 type Cache struct {
-	sets      [][]line
+	keys      []uint64
+	used      []uint64 // LRU timestamp per way
+	dirty     []bool
+	ways      int
 	lineShift uint
 	setShift  uint // log2 of the set count: where the tag starts in a line number
 	setMask   uint64
@@ -36,7 +39,9 @@ type Cache struct {
 
 // New constructs a cache. Size, line size and way count must describe a
 // power-of-two number of sets; it panics otherwise (configurations are
-// validated up front by the config package).
+// validated up front by the config package). A cache of one one-byte line is
+// refused too: its tags would span all 64 address bits and leave none for the
+// valid bit packed beside them.
 func New(sizeBytes, lineBytes, ways int) *Cache {
 	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache: bad shape size=%d line=%d ways=%d", sizeBytes, lineBytes, ways))
@@ -45,17 +50,18 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 || lineBytes&(lineBytes-1) != 0 {
 		panic(fmt.Sprintf("cache: non-power-of-two geometry sets=%d line=%d", nsets, lineBytes))
 	}
-	c := &Cache{
-		sets:      make([][]line, nsets),
+	if nsets*lineBytes < 2 {
+		panic("cache: a single one-byte line leaves no room for the valid bit")
+	}
+	return &Cache{
+		keys:      make([]uint64, nsets*ways),
+		used:      make([]uint64, nsets*ways),
+		dirty:     make([]bool, nsets*ways),
+		ways:      ways,
 		lineShift: log2(uint64(lineBytes)),
 		setShift:  log2(uint64(nsets)),
 		setMask:   uint64(nsets) - 1,
 	}
-	backing := make([]line, nsets*ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	return c
 }
 
 func log2(v uint64) uint {
@@ -76,26 +82,31 @@ func (c *Cache) SetLIPInsertion(on bool) { c.lip = on }
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ ((1 << c.lineShift) - 1) }
 
-func (c *Cache) index(addr uint64) (setIdx uint64, tag uint64) {
+// lookup returns the first way of addr's set in the flat arrays, the line's
+// valid key (tag<<1 | 1), and the way holding it, -1 when absent.
+func (c *Cache) lookup(addr uint64) (base int, key uint64, way int) {
 	lineNum := addr >> c.lineShift
-	return lineNum & c.setMask, lineNum >> c.setShift
+	base = int(lineNum&c.setMask) * c.ways
+	key = lineNum>>c.setShift<<1 | 1
+	for i, k := range c.keys[base : base+c.ways] {
+		if k == key {
+			return base, key, base + i
+		}
+	}
+	return base, key, -1
 }
 
 // Access looks up addr, updating LRU state and the hit/miss counters.
 // On a write hit the line is marked dirty. Returns whether it hit.
 func (c *Cache) Access(addr uint64, isWrite bool) bool {
-	set, tag := c.index(addr)
 	c.tick++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			l.used = c.tick
-			if isWrite {
-				l.dirty = true
-			}
-			c.stats.Hits++
-			return true
+	if _, _, w := c.lookup(addr); w >= 0 {
+		c.used[w] = c.tick
+		if isWrite {
+			c.dirty[w] = true
 		}
+		c.stats.Hits++
+		return true
 	}
 	c.stats.Misses++
 	return false
@@ -115,14 +126,10 @@ func (c *Cache) ReplayMisses(k int64) {
 // promoting its replacement state: a writeback is not a demand reuse, so it
 // must not keep a dead line alive. Returns whether the line was present.
 func (c *Cache) WritebackHit(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			l.dirty = true
-			c.stats.Hits++
-			return true
-		}
+	if _, _, w := c.lookup(addr); w >= 0 {
+		c.dirty[w] = true
+		c.stats.Hits++
+		return true
 	}
 	c.stats.Misses++
 	return false
@@ -130,14 +137,8 @@ func (c *Cache) WritebackHit(addr uint64) bool {
 
 // Contains probes for addr without disturbing LRU state or counters.
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, _, w := c.lookup(addr)
+	return w >= 0
 }
 
 // Victim describes a line displaced by a Fill.
@@ -148,33 +149,31 @@ type Victim struct {
 
 // Fill installs the line containing addr (marking it dirty if requested) and
 // returns the evicted victim, if any. Filling an already-present line only
-// refreshes its LRU position (and dirtiness).
+// refreshes its LRU position (and dirtiness). The victim is the set's first
+// invalid way, else its first way with the oldest timestamp.
 func (c *Cache) Fill(addr uint64, dirty bool) (Victim, bool) {
-	set, tag := c.index(addr)
 	c.tick++
-	ways := c.sets[set]
+	base, key, w := c.lookup(addr)
 	// Already present (e.g. a second fill racing a prefetch): refresh.
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].used = c.tick
-			ways[i].dirty = ways[i].dirty || dirty
-			return Victim{}, false
-		}
+	if w >= 0 {
+		c.used[w] = c.tick
+		c.dirty[w] = c.dirty[w] || dirty
+		return Victim{}, false
 	}
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
+	victim := base
+	for i := base; i < base+c.ways; i++ {
+		if c.keys[i]&1 == 0 {
 			victim = i
 			break
 		}
-		if ways[i].used < ways[victim].used {
+		if c.used[i] < c.used[victim] {
 			victim = i
 		}
 	}
 	var ev Victim
-	evicted := ways[victim].valid
+	evicted := c.keys[victim]&1 != 0
 	if evicted {
-		ev = Victim{Addr: c.addrOf(set, ways[victim].tag), Dirty: ways[victim].dirty}
+		ev = Victim{Addr: c.addrOf(uint64(base/c.ways), c.keys[victim]>>1), Dirty: c.dirty[victim]}
 		c.stats.Evictions++
 		if ev.Dirty {
 			c.stats.Writebacks++
@@ -184,7 +183,7 @@ func (c *Cache) Fill(addr uint64, dirty bool) (Victim, bool) {
 	if c.lip {
 		used = 0 // LRU insertion: next victim unless re-referenced
 	}
-	ways[victim] = line{tag: tag, valid: true, dirty: dirty, used: used}
+	c.keys[victim], c.used[victim], c.dirty[victim] = key, used, dirty
 	c.stats.Fills++
 	return ev, evicted
 }
@@ -192,16 +191,13 @@ func (c *Cache) Fill(addr uint64, dirty bool) (Victim, bool) {
 // Invalidate drops the line containing addr if present, returning whether it
 // was dirty.
 func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			wasDirty = l.dirty
-			*l = line{}
-			return wasDirty
-		}
+	_, _, w := c.lookup(addr)
+	if w < 0 {
+		return false
 	}
-	return false
+	wasDirty = c.dirty[w]
+	c.keys[w], c.used[w], c.dirty[w] = 0, 0, false
+	return wasDirty
 }
 
 func (c *Cache) addrOf(set, tag uint64) uint64 {

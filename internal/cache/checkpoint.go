@@ -15,27 +15,22 @@ const encodedLine = 8 + 1 + 1 + 8
 // and the event counters. Geometry (set/way counts) is derived from the
 // configuration but encoded too, so Decode can reject a snapshot taken
 // under a different cache shape. The ways are an array of fixed-size records
-// and are written as one: a set at a time into space reserved in the writer.
+// and are written as one: a set at a time into space reserved in the writer
+// (a reservation is bounded by the writer's buffer).
 func (c *Cache) Encode(w *snapshot.Writer) {
 	w.U64(c.tick)
-	w.Len(len(c.sets))
-	if len(c.sets) == 0 {
-		return
-	}
-	w.Len(len(c.sets[0]))
-	for _, set := range c.sets {
-		b := w.Reserve(len(set) * encodedLine)
-		for i := range set {
-			l, rec := &set[i], b[i*encodedLine:][:encodedLine]
-			binary.LittleEndian.PutUint64(rec, l.tag)
-			rec[8], rec[9] = 0, 0
-			if l.valid {
-				rec[8] = 1
-			}
-			if l.dirty {
+	w.Len(len(c.keys) / c.ways)
+	w.Len(c.ways)
+	for base := 0; base < len(c.keys); base += c.ways {
+		b := w.Reserve(c.ways * encodedLine)
+		for i := base; i < base+c.ways; i++ {
+			rec := b[(i-base)*encodedLine:][:encodedLine]
+			binary.LittleEndian.PutUint64(rec, c.keys[i]>>1)
+			rec[8], rec[9] = byte(c.keys[i]&1), 0
+			if c.dirty[i] {
 				rec[9] = 1
 			}
-			binary.LittleEndian.PutUint64(rec[10:], l.used)
+			binary.LittleEndian.PutUint64(rec[10:], c.used[i])
 		}
 	}
 	st := c.stats
@@ -48,50 +43,46 @@ func (c *Cache) Encode(w *snapshot.Writer) {
 
 // Decode restores the cache contents in place, replacing every line, the LRU
 // clock and the counters: nothing of what the cache held before survives. The
-// ways are read from one bounds-checked view of the image; a truncated array
-// and a valid or dirty byte other than 0 or 1 are format errors.
+// ways are read from one bounds-checked view of the image; a truncated array,
+// a valid or dirty byte other than 0 or 1 and a tag of 2^63 or more (no line
+// address has one, and the valid bit is packed above it) are format errors.
 func (c *Cache) Decode(r *snapshot.Reader) {
 	tick := r.U64()
 	nsets := r.Len(1)
 	if r.Err() != nil {
 		return
 	}
-	if nsets != len(c.sets) {
-		r.Fail("cache set count mismatch: snapshot %d, config %d", nsets, len(c.sets))
-		return
-	}
-	if nsets == 0 {
-		c.tick = tick
+	if want := len(c.keys) / c.ways; nsets != want {
+		r.Fail("cache set count mismatch: snapshot %d, config %d", nsets, want)
 		return
 	}
 	ways := r.Len(1)
 	if r.Err() != nil {
 		return
 	}
-	if ways != len(c.sets[0]) {
-		r.Fail("cache way count mismatch: snapshot %d, config %d", ways, len(c.sets[0]))
+	if ways != c.ways {
+		r.Fail("cache way count mismatch: snapshot %d, config %d", ways, c.ways)
 		return
 	}
-	b := r.Next(nsets * ways * encodedLine)
+	b := r.Next(len(c.keys) * encodedLine)
 	if b == nil {
 		return
 	}
 	c.tick = tick
-	for _, set := range c.sets {
-		for i := range set {
-			rec := b[:encodedLine]
-			b = b[encodedLine:]
-			if rec[8]|rec[9] > 1 {
-				r.Fail("invalid bool byte in a cache line")
-				return
-			}
-			set[i] = line{
-				tag:   binary.LittleEndian.Uint64(rec),
-				valid: rec[8] == 1,
-				dirty: rec[9] == 1,
-				used:  binary.LittleEndian.Uint64(rec[10:]),
-			}
+	for i := range c.keys {
+		rec := b[i*encodedLine:][:encodedLine]
+		if rec[8]|rec[9] > 1 {
+			r.Fail("invalid bool byte in a cache line")
+			return
 		}
+		tag := binary.LittleEndian.Uint64(rec)
+		if tag>>63 != 0 {
+			r.Fail("cache tag %#x does not fit beside the valid bit", tag)
+			return
+		}
+		c.keys[i] = tag<<1 | uint64(rec[8])
+		c.dirty[i] = rec[9] == 1
+		c.used[i] = binary.LittleEndian.Uint64(rec[10:])
 	}
 	c.stats.Hits = r.I64()
 	c.stats.Misses = r.I64()

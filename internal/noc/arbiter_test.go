@@ -121,7 +121,7 @@ func TestArbitrationAsymmetry(t *testing.T) {
 // pickByKey is the router's selection among cands at cycle now: the arg-max of
 // their keys.
 func pickByKey(cands []candidate, pol arbPolicy, now int64) int {
-	r := &router{arb: pol, sel: make([]vcSel, NumPorts*config.MaxVCsPerPort)}
+	r := &router{arb: pol}
 	var m uint64
 	for _, c := range cands {
 		r.sel[c.ord].key = c.key(pol, now)

@@ -110,7 +110,8 @@ func (n *Network) EncodeState(w *snapshot.Writer, pktRef func(*Packet)) {
 	w.I64(st.LatencySum)
 	w.I64(st.HighInjected)
 	w.I64(st.InFlight)
-	for _, r := range n.routers {
+	for ri := range n.routers {
+		r := &n.routers[ri]
 		w.U64(r.pktSeq)
 		for p := 0; p < NumPorts; p++ {
 			for vc := 0; vc < r.vcs; vc++ {
@@ -135,18 +136,19 @@ func (n *Network) EncodeState(w *snapshot.Writer, pktRef func(*Packet)) {
 				pktRef(r.outOwner[i])
 				w.Int(int(r.outCredits[i]))
 			}
-			w.Len(len(r.arrivals[p]))
-			for i := range r.arrivals[p] {
-				a := &r.arrivals[p][i]
+			w.Len(r.arr[p].len())
+			for k := 0; k < r.arr[p].len(); k++ {
+				a := r.arr[p].at(k)
 				encodeFlit(w, &a.f, pktRef)
 				w.Int(a.vc)
 				w.I64(a.at)
 			}
 		}
-		w.Len(len(r.credits))
-		for _, c := range r.credits {
-			w.Int(c.port)
-			w.Int(c.vc)
+		w.Len(r.cr.len())
+		for k := 0; k < r.cr.len(); k++ {
+			c := r.cr.at(k)
+			w.Int(int(r.pos[c.slot].port))
+			w.Int(int(r.pos[c.slot].vc))
 			w.I64(c.at)
 		}
 		for vn := 0; vn < int(NumVNets); vn++ {
@@ -190,7 +192,8 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 	n.shards[0].stats = st
 	depth := n.cfg.BufferDepth
 	vcs := n.cfg.VCsPerPort
-	for _, rt := range n.routers {
+	for ri := range n.routers {
+		rt := &n.routers[ri]
 		rt.pktSeq = r.U64()
 		rt.buffered = 0
 		rt.ejPkt = nil
@@ -270,7 +273,11 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 			if r.Err() != nil {
 				return
 			}
-			rt.arrivals[p] = rt.arrivals[p][:0]
+			if na > len(rt.arr[p].buf) {
+				r.Fail("router %d holds %d arrivals on a link of %d slots", rt.id, na, len(rt.arr[p].buf))
+				return
+			}
+			rt.arr[p].clear()
 			for i := 0; i < na; i++ {
 				f := decodeFlit(r, pktRef)
 				vc := r.Int()
@@ -282,14 +289,18 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 					r.Fail("arrival vc %d out of range or of the wrong class", vc)
 					return
 				}
-				rt.arrivals[p] = append(rt.arrivals[p], arrival{f: f, vc: vc, at: at})
+				rt.arr[p].push(arrival{f: f, vc: vc, at: at})
 			}
 		}
 		nc := r.Len(8)
 		if r.Err() != nil {
 			return
 		}
-		rt.credits = rt.credits[:0]
+		if nc > len(rt.cr.buf) {
+			r.Fail("router %d holds %d credit returns, its links have %d slots", rt.id, nc, len(rt.cr.buf))
+			return
+		}
+		rt.cr.clear()
 		for i := 0; i < nc; i++ {
 			port := r.Int()
 			vc := r.Int()
@@ -301,7 +312,7 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 				r.Fail("credit indices out of range")
 				return
 			}
-			rt.credits = append(rt.credits, creditMsg{port: port, vc: vc, at: at})
+			rt.cr.push(creditMsg{slot: rt.vci(port, vc), at: at})
 		}
 		for vn := 0; vn < int(NumVNets); vn++ {
 			nq := r.Len(4)
@@ -361,8 +372,8 @@ func (n *Network) DecodeState(r *snapshot.Reader, pktRef func() *Packet) {
 func (r *router) rebuildDerived() {
 	r.occ, r.full, r.routed, r.vaDone, r.high, r.ejecting, r.saOK = 0, 0, 0, 0, 0, 0, 0
 	r.outBusy, r.injBusy, r.arrMask, r.queued = 0, 0, 0, 0
-	for p := range r.arrivals {
-		if len(r.arrivals[p]) > 0 {
+	for p := range r.arr {
+		if r.arr[p].len() > 0 {
 			r.arrMask |= 1 << uint(p)
 		}
 	}
@@ -374,13 +385,13 @@ func (r *router) rebuildDerived() {
 			r.injBusy |= 1 << uint(vc)
 		}
 	}
-	for slot := range r.outOwner {
+	for slot := 0; slot < r.nv(); slot++ {
 		r.outHolder[slot] = -1
 		if r.outOwner[slot] != nil {
 			r.outBusy |= 1 << uint(slot)
 		}
 	}
-	for i := range r.cnt {
+	for i := 0; i < r.nv(); i++ {
 		bit := uint64(1) << uint(i)
 		if r.inFlags[i]&vcRouted != 0 {
 			r.routed |= bit

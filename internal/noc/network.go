@@ -46,7 +46,8 @@ type Sink func(p *Packet, cycle int64)
 type Network struct {
 	cfg     config.NoC
 	w, h    int
-	routers []*router
+	routers []router // one slab; routers point at each other inside it
+	xy      []tileXY // per tile: mesh coordinates
 	sinks   []Sink
 
 	// shards partition the routers for (optionally parallel) stepping; see
@@ -116,28 +117,47 @@ func New(mesh config.Mesh, cfg config.NoC) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, w: mesh.Width, h: mesh.Height}
-	n.routers = make([]*router, mesh.Nodes())
-	n.sinks = make([]Sink, mesh.Nodes())
+	nodes := mesh.Nodes()
+	n.routers = make([]router, nodes)
+	n.sinks = make([]Sink, nodes)
+	n.xy = make([]tileXY, nodes)
+	for i := range n.xy {
+		n.xy[i] = tileXY{x: int32(i % n.w), y: int32(i / n.w)}
+	}
 	arb := newArbPolicy(cfg)
-	nv := NumPorts * cfg.VCsPerPort
+	vcs, depth := cfg.VCsPerPort, cfg.BufferDepth
+	nv := NumPorts * vcs
 	pos := make([]vcPos, nv)
 	for i := range pos {
-		vc := i % cfg.VCsPerPort
-		pos[i] = vcPos{port: int8(i / cfg.VCsPerPort), vc: int8(vc), vnet: VNet(vc / (cfg.VCsPerPort / int(NumVNets)))}
+		p, vc := i/vcs, i%vcs
+		pos[i] = vcPos{port: int8(p), vc: int8(vc), vnet: VNet(vc / (vcs / int(NumVNets))), up: -1}
+		if p != PortLocal {
+			pos[i].up = int8(opposite(p)*vcs + vc)
+		}
 	}
+	// The credit bound sizes every link ring: a flit on the link toward an
+	// input port, or a credit on its way back from it, holds one of the
+	// port's vcs*depth buffer slots. A router has four mesh input ports and
+	// receives the credits of four mesh output ports.
+	link := vcs * depth
+	flits := make([]flit, nodes*nv*depth)
+	arrs := make([]arrival, nodes*(NumPorts-1)*link)
+	crs := make([]creditMsg, nodes*(NumPorts-1)*link)
 	for i := range n.routers {
-		r := &router{id: i, x: i % n.w, y: i / n.w, net: n, div: 1}
+		r := &n.routers[i]
+		r.id, r.x, r.y, r.net, r.div = i, i%n.w, i/n.w, n, 1
 		if d, ok := cfg.ClockDivisors[i]; ok {
 			r.div = int64(d)
 		}
-		r.vcs = cfg.VCsPerPort
-		r.portMask = 1<<uint(cfg.VCsPerPort) - 1
+		r.vcs = vcs
+		r.portMask = 1<<uint(vcs) - 1
 		for vn := range r.vnMask {
 			lo, hi := r.vnetRange(VNet(vn))
 			r.vnMask[vn] = 1<<uint(hi) - 1<<uint(lo)
 		}
-		r.depth = cfg.BufferDepth
+		r.depth = depth
 		r.pos = pos
+		r.xy = n.xy
 		r.arb = arb
 		r.adaptive = cfg.Routing == config.RoutingWestFirst
 		r.fastAll = cfg.Pipeline == config.Pipeline2
@@ -146,38 +166,30 @@ func New(mesh config.Mesh, cfg config.NoC) (*Network, error) {
 		if !r.fastAll {
 			r.bodyWait = bodyDelay * r.div
 		}
-		r.buf = make([]flit, nv*r.depth)
-		r.head = make([]uint8, nv)
-		r.cnt = make([]uint8, nv)
-		r.inFlags = make([]uint8, nv)
-		r.inOutPort = make([]int8, nv)
-		r.inOutVC = make([]int32, nv)
-		r.inVAAt = make([]int64, nv)
-		r.inSAAt = make([]int64, nv)
-		r.inAge = make([]int64, nv)
-		r.sel = make([]vcSel, nv)
-		r.outOwner = make([]*Packet, nv)
-		r.outCredits = make([]int32, nv)
-		r.outHolder = make([]int8, nv)
-		for i := range r.outCredits {
-			r.outCredits[i] = int32(cfg.BufferDepth)
+		r.buf, flits = flits[:nv*depth:nv*depth], flits[nv*depth:]
+		for p := PortNorth; p < NumPorts; p++ {
+			r.arr[p].buf, arrs = arrs[:link:link], arrs[link:]
+		}
+		r.cr.buf, crs = crs[:4*link:4*link], crs[4*link:]
+		for i := 0; i < nv; i++ {
+			r.outCredits[i] = int32(depth)
 			r.outHolder[i] = -1
 		}
-		r.inj = make([]injSlot, cfg.VCsPerPort)
-		n.routers[i] = r
+		r.inj = make([]injSlot, vcs)
 	}
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		if r.y > 0 {
-			r.neighbor[PortNorth] = n.routers[r.id-n.w]
+			r.neighbor[PortNorth] = &n.routers[r.id-n.w]
 		}
 		if r.y < n.h-1 {
-			r.neighbor[PortSouth] = n.routers[r.id+n.w]
+			r.neighbor[PortSouth] = &n.routers[r.id+n.w]
 		}
 		if r.x > 0 {
-			r.neighbor[PortWest] = n.routers[r.id-1]
+			r.neighbor[PortWest] = &n.routers[r.id-1]
 		}
 		if r.x < n.w-1 {
-			r.neighbor[PortEast] = n.routers[r.id+1]
+			r.neighbor[PortEast] = &n.routers[r.id+1]
 		}
 	}
 	n.SetPartition(nil)
@@ -199,8 +211,8 @@ func (n *Network) SetPartition(shardOf []int) {
 	// (counters, deferred-credit horizons, parked boundary items) is carried
 	// into the new layout, so there must be nothing yet.
 	used := n.Stats() != (Stats{})
-	for _, r := range n.routers {
-		used = used || r.tickCalls != 0
+	for i := range n.routers {
+		used = used || n.routers[i].tickCalls != 0
 	}
 	if used {
 		panic("noc: SetPartition on a network that has already injected or ticked")
@@ -219,7 +231,8 @@ func (n *Network) SetPartition(shardOf []int) {
 		shards[i] = &netShard{id: i, active: bitset.New(len(n.routers)), wakes: timerwheel.New[int32](),
 			ticked: -1, creditAt: -1}
 	}
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		s := 0
 		if shardOf != nil {
 			s = shardOf[id]
@@ -228,7 +241,8 @@ func (n *Network) SetPartition(shardOf []int) {
 		r.sh = shards[s]
 		r.xqCfg = [NumPorts]*edgeQueue{}
 	}
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		for p := PortNorth; p < NumPorts; p++ {
 			nb := r.neighbor[p]
 			if nb == nil || nb.sh == r.sh {
@@ -259,7 +273,8 @@ func (n *Network) SetEventDriven(on bool) {
 // passed while the router slept (see creditReturned), up to the last cycle
 // its shard ticked. After it the routers hold what the dense sweep would.
 func (n *Network) settleCredits() {
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		r.bankCredits(r.sh.ticked, false)
 	}
 }
@@ -287,7 +302,8 @@ func (n *Network) applyEventMode() {
 			}
 		}
 	}
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		if sharded {
 			r.xq = r.xqCfg
 		} else {
@@ -296,24 +312,20 @@ func (n *Network) applyEventMode() {
 	}
 }
 
-// wakeAt tells the scheduler router id may have executable work at cycle at
+// wakeAt tells the scheduler router r may have executable work at cycle at
 // (produced during cycle now): an already-active router needs nothing, a
 // sleeping one gets a timed wake on its shard's wheel — or immediate
 // re-activation when the deadline is effectively next cycle, where a wheel
 // round trip buys nothing. Only ever called for routers of the shard
 // executing the current phase; cross-shard activation happens in DrainShard.
-func (n *Network) wakeAt(id int, at, now int64) {
-	if !n.eventDriven {
-		return
-	}
-	r := n.routers[id]
-	if r.sh.active.Has(id) {
+func (n *Network) wakeAt(r *router, at, now int64) {
+	if !n.eventDriven || r.sh.active.Has(r.id) {
 		return
 	}
 	if at = r.wakeAlign(at); at <= now+1 {
-		r.sh.active.Add(id)
+		r.sh.active.Add(r.id)
 	} else {
-		r.sh.wakes.Push(at, int32(id))
+		r.sh.wakes.Push(at, int32(r.id))
 	}
 }
 
@@ -366,21 +378,18 @@ func (n *Network) QuietTarget(now int64) (next int64, quiet bool) {
 // Nodes returns the number of tiles.
 func (n *Network) Nodes() int { return len(n.routers) }
 
-func (n *Network) xOf(node int) int { return node % n.w }
-func (n *Network) yOf(node int) int { return node / n.w }
-
 // HopDistance returns the Manhattan distance between two tiles (the number
 // of routers a packet traverses is HopDistance+1).
 func (n *Network) HopDistance(a, b int) int {
-	dx := n.xOf(a) - n.xOf(b)
+	dx := n.xy[a].x - n.xy[b].x
 	if dx < 0 {
 		dx = -dx
 	}
-	dy := n.yOf(a) - n.yOf(b)
+	dy := n.xy[a].y - n.xy[b].y
 	if dy < 0 {
 		dy = -dy
 	}
-	return dx + dy
+	return int(dx + dy)
 }
 
 // SetSink registers the delivery callback for a tile.
@@ -395,7 +404,7 @@ func (n *Network) Inject(p *Packet, now int64) error {
 	if err := p.Validate(len(n.routers)); err != nil {
 		return err
 	}
-	r := n.routers[p.Src]
+	r := &n.routers[p.Src]
 	if p.ID == 0 {
 		// Per-router sequence, namespaced by source so IDs stay unique
 		// mesh-wide without a shared counter. IDs only label diagnostics;
@@ -426,8 +435,8 @@ func (n *Network) Inject(p *Packet, now int64) error {
 // DrainShard per worker — the result is identical by construction.
 func (n *Network) Tick(now int64) {
 	if !n.eventDriven {
-		for _, r := range n.routers {
-			r.tick(now)
+		for i := range n.routers {
+			n.routers[i].tick(now)
 		}
 		return
 	}
@@ -460,7 +469,7 @@ func (n *Network) TickShard(shard int, now int64) {
 		for w != 0 {
 			id := wi*64 + bits.TrailingZeros64(w)
 			w &= w - 1
-			r := n.routers[id]
+			r := &n.routers[id]
 			r.tick(now)
 			if at, ok := r.nextWake(now); !ok {
 				sh.active.Remove(id)
@@ -493,14 +502,14 @@ func (n *Network) DrainShard(shard int) {
 		if len(q.items) == 0 {
 			continue
 		}
-		r := n.routers[q.dst]
+		r := &n.routers[q.dst]
 		minAt := int64(math.MaxInt64)
 		for _, it := range q.items {
 			at := it.at
 			if it.f.pkt != nil {
 				r.addArrival(it.port, arrival{f: it.f, vc: it.vc, at: it.at})
 			} else {
-				r.credits = append(r.credits, creditMsg{port: it.port, vc: it.vc, at: it.at})
+				r.cr.push(creditMsg{slot: r.vci(it.port, it.vc), at: it.at})
 				// it.at is the producing cycle plus one: aligned, it is the
 				// receiver's next cycle.
 				if at = r.wakeAlign(at); at == it.at {
@@ -569,8 +578,8 @@ func (n *Network) ResetStats() {
 // flits/cycle (capacity 1).
 func (n *Network) LinkLoad() [][NumPorts]int64 {
 	out := make([][NumPorts]int64, len(n.routers))
-	for i, r := range n.routers {
-		out[i] = r.flitsOut
+	for i := range n.routers {
+		out[i] = n.routers[i].flitsOut
 	}
 	return out
 }
@@ -579,11 +588,9 @@ func (n *Network) LinkLoad() [][NumPorts]int64 {
 // excluding local ejections — the hottest mesh link.
 func (n *Network) MaxLinkLoad() int64 {
 	var m int64
-	for _, r := range n.routers {
-		for p := PortNorth; p < NumPorts; p++ {
-			if r.flitsOut[p] > m {
-				m = r.flitsOut[p]
-			}
+	for i := range n.routers {
+		for _, f := range n.routers[i].flitsOut[PortNorth:] {
+			m = max(m, f)
 		}
 	}
 	return m
@@ -606,16 +613,17 @@ func (n *Network) Quiesce() error {
 			}
 		}
 	}
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		if r.drained() {
 			continue
 		}
 		if !r.pipelineWork() && r.arrMask == 0 {
 			return fmt.Errorf("noc: router %d not drained: waiting on %d scheduled credit returns (no flit or packet held)",
-				r.id, len(r.credits))
+				r.id, r.cr.len())
 		}
 		return fmt.Errorf("noc: router %d not drained (buffered=%d injecting=%d outbox=%d arrivals=%d credits=%d)",
-			r.id, r.buffered, bits.OnesCount64(r.injBusy), r.queued, r.pendingArrivals(), len(r.credits))
+			r.id, r.buffered, bits.OnesCount64(r.injBusy), r.queued, r.pendingArrivals(), r.cr.len())
 	}
 	return nil
 }
@@ -654,7 +662,7 @@ func (n *Network) DebugLeaks() error {
 // still deferred are settled first, so elided is complete up to the last
 // ticked cycle.
 func (n *Network) DebugRouterTicks(id int) (calls, execs, elided int64) {
-	r := n.routers[id]
+	r := &n.routers[id]
 	r.bankCredits(r.sh.ticked, false)
 	return r.tickCalls, r.tickExecs, r.creditElided
 }
@@ -666,7 +674,8 @@ func (n *Network) DebugRouterTicks(id int) (calls, execs, elided int64) {
 // checkpoint tests use it to pick a snapshot cycle that exercises this.
 func (n *Network) DebugDrainedHighVCs() int {
 	k := 0
-	for _, r := range n.routers {
+	for i := range n.routers {
+		r := &n.routers[i]
 		k += bits.OnesCount64(r.vaDone &^ r.occ & r.high)
 	}
 	return k

@@ -244,7 +244,8 @@ func TestConservationRandomTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Credits must be fully restored on every output VC.
-	for _, r := range n.routers {
+	for ri := range n.routers {
+		r := &n.routers[ri]
 		for p := 0; p < NumPorts; p++ {
 			for vc := 0; vc < r.vcs; vc++ {
 				i := r.vci(p, vc)
@@ -525,7 +526,8 @@ func TestVNetIsolation(t *testing.T) {
 			continue
 		}
 		checkAllDerived(t, n, now)
-		for _, r := range n.routers {
+		for ri := range n.routers {
+			r := &n.routers[ri]
 			for port := 0; port < NumPorts; port++ {
 				for vc := 0; vc < r.vcs; vc++ {
 					for i, k := r.vci(port, vc), 0; k < int(r.cnt[i]); k++ {

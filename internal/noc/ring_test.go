@@ -22,7 +22,7 @@ import (
 func (r *router) checkDerived() error {
 	var occ, full, routed, vaDone, ejecting, saOK, outBusy, injBusy uint64
 	buffered, ejHolders := 0, 0
-	holder := make([]int8, len(r.outOwner))
+	holder := make([]int8, r.nv())
 	for slot := range holder {
 		holder[slot] = -1
 		if r.outOwner[slot] != nil {
@@ -34,7 +34,7 @@ func (r *router) checkDerived() error {
 			injBusy |= 1 << uint(vc)
 		}
 	}
-	for i := range r.cnt {
+	for i := 0; i < r.nv(); i++ {
 		bit := uint64(1) << uint(i)
 		n := int(r.cnt[i])
 		if n > r.depth || int(r.head[i]) >= r.depth {
@@ -132,8 +132,8 @@ func (r *router) checkDerived() error {
 
 func checkAllDerived(t *testing.T, n *Network, now int64) {
 	t.Helper()
-	for _, r := range n.routers {
-		if err := r.checkDerived(); err != nil {
+	for i := range n.routers {
+		if err := n.routers[i].checkDerived(); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
 	}
@@ -162,8 +162,9 @@ func backpressured(t *testing.T, depth int, delivered *int) *Network {
 // wrappedVC returns a router and input VC whose live window runs past the end
 // of its ring, if there is one.
 func wrappedVC(n *Network) (*router, int) {
-	for _, r := range n.routers {
-		for i := range r.cnt {
+	for ri := range n.routers {
+		r := &n.routers[ri]
+		for i := 0; i < r.nv(); i++ {
 			if int(r.head[i])+int(r.cnt[i]) > r.depth {
 				return r, i
 			}
@@ -255,7 +256,8 @@ func TestEncodeStateWrappedRing(t *testing.T) {
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, fr := range fresh.routers {
+	for ri := range fresh.routers {
+		fr := &fresh.routers[ri]
 		for i := range fr.head {
 			if fr.head[i] != 0 {
 				t.Fatalf("restored router %d vc %d has head %d", fr.id, i, fr.head[i])
@@ -288,8 +290,8 @@ func TestRestoreRebuildsUnreadableState(t *testing.T) {
 	var want []delivery
 	record(n, &want)
 	emptyLockHolder := func() bool {
-		for _, r := range n.routers {
-			if r.ejPkt != nil && r.ejecting&^r.occ != 0 {
+		for i := range n.routers {
+			if r := &n.routers[i]; r.ejPkt != nil && r.ejecting&^r.occ != 0 {
 				return true
 			}
 		}

@@ -210,7 +210,7 @@ func TestQuiesceReportsCreditCategory(t *testing.T) {
 	if err := n.Quiesce(); err != nil {
 		t.Fatalf("fresh network not drained: %v", err)
 	}
-	n.routers[3].credits = append(n.routers[3].credits, creditMsg{port: PortNorth, vc: 0, at: 100})
+	n.routers[3].cr.push(creditMsg{slot: n.routers[3].vci(PortNorth, 0), at: 100})
 	err := n.Quiesce()
 	if err == nil {
 		t.Fatal("pending credit return not reported")
@@ -218,7 +218,7 @@ func TestQuiesceReportsCreditCategory(t *testing.T) {
 	if !strings.Contains(err.Error(), "credit returns") {
 		t.Errorf("error %q does not name the credit category", err)
 	}
-	n.routers[3].credits = n.routers[3].credits[:0]
+	n.routers[3].cr.clear()
 	if err := n.Quiesce(); err != nil {
 		t.Fatalf("still not drained after clearing: %v", err)
 	}
