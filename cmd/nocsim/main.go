@@ -55,15 +55,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jsonOut  = fs.String("json", "", "write the scheme-1+2 run's summary as JSON to this file ('-' = stdout)")
 		jobs     = fs.Int("j", 0, "max concurrent simulations (0 = all CPUs, 1 = sequential)")
 		shards   = fs.Int("shards", 1, "worker goroutines per simulation (results are identical at any count)")
-		steal    = fs.String("steal", "on", "intra-cycle work stealing in sharded runs: on|off (bisection escape hatch)")
 		fork     = fs.Bool("fork", false, "share one baseline warmup checkpoint across the base/S1/S1+S2 runs (faster; scheme runs then warm up under the baseline policy)")
 		estimate = fs.Bool("estimate", false, "answer from the closed-form analytic model instead of simulating (a fraction of a millisecond, approximate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *steal != "on" && *steal != "off" {
-		return fmt.Errorf("bad -steal value %q (want on or off)", *steal)
 	}
 
 	var cfg nocmem.Config
@@ -79,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.Run.MeasureCycles = *measure
 	cfg.Run.Seed = *seed
 	cfg.Run.Shards = *shards
-	cfg.Run.NoSteal = *steal == "off"
 	cfg.S1.UpdatePeriod = *measure / 15
 
 	w, err := nocmem.GetWorkload(*wid)

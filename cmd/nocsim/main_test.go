@@ -68,7 +68,7 @@ func TestGolden(t *testing.T) {
 }
 
 func TestRunRejects(t *testing.T) {
-	for _, args := range []string{"-cores 8", "-steal maybe", "-workload 19", "-nope", "-json /nonexistent/dir/x -estimate"} {
+	for _, args := range []string{"-cores 8", "-workload 19", "-nope", "-json /nonexistent/dir/x -estimate"} {
 		var stdout, stderr bytes.Buffer
 		if err := run(strings.Fields(args), &stdout, &stderr); err == nil {
 			t.Errorf("nocsim %s: accepted", args)

@@ -307,7 +307,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		measure = fs.Int64("measure", 300_000, "measurement cycles")
 		jobs    = fs.Int("j", 0, "max concurrent simulations (0 = all CPUs, 1 = sequential)")
 		shards  = fs.Int("shards", 1, "worker goroutines per simulation (results are identical at any count)")
-		steal   = fs.String("steal", "on", "intra-cycle work stealing in sharded runs: on|off (bisection escape hatch)")
 		fork    = fs.Bool("fork", false, "share one baseline warmup checkpoint across compatible sweep points (faster; scheme points then warm up under the baseline policy)")
 		est     = fs.Bool("estimate", false, "answer the whole sweep from the closed-form analytic model instead of simulating")
 		prune   = fs.Float64("prune-estimate", 0, "skip sweep points whose estimated |normalized WS delta| vs the first point is below this threshold (0 = run everything)")
@@ -317,9 +316,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *steal != "on" && *steal != "off" {
-		return fmt.Errorf("bad -steal value %q (want on or off)", *steal)
 	}
 	if *est && *prune != 0 {
 		return fmt.Errorf("-estimate and -prune-estimate are mutually exclusive: -estimate never simulates, so there is nothing to prune")
@@ -343,7 +339,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	base.Run.WarmupCycles = *warmup
 	base.Run.MeasureCycles = *measure
 	base.Run.Shards = *shards
-	base.Run.NoSteal = *steal == "off"
 	base.S1.UpdatePeriod = *measure / 15
 	points, err := grid(*what, base)
 	if err != nil {

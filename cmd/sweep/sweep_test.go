@@ -79,7 +79,7 @@ func TestGolden(t *testing.T) {
 
 func TestRunRejects(t *testing.T) {
 	for _, args := range []string{
-		"-steal maybe", "-estimate -prune-estimate 0.01", "-prune-estimate -1", "-workers -1",
+		"-estimate -prune-estimate 0.01", "-prune-estimate -1", "-workers -1",
 		"-workers 2 -estimate", "-what nope", "-workload 19",
 	} {
 		var stdout, stderr bytes.Buffer

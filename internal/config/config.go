@@ -264,16 +264,17 @@ type Run struct {
 
 	// Shards is the number of worker goroutines stepping the mesh in
 	// parallel in event mode. 0 or 1 means the sequential single-goroutine
-	// stepper. Must be positive and at most min(64, Mesh.Nodes()). The
-	// tiles are split into contiguous chunks balanced by a per-tile
-	// activity cost model, and idle workers steal leftover chunks within a
-	// cycle unless NoSteal is set. Results are byte-identical for every
+	// stepper. Must be non-negative and at most min(64, Mesh.Nodes()). The
+	// tiles are split into one contiguous chunk per worker, balanced by a
+	// per-tile activity cost model. Results are byte-identical for every
 	// value; only wall-clock time changes.
 	Shards int
 
-	// NoSteal disables intra-cycle work-stealing between the shard
-	// workers, pinning every chunk to its owning worker — a bisection
-	// escape hatch (-steal=off on the CLIs). No effect on results.
+	// Deprecated: ignored; the stepper has one layout, one chunk per worker.
+	// The field stays only because Key() (and so every snapshot header's
+	// SnapshotKey, golden.snap included) still encodes its slot, the
+	// repository benchmark sets it, and daemon clients may send it in JSON.
+	// It goes with the next snapshot format version.
 	NoSteal bool
 
 	// CheckpointAt names the cycle (measured from the start of the run,

@@ -158,8 +158,8 @@ func TestValidateStarvationWindow(t *testing.T) {
 }
 
 // TestValidateCheckpointFields covers the checkpoint/resume configuration
-// surface. Snapshots are partition-agnostic — the stepping layout (Shards,
-// NoSteal) is free to differ between save and restore — so no cross-config
+// surface. Snapshots are partition-agnostic — the stepping layout (Shards)
+// is free to differ between save and restore — so no cross-config
 // agreement is enforced here; see TestCheckpointForkEquivalence's
 // cross-worker-count modes in internal/sim.
 func TestValidateCheckpointFields(t *testing.T) {

@@ -110,7 +110,7 @@ func (c Config) Key() string {
 	appendInt(c.Run.MeasureCycles)
 	appendInt(c.Run.Seed)
 	appendInt(int64(c.Run.Shards))
-	appendBool(c.Run.NoSteal)
+	appendBool(c.Run.NoSteal) // ignored by the stepper; keeps its slot, see Run.NoSteal
 	appendInt(c.Run.CheckpointAt)
 	appendInt(c.Run.ResumeFrom)
 	appendBool(c.AppAwareNet)
@@ -123,9 +123,9 @@ func (c Config) Key() string {
 // zeroed out. Two configurations with equal SnapshotKeys describe the same
 // machine state layout (geometry, cache shapes, DRAM organization, trace
 // seed), so a warmup snapshot taken under one restores into the other. Run
-// windows, the stepping layout (worker count and stealing mode — snapshots
-// are partition-agnostic, so a sequential warmup restores into a sharded
-// run and vice versa) and the prioritization/scheduling policies — pure
+// windows, the stepping layout (worker count and the ignored NoSteal —
+// snapshots are partition-agnostic, so a sequential warmup restores into a
+// sharded run and vice versa) and the prioritization/scheduling policies — pure
 // decision logic with separately-carried state — are deliberately excluded,
 // which is what lets one baseline warmup snapshot fork into Scheme-1/
 // Scheme-2/app-aware measurement configurations.

@@ -11,7 +11,7 @@
 // config.SnapshotKey (the policy-free configuration prefix), the application
 // placement and the warmup length. Variants differing only in
 // Scheme-1/Scheme-2, the application-aware baselines, the memory scheduler or
-// the stepping layout (worker count, stealing) share a snapshot; anything
+// the stepping layout (worker count) share a snapshot; anything
 // touching the substrate (mesh, caches, DRAM timing, seed, ...) forms its own
 // group.
 //
@@ -112,7 +112,7 @@ func (c *Cache) Stats() Stats {
 // determines whether two runs may restore the same warmed state. The
 // placement is keyed by application name, matching the name check
 // sim.Restore performs against the snapshot header. The stepping layout
-// (Run.Shards, NoSteal) is deliberately absent: snapshots are
+// (Run.Shards) is deliberately absent: snapshots are
 // partition-agnostic, so one warmup image serves every worker count.
 func Key(cfg config.Config, apps []trace.Profile) string {
 	var b strings.Builder

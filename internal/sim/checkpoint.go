@@ -80,7 +80,7 @@ func (s *Simulator) Checkpoint(wr io.Writer) error {
 // Restore builds a simulator from cfg and apps and overlays the state read
 // from rd. The snapshot must have been taken under a structurally compatible
 // configuration (same SnapshotKey — geometry, timing, seed) and the same
-// application placement; the stepping layout (Run.Shards, NoSteal) is free to
+// application placement; the stepping layout (Run.Shards) is free to
 // differ — snapshots are partition-agnostic. The prioritization schemes and
 // the memory scheduling policy may differ: a baseline warmup snapshot restores
 // into a scheme-enabled measurement configuration, with the scheme state

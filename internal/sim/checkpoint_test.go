@@ -157,22 +157,11 @@ func TestCheckpointPartitionAgnostic(t *testing.T) {
 	// The oracle: the sequential producer's complete run.
 	seqSnap, wantJSON, want := takeSnapshot(t, cfg, apps, false, 1)
 
-	for _, m := range []struct {
-		name    string
-		shards  int
-		noSteal bool
-	}{
-		{"resume_2_workers", 2, false},
-		{"resume_3_workers", 3, false},
-		{"resume_4_workers", 4, false},
-		{"resume_8_workers_nosteal", 8, true},
-	} {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			c := cfg
-			c.Run.NoSteal = m.noSteal
-			gotJSON, got := resumeRun(t, c, apps, false, m.shards, seqSnap)
-			expectSame(t, m.name, wantJSON, want, gotJSON, got)
+	for _, shards := range []int{2, 3, 4, 8} {
+		name := fmt.Sprintf("resume_%d_workers", shards)
+		t.Run(name, func(t *testing.T) {
+			gotJSON, got := resumeRun(t, cfg, apps, false, shards, seqSnap)
+			expectSame(t, name, wantJSON, want, gotJSON, got)
 		})
 	}
 

@@ -130,7 +130,7 @@ func expectSameHistograms(t *testing.T, name string, ref, got *Result) {
 
 // TestEventDenseEquivalence is the scheduler's correctness oracle, now
 // three-way: the event-driven stepper AND the sharded parallel stepper (2,
-// 3, 4 and 8 workers, work stealing on — 3 pins the non-power-of-two layout
+// 3, 4 and 8 workers — 3 pins the non-power-of-two layout
 // the contiguous-range partition made legal) must reproduce the dense
 // reference cycle for cycle —
 // byte-identical summaries and identical core counters (which include the
@@ -198,10 +198,10 @@ func TestEventDenseEquivalence(t *testing.T) {
 		wantTicked int64
 		// allWorkers widens the worker sweep to {2, 3, 4, 8} — 3 pins the
 		// non-power-of-two layout the contiguous-range partition made legal,
-		// 8 the chunks-per-worker floor. Only the heaviest workloads carry
-		// the full sweep; the rest run {2, 4} to keep the raced suite's
-		// wall-clock bounded on small hosts (the skewed-hotspot test below
-		// covers 8 workers with stealing on and off separately).
+		// 8 two tiles per worker on the 16-tile machine. Only the heaviest
+		// workloads carry the full sweep; the rest run {2, 4} to keep the
+		// raced suite's wall-clock bounded on small hosts (the skewed-hotspot
+		// test below covers 3 and 8 workers too).
 		allWorkers bool
 		// fewerDRAMTicks requires every non-dense run to execute strictly
 		// fewer controller Ticks than the dense per-cycle sweep: the same
@@ -372,15 +372,12 @@ func TestQuiesceAfterDrain(t *testing.T) {
 // accesses that all land on the controller-0 corner, so that quadrant carries
 // nearly all simulation work while the far ones idle — the shape where the
 // old rectangular shard split degenerated to one busy worker, and the one
-// most sensitive to partition placement and steal ordering. Every worker
-// count (1, 2, 4, 8), with work stealing enabled and disabled, must reproduce
-// the dense reference byte for byte. Under -race (make ci) this is also
-// the data-race oracle for the stealing fast path: stolen chunks of the hot
-// quadrant execute on whichever worker claims them while the cold quadrants'
-// owners go idle and steal.
+// most sensitive to partition placement. Every worker count (1, 2, 3, 4, 8)
+// must reproduce the dense reference byte for byte; 3 pins a
+// non-power-of-two split of the hot corner.
 func TestSkewedHotspotEquivalence(t *testing.T) {
 	cfg := smallConfig()
-	// Eight runs of this workload; a tighter window than smallConfig's keeps
+	// Six runs of this workload; a tighter window than smallConfig's keeps
 	// the raced suite's wall-clock bounded without losing coverage — the
 	// hotspot saturates the corner within a few hundred cycles.
 	cfg.Run.WarmupCycles, cfg.Run.MeasureCycles = 2_000, 8_000
@@ -395,12 +392,8 @@ func TestSkewedHotspotEquivalence(t *testing.T) {
 	denseJSON, denseRes, _ := runOnce(t, cfg, apps, srcs, true, 1)
 	eventJSON, eventRes, _ := runOnce(t, cfg, apps, srcs, false, 1)
 	expectSame(t, "event", denseJSON, denseRes, eventJSON, eventRes)
-	for _, workers := range []int{2, 4, 8} {
-		for _, noSteal := range []bool{false, true} {
-			name := fmt.Sprintf("sharded_%d_steal_%v", workers, !noSteal)
-			cfg.Run.NoSteal = noSteal
-			gotJSON, gotRes, _ := runOnce(t, cfg, apps, srcs, false, workers)
-			expectSame(t, name, denseJSON, denseRes, gotJSON, gotRes)
-		}
+	for _, workers := range []int{2, 3, 4, 8} {
+		gotJSON, gotRes, _ := runOnce(t, cfg, apps, srcs, false, workers)
+		expectSame(t, fmt.Sprintf("sharded_%d", workers), denseJSON, denseRes, gotJSON, gotRes)
 	}
 }

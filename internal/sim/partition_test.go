@@ -2,7 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"nocmem/internal/config"
 )
 
 // checkPartition validates the structural invariants every caller relies on:
@@ -129,6 +132,66 @@ func TestLinearPartitionRandomized(t *testing.T) {
 		if gm, em := maxRangeSum(costs, got), maxRangeSum(costs, even); gm > em {
 			t.Fatalf("balanced split (max %d) worse than even split (max %d) for %v k=%d: %v",
 				gm, em, costs, k, got)
+		}
+	}
+}
+
+// TestOneChunkPerWorker pins the stepping layout: Run.Shards workers step
+// exactly Run.Shards chunks, each a non-empty ascending run of consecutive
+// tiles, together covering the mesh in order, with every memory controller
+// stepped by the chunk that owns its tile. The ignored Run.NoSteal changes
+// nothing.
+func TestOneChunkPerWorker(t *testing.T) {
+	layout := func(cfg config.Config) [][]int {
+		t.Helper()
+		s, err := New(cfg, fillApps(cfg, "mcf", cfg.Mesh.Nodes()/2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.shards) != max(cfg.Run.Shards, 1) {
+			t.Fatalf("%d workers on %d tiles: %d chunks", cfg.Run.Shards, cfg.Mesh.Nodes(), len(s.shards))
+		}
+		var chunks [][]int
+		next := 0
+		for si, sh := range s.shards {
+			if sh.id != si || len(sh.nodes) == 0 {
+				t.Fatalf("%d workers: chunk %d has id %d and %d tiles", cfg.Run.Shards, si, sh.id, len(sh.nodes))
+			}
+			var tiles []int
+			for _, n := range sh.nodes {
+				if n.id != next || n.sh != sh {
+					t.Fatalf("%d workers: chunk %d holds tile %d where tile %d was due", cfg.Run.Shards, si, n.id, next)
+				}
+				tiles = append(tiles, n.id)
+				next++
+			}
+			chunks = append(chunks, tiles)
+			for _, mc := range sh.mcs {
+				if mc.sh != sh {
+					t.Fatalf("%d workers: controller %d listed by chunk %d but stepped by chunk %d", cfg.Run.Shards, mc.idx, si, mc.sh.id)
+				}
+			}
+		}
+		if next != len(s.nodes) {
+			t.Fatalf("%d workers: chunks cover %d of %d tiles", cfg.Run.Shards, next, len(s.nodes))
+		}
+		for _, mc := range s.mcs {
+			if mc.sh != s.nodes[mc.tile].sh {
+				t.Fatalf("%d workers: controller %d on tile %d is in chunk %d, its tile in chunk %d",
+					cfg.Run.Shards, mc.idx, mc.tile, mc.sh.id, s.nodes[mc.tile].sh.id)
+			}
+		}
+		return chunks
+	}
+	for _, base := range []config.Config{config.Baseline16(), config.Baseline32()} {
+		for workers := 1; workers <= 8; workers++ {
+			cfg := base
+			cfg.Run.Shards = workers
+			want := layout(cfg)
+			cfg.Run.NoSteal = true
+			if got := layout(cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d workers on %d tiles: NoSteal moved the layout from %v to %v", workers, cfg.Mesh.Nodes(), want, got)
+			}
 		}
 	}
 }

@@ -192,7 +192,7 @@ func (s *Simulator) tryDrainFastForward(now, next int64) bool {
 // (shard.go) — byte-identical by the boundary-queue construction.
 func (s *Simulator) stepEvent(cycles int64) {
 	end := s.now + cycles
-	if s.workers > 1 {
+	if len(s.shards) > 1 {
 		s.stepSharded(end)
 		return
 	}

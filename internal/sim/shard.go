@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"nocmem/internal/bitset"
 	"nocmem/internal/noc"
@@ -12,14 +11,13 @@ import (
 	"nocmem/internal/timerwheel"
 )
 
-// Sharded stepping splits the tile range into contiguous cost-balanced
-// chunks (see partition.go), stepped by Run.Shards worker goroutines. A
-// cycle runs in two phases separated by barriers:
+// Sharded stepping splits the tile range into one contiguous cost-balanced
+// chunk per worker (see partition.go), stepped by Run.Shards worker
+// goroutines. A cycle runs in two phases separated by barriers:
 //
-//	barrier (serial: policy tick, quiescence fast-forward, cycle advance,
-//	         work-cursor reset)
+//	barrier (serial: policy tick, quiescence fast-forward, cycle advance)
 //	phaseFront: MC ticks, node front-ends, network tick   — per chunk
-//	barrier (serial: work-cursor reset)
+//	barrier
 //	phaseBack: boundary drain, cores, sleep bookkeeping   — per chunk
 //
 // Everything a chunk mutates during a phase is owned by it: its tiles, its
@@ -31,21 +29,10 @@ import (
 // the results are *partition-independent*: byte-identical to the sequential
 // stepper for any chunk layout and any worker count — the equivalence tests
 // enforce this, and the sequential path remains the reference semantics.
-//
-// Partition independence is also what makes intra-cycle work-stealing safe.
-// The mesh is over-decomposed into more chunks than workers (stealChunksX
-// per worker); each worker owns a queue of chunks, claims them with an
-// atomic fetch-add cursor, and when its own queue runs dry scans the other
-// workers' queues and claims their leftovers. A chunk's phase therefore
-// executes exactly once per cycle — by *some* worker — and since all of the
-// phase's effects target chunk-owned state, it does not matter which worker
-// that is. The barrier between the phases (and between cycles) establishes
-// the happens-before edge when a chunk migrates between workers.
 
 // simShard owns a disjoint contiguous range of tiles and their hosted
 // memory controllers, mirroring the noc partition with the same shard ids.
-// It is the unit of work-stealing: a shard's phase is executed by exactly
-// one worker per cycle, not necessarily the same one each cycle.
+// Worker w steps shard w, every cycle.
 type simShard struct {
 	id int
 	s  *Simulator
@@ -184,66 +171,6 @@ func (sh *simShard) phaseBack(now int64) {
 	}
 }
 
-// workQueue is one worker's claimable list of chunk (shard) ids for the
-// current phase. The cursor is an atomic fetch-add: the owner claims from
-// it, and — with stealing on — so does any other worker that ran dry, each
-// claim yielding a distinct chunk. Cursors reset in the barrier serial
-// sections, which also provide the happens-before edge between a chunk's
-// executions on different workers. The padding keeps each queue's cursor on
-// its own cache line so cross-worker claims don't false-share.
-type workQueue struct {
-	chunks []int32
-	next   atomic.Int32
-	_      [60]byte
-}
-
-// claim returns the next unclaimed chunk index in q, or -1 when exhausted.
-// Losing claimers overshoot the cursor harmlessly: it resets every phase and
-// gains at most one overshoot per worker per phase.
-func (q *workQueue) claim() int {
-	i := int(q.next.Add(1)) - 1
-	if i >= len(q.chunks) {
-		return -1
-	}
-	return int(q.chunks[i])
-}
-
-// runPhase executes one phase of one cycle from worker w's perspective:
-// drain the worker's own chunk queue, then — when stealing — scan the other
-// workers' queues for leftovers. Which worker executes a chunk is
-// timing-dependent and irrelevant; *that* each chunk executes exactly once
-// is guaranteed by the atomic claim.
-func (s *Simulator) runPhase(w int, now int64, front bool) {
-	for c := s.queues[w].claim(); c >= 0; c = s.queues[w].claim() {
-		s.runChunk(c, now, front)
-	}
-	if !s.steal {
-		return
-	}
-	for d := 1; d < len(s.queues); d++ {
-		v := &s.queues[(w+d)%len(s.queues)]
-		for c := v.claim(); c >= 0; c = v.claim() {
-			s.runChunk(c, now, front)
-		}
-	}
-}
-
-func (s *Simulator) runChunk(c int, now int64, front bool) {
-	if front {
-		s.shards[c].phaseFront(now)
-	} else {
-		s.shards[c].phaseBack(now)
-	}
-}
-
-// resetCursors re-arms every worker queue for the next phase. Runs only in
-// barrier serial sections.
-func (s *Simulator) resetCursors() {
-	for i := range s.queues {
-		s.queues[i].next.Store(0)
-	}
-}
-
 // stepPar is the coordination state of one parallel Step call. Every field
 // is written only in the barrier's serial section (or before the workers
 // start) and read by workers after the barrier, so access needs no further
@@ -256,12 +183,12 @@ type stepPar struct {
 	cycle int64 // the cycle the phases execute
 }
 
-// stepSharded advances the system to end with Run.Shards worker goroutines.
-// The calling goroutine doubles as worker 0.
+// stepSharded advances the system to end with one worker goroutine per
+// shard. The calling goroutine doubles as worker 0.
 func (s *Simulator) stepSharded(end int64) {
-	s.par = stepPar{bar: par.NewBarrier(s.workers), end: end}
+	s.par = stepPar{bar: par.NewBarrier(len(s.shards)), end: end}
 	var wg sync.WaitGroup
-	for w := 1; w < s.workers; w++ {
+	for w := 1; w < len(s.shards); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -272,10 +199,11 @@ func (s *Simulator) stepSharded(end int64) {
 	wg.Wait()
 }
 
-// shardWorker is the per-worker cycle loop. All workers observe the same
-// serial-section decisions each round, so they take identical branches and
-// exit together.
+// shardWorker is worker w's cycle loop over shard w. All workers observe the
+// same serial-section decisions each round, so they take identical branches
+// and exit together.
 func (s *Simulator) shardWorker(w int) {
+	sh := s.shards[w]
 	for {
 		s.par.bar.Wait(s.cycleSerial)
 		if s.par.stop {
@@ -285,9 +213,9 @@ func (s *Simulator) shardWorker(w int) {
 			continue
 		}
 		c := s.par.cycle
-		s.runPhase(w, c, true)
-		s.par.bar.Wait(s.resetCursors)
-		s.runPhase(w, c, false)
+		sh.phaseFront(c)
+		s.par.bar.Wait(nil)
+		sh.phaseBack(c)
 	}
 }
 
@@ -301,8 +229,5 @@ func (s *Simulator) cycleSerial() {
 	}
 	now, exec := s.cycleHead(s.par.end)
 	s.par.skip = !exec
-	if exec {
-		s.par.cycle = now
-		s.resetCursors()
-	}
+	s.par.cycle = now
 }

@@ -33,16 +33,11 @@ type Simulator struct {
 	now int64
 
 	// shards partition the tiles into contiguous cost-balanced chunks for
-	// stepping (shard.go, partition.go); always at least one. The scheduler
-	// state (active sets, wake wheels), measurement collectors and object
-	// pools live on the shards so worker goroutines never contend.
-	// Run.Shards <= 1 keeps the single sequential shard; with more workers
-	// and stealing on, the mesh is over-decomposed into more chunks than
-	// workers so idle workers can steal leftovers.
-	shards  []*simShard
-	workers int         // parallel worker goroutines; 1 = sequential
-	steal   bool        // intra-cycle work stealing between workers
-	queues  []workQueue // per-worker chunk claim queues, len == workers
+	// stepping (shard.go, partition.go), one per worker goroutine; always at
+	// least one. The scheduler state (active sets, wake wheels), measurement
+	// collectors and object pools live on the shards so worker goroutines
+	// never contend. Run.Shards <= 1 keeps the single sequential shard.
+	shards []*simShard
 
 	// Event-driven scheduler state (see sched.go): dense selects the
 	// reference stepper instead, polNext is the next cycle the policy has
@@ -170,39 +165,14 @@ func newFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 	return s, nil
 }
 
-// stealChunksPerWorker over-decomposes the mesh when stealing is on: more
-// chunks than workers is what gives an idle worker something to take. Higher
-// values balance finer but pay more per-chunk overhead (boundary queues,
-// collector merges); 4 keeps the steal granularity near a quarter of a
-// worker's load.
-const stealChunksPerWorker = 4
-
 // buildShards derives the stepping layout from Run.Shards, once, at
-// construction: worker count, stealing mode, and the tiles split into
-// contiguous chunks balancing the static per-tile cost model. The partition
-// is mirrored onto the network, every node and memory controller is handed
-// its owning chunk, and the chunks are grouped into per-worker claim queues
-// (themselves cost-balanced).
+// construction: the tiles split into one contiguous chunk per worker,
+// balancing the static per-tile cost model (config.Validate bounds Run.Shards
+// by the tile count). The partition is mirrored onto the network, and every
+// node and memory controller is handed its owning chunk.
 func (s *Simulator) buildShards() {
 	nodes := len(s.nodes)
-	w := s.cfg.Run.Shards
-	if w < 1 {
-		w = 1
-	}
-	if w > nodes {
-		w = nodes
-	}
-	s.workers = w
-	s.steal = w > 1 && !s.cfg.Run.NoSteal
-	chunks := w
-	if s.steal {
-		chunks = w * stealChunksPerWorker
-		if chunks > nodes {
-			chunks = nodes
-		}
-	}
-	costs := s.staticCosts()
-	ends := linearPartition(costs, chunks)
+	ends := linearPartition(s.staticCosts(), max(s.cfg.Run.Shards, 1))
 	shardOf := make([]int, nodes)
 	start := 0
 	for si, end := range ends {
@@ -234,28 +204,6 @@ func (s *Simulator) buildShards() {
 		sh := s.shards[shardOf[mc.tile]]
 		mc.sh = sh
 		sh.mcs = append(sh.mcs, mc)
-	}
-
-	// Group the chunks into one contiguous claim queue per worker, balanced
-	// on the same costs so the no-steal path is load-balanced too.
-	chunkCost := make([]int64, len(ends))
-	start = 0
-	for si, end := range ends {
-		var sum int64
-		for i := start; i < end; i++ {
-			sum += costs[i]
-		}
-		chunkCost[si] = sum
-		start = end
-	}
-	wEnds := linearPartition(chunkCost, s.workers)
-	s.queues = make([]workQueue, s.workers)
-	start = 0
-	for wi, end := range wEnds {
-		for c := start; c < end; c++ {
-			s.queues[wi].chunks = append(s.queues[wi].chunks, int32(c))
-		}
-		start = end
 	}
 }
 

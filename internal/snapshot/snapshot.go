@@ -29,7 +29,7 @@ const Magic = "NOCSNAP1"
 // file under internal/sim/testdata (see TestCheckpointGolden).
 //
 // Version 2: snapshots became partition-agnostic. The header's structural
-// key no longer encodes the stepping layout (worker count, stealing mode),
+// key no longer encodes the stepping layout (the worker count),
 // and the legacy shard-count field is pinned to 1, so one image restores
 // under any worker count.
 const Version = 2

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram is a fixed-width bucket histogram over [0, width*len).
@@ -214,26 +213,3 @@ func (r *RunningMean) Reset() { r.n, r.sum = 0, 0 }
 // integer-valued samples well below 2^53, so the float64 sums are exact and
 // the merge is order-independent.
 func (r *RunningMean) Merge(o RunningMean) { r.n += o.n; r.sum += o.sum }
-
-// Quantiles computes exact quantiles of a raw sample slice (sorted copy).
-// qs entries are in (0,1]. Returns nil for empty input.
-func Quantiles(samples []int64, qs ...float64) []int64 {
-	if len(samples) == 0 {
-		return nil
-	}
-	s := make([]int64, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := make([]int64, len(qs))
-	for i, q := range qs {
-		idx := int(math.Ceil(q*float64(len(s)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		out[i] = s[idx]
-	}
-	return out
-}

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // WeightedSpeedup computes the weighted speedup metric of Section 4.1:
 //
@@ -69,23 +66,4 @@ func HarmonicSpeedup(shared, alone []float64) (float64, error) {
 		sum += alone[i] / shared[i]
 	}
 	return float64(len(shared)) / sum, nil
-}
-
-// GeoMean returns the geometric mean of positive values; it returns an error
-// if any value is non-positive or the slice is empty.
-func GeoMean(vs []float64) (float64, error) {
-	if len(vs) == 0 {
-		return 0, fmt.Errorf("stats: geomean of empty slice")
-	}
-	// Accumulate in the log domain: a running product of thousands of
-	// values around 1e3 (or 1e-3) overflows to +Inf (or underflows to 0)
-	// long before float64 loses precision on the sum of logs.
-	var sum float64
-	for i, v := range vs {
-		if v <= 0 {
-			return 0, fmt.Errorf("stats: geomean input %d is %v", i, v)
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vs))), nil
 }

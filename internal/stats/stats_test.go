@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -155,21 +154,6 @@ func TestRunningMean(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	var vals []int64
-	for i := int64(1); i <= 100; i++ {
-		vals = append(vals, i)
-	}
-	rand.New(rand.NewSource(1)).Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	qs := Quantiles(vals, 0.5, 0.9, 1.0)
-	if qs[0] != 50 || qs[1] != 90 || qs[2] != 100 {
-		t.Errorf("quantiles %v", qs)
-	}
-	if Quantiles(nil, 0.5) != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
 func TestBreakdown(t *testing.T) {
 	b := NewBreakdown(100, 10)
 	b.Add([NumLegs]int64{10, 20, 100, 15, 5})  // total 150 -> bucket [100,200)
@@ -250,53 +234,6 @@ func TestHarmonicSpeedup(t *testing.T) {
 	}
 	if _, err := HarmonicSpeedup(nil, nil); err == nil {
 		t.Error("empty harmonic speedup accepted")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil || math.Abs(g-2) > 1e-12 {
-		t.Errorf("geomean %.3f err %v", g, err)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty geomean accepted")
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("negative geomean accepted")
-	}
-}
-
-func TestGeoMeanLongSweeps(t *testing.T) {
-	// A running product of 10k values around 1e3 overflows float64 after
-	// ~100 entries (and underflows around 1e-3); the log-domain form must
-	// return the true geometric mean for both.
-	rng := rand.New(rand.NewSource(42))
-	cases := []struct {
-		name   string
-		center float64
-	}{
-		{name: "large", center: 1e3},
-		{name: "small", center: 1e-3},
-	}
-	for _, c := range cases {
-		vs := make([]float64, 10_000)
-		var logSum float64
-		for i := range vs {
-			v := c.center * (0.5 + rng.Float64()) // within [0.5x, 1.5x)
-			vs[i] = v
-			logSum += math.Log(v)
-		}
-		want := math.Exp(logSum / float64(len(vs)))
-		got, err := GeoMean(vs)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if math.IsInf(got, 0) || got == 0 {
-			t.Fatalf("%s: geomean over/underflowed to %v", c.name, got)
-		}
-		if math.Abs(got-want)/want > 1e-12 {
-			t.Errorf("%s: geomean %v, want %v", c.name, got, want)
-		}
 	}
 }
 

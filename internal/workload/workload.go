@@ -221,14 +221,3 @@ func Get(id int) (Workload, error) {
 	}
 	return table2[id-1], nil
 }
-
-// ByCategory returns the workloads of one category in id order.
-func ByCategory(c Category) []Workload {
-	var out []Workload
-	for _, w := range table2 {
-		if w.Category == c {
-			out = append(out, w)
-		}
-	}
-	return out
-}

@@ -107,20 +107,6 @@ func TestGet(t *testing.T) {
 	}
 }
 
-func TestByCategory(t *testing.T) {
-	for _, c := range []Category{Mixed, MemIntensive, MemNonIntensive} {
-		ws := ByCategory(c)
-		if len(ws) != 6 {
-			t.Errorf("%v has %d workloads", c, len(ws))
-		}
-		for _, w := range ws {
-			if w.Category != c {
-				t.Errorf("%s in wrong category", w.Name())
-			}
-		}
-	}
-}
-
 func TestCategoryStrings(t *testing.T) {
 	if Mixed.String() != "mixed" || MemIntensive.String() != "mem-intensive" ||
 		MemNonIntensive.String() != "mem-non-intensive" {
