@@ -96,9 +96,11 @@ results-check:
 # CPU-profile the two Step-only loops that bracket the stepper's regimes (the
 # 16x16 bursty shape: mostly idle mesh, MSHR-blocked bursts; and the saturated
 # 32-core machine) and the two Step-free halves of a warm-up fork on that
-# machine (Checkpoint, RestoreImage). Writes cpu.pprof (and the test binary nocmem.test) next to
-# the repo, ready for `go tool pprof nocmem.test cpu.pprof`. See
-# ARCHITECTURE.md ("Profiling workflow") for how to read the output.
+# machine (Checkpoint, RestoreImage). The two Step-only loops also print
+# heap-MB, the live heap of their shape, beside ns/op. Writes cpu.pprof (and
+# the test binary nocmem.test) next to the repo, ready for `go tool pprof
+# nocmem.test cpu.pprof`. See ARCHITECTURE.md ("Profiling workflow") for how
+# to read the output.
 profile:
 	$(GO) test -run '^$$' -bench 'StepBursty256|SimCycle32Core|Checkpoint32|RestoreImage32' -cpuprofile cpu.pprof .
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof nocmem.test cpu.pprof"
@@ -108,6 +110,7 @@ profile:
 # 16 914 at PR 21, 16 977 at PR 22, 17 082 at PR 23, 17 081 at PR 24,
 # 16 054 at PR 25, 16 117 at PR 26).
 # One chunk per worker, work stealing and three dead helpers deleted: 15 924.
+# 32-bit LRU stamps renumbered at the clock's wrap, and a dirty bitset: 15 999.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

@@ -3,7 +3,14 @@
 // coalescing, and the S-NUCA bank mapping used by the shared L2.
 package cache
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"nocmem/internal/bitset"
+)
 
 // Stats counts cache events since construction.
 type Stats struct {
@@ -20,14 +27,15 @@ type Stats struct {
 //
 // The tag array is three flat per-way arrays indexed set*ways+way. keys holds
 // tag<<1 | valid, so a lookup is one compare per way and the eight ways of an
-// L2 set share one 64-byte host cache line; used holds the LRU timestamps and
-// dirty the dirty bits. An invalid way keeps whatever tag, timestamp and
-// dirty bit it last held (zeros after Invalidate): the checkpoint carries them
-// as they are.
+// L2 set share one 64-byte host cache line; used holds the 32-bit LRU
+// timestamps and dirty one bit per way: 12.125 host bytes per line. An invalid
+// way keeps whatever tag, timestamp and dirty bit it last held (zeros after
+// Invalidate): the checkpoint carries them as they are.
+// The clock tick is 64-bit; advance keeps the stamps within 32 bits.
 type Cache struct {
 	keys      []uint64
-	used      []uint64 // LRU timestamp per way
-	dirty     []bool
+	used      []uint32 // LRU timestamp per way
+	dirty     bitset.Set
 	ways      int
 	lineShift uint
 	setShift  uint // log2 of the set count: where the tag starts in a line number
@@ -55,8 +63,8 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	}
 	return &Cache{
 		keys:      make([]uint64, nsets*ways),
-		used:      make([]uint64, nsets*ways),
-		dirty:     make([]bool, nsets*ways),
+		used:      make([]uint32, nsets*ways),
+		dirty:     bitset.New(nsets * ways),
 		ways:      ways,
 		lineShift: log2(uint64(lineBytes)),
 		setShift:  log2(uint64(nsets)),
@@ -96,14 +104,58 @@ func (c *Cache) lookup(addr uint64) (base int, key uint64, way int) {
 	return base, key, -1
 }
 
+// advance moves the LRU clock k steps, renumbering every set first if it
+// would pass 2^32-1, and returns the clock as a stamp.
+func (c *Cache) advance(k uint64) uint32 {
+	c.tick += k
+	if c.tick > math.MaxUint32 {
+		c.renumber(nil)
+	}
+	return uint32(c.tick)
+}
+
+// renumber sets each way's stamp to the dense rank of its old stamp within
+// its set (0 stays 0, where LIP inserts; ties stay tied; order is kept) and
+// restarts the clock one above the largest rank. The old stamps are the
+// cache's own, or with img the 64-bit ones of Decode's way records. Victim
+// choice compares stamps of one set only, and every stamp written later
+// exceeds the clock, so every hit, victim and writeback stays what an
+// unbounded clock gives.
+func (c *Cache) renumber(img []byte) {
+	set, sorted := make([]uint64, c.ways), make([]uint64, 0, c.ways)
+	var top uint32
+	for base := 0; base < len(c.used); base += c.ways {
+		for i := range set {
+			if img == nil {
+				set[i] = uint64(c.used[base+i])
+			} else {
+				set[i] = binary.LittleEndian.Uint64(img[(base+i)*encodedLine+10:])
+			}
+		}
+		sorted = append(sorted[:0], set...)
+		slices.Sort(sorted)
+		sorted = slices.Compact(sorted)
+		off := uint32(1)
+		if sorted[0] == 0 {
+			off = 0
+		}
+		for i, v := range set {
+			r, _ := slices.BinarySearch(sorted, v)
+			c.used[base+i] = uint32(r) + off
+		}
+		top = max(top, uint32(len(sorted)-1)+off)
+	}
+	c.tick = uint64(top) + 1
+}
+
 // Access looks up addr, updating LRU state and the hit/miss counters.
 // On a write hit the line is marked dirty. Returns whether it hit.
 func (c *Cache) Access(addr uint64, isWrite bool) bool {
-	c.tick++
+	now := c.advance(1)
 	if _, _, w := c.lookup(addr); w >= 0 {
-		c.used[w] = c.tick
+		c.used[w] = now
 		if isWrite {
-			c.dirty[w] = true
+			c.dirty.Add(w)
 		}
 		c.stats.Hits++
 		return true
@@ -118,7 +170,7 @@ func (c *Cache) Access(addr uint64, isWrite bool) bool {
 // touches no line). The simulator uses it to replay, in closed form, the
 // retries of an access that an exhausted MSHR table keeps refusing.
 func (c *Cache) ReplayMisses(k int64) {
-	c.tick += uint64(k)
+	c.advance(uint64(k))
 	c.stats.Misses += k
 }
 
@@ -127,7 +179,7 @@ func (c *Cache) ReplayMisses(k int64) {
 // must not keep a dead line alive. Returns whether the line was present.
 func (c *Cache) WritebackHit(addr uint64) bool {
 	if _, _, w := c.lookup(addr); w >= 0 {
-		c.dirty[w] = true
+		c.dirty.Add(w)
 		c.stats.Hits++
 		return true
 	}
@@ -152,12 +204,14 @@ type Victim struct {
 // refreshes its LRU position (and dirtiness). The victim is the set's first
 // invalid way, else its first way with the oldest timestamp.
 func (c *Cache) Fill(addr uint64, dirty bool) (Victim, bool) {
-	c.tick++
+	now := c.advance(1)
 	base, key, w := c.lookup(addr)
 	// Already present (e.g. a second fill racing a prefetch): refresh.
 	if w >= 0 {
-		c.used[w] = c.tick
-		c.dirty[w] = c.dirty[w] || dirty
+		c.used[w] = now
+		if dirty {
+			c.dirty.Add(w)
+		}
 		return Victim{}, false
 	}
 	victim := base
@@ -173,17 +227,21 @@ func (c *Cache) Fill(addr uint64, dirty bool) (Victim, bool) {
 	var ev Victim
 	evicted := c.keys[victim]&1 != 0
 	if evicted {
-		ev = Victim{Addr: c.addrOf(uint64(base/c.ways), c.keys[victim]>>1), Dirty: c.dirty[victim]}
+		ev = Victim{Addr: c.addrOf(uint64(base/c.ways), c.keys[victim]>>1), Dirty: c.dirty.Has(victim)}
 		c.stats.Evictions++
 		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	used := c.tick
 	if c.lip {
-		used = 0 // LRU insertion: next victim unless re-referenced
+		now = 0 // LRU insertion: next victim unless re-referenced
 	}
-	c.keys[victim], c.used[victim], c.dirty[victim] = key, used, dirty
+	c.keys[victim], c.used[victim] = key, now
+	if dirty {
+		c.dirty.Add(victim)
+	} else {
+		c.dirty.Remove(victim)
+	}
 	c.stats.Fills++
 	return ev, evicted
 }
@@ -195,8 +253,9 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
 	if w < 0 {
 		return false
 	}
-	wasDirty = c.dirty[w]
-	c.keys[w], c.used[w], c.dirty[w] = 0, 0, false
+	wasDirty = c.dirty.Has(w)
+	c.keys[w], c.used[w] = 0, 0
+	c.dirty.Remove(w)
 	return wasDirty
 }
 

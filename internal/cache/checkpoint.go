@@ -2,13 +2,17 @@ package cache
 
 import (
 	"encoding/binary"
+	"math"
 	"sort"
 
 	"nocmem/internal/snapshot"
 )
 
 // encodedLine is the size of one way in a checkpoint: tag (u64), valid and
-// dirty (one byte each, 0 or 1), LRU timestamp (u64), little-endian.
+// dirty (one byte each, 0 or 1), LRU timestamp (u64), little-endian. The
+// image keeps 64-bit stamps and clock although the cache holds 32-bit ones: a
+// cache that never renumbered writes the bytes of the 64-bit model, and every
+// image written before still decodes.
 const encodedLine = 8 + 1 + 1 + 8
 
 // Encode serializes the cache contents: LRU clock, every way of every set,
@@ -27,10 +31,10 @@ func (c *Cache) Encode(w *snapshot.Writer) {
 			rec := b[(i-base)*encodedLine:][:encodedLine]
 			binary.LittleEndian.PutUint64(rec, c.keys[i]>>1)
 			rec[8], rec[9] = byte(c.keys[i]&1), 0
-			if c.dirty[i] {
+			if c.dirty.Has(i) {
 				rec[9] = 1
 			}
-			binary.LittleEndian.PutUint64(rec[10:], c.used[i])
+			binary.LittleEndian.PutUint64(rec[10:], uint64(c.used[i]))
 		}
 	}
 	st := c.stats
@@ -46,6 +50,9 @@ func (c *Cache) Encode(w *snapshot.Writer) {
 // ways are read from one bounds-checked view of the image; a truncated array,
 // a valid or dirty byte other than 0 or 1 and a tag of 2^63 or more (no line
 // address has one, and the valid bit is packed above it) are format errors.
+// An image whose clock or stamps pass 2^32-1 is renumbered as the clock's own
+// wrap renumbers (Cache): its hits and victims are the image's as long as no
+// stamp exceeds the clock, which no encoder writes.
 func (c *Cache) Decode(r *snapshot.Reader) {
 	tick := r.U64()
 	nsets := r.Len(1)
@@ -69,6 +76,8 @@ func (c *Cache) Decode(r *snapshot.Reader) {
 		return
 	}
 	c.tick = tick
+	c.dirty.Clear()
+	wide := tick > math.MaxUint32
 	for i := range c.keys {
 		rec := b[i*encodedLine:][:encodedLine]
 		if rec[8]|rec[9] > 1 {
@@ -81,8 +90,15 @@ func (c *Cache) Decode(r *snapshot.Reader) {
 			return
 		}
 		c.keys[i] = tag<<1 | uint64(rec[8])
-		c.dirty[i] = rec[9] == 1
-		c.used[i] = binary.LittleEndian.Uint64(rec[10:])
+		if rec[9] == 1 {
+			c.dirty.Add(i)
+		}
+		used := binary.LittleEndian.Uint64(rec[10:])
+		wide = wide || used > math.MaxUint32
+		c.used[i] = uint32(used)
+	}
+	if wide {
+		c.renumber(b)
 	}
 	c.stats.Hits = r.I64()
 	c.stats.Misses = r.I64()

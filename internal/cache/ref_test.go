@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -181,80 +182,160 @@ func encodeBytes(t *testing.T, enc func(*snapshot.Writer)) []byte {
 	return buf.Bytes()
 }
 
+// refShape is a cache geometry the reference comparisons run on.
+type refShape struct {
+	name             string
+	size, line, ways int
+	lip              bool
+}
+
+// refShapes are the L1 shape (32 KB, direct mapped) and the L2 shape (512 KB,
+// 8 ways, LIP).
+var refShapes = []refShape{
+	{"l1", 32 << 10, 64, 1, false},
+	{"l2", 512 << 10, 64, 8, true},
+}
+
+// refPair is a cache and its reference, fed one seeded stream of every
+// mutating and probing call. Addresses mix a hot set, a footprint twice the
+// capacity and arbitrary 64-bit addresses (the widest tags).
+type refPair struct {
+	c     *Cache
+	ref   *refCache
+	rng   *rand.Rand
+	shape refShape
+	hot   []uint64
+	calls int // calls made so far
+}
+
+func newRefPair(shape refShape, c *Cache, ref *refCache) *refPair {
+	c.SetLIPInsertion(shape.lip)
+	ref.lip = shape.lip
+	p := &refPair{c: c, ref: ref, rng: rand.New(rand.NewSource(29)), shape: shape, hot: make([]uint64, 64)}
+	for i := range p.hot {
+		p.hot[i] = uint64(p.rng.Intn(p.lines())) * uint64(shape.line)
+	}
+	return p
+}
+
+func (p *refPair) lines() int { return 2 * p.shape.size / p.shape.line }
+
+func (p *refPair) addr() uint64 {
+	line := p.shape.line
+	switch r := p.rng.Intn(16); {
+	case r < 6:
+		return p.hot[p.rng.Intn(len(p.hot))] + uint64(p.rng.Intn(line))
+	case r < 15:
+		return uint64(p.rng.Intn(p.lines()))*uint64(line) + uint64(p.rng.Intn(line))
+	default:
+		return p.rng.Uint64()
+	}
+}
+
+// step makes n calls on both caches and fails at the first return value or
+// counter that differs; each, if set, runs after every call with the call's
+// ordinal.
+func (p *refPair) step(t *testing.T, n int, each func(call int)) {
+	t.Helper()
+	c, ref := p.c, p.ref
+	for end := p.calls + n; p.calls < end; {
+		p.calls++
+		a := p.addr()
+		var got, want any
+		switch op := p.rng.Intn(16); {
+		case op < 6:
+			w := p.rng.Intn(4) == 0
+			got, want = c.Access(a, w), ref.Access(a, w)
+		case op < 10:
+			d := p.rng.Intn(3) == 0
+			gv, ge := c.Fill(a, d)
+			wv, we := ref.Fill(a, d)
+			got, want = [2]any{gv, ge}, [2]any{wv, we}
+		case op < 12:
+			got, want = c.WritebackHit(a), ref.WritebackHit(a)
+		case op < 14:
+			got, want = c.Invalidate(a), ref.Invalidate(a)
+		case op < 15:
+			got, want = c.Contains(a), ref.Contains(a)
+		default:
+			k := int64(p.rng.Intn(5))
+			c.ReplayMisses(k)
+			ref.ReplayMisses(k)
+		}
+		if got != want {
+			t.Fatalf("call %d on %#x: got %v, reference %v", p.calls, a, got, want)
+		}
+		if c.Stats() != ref.stats {
+			t.Fatalf("call %d: stats %+v, reference %+v", p.calls, c.Stats(), ref.stats)
+		}
+		if each != nil {
+			each(p.calls)
+		}
+	}
+}
+
+// sameLines requires every way of c to hold the reference's tag, valid and
+// dirty bits, and each set's stamps to order (and tie) as the reference's do.
+func sameLines(t *testing.T, c *Cache, ref *refCache) {
+	t.Helper()
+	for s, set := range ref.sets {
+		base := s * c.ways
+		for i, l := range set {
+			w := base + i
+			if c.keys[w]>>1 != l.tag || c.keys[w]&1 == 1 != l.valid || c.dirty.Has(w) != l.dirty {
+				t.Fatalf("set %d way %d: key %#x dirty %v, reference %+v", s, i, c.keys[w], c.dirty.Has(w), l)
+			}
+			for j, m := range set {
+				if (c.used[w] < c.used[base+j]) != (l.used < m.used) || (c.used[w] == c.used[base+j]) != (l.used == m.used) {
+					t.Fatalf("set %d ways %d,%d: stamps %d,%d order unlike the reference's %d,%d",
+						s, i, j, c.used[w], c.used[base+j], l.used, m.used)
+				}
+			}
+		}
+	}
+}
+
+// denseStamps requires the stamps of every set to be dense ranks: the
+// distinct values run without a gap from 0 or 1 up, and the clock is one
+// above the largest of any set.
+func denseStamps(t *testing.T, c *Cache) {
+	t.Helper()
+	var top uint32
+	for base := 0; base < len(c.used); base += c.ways {
+		seen := map[uint32]bool{}
+		for _, u := range c.used[base : base+c.ways] {
+			seen[u] = true
+			top = max(top, u)
+		}
+		for u := range seen {
+			if u > 1 && !seen[u-1] {
+				t.Fatalf("set %d: stamps %v are not dense ranks", base/c.ways, c.used[base:base+c.ways])
+			}
+		}
+	}
+	if c.tick != uint64(top)+1 {
+		t.Fatalf("clock %d, want one above the largest rank %d", c.tick, top)
+	}
+}
+
 // TestFlatTagsMatchReference drives the cache and refCache through the same
-// seeded stream of every mutating and probing call, on the L1 shape (32 KB,
-// direct mapped) and the L2 shape (512 KB, 8 ways, LIP), and requires equal
-// return values and counters after every call, equal checkpoint bytes every
-// 10^4 calls, and a Decode(Encode) round trip that re-encodes to the same
-// bytes. Addresses mix a hot set, a footprint twice the capacity and
-// arbitrary 64-bit addresses (the widest tags).
+// seeded call stream on the L1 and L2 shapes and requires equal return values
+// and counters after every call, equal checkpoint bytes every 10^4 calls, and
+// a Decode(Encode) round trip that re-encodes to the same bytes. The round
+// trips decode into one cache, which holds the previous image each time.
 func TestFlatTagsMatchReference(t *testing.T) {
-	const calls = 120_000
-	for _, shape := range []struct {
-		name             string
-		size, line, ways int
-		lip              bool
-	}{
-		{"l1", 32 << 10, 64, 1, false},
-		{"l2", 512 << 10, 64, 8, true},
-	} {
+	for _, shape := range refShapes {
 		t.Run(shape.name, func(t *testing.T) {
-			c, ref := New(shape.size, shape.line, shape.ways), newRefCache(shape.size, shape.line, shape.ways)
-			c.SetLIPInsertion(shape.lip)
-			ref.lip = shape.lip
-			rng := rand.New(rand.NewSource(29))
-			lines := 2 * shape.size / shape.line
-			hot := make([]uint64, 64)
-			for i := range hot {
-				hot[i] = uint64(rng.Intn(lines)) * uint64(shape.line)
-			}
-			addr := func() uint64 {
-				switch r := rng.Intn(16); {
-				case r < 6:
-					return hot[rng.Intn(len(hot))] + uint64(rng.Intn(shape.line))
-				case r < 15:
-					return uint64(rng.Intn(lines))*uint64(shape.line) + uint64(rng.Intn(shape.line))
-				default:
-					return rng.Uint64()
-				}
-			}
-			for i := 1; i <= calls; i++ {
-				a := addr()
-				var got, want any
-				switch op := rng.Intn(16); {
-				case op < 6:
-					w := rng.Intn(4) == 0
-					got, want = c.Access(a, w), ref.Access(a, w)
-				case op < 10:
-					d := rng.Intn(3) == 0
-					gv, ge := c.Fill(a, d)
-					wv, we := ref.Fill(a, d)
-					got, want = [2]any{gv, ge}, [2]any{wv, we}
-				case op < 12:
-					got, want = c.WritebackHit(a), ref.WritebackHit(a)
-				case op < 14:
-					got, want = c.Invalidate(a), ref.Invalidate(a)
-				case op < 15:
-					got, want = c.Contains(a), ref.Contains(a)
-				default:
-					k := int64(rng.Intn(5))
-					c.ReplayMisses(k)
-					ref.ReplayMisses(k)
-				}
-				if got != want {
-					t.Fatalf("call %d on %#x: got %v, reference %v", i, a, got, want)
-				}
-				if c.Stats() != ref.stats {
-					t.Fatalf("call %d: stats %+v, reference %+v", i, c.Stats(), ref.stats)
-				}
+			p := newRefPair(shape, New(shape.size, shape.line, shape.ways), newRefCache(shape.size, shape.line, shape.ways))
+			back := New(shape.size, shape.line, shape.ways)
+			p.step(t, 120_000, func(i int) {
 				if i%10_000 != 0 {
-					continue
+					return
 				}
-				img := encodeBytes(t, c.Encode)
-				if !bytes.Equal(img, encodeBytes(t, ref.Encode)) {
+				img := encodeBytes(t, p.c.Encode)
+				if !bytes.Equal(img, encodeBytes(t, p.ref.Encode)) {
 					t.Fatalf("call %d: checkpoint bytes differ from the reference's", i)
 				}
-				back := New(shape.size, shape.line, shape.ways)
 				rd, err := snapshot.NewReaderBytes(img)
 				if err != nil {
 					t.Fatal(err)
@@ -266,9 +347,95 @@ func TestFlatTagsMatchReference(t *testing.T) {
 				if !bytes.Equal(encodeBytes(t, back.Encode), img) {
 					t.Fatalf("call %d: Decode(Encode) re-encodes differently", i)
 				}
-			}
-			if st := c.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Writebacks == 0 {
+			})
+			if st := p.c.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Writebacks == 0 {
 				t.Errorf("the stream exercised too little: %+v", st)
+			}
+		})
+	}
+}
+
+// TestClockWrapMatchesReference carries the cache's 32-bit stamps across the
+// clock's wrap and the reference's 64-bit ones past 2^32 and 2^33: warmed by
+// the call stream, both jump by ReplayMisses to just below 2^32, the stream
+// crosses the wrap, both jump past 2^33 (a second renumbering, by
+// ReplayMisses), and the stream goes on. Every return value and counter must
+// match throughout, and the lines and their stamp order after each jump.
+func TestClockWrapMatchesReference(t *testing.T) {
+	const leg = 30_000
+	for _, shape := range refShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			p := newRefPair(shape, New(shape.size, shape.line, shape.ways), newRefCache(shape.size, shape.line, shape.ways))
+			jump := func(to uint64) {
+				k := int64(to - p.ref.tick)
+				p.c.ReplayMisses(k)
+				p.ref.ReplayMisses(k)
+				if p.c.Stats() != p.ref.stats {
+					t.Fatalf("after the jump to %d: stats %+v, reference %+v", to, p.c.Stats(), p.ref.stats)
+				}
+				sameLines(t, p.c, p.ref)
+			}
+			p.step(t, leg, nil)
+			jump(1<<32 - leg/2)
+			if p.c.tick != p.ref.tick {
+				t.Fatalf("clock %d renumbered below 2^32 (reference %d)", p.c.tick, p.ref.tick)
+			}
+			p.step(t, leg, nil)
+			if p.ref.tick <= 1<<32 || p.c.tick > 1<<32-leg/2 {
+				t.Fatalf("the stream did not cross the wrap: clock %d, reference %d", p.c.tick, p.ref.tick)
+			}
+			sameLines(t, p.c, p.ref)
+			jump(1<<33 + 1)
+			denseStamps(t, p.c)
+			p.step(t, leg, nil)
+			sameLines(t, p.c, p.ref)
+			if st := p.c.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Writebacks == 0 {
+				t.Errorf("the stream exercised too little: %+v", st)
+			}
+		})
+	}
+}
+
+// TestDecodeRenumbersWideClock restores a hand-built image whose clock and
+// stamps are past 2^32 (none above the clock; zeros and ties among them) and
+// requires the cache to hold the image's lines in the image's stamp order, and
+// then to hit and evict exactly as a refCache holding the same lines.
+func TestDecodeRenumbersWideClock(t *testing.T) {
+	for _, shape := range []refShape{{"lru", 2048, 64, 8, false}, {"lip", 2048, 64, 8, true}} {
+		t.Run(shape.name, func(t *testing.T) {
+			const tick = 1<<33 + 12_345
+			rng := rand.New(rand.NewSource(3))
+			ref := newRefCache(shape.size, shape.line, shape.ways)
+			ref.tick = tick
+			ref.stats = Stats{Hits: 11, Misses: 7, Fills: 5, Evictions: 3, Writebacks: 2}
+			stamps := []uint64{0, 9, 1 << 31, 1<<32 + 1, 1<<33 - 5, tick - 2, tick}
+			for _, set := range ref.sets {
+				for i, tag := range rng.Perm(2 * len(set))[:len(set)] {
+					set[i] = refLine{
+						tag: uint64(tag), valid: rng.Intn(4) != 0, dirty: rng.Intn(2) == 0,
+						used: stamps[rng.Intn(len(stamps))],
+					}
+				}
+			}
+			c := New(shape.size, shape.line, shape.ways)
+			rd, err := snapshot.NewReaderBytes(encodeBytes(t, ref.Encode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Decode(rd)
+			if err := rd.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if c.Stats() != ref.stats {
+				t.Fatalf("restored stats %+v, want %+v", c.Stats(), ref.stats)
+			}
+			denseStamps(t, c)
+			sameLines(t, c, ref)
+			p := newRefPair(shape, c, ref)
+			p.step(t, 20_000, nil)
+			sameLines(t, c, ref)
+			if st := c.Stats(); st.Evictions <= 3 || st.Writebacks <= 2 {
+				t.Errorf("the stream evicted nothing: %+v", st)
 			}
 		})
 	}
@@ -315,5 +482,68 @@ func TestDecodeRejectsWideTag(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("tag %#x: error %v, want %q", tc.tag, err, tc.want)
 		}
+	}
+}
+
+// TestTagStoreBytesPerLine guards the host cost of the tag store: every slice
+// of an L2 bank's Cache (512 KB, 64-byte lines, 8 ways) summed must stay
+// within 12.2 bytes per line — 8 of key, 4 of stamp and an eighth of dirty
+// bit — so a layout change cannot grow it back unnoticed.
+func TestTagStoreBytesPerLine(t *testing.T) {
+	c := New(512<<10, 64, 8)
+	v := reflect.ValueOf(c).Elem()
+	var total uintptr
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			total += uintptr(f.Len()) * f.Type().Elem().Size()
+		}
+	}
+	if per := float64(total) / float64(len(c.keys)); per > 12.2 {
+		t.Errorf("the tag store costs %.3f host bytes per line, more than 12.2", per)
+	}
+}
+
+// TestDecodeRenumbersWideStamp: a stamp past 2^32 renumbers the image even
+// when its clock is below 2^32, keeping the order of the stamps.
+func TestDecodeRenumbersWideStamp(t *testing.T) {
+	img := encodeBytes(t, func(w *snapshot.Writer) {
+		w.U64(7)
+		w.Len(1) // one set
+		w.Len(2) // two ways
+		for way, used := range []uint64{1<<32 + 5, 3} {
+			w.U64(uint64(way))
+			w.Bool(true)
+			w.Bool(false)
+			w.U64(used)
+		}
+		for i := 0; i < 5; i++ {
+			w.I64(0)
+		}
+	})
+	c := New(2*64, 64, 2)
+	rd, err := snapshot.NewReaderBytes(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Decode(rd)
+	if err := rd.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if c.used[0] != 2 || c.used[1] != 1 || c.tick != 3 {
+		t.Fatalf("stamps %v clock %d, want [2 1] and 3", c.used, c.tick)
+	}
+}
+
+// TestClockWrapStampsAboveRanks: the access that wraps the clock stamps its
+// line above every renumbered stamp, not level with the set's newest, so the
+// line touched just before the wrap is the older of the two and the victim.
+func TestClockWrapStampsAboveRanks(t *testing.T) {
+	c := New(2*64, 64, 2) // one set of two ways
+	c.Fill(0, false)      // way 0
+	c.Fill(64, false)     // way 1, newer
+	c.ReplayMisses(int64(1<<32 - 1 - c.tick))
+	c.Access(0, false) // wraps the clock; way 0 becomes the newer
+	if v, _ := c.Fill(128, false); v.Addr != 64 {
+		t.Fatalf("victim %#x, want the line at 0x40", v.Addr)
 	}
 }
