@@ -61,12 +61,13 @@ dark:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# The router and cache kernels' micro-benchmarks, a few iterations each: they
-# drive hand-built fixtures (a loaded 4x8 mesh, an L2-shaped cache) that no
-# other target runs as benchmarks, so a layout change that stops them compiling
-# or running fails here rather than in the next profiling session.
+# The router, cache and latency-histogram kernels' micro-benchmarks, a few
+# iterations each: they drive hand-built fixtures (a loaded 4x8 mesh, an
+# L2-shaped cache, a round-trip-shaped latency stream) that no other target
+# runs as benchmarks, so a layout change that stops them compiling or running
+# fails here rather than in the next profiling session.
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'NetworkTick|CacheAccess' -benchtime 200x ./internal/noc ./internal/cache
+	$(GO) test -run '^$$' -bench 'NetworkTick|CacheAccess|HistogramAdd' -benchtime 200x ./internal/noc ./internal/cache ./internal/stats
 
 # The four fuzz targets, 5 s each beyond their seed corpora: the daemon's
 # request resolver, the checkpoint decoder, the result store's entry reader
@@ -96,8 +97,8 @@ results-check:
 # CPU-profile the two Step-only loops that bracket the stepper's regimes (the
 # 16x16 bursty shape: mostly idle mesh, MSHR-blocked bursts; and the saturated
 # 32-core machine) and the two Step-free halves of a warm-up fork on that
-# machine (Checkpoint, RestoreImage). The two Step-only loops also print
-# heap-MB, the live heap of their shape, beside ns/op. Writes cpu.pprof (and
+# machine (Checkpoint, RestoreImage). The two Step-only loops and the restore
+# also print heap-MB, the live heap of their shape, beside ns/op. Writes cpu.pprof (and
 # the test binary nocmem.test) next to the repo, ready for `go tool pprof
 # nocmem.test cpu.pprof`. See ARCHITECTURE.md ("Profiling workflow") for how
 # to read the output.
@@ -111,6 +112,7 @@ profile:
 # 16 054 at PR 25, 16 117 at PR 26).
 # One chunk per worker, work stealing and three dead helpers deleted: 15 924.
 # 32-bit LRU stamps renumbered at the clock's wrap, and a dirty bitset: 15 999.
+# Latency histograms grown on demand, job GC swept once per JobTTL/10: 16 093.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

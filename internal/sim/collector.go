@@ -6,7 +6,9 @@ import (
 )
 
 // Histogram shapes. Round-trip latencies rarely exceed 10k cycles even under
-// heavy congestion; values beyond clamp into the last bucket.
+// heavy congestion; values beyond clamp into the last bucket. A histogram or
+// breakdown stores only the buckets up to the highest one a sample reached,
+// so the long tail of the range costs no host memory until it is used.
 const (
 	histBucket  = 25
 	histBuckets = 400

@@ -69,9 +69,10 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu   sync.Mutex
-	jobs map[string]*job
-	seq  int
+	mu     sync.Mutex
+	jobs   map[string]*job
+	seq    int
+	lastGC time.Time // when gcJobs last swept jobs
 
 	jobWG    sync.WaitGroup
 	draining atomic.Bool
@@ -305,10 +306,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // gcJobs drops terminal job records past their retention: JobTTL after
 // completion once fetched, 10x that if nobody ever polled the finished job.
 // Called opportunistically from the request handlers — a daemon nobody
-// talks to holds no growing state, so it needs no background sweeper.
+// talks to holds no growing state, so it needs no background sweeper. It
+// sweeps at most once per JobTTL/10, so a request costs a walk of the job
+// table only that often and a record outlives its retention by at most a
+// tenth of the TTL.
 func (s *Server) gcJobs(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if now.Sub(s.lastGC) < s.opts.JobTTL/10 {
+		return
+	}
+	s.lastGC = now
 	for id, j := range s.jobs {
 		j.mu.Lock()
 		terminal := j.status == StatusDone || j.status == StatusFailed

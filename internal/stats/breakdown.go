@@ -33,14 +33,24 @@ func (l Leg) String() string {
 // Breakdown accumulates per-leg delays of off-chip accesses grouped by
 // total-delay range, reproducing Figure 4: each range (bucket) reports the
 // average contribution of each leg for the accesses whose total round-trip
-// delay fell in that range.
+// delay fell in that range. Like Histogram it stores only the ranges up to
+// the highest one used and grows on demand.
 type Breakdown struct {
 	width   int64
-	sums    [][NumLegs]int64
-	counts  []int64
+	n       int       // logical range count
+	ranges  []bdRange // stored prefix of the n ranges
 	overall [NumLegs]int64
 	total   int64
 }
+
+// bdRange is one total-delay range: its access count and per-leg sums.
+type bdRange struct {
+	count int64
+	sums  [NumLegs]int64
+}
+
+// rangeBytes is the size of a bdRange, in memory and in a checkpoint.
+const rangeBytes = 8 * (1 + int(NumLegs))
 
 // NewBreakdown returns a breakdown with n total-delay ranges of the given
 // width in cycles.
@@ -48,7 +58,7 @@ func NewBreakdown(width int64, n int) *Breakdown {
 	if width <= 0 || n <= 0 {
 		panic("stats: invalid breakdown shape")
 	}
-	return &Breakdown{width: width, sums: make([][NumLegs]int64, n), counts: make([]int64, n)}
+	return &Breakdown{width: width, n: n}
 }
 
 // Add records one off-chip access with the given per-leg delays.
@@ -58,16 +68,20 @@ func (b *Breakdown) Add(legs [NumLegs]int64) {
 		total += v
 	}
 	i := total / b.width
-	if i >= int64(len(b.counts)) {
-		i = int64(len(b.counts)) - 1
+	if i >= int64(b.n) {
+		i = int64(b.n) - 1
 	}
 	if i < 0 {
 		i = 0
 	}
-	b.counts[i]++
+	if i >= int64(len(b.ranges)) {
+		b.ranges = grow(b.ranges, int(i)+1)
+	}
+	r := &b.ranges[i]
+	r.count++
 	b.total++
 	for l, v := range legs {
-		b.sums[i][l] += v
+		r.sums[l] += v
 		b.overall[l] += v
 	}
 }
@@ -75,13 +89,17 @@ func (b *Breakdown) Add(legs [NumLegs]int64) {
 // Merge folds the accesses of o (same width and range count) into b.
 // Purely integer counters, so the result is exact regardless of merge order.
 func (b *Breakdown) Merge(o *Breakdown) {
-	if b.width != o.width || len(b.counts) != len(o.counts) {
+	if b.width != o.width || b.n != o.n {
 		panic("stats: merging mismatched breakdowns")
 	}
-	for i, c := range o.counts {
-		b.counts[i] += c
+	if len(o.ranges) > len(b.ranges) {
+		b.ranges = grow(b.ranges, len(o.ranges))
+	}
+	for i, or := range o.ranges {
+		r := &b.ranges[i]
+		r.count += or.count
 		for l := Leg(0); l < NumLegs; l++ {
-			b.sums[i][l] += o.sums[i][l]
+			r.sums[l] += or.sums[l]
 		}
 	}
 	b.total += o.total
@@ -89,6 +107,9 @@ func (b *Breakdown) Merge(o *Breakdown) {
 		b.overall[l] += o.overall[l]
 	}
 }
+
+// HostBytes returns the bytes of range storage b holds.
+func (b *Breakdown) HostBytes() int { return rangeBytes * cap(b.ranges) }
 
 // Row is the average per-leg delay of one total-delay range.
 type Row struct {
@@ -100,13 +121,13 @@ type Row struct {
 // Rows returns one row per non-empty range, in increasing delay order.
 func (b *Breakdown) Rows() []Row {
 	var out []Row
-	for i, c := range b.counts {
-		if c == 0 {
+	for i, br := range b.ranges {
+		if br.count == 0 {
 			continue
 		}
-		r := Row{Lo: int64(i) * b.width, Hi: int64(i+1) * b.width, Count: c}
+		r := Row{Lo: int64(i) * b.width, Hi: int64(i+1) * b.width, Count: br.count}
 		for l := Leg(0); l < NumLegs; l++ {
-			r.Avg[l] = float64(b.sums[i][l]) / float64(c)
+			r.Avg[l] = float64(br.sums[l]) / float64(br.count)
 		}
 		out = append(out, r)
 	}

@@ -9,12 +9,15 @@ import (
 	"math"
 )
 
-// Histogram is a fixed-width bucket histogram over [0, width*len).
-// Values beyond the last bucket are clamped into it. The zero value is not
-// usable; construct with NewHistogram.
+// Histogram is a fixed-width bucket histogram over [0, width*n).
+// Values beyond the last bucket are clamped into it. It stores only the
+// buckets up to the highest one used so far and grows on demand; every
+// reader answers as if all n were stored, the ones past the stored prefix
+// being zero. The zero value is not usable; construct with NewHistogram.
 type Histogram struct {
 	width   int64
-	buckets []int64
+	n       int     // logical bucket count
+	buckets []int64 // stored prefix of the n buckets
 	count   int64
 	sum     int64
 	min     int64
@@ -27,7 +30,16 @@ func NewHistogram(width int64, n int) *Histogram {
 	if width <= 0 || n <= 0 {
 		panic(fmt.Sprintf("stats: invalid histogram shape width=%d n=%d", width, n))
 	}
-	return &Histogram{width: width, buckets: make([]int64, n), min: math.MaxInt64}
+	return &Histogram{width: width, n: n, min: math.MaxInt64}
+}
+
+// grow returns s extended with zeros to length m, in storage of exactly
+// that length. It runs only when a sample lands past the highest bucket so
+// far, i.e. when a latency stream sets a new maximum.
+func grow[T any](s []T, m int) []T {
+	t := make([]T, m)
+	copy(t, s)
+	return t
 }
 
 // Add records one sample. Negative samples are clamped to zero.
@@ -36,8 +48,11 @@ func (h *Histogram) Add(v int64) {
 		v = 0
 	}
 	i := v / h.width
+	if i >= int64(h.n) {
+		i = int64(h.n) - 1
+	}
 	if i >= int64(len(h.buckets)) {
-		i = int64(len(h.buckets)) - 1
+		h.buckets = grow(h.buckets, int(i)+1)
 	}
 	h.buckets[i]++
 	h.count++
@@ -54,12 +69,15 @@ func (h *Histogram) Add(v int64) {
 // All fields are integer counters, so merging shard-local histograms in any
 // order yields the exact same state as sequential accumulation.
 func (h *Histogram) Merge(o *Histogram) {
-	if h.width != o.width || len(h.buckets) != len(o.buckets) {
+	if h.width != o.width || h.n != o.n {
 		panic(fmt.Sprintf("stats: merging mismatched histograms (width %d/%d, buckets %d/%d)",
-			h.width, o.width, len(h.buckets), len(o.buckets)))
+			h.width, o.width, h.n, o.n))
 	}
 	if o.count == 0 {
 		return
+	}
+	if len(o.buckets) > len(h.buckets) {
+		h.buckets = grow(h.buckets, len(o.buckets))
 	}
 	for i, b := range o.buckets {
 		h.buckets[i] += b
@@ -96,12 +114,15 @@ func (h *Histogram) Min() int64 {
 // Max returns the largest sample (0 if empty).
 func (h *Histogram) Max() int64 { return h.max }
 
-// Buckets returns a copy of the raw bucket counts.
+// Buckets returns a copy of all n bucket counts.
 func (h *Histogram) Buckets() []int64 {
-	out := make([]int64, len(h.buckets))
+	out := make([]int64, h.n)
 	copy(out, h.buckets)
 	return out
 }
+
+// HostBytes returns the bytes of bucket storage h holds.
+func (h *Histogram) HostBytes() int { return 8 * cap(h.buckets) }
 
 // Point is one (x, y) sample of a distribution curve.
 type Point struct {
@@ -112,11 +133,11 @@ type Point struct {
 // PDF returns the probability density per bucket: fraction of samples whose
 // value falls in each bucket, keyed by the bucket's upper bound.
 func (h *Histogram) PDF() []Point {
-	out := make([]Point, len(h.buckets))
-	for i, b := range h.buckets {
+	out := make([]Point, h.n)
+	for i := range out {
 		var f float64
-		if h.count > 0 {
-			f = float64(b) / float64(h.count)
+		if h.count > 0 && i < len(h.buckets) {
+			f = float64(h.buckets[i]) / float64(h.count)
 		}
 		out[i] = Point{X: int64(i+1) * h.width, Y: f}
 	}
@@ -127,10 +148,12 @@ func (h *Histogram) PDF() []Point {
 // the fraction of samples <= x. The final point has Y == 1 for non-empty
 // histograms.
 func (h *Histogram) CDF() []Point {
-	out := make([]Point, len(h.buckets))
+	out := make([]Point, h.n)
 	var cum int64
-	for i, b := range h.buckets {
-		cum += b
+	for i := range out {
+		if i < len(h.buckets) {
+			cum += h.buckets[i]
+		}
 		var f float64
 		if h.count > 0 {
 			f = float64(cum) / float64(h.count)
@@ -166,7 +189,7 @@ func (h *Histogram) Percentile(p float64) int64 {
 			return int64(i+1) * h.width
 		}
 	}
-	return int64(len(h.buckets)) * h.width
+	return int64(h.n) * h.width
 }
 
 // FractionAbove returns the fraction of samples strictly greater than x,
