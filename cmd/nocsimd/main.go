@@ -113,10 +113,14 @@ func main() {
 	log.Print("signal received, draining...")
 	dctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()
+	// Drain releases held job polls as it starts; Shutdown waits for every
+	// active request, so it runs beside the drain rather than before it.
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(dctx) }()
 	if err := hs.Shutdown(dctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if err := srv.Drain(dctx); err != nil {
+	if err := <-drained; err != nil {
 		log.Fatal(err)
 	}
 	st := srv.Stats()

@@ -76,6 +76,10 @@ type Server struct {
 
 	jobWG    sync.WaitGroup
 	draining atomic.Bool
+	// quit closes when the server starts to drain or aborts: held job
+	// polls return at once, so an HTTP shutdown does not wait them out.
+	quit     chan struct{}
+	quitOnce sync.Once
 
 	jobsTotal, pointsTotal, inflight atomic.Int64
 }
@@ -88,6 +92,13 @@ type job struct {
 	status  string
 	events  []Event
 	results []PointResult
+	// order lists the indices of results in the order they were set; a
+	// poll's results cursor indexes it.
+	order []int
+	// wake is closed by the next event, result or status change, which
+	// wakes every poll held on it (see hold); a held poll makes it, a
+	// change closes and drops it.
+	wake chan struct{}
 	// doneAt and fetched drive the terminal-job GC: a job is collectible
 	// once it reached a terminal status, a client fetched it afterwards,
 	// and Options.JobTTL has passed since completion.
@@ -95,35 +106,95 @@ type job struct {
 	fetched bool
 }
 
+// changedLocked wakes the polls held on j. j.mu must be held.
+func (j *job) changedLocked() {
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
+	}
+}
+
+func (j *job) terminalLocked() bool {
+	return j.status == StatusDone || j.status == StatusFailed
+}
+
 func (j *job) logf(format string, args ...any) {
 	j.mu.Lock()
 	j.events = append(j.events, Event{Seq: len(j.events), Msg: fmt.Sprintf(format, args...)})
+	j.changedLocked()
 	j.mu.Unlock()
 }
 
 func (j *job) setStatus(s string) {
 	j.mu.Lock()
 	j.status = s
+	j.changedLocked()
 	j.mu.Unlock()
 }
 
-// snapshot renders the polling view: events past cursor, plus a copy of the
-// per-point results filled in so far. A cursor beyond the current end of the
-// event log is an error — it can only come from a confused client (or a
-// cursor meant for a different job), and silently returning an empty
-// snapshot with a stale NextCursor would mask that forever.
-func (j *job) snapshot(cursor int) (*JobStatus, error) {
+// hold blocks a poll until j has an event past cursor or is terminal, d
+// passes, ctx ends (the client went away) or quit closes (the server
+// drains). A cursor past the end of either log returns at once, for
+// snapshot to refuse.
+func (j *job) hold(ctx context.Context, quit <-chan struct{}, cursor, results int, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		j.mu.Lock()
+		if cursor != len(j.events) || results > len(j.order) || j.terminalLocked() {
+			j.mu.Unlock()
+			return
+		}
+		if j.wake == nil {
+			j.wake = make(chan struct{})
+		}
+		wake := j.wake
+		j.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timer.C:
+			return
+		case <-ctx.Done():
+			return
+		case <-quit:
+			return
+		}
+	}
+}
+
+// snapshot renders the polling view: events past cursor, plus the results
+// set since the results cursor with their point indices — or, for a
+// results cursor of -1, a copy of every per-point result in index order. A
+// cursor beyond the current end of its log is an error — it can only come
+// from a confused client (or a cursor meant for a different job), and
+// silently returning an empty snapshot with a stale cursor would mask that
+// forever.
+func (j *job) snapshot(cursor, results int) (*JobStatus, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if cursor > len(j.events) {
 		return nil, fmt.Errorf("cursor %d beyond end of event log (%d events)", cursor, len(j.events))
 	}
-	js := &JobStatus{ID: j.id, Status: j.status, NextCursor: len(j.events)}
+	if results > len(j.order) {
+		return nil, fmt.Errorf("results cursor %d beyond end of results (%d set)", results, len(j.order))
+	}
+	js := &JobStatus{ID: j.id, Status: j.status, NextCursor: len(j.events),
+		Points: len(j.results), NextResult: len(j.order)}
 	if cursor < len(j.events) {
 		js.Events = append(js.Events, j.events[cursor:]...)
 	}
-	js.Results = append(js.Results, j.results...)
-	if j.status == StatusDone || j.status == StatusFailed {
+	if results < 0 {
+		js.Results = append(js.Results, j.results...)
+	} else {
+		for _, i := range j.order[results:] {
+			js.Results = append(js.Results, j.results[i])
+			js.ResultIndex = append(js.ResultIndex, i)
+		}
+	}
+	if j.terminalLocked() {
 		j.fetched = true
 	}
 	return js, nil
@@ -159,6 +230,7 @@ func New(opts Options) (*Server, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   make(map[string]*job),
+		quit:   make(chan struct{}),
 	}
 	if opts.Distributed {
 		s.leases = newLeaseTable(opts.LeaseTTL, opts.LeaseBatch, runner,
@@ -206,7 +278,7 @@ func (s *Server) Stats() StatsSnapshot {
 // everything already accepted runs to completion and lands in the store.
 // Returns ctx's error if the deadline expires first.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
+	s.stopAccepting()
 	done := make(chan struct{})
 	go func() {
 		s.jobWG.Wait()
@@ -220,6 +292,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
+// stopAccepting refuses new jobs and releases every held job poll.
+func (s *Server) stopAccepting() {
+	s.draining.Store(true)
+	s.quitOnce.Do(func() { close(s.quit) })
+}
+
 // Abort simulates a kill: new jobs are refused and queued points of running
 // jobs fail fast instead of starting. Points whose simulation is already
 // executing still complete (a cycle loop cannot be interrupted), so callers
@@ -227,7 +305,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // unfinished leased point fails too; completions still in flight from
 // workers are then absorbed as duplicates.
 func (s *Server) Abort() {
-	s.draining.Store(true)
+	s.stopAccepting()
 	s.cancel()
 	if s.leases != nil {
 		s.leases.abort()
@@ -319,7 +397,7 @@ func (s *Server) gcJobs(now time.Time) {
 	s.lastGC = now
 	for id, j := range s.jobs {
 		j.mu.Lock()
-		terminal := j.status == StatusDone || j.status == StatusFailed
+		terminal := j.terminalLocked()
 		doneAt, fetched := j.doneAt, j.fetched
 		j.mu.Unlock()
 		if !terminal {
@@ -378,6 +456,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SubmitResponse{ID: j.id, Keys: keys})
 }
 
+// MaxPollWait caps the hold of GET /jobs/{id}?wait=MS, below the client's
+// 30 s default request timeout.
+const MaxPollWait = 20 * time.Second
+
+// queryInt reads the non-negative integer query parameter name, or def if
+// it is absent; on a malformed value it answers 400 and returns false.
+func queryInt(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
+	q := r.URL.Query().Get(name)
+	if q == "" {
+		return def, true
+	}
+	v, err := strconv.Atoi(q)
+	if err != nil || v < 0 {
+		httpError(w, http.StatusBadRequest, "malformed %s %q: want a non-negative integer", name, q)
+		return 0, false
+	}
+	return v, true
+}
+
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.gcJobs(time.Now())
 	s.mu.Lock()
@@ -387,16 +484,24 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	cursor := 0
-	if q := r.URL.Query().Get("cursor"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			httpError(w, http.StatusBadRequest, "malformed cursor %q: want a non-negative integer", q)
-			return
-		}
-		cursor = v
+	cursor, ok := queryInt(w, r, "cursor", 0)
+	if !ok {
+		return
 	}
-	js, err := j.snapshot(cursor)
+	results, ok := queryInt(w, r, "results", -1)
+	if !ok {
+		return
+	}
+	wait, ok := queryInt(w, r, "wait", 0)
+	if !ok {
+		return
+	}
+	hold := MaxPollWait
+	if wait < int(MaxPollWait.Milliseconds()) {
+		hold = time.Duration(wait) * time.Millisecond
+	}
+	j.hold(r.Context(), s.quit, cursor, results, hold)
+	js, err := j.snapshot(cursor, results)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -530,6 +635,7 @@ func (s *Server) runJob(j *job, points []ResolvedSpec) {
 	j.status = status
 	j.doneAt = time.Now()
 	j.events = append(j.events, Event{Seq: len(j.events), Msg: status})
+	j.changedLocked()
 	j.mu.Unlock()
 }
 
@@ -569,6 +675,8 @@ func (s *Server) runJobDistributed(j *job, points []ResolvedSpec) {
 func (j *job) setResult(idx int, pr PointResult) {
 	j.mu.Lock()
 	j.results[idx] = pr
+	j.order = append(j.order, idx)
+	j.changedLocked()
 	j.mu.Unlock()
 }
 

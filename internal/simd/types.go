@@ -9,10 +9,24 @@
 // Wire protocol (all JSON):
 //
 //	POST /run            {"points": [RunSpec, ...]} -> SubmitResponse
-//	GET  /jobs/{id}?cursor=N                        -> JobStatus
+//	GET  /jobs/{id}[?cursor=N][&results=M][&wait=MS] -> JobStatus
 //	GET  /results/{key}  (key path-escaped)         -> stored summary JSON
 //	GET  /healthz                                   -> {"status": "ok"}
 //	GET  /statsz                                    -> StatsSnapshot
+//
+// A job poll names up to three non-negative integers, each optional:
+//
+//	cursor=N   events from the Nth on (default 0: all of them)
+//	results=M  only the results set since the Mth, in completion order, with
+//	           their point indices in result_index (absent: every result,
+//	           in point order, as a plain curl reads it)
+//	wait=MS    hold the request until there is an event past cursor or the
+//	           job is terminal, at most MS ms (capped at MaxPollWait); a
+//	           draining daemon answers at once
+//
+// Each reply carries next_cursor and next_result for the next poll; a cursor
+// past the end of its log is a 400. A client that polls with all three moves
+// each result over the wire once and hears of each event as it happens.
 //
 // A single run is a one-point sweep; nothing distinguishes them beyond the
 // length of Points. Errors come back as {"error": "..."} with a 4xx/5xx
@@ -97,15 +111,24 @@ const (
 )
 
 // JobStatus is the polling view of a job: status, the progress events past
-// the requested cursor, and the per-point results populated so far.
+// the requested cursor, and the per-point results populated so far — all of
+// them in point order, or with a results cursor only those set since it.
 type JobStatus struct {
 	ID     string  `json:"id"`
 	Status string  `json:"status"`
 	Events []Event `json:"events"`
 	// NextCursor is the cursor to pass on the next poll to see only new
 	// events.
-	NextCursor int           `json:"next_cursor"`
-	Results    []PointResult `json:"results"`
+	NextCursor int `json:"next_cursor"`
+	// Points is the job's point count.
+	Points  int           `json:"points"`
+	Results []PointResult `json:"results"`
+	// ResultIndex is, on a poll with a results cursor, the point index of
+	// each entry of Results.
+	ResultIndex []int `json:"result_index,omitempty"`
+	// NextResult is the results cursor to pass on the next poll to see only
+	// new results.
+	NextResult int `json:"next_result"`
 }
 
 // Done reports whether the job reached a terminal state.

@@ -20,13 +20,14 @@ import (
 type Client struct {
 	base string
 	hc   *http.Client
-	// Poll is the initial job-status polling interval of Wait (default
-	// 10ms — the daemon is usually local). Wait backs off exponentially
-	// from Poll up to PollMax while a job produces no new events, and
-	// snaps back to Poll when one arrives, so a quiet multi-minute sweep
-	// doesn't hammer the daemon at startup rates.
+	// Poll is Wait's back-off floor against a daemon that does not hold
+	// polls (default 10ms): after an empty reply that came back before its
+	// hold ran out, Wait sleeps Poll, then twice that, up to PollMax, and
+	// snaps back to Poll when an event arrives.
 	Poll time.Duration
-	// PollMax caps the backed-off polling interval (default 1s).
+	// PollMax is the longest Wait holds one poll at the daemon (default
+	// 1s, at least Poll and 1ms, at most simd.MaxPollWait). It also caps
+	// the back-off.
 	PollMax time.Duration
 }
 
@@ -124,10 +125,14 @@ func (c *Client) Submit(ctx context.Context, req simd.RunRequest) (*simd.SubmitR
 	return &resp, nil
 }
 
-// Job polls one job, returning events past cursor.
+// Job polls one job, returning events past cursor and every result set so
+// far.
 func (c *Client) Job(ctx context.Context, id string, cursor int) (*simd.JobStatus, error) {
+	return c.job(ctx, fmt.Sprintf("/jobs/%s?cursor=%d", url.PathEscape(id), cursor))
+}
+
+func (c *Client) job(ctx context.Context, path string) (*simd.JobStatus, error) {
 	var js simd.JobStatus
-	path := fmt.Sprintf("/jobs/%s?cursor=%d", url.PathEscape(id), cursor)
 	if err := c.do(ctx, http.MethodGet, path, nil, &js); err != nil {
 		return nil, err
 	}
@@ -135,22 +140,29 @@ func (c *Client) Job(ctx context.Context, id string, cursor int) (*simd.JobStatu
 }
 
 // Wait polls a job until it reaches a terminal state, forwarding each new
-// progress event to onEvent (may be nil). Polling backs off exponentially
-// from Poll to PollMax while the job is quiet and resets on fresh events;
-// ctx cancellation is honored between every poll.
+// progress event to onEvent (may be nil), and returns the job's last status
+// with every result in point order. Each poll asks only for the results
+// set since the previous one and is held at the daemon for up to PollMax
+// until an event arrives, so a poll answers as soon as there is news. An
+// empty reply that comes back before its hold ran out is a daemon that
+// does not hold: Wait then backs off from Poll to PollMax until an event
+// arrives. ctx cancellation is honored during every poll.
 func (c *Client) Wait(ctx context.Context, id string, onEvent func(simd.Event)) (*simd.JobStatus, error) {
-	cursor := 0
 	interval := c.Poll
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
-	max := c.PollMax
-	if max < interval {
-		max = interval
-	}
+	hold := max(c.PollMax, interval, time.Millisecond)
+	hold = min(hold, simd.MaxPollWait).Truncate(time.Millisecond)
 	delay := interval
+	var (
+		cursor, next int
+		results      []simd.PointResult
+	)
 	for {
-		js, err := c.Job(ctx, id, cursor)
+		start := time.Now()
+		js, err := c.job(ctx, fmt.Sprintf("/jobs/%s?cursor=%d&results=%d&wait=%d",
+			url.PathEscape(id), cursor, next, hold.Milliseconds()))
 		if err != nil {
 			return nil, err
 		}
@@ -159,21 +171,40 @@ func (c *Client) Wait(ctx context.Context, id string, onEvent func(simd.Event)) 
 				onEvent(e)
 			}
 		}
+		switch {
+		case js.Points == 0: // a daemon without results cursors sends them all
+			results = js.Results
+		case len(js.ResultIndex) != len(js.Results):
+			return nil, fmt.Errorf("simdclient: job %s: %d results with %d indices", id, len(js.Results), len(js.ResultIndex))
+		default:
+			if results == nil {
+				results = make([]simd.PointResult, js.Points)
+			}
+			for k, i := range js.ResultIndex {
+				if i < 0 || i >= len(results) {
+					return nil, fmt.Errorf("simdclient: job %s: result index %d of %d points", id, i, len(results))
+				}
+				results[i] = js.Results[k]
+			}
+		}
+		cursor, next = js.NextCursor, js.NextResult
+		if js.Done() {
+			js.Results, js.ResultIndex = results, nil
+			return js, nil
+		}
 		if len(js.Events) > 0 {
 			delay = interval
+			continue
 		}
-		cursor = js.NextCursor
-		if js.Done() {
-			return js, nil
+		if time.Since(start) >= hold {
+			continue
 		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-time.After(delay):
 		}
-		if delay *= 2; delay > max {
-			delay = max
-		}
+		delay = min(2*delay, hold)
 	}
 }
 

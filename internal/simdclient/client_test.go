@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"nocmem/internal/config"
 	"nocmem/internal/simd"
 	"nocmem/internal/simdclient"
 )
@@ -102,3 +103,71 @@ func TestWaitBacksOff(t *testing.T) {
 		t.Logf("%d polls over %s of quiet", n, quiet)
 	}
 }
+
+// TestWaitLongPolls: against the real daemon, Wait holds each poll until
+// the next event instead of backing off, so a job that stays quiet for
+// 300ms costs about one request per PollMax, and the result arrives with
+// the event that announced it.
+func TestWaitLongPolls(t *testing.T) {
+	srv, err := simd.New(simd.Options{StoreDir: t.TempDir(), Distributed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Abort()
+
+	cfg := config.Baseline16()
+	cfg.Run.WarmupCycles, cfg.Run.MeasureCycles = 1_000, 1_000
+	worker := simdclient.New(ts.URL)
+	defer worker.Close()
+	ctx := context.Background()
+	reg, err := worker.RegisterWorker(ctx, "hand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := worker.Submit(ctx, simd.RunRequest{Points: []simd.RunSpec{{Config: cfg, Apps: []string{"mcf"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const quiet = 300 * time.Millisecond
+	go func() {
+		time.Sleep(quiet)
+		lr, err := worker.Lease(ctx, reg.WorkerID, 1)
+		if err != nil || len(lr.Leases) != 1 {
+			t.Errorf("lease: %v, %d points", err, len(lr.Leases))
+			return
+		}
+		l := lr.Leases[0]
+		worker.Complete(ctx, simd.CompleteRequest{Worker: reg.WorkerID, LeaseID: l.ID, Key: l.Key, Summary: []byte(`{"ok":1}`)})
+	}()
+
+	var polls atomic.Int64
+	c := simdclient.New(ts.URL)
+	defer c.Close()
+	c.SetTransport(roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		polls.Add(1)
+		return http.DefaultTransport.RoundTrip(req)
+	}))
+	c.Poll = time.Millisecond
+	c.PollMax = 50 * time.Millisecond
+	js, err := c.Wait(ctx, sub.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !js.Done() || len(js.Results) != 1 || string(js.Results[0].Summary) != `{"ok":1}` {
+		t.Fatalf("Wait returned %q with results %+v", js.Status, js.Results)
+	}
+	// One poll reads the "accepted" event, six holds of 50ms cover the quiet
+	// window, and one or two read the point's event and the final status;
+	// the back-off of TestWaitBacksOff makes about a dozen.
+	if n := polls.Load(); n > 9 {
+		t.Errorf("%d polls over a %s quiet job with PollMax %s, want at most 9", n, quiet, c.PollMax)
+	} else {
+		t.Logf("%d polls over %s of quiet", n, quiet)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
