@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,8 @@ import (
 	"testing"
 
 	"nocmem/internal/config"
+	"nocmem/internal/dram"
+	"nocmem/internal/noc"
 	"nocmem/internal/snapshot"
 	"nocmem/internal/trace"
 )
@@ -619,10 +622,116 @@ func TestRestoreErrors(t *testing.T) {
 	snap := buf.Bytes()
 	l2lo, l2hi := firstL2Array(t, snap, cfg)
 
+	// corrupt restores snap, lets damage break one field of the machine and
+	// checkpoints it again: the encoder writes what it finds, so the image
+	// holds the broken field and is otherwise snap.
+	corrupt := func(damage func(s *Simulator)) func() []byte {
+		return func() []byte {
+			s, err := RestoreImage(cfg, apps, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(s)
+			return checkpointBytes(t, s)
+		}
+	}
+	// The fields the encoder writes as they are but no state can hold badly
+	// (an intern index, a tag) are found by a sentinel: mark stores it in a
+	// nearby field that nothing checks, and patch rewrites the image relative
+	// to the sentinel's one occurrence.
+	const sentinel = 0x5a17_c0de_0bad_f00d
+	patch := func(mark func(s *Simulator), fix func(d []byte, at int)) func() []byte {
+		return func() []byte {
+			d := corrupt(mark)()
+			at := bytes.Index(d, binary.LittleEndian.AppendUint64(nil, sentinel))
+			if at < 0 || bytes.Count(d, binary.LittleEndian.AppendUint64(nil, sentinel)) != 1 {
+				t.Fatal("the sentinel is not in the image exactly once")
+			}
+			fix(d, at)
+			return d
+		}
+	}
+	// Each finder fails the test when the snapshot holds nothing of its kind.
+	anyTxn := func(s *Simulator) *Txn {
+		for _, n := range s.nodes {
+			for _, line := range n.l2m.Lines() {
+				m, _ := n.l2m.Entry(line)
+				return m.Waiters[0]
+			}
+		}
+		t.Fatal("no transaction waits on an L2 MSHR")
+		return nil
+	}
+	// anyItem steps s to a cycle where a tile holds a packet: they pass
+	// through the queues in a few cycles.
+	anyItem := func(s *Simulator) *inItem {
+		for range 1_000 {
+			for _, n := range s.nodes {
+				switch {
+				case len(n.inbox) > 0:
+					return &n.inbox[0]
+				case n.l2Queue.len() > 0:
+					return &n.l2Queue.q[n.l2Queue.head]
+				case len(n.l2Busy) > 0:
+					return &n.l2Busy[0].it
+				}
+			}
+			s.Step(1)
+		}
+		t.Fatal("no tile holds a packet")
+		return nil
+	}
+	bankFor := func(s *Simulator, req *dram.Request) {
+		for req.Bank = 0; s.mcs[0].ctl.Enqueue(req, s.now) != nil; req.Bank++ {
+		}
+	}
+	// A core block is the ROB (a length and ten bytes an entry), three cursors,
+	// the pending instruction (three flags and an address) and six counters.
+	coreBlock := 4 + 10*cfg.CPU.WindowSize + 3*8 + 3 + 8 + 6*8
+	// fileSources records each application's stream, n instructions long.
+	fileSources := func(n int64) func() []trace.AppSource {
+		return func() []trace.AppSource {
+			srcs := make([]trace.AppSource, cfg.Mesh.Nodes())
+			for i, p := range apps {
+				if p.Name == "" {
+					continue
+				}
+				gen, err := trace.NewGenerator(p, i, cfg.L1.LineBytes, cfg.Run.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var raw bytes.Buffer
+				if err := trace.Record(&raw, gen, n); err != nil {
+					t.Fatal(err)
+				}
+				ft, err := trace.Parse(raw.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				srcs[i] = ft
+			}
+			return srcs
+		}
+	}
+	fileSnap := func() []byte {
+		s, err := NewFromSources(cfg, fileSources(60_000)(), apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step(3_000)
+		return checkpointBytes(t, s)
+	}
+	wide := smallConfig()
+	wide.Mesh.Width, wide.Mesh.Height = 16, 16
+	wide.L1.SizeBytes = 8 << 10
+	wide.L2.SizeBytes = 8 << 10
+	wideApps := fillApps(wide, "mcf", 1)
+
 	cases := []struct {
 		name    string
 		cfg     func() config.Config
 		apps    func() []trace.Profile
+		sources func() []trace.AppSource // restore over these instead of generators
 		data    func() []byte
 		wantSub string
 	}{
@@ -699,21 +808,210 @@ func TestRestoreErrors(t *testing.T) {
 			data:    func() []byte { return snap[:l2hi-1] },
 			wantSub: "truncated",
 		},
+		// One field at a time, each refused where it is read.
+		{
+			name: "txn_intern_order",
+			data: patch(func(s *Simulator) { anyTxn(s).ID = sentinel }, func(d []byte, at int) {
+				binary.LittleEndian.PutUint32(d[at-4:], 1<<20)
+			}),
+			wantSub: "transaction reference",
+		},
+		{
+			name:    "txn_core",
+			data:    corrupt(func(s *Simulator) { anyTxn(s).Core = len(s.nodes) }),
+			wantSub: "invalid core",
+		},
+		{
+			name:    "txn_priority",
+			data:    corrupt(func(s *Simulator) { anyTxn(s).RespPriority = noc.High + 1 }),
+			wantSub: "invalid core",
+		},
+		{
+			name: "packet_intern_order",
+			data: patch(func(s *Simulator) { anyItem(s).pkt.ID = sentinel }, func(d []byte, at int) {
+				binary.LittleEndian.PutUint32(d[at-4:], 1<<20)
+			}),
+			wantSub: "packet reference",
+		},
+		{
+			name: "packet_payload_tag",
+			// The payload tag follows the packet's twelve fields: ten of
+			// eight bytes, the class and the priority.
+			data:    patch(func(s *Simulator) { anyItem(s).pkt.ID = sentinel }, func(d []byte, at int) { d[at+10*8+2] = 7 }),
+			wantSub: "unknown payload tag",
+		},
+		{
+			name:    "message_kind",
+			data:    corrupt(func(s *Simulator) { anyItem(s).pkt.Payload.(*message).kind = 200 }),
+			wantSub: "unknown message kind",
+		},
+		{
+			name: "dram_response_destination",
+			data: corrupt(func(s *Simulator) {
+				bankFor(s, &dram.Request{Payload: &mcPayload{respDst: len(s.nodes)}})
+			}),
+			wantSub: "DRAM response destination",
+		},
+		{
+			name: "dram_payload_tag",
+			// The payload tag follows the request's eight fields: six of
+			// eight bytes and two flags.
+			data: patch(func(s *Simulator) {
+				bankFor(s, &dram.Request{Addr: sentinel, Payload: &mcPayload{}})
+			}, func(d []byte, at int) { d[at+6*8+2] = 7 }),
+			wantSub: "unknown payload tag",
+		},
+		{
+			name:    "core_placement",
+			data:    patch(func(s *Simulator) { s.nodes[0].txnSeq = sentinel }, func(d []byte, at int) { d[at+8] = 0 }),
+			wantSub: "application placement mismatch",
+		},
+		{
+			name:    "source_tag",
+			data:    patch(func(s *Simulator) { s.nodes[0].txnSeq = sentinel }, func(d []byte, at int) { d[at+9+coreBlock] = 9 }),
+			wantSub: "unknown instruction source tag",
+		},
+		{
+			name: "trace_cursor",
+			data: patch(func(s *Simulator) { s.nodes[0].txnSeq = sentinel }, func(d []byte, at int) {
+				binary.LittleEndian.PutUint64(d[at+9+coreBlock+1:], 1<<40)
+			}),
+			wantSub: "trace cursor",
+		},
+		{
+			name:    "generator_into_trace_file",
+			sources: fileSources(60_000),
+			wantSub: "expects a synthetic generator",
+		},
+		{
+			name:    "trace_file_into_generator",
+			data:    fileSnap,
+			wantSub: "expects a trace file",
+		},
+		{
+			name:    "trace_file_cursor",
+			sources: fileSources(100),
+			data:    fileSnap,
+			wantSub: "replay cursor",
+		},
+		{
+			name: "l1_mshr_waiter",
+			data: corrupt(func(s *Simulator) {
+				for _, n := range s.nodes {
+					for _, line := range n.l1m.Lines() {
+						m, _ := n.l1m.Entry(line)
+						m.Waiters[0] = int32(cfg.CPU.WindowSize)
+						return
+					}
+				}
+				t.Fatal("no L1 MSHR is in use")
+			}),
+			wantSub: "L1 MSHR waiter slot",
+		},
+		{
+			name: "l2_mshr_waiter",
+			data: corrupt(func(s *Simulator) {
+				for _, n := range s.nodes {
+					for _, line := range n.l2m.Lines() {
+						m, _ := n.l2m.Entry(line)
+						m.Waiters[0] = nil
+						return
+					}
+				}
+				t.Fatal("no L2 MSHR is in use")
+			}),
+			wantSub: "nil transaction waiting on an L2 MSHR",
+		},
+		{
+			name: "directory_mask",
+			data: corrupt(func(s *Simulator) {
+				for line := range s.nodes[5].dir {
+					s.nodes[5].dir[line] = 1 << len(s.nodes)
+					return
+				}
+				t.Fatal("tile 5 has an empty directory")
+			}),
+			wantSub: "directory mask",
+		},
+		{
+			name: "wide_directory_mask",
+			cfg:  func() config.Config { return wide },
+			apps: func() []trace.Profile { return wideApps },
+			data: func() []byte {
+				s, err := New(wide, wideApps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range s.nodes {
+					for _, mask := range n.dirWide {
+						clear(mask)
+						return checkpointBytes(t, s)
+					}
+				}
+				t.Fatal("every directory is empty")
+				return nil
+			},
+			wantSub: "empty wide directory mask",
+		},
+		{
+			name:    "queued_packet_nil",
+			data:    corrupt(func(s *Simulator) { anyItem(s).pkt = nil }),
+			wantSub: "nil packet in",
+		},
+		{
+			name:    "queued_packet_message",
+			data:    corrupt(func(s *Simulator) { anyItem(s).pkt.Payload = nil }),
+			wantSub: "carries no protocol message",
+		},
+		{
+			name: "delayed_completion_slot",
+			data: corrupt(func(s *Simulator) {
+				s.nodes[0].delayed = append(s.nodes[0].delayed, action{at: s.now + 1, slot: -1})
+			}),
+			wantSub: "delayed completion",
+		},
+		{
+			name: "last_core_tick",
+			data: patch(func(s *Simulator) { s.nodes[1].txnSeq = sentinel }, func(d []byte, at int) {
+				binary.LittleEndian.PutUint64(d[at-8:], uint64(1<<64-2)) // -2
+			}),
+			wantSub: "lastCoreTick",
+		},
+		{
+			name: "collector_tiles",
+			data: corrupt(func(s *Simulator) {
+				c := s.collector()
+				c.RoundTrip = append(c.RoundTrip, c.RoundTrip[0])
+				c.SoFar = append(c.SoFar, c.SoFar[0])
+				c.Breakdown = append(c.Breakdown, c.Breakdown[0])
+				c.OffChip = append(c.OffChip, 0)
+				c.L2Hits = append(c.L2Hits, 0)
+				c.AvgDelay = append(c.AvgDelay, c.AvgDelay[0])
+			}),
+			wantSub: "collector covers",
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
+		d := snap
+		if tc.data != nil {
+			d = tc.data() // builds on t: not inside the subtest
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			c, a, d := cfg, apps, snap
+			c, a := cfg, apps
 			if tc.cfg != nil {
 				c = tc.cfg()
 			}
 			if tc.apps != nil {
 				a = tc.apps()
 			}
-			if tc.data != nil {
-				d = tc.data()
+			var s *Simulator
+			var err error
+			if tc.sources != nil {
+				s, err = RestoreFromSources(c, tc.sources(), a, bytes.NewReader(d))
+			} else {
+				s, err = Restore(c, a, bytes.NewReader(d))
 			}
-			s, err := Restore(c, a, bytes.NewReader(d))
 			if err == nil {
 				t.Fatal("Restore accepted an invalid snapshot")
 			}
@@ -725,6 +1023,65 @@ func TestRestoreErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wrappedSource is an instruction source the checkpoint has no record for.
+type wrappedSource struct{ *trace.FileTrace }
+
+// TestCheckpointErrors: state the format has no record for fails the
+// checkpoint, instead of writing an image no restore can read.
+func TestCheckpointErrors(t *testing.T) {
+	cfg := smallConfig()
+	apps := fillApps(cfg, "milc", 4)
+	for _, tc := range []struct {
+		name    string
+		damage  func(s *Simulator)
+		wantSub string
+	}{
+		{"packet_payload", func(s *Simulator) {
+			s.nodes[0].inbox = append(s.nodes[0].inbox, inItem{pkt: &noc.Packet{NumFlits: 1, Payload: "x"}})
+		}, "unsupported packet payload"},
+		{"dram_payload", func(s *Simulator) {
+			if err := s.mcs[0].ctl.Enqueue(&dram.Request{Payload: "x"}, s.now); err != nil {
+				t.Fatal(err)
+			}
+		}, "unsupported DRAM request payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(cfg, apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Step(100)
+			tc.damage(s)
+			if err := s.Checkpoint(io.Discard); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("Checkpoint returned %v, want an error mentioning %q", err, tc.wantSub)
+			}
+		})
+	}
+	t.Run("instruction_source", func(t *testing.T) {
+		gen, err := trace.NewGenerator(apps[0], 0, cfg.L1.LineBytes, cfg.Run.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw bytes.Buffer
+		if err := trace.Record(&raw, gen, 1_000); err != nil {
+			t.Fatal(err)
+		}
+		ft, err := trace.Parse(raw.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs := make([]trace.AppSource, cfg.Mesh.Nodes())
+		srcs[0] = wrappedSource{ft}
+		s, err := NewFromSources(cfg, srcs, fillApps(cfg, "milc", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(io.Discard); err == nil || !strings.Contains(err.Error(), "unsupported instruction source") {
+			t.Fatalf("Checkpoint returned %v, want an unsupported instruction source", err)
+		}
+	})
 }
 
 // TestRestoreNeverPanicsOnPrefixes walks every header-region truncation
