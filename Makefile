@@ -73,9 +73,12 @@ bench-module:
 # iterations each: they drive hand-built fixtures (a loaded 4x8 mesh, an
 # L2-shaped cache, a round-trip-shaped latency stream) that no other target
 # runs as benchmarks, so a layout change that stops them compiling or running
-# fails here rather than in the next profiling session.
+# fails here rather than in the next profiling session. The checkpoint
+# codec's two halves on the saturated 32-tile machine (Checkpoint32,
+# RestoreImage32) run here too, twenty times each.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'NetworkTick|CacheAccess|HistogramAdd' -benchtime 200x ./internal/noc ./internal/cache ./internal/stats
+	$(GO) test -run '^$$' -bench 'Checkpoint32|RestoreImage32' -benchtime 20x .
 
 # The four fuzz targets, 5 s each beyond their seed corpora: the daemon's
 # request resolver, the checkpoint decoder, the result store's entry reader

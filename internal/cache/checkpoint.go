@@ -15,18 +15,50 @@ import (
 // image written before still decodes.
 const encodedLine = 8 + 1 + 1 + 8
 
-// Encode serializes the cache contents: LRU clock, every way of every set,
-// and the event counters. Geometry (set/way counts) is derived from the
-// configuration but encoded too, so Decode can reject a snapshot taken
-// under a different cache shape. The ways are an array of fixed-size records
-// and are written as one: a set at a time into space reserved in the writer
-// (a reservation is bounded by the writer's buffer).
-func (c *Cache) Encode(w *snapshot.Writer) {
-	w.U64(c.tick)
-	w.Len(len(c.keys) / c.ways)
-	w.Len(c.ways)
+// Walk encodes or decodes the cache contents: LRU clock, every way of every
+// set, and the event counters. Geometry (set/way counts) is derived from the
+// configuration but encoded too, so a decode can reject a snapshot taken under
+// a different cache shape. The ways are an array of fixed-size records and
+// move as one (encodeLines, decodeLines). A decode restores in place,
+// replacing every line, the LRU clock and the counters: nothing of what the
+// cache held before survives.
+func (c *Cache) Walk(k *snapshot.Codec) {
+	tick := c.tick
+	k.U64(&tick)
+	nsets := k.Len(len(c.keys)/c.ways, 1)
+	if k.Err() != nil {
+		return
+	}
+	if want := len(c.keys) / c.ways; nsets != want {
+		k.Fail("cache set count mismatch: snapshot %d, config %d", nsets, want)
+		return
+	}
+	ways := k.Len(c.ways, 1)
+	if k.Err() != nil {
+		return
+	}
+	if ways != c.ways {
+		k.Fail("cache way count mismatch: snapshot %d, config %d", ways, c.ways)
+		return
+	}
+	if k.Decoding() {
+		c.decodeLines(k, tick)
+	} else {
+		c.encodeLines(k)
+	}
+	st := &c.stats
+	k.I64(&st.Hits)
+	k.I64(&st.Misses)
+	k.I64(&st.Fills)
+	k.I64(&st.Evictions)
+	k.I64(&st.Writebacks)
+}
+
+// encodeLines writes the ways a set at a time into space reserved in the
+// writer (a reservation is bounded by the writer's buffer).
+func (c *Cache) encodeLines(k *snapshot.Codec) {
 	for base := 0; base < len(c.keys); base += c.ways {
-		b := w.Reserve(c.ways * encodedLine)
+		b := k.Reserve(c.ways * encodedLine)
 		for i := base; i < base+c.ways; i++ {
 			rec := b[(i-base)*encodedLine:][:encodedLine]
 			binary.LittleEndian.PutUint64(rec, c.keys[i]>>1)
@@ -37,41 +69,17 @@ func (c *Cache) Encode(w *snapshot.Writer) {
 			binary.LittleEndian.PutUint64(rec[10:], uint64(c.used[i]))
 		}
 	}
-	st := c.stats
-	w.I64(st.Hits)
-	w.I64(st.Misses)
-	w.I64(st.Fills)
-	w.I64(st.Evictions)
-	w.I64(st.Writebacks)
 }
 
-// Decode restores the cache contents in place, replacing every line, the LRU
-// clock and the counters: nothing of what the cache held before survives. The
-// ways are read from one bounds-checked view of the image; a truncated array,
-// a valid or dirty byte other than 0 or 1 and a tag of 2^63 or more (no line
-// address has one, and the valid bit is packed above it) are format errors.
-// An image whose clock or stamps pass 2^32-1 is renumbered as the clock's own
-// wrap renumbers (Cache): its hits and victims are the image's as long as no
-// stamp exceeds the clock, which no encoder writes.
-func (c *Cache) Decode(r *snapshot.Reader) {
-	tick := r.U64()
-	nsets := r.Len(1)
-	if r.Err() != nil {
-		return
-	}
-	if want := len(c.keys) / c.ways; nsets != want {
-		r.Fail("cache set count mismatch: snapshot %d, config %d", nsets, want)
-		return
-	}
-	ways := r.Len(1)
-	if r.Err() != nil {
-		return
-	}
-	if ways != c.ways {
-		r.Fail("cache way count mismatch: snapshot %d, config %d", ways, c.ways)
-		return
-	}
-	b := r.Next(len(c.keys) * encodedLine)
+// decodeLines reads the ways from one bounds-checked view of the image and
+// installs tick as the clock; a truncated array, a valid or dirty byte other
+// than 0 or 1 and a tag of 2^63 or more (no line address has one, and the
+// valid bit is packed above it) are format errors. An image whose clock or
+// stamps pass 2^32-1 is renumbered as the clock's own wrap renumbers (Cache):
+// its hits and victims are the image's as long as no stamp exceeds the clock,
+// which no encoder writes.
+func (c *Cache) decodeLines(k *snapshot.Codec, tick uint64) {
+	b := k.Next(len(c.keys) * encodedLine)
 	if b == nil {
 		return
 	}
@@ -81,12 +89,12 @@ func (c *Cache) Decode(r *snapshot.Reader) {
 	for i := range c.keys {
 		rec := b[i*encodedLine:][:encodedLine]
 		if rec[8]|rec[9] > 1 {
-			r.Fail("invalid bool byte in a cache line")
+			k.Fail("invalid bool byte in a cache line")
 			return
 		}
 		tag := binary.LittleEndian.Uint64(rec)
 		if tag>>63 != 0 {
-			r.Fail("cache tag %#x does not fit beside the valid bit", tag)
+			k.Fail("cache tag %#x does not fit beside the valid bit", tag)
 			return
 		}
 		c.keys[i] = tag<<1 | uint64(rec[8])
@@ -100,62 +108,55 @@ func (c *Cache) Decode(r *snapshot.Reader) {
 	if wide {
 		c.renumber(b)
 	}
-	c.stats.Hits = r.I64()
-	c.stats.Misses = r.I64()
-	c.stats.Fills = r.I64()
-	c.stats.Evictions = r.I64()
-	c.stats.Writebacks = r.I64()
 }
 
-// EncodeMSHRs serializes the outstanding misses of a table in ascending
-// line-address order (the map itself has no stable order). enc writes one
-// waiter token.
-func EncodeMSHRs[W any](w *snapshot.Writer, t *MSHRTable[W], enc func(W)) {
-	lines := t.Lines()
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.Len(len(lines))
-	for _, line := range lines {
-		m, _ := t.Entry(line)
-		w.U64(m.LineAddr)
-		w.Bool(m.Dirty)
-		w.Len(len(m.Waiters))
-		for _, wt := range m.Waiters {
-			enc(wt)
-		}
+// WalkMSHRs encodes or decodes the outstanding misses of a table, in
+// ascending line-address order (the table itself has no stable order).
+// waiter walks one waiter token. A decode drops the table's current entries
+// and rebuilds them from the image.
+func WalkMSHRs[W any](k *snapshot.Codec, t *MSHRTable[W], waiter func(*W)) {
+	var lines []uint64
+	if k.Decoding() {
+		t.Reset()
+	} else {
+		lines = t.Lines()
+		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	}
-}
-
-// DecodeMSHRs drops the table's current entries and rebuilds them from the
-// snapshot. dec reads one waiter token.
-func DecodeMSHRs[W any](r *snapshot.Reader, t *MSHRTable[W], dec func() W) {
-	t.Reset()
-	n := r.Len(8)
-	if r.Err() != nil {
+	n := k.Len(len(lines), 8)
+	if k.Err() != nil {
 		return
 	}
 	if n > t.Cap() {
-		r.Fail("%d MSHR entries exceed capacity %d", n, t.Cap())
+		k.Fail("%d MSHR entries exceed capacity %d", n, t.Cap())
 		return
 	}
+	var wt W // one waiter at a time
 	for i := 0; i < n; i++ {
-		line := r.U64()
-		dirty := r.Bool()
-		nw := r.Len(1)
-		if r.Err() != nil {
+		var m MSHR[W]
+		if !k.Decoding() {
+			e, _ := t.Entry(lines[i])
+			m = *e
+		}
+		k.U64(&m.LineAddr)
+		k.Bool(&m.Dirty)
+		nw := k.Len(len(m.Waiters), 1)
+		if k.Err() != nil {
 			return
 		}
-		if nw < 1 {
-			r.Fail("MSHR entry for line %#x has no waiters", line)
+		if k.Decoding() && nw < 1 {
+			k.Fail("MSHR entry for line %#x has no waiters", m.LineAddr)
 			return
 		}
-		for j := 0; j < nw; j++ {
-			wt := dec()
-			if r.Err() != nil {
-				return
+		for j := 0; j < nw && k.Err() == nil; j++ {
+			if j < len(m.Waiters) { // encoding
+				wt = m.Waiters[j]
 			}
-			primary, ok := t.Allocate(line, dirty && j == 0, wt)
-			if !ok || (primary != (j == 0)) {
-				r.Fail("duplicate or unallocatable MSHR line %#x", line)
+			waiter(&wt)
+			if !k.Decoding() || k.Err() != nil {
+				continue
+			}
+			if primary, ok := t.Allocate(m.LineAddr, m.Dirty && j == 0, wt); !ok || primary != (j == 0) {
+				k.Fail("duplicate or unallocatable MSHR line %#x", m.LineAddr)
 				return
 			}
 		}

@@ -21,10 +21,16 @@ func TestDecodeRejects(t *testing.T) {
 		return m
 	}
 	encodeMSHRs := func(m *MSHRTable[int32]) func(*snapshot.Writer) {
-		return func(w *snapshot.Writer) { EncodeMSHRs(w, m, func(v int32) { w.I64(int64(v)) }) }
+		return func(w *snapshot.Writer) { WalkMSHRs(snapshot.EncodeTo(w), m, func(v *int32) { w.I64(int64(*v)) }) }
 	}
 	decodeMSHRs := func(m *MSHRTable[int32]) func(*snapshot.Reader) {
-		return func(r *snapshot.Reader) { DecodeMSHRs(r, m, func() int32 { return int32(r.I64()) }) }
+		return func(r *snapshot.Reader) { WalkMSHRs(snapshot.DecodeFrom(r), m, func(v *int32) { *v = int32(r.I64()) }) }
+	}
+	walkOut := func(c *Cache) func(*snapshot.Writer) {
+		return func(w *snapshot.Writer) { c.Walk(snapshot.EncodeTo(w)) }
+	}
+	walkIn := func(c *Cache) func(*snapshot.Reader) {
+		return func(r *snapshot.Reader) { c.Walk(snapshot.DecodeFrom(r)) }
 	}
 	filled := New(8<<10, 64, 4)
 	filled.Access(0x1000, true)
@@ -34,8 +40,8 @@ func TestDecodeRejects(t *testing.T) {
 		dec  func(*snapshot.Reader)
 		want string
 	}{
-		{"cache_sets", filled.Encode, New(16<<10, 64, 4).Decode, "cache set count mismatch"},
-		{"cache_ways", filled.Encode, New(16<<10, 64, 8).Decode, "cache way count mismatch"},
+		{"cache_sets", walkOut(filled), walkIn(New(16<<10, 64, 4)), "cache set count mismatch"},
+		{"cache_ways", walkOut(filled), walkIn(New(16<<10, 64, 8)), "cache way count mismatch"},
 		{"mshr_capacity", encodeMSHRs(table()), decodeMSHRs(NewMSHRTable[int32](2)), "exceed capacity"},
 		{"mshr_no_waiters", func() func(*snapshot.Writer) {
 			m := table()

@@ -332,7 +332,7 @@ func TestFlatTagsMatchReference(t *testing.T) {
 				if i%10_000 != 0 {
 					return
 				}
-				img := encodeBytes(t, p.c.Encode)
+				img := encodeBytes(t, func(w *snapshot.Writer) { p.c.Walk(snapshot.EncodeTo(w)) })
 				if !bytes.Equal(img, encodeBytes(t, p.ref.Encode)) {
 					t.Fatalf("call %d: checkpoint bytes differ from the reference's", i)
 				}
@@ -340,11 +340,11 @@ func TestFlatTagsMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				back.Decode(rd)
+				back.Walk(snapshot.DecodeFrom(rd))
 				if err := rd.Err(); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(encodeBytes(t, back.Encode), img) {
+				if !bytes.Equal(encodeBytes(t, func(w *snapshot.Writer) { back.Walk(snapshot.EncodeTo(w)) }), img) {
 					t.Fatalf("call %d: Decode(Encode) re-encodes differently", i)
 				}
 			})
@@ -422,7 +422,7 @@ func TestDecodeRenumbersWideClock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Decode(rd)
+			c.Walk(snapshot.DecodeFrom(rd))
 			if err := rd.Err(); err != nil {
 				t.Fatal(err)
 			}
@@ -474,7 +474,7 @@ func TestDecodeRejectsWideTag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Decode(rd)
+		c.Walk(snapshot.DecodeFrom(rd))
 		err = rd.Err()
 		switch {
 		case tc.want == "" && err != nil:
@@ -525,7 +525,7 @@ func TestDecodeRenumbersWideStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Decode(rd)
+	c.Walk(snapshot.DecodeFrom(rd))
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}

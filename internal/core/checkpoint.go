@@ -2,124 +2,81 @@ package core
 
 import "nocmem/internal/snapshot"
 
-// Encode serializes the Scheme-1 state: per-application delay averages, the
-// thresholds last pushed to the controllers, the next push cycle, and the
-// tagging counters.
-func (s *Scheme1) Encode(w *snapshot.Writer) {
-	w.I64s(s.sum)
-	w.I64s(s.n)
-	w.I64s(s.published)
-	w.I64(s.nextPush)
-	w.I64(s.Tagged)
-	w.I64(s.Checked)
-}
-
-// Decode restores the Scheme-1 state in place.
-func (s *Scheme1) Decode(r *snapshot.Reader) {
-	sum := r.I64s()
-	n := r.I64s()
-	published := r.I64s()
-	if r.Err() != nil {
+// Walk encodes or decodes the Scheme-1 state: per-application delay averages,
+// the thresholds last pushed to the controllers, the next push cycle, and the
+// tagging counters. A decode restores in place; decoding into a zero Scheme1
+// takes the image's core count, which is how a restore skips the block of a
+// scheme its configuration has disabled.
+func (s *Scheme1) Walk(k *snapshot.Codec) {
+	cores := len(s.sum)
+	k.I64s(&s.sum)
+	k.I64s(&s.n)
+	k.I64s(&s.published)
+	if k.Err() != nil {
 		return
 	}
-	if len(sum) != len(s.sum) || len(n) != len(s.n) || len(published) != len(s.published) {
-		r.Fail("scheme-1 core count mismatch: snapshot %d, config %d", len(sum), len(s.sum))
+	if n := len(s.sum); (cores != 0 && n != cores) || len(s.n) != n || len(s.published) != n {
+		k.Fail("scheme-1 core count mismatch: snapshot %d, config %d", n, cores)
 		return
 	}
-	copy(s.sum, sum)
-	copy(s.n, n)
-	copy(s.published, published)
-	s.nextPush = r.I64()
-	s.Tagged = r.I64()
-	s.Checked = r.I64()
+	k.I64(&s.nextPush)
+	k.I64(&s.Tagged)
+	k.I64(&s.Checked)
 }
 
-// SkipScheme1 consumes an encoded Scheme-1 image without applying it, for
-// restoring a snapshot into a configuration that has the scheme disabled.
-func SkipScheme1(r *snapshot.Reader) {
-	r.I64s()
-	r.I64s()
-	r.I64s()
-	r.I64()
-	r.I64()
-	r.I64()
-}
-
-// Encode serializes the Scheme-2 state: every node's Bank History Table
-// (timestamp rings and cursors) plus the tagging counters.
-func (s *Scheme2) Encode(w *snapshot.Writer) {
-	w.Len(len(s.tables))
-	for _, t := range s.tables {
-		w.Len(len(t.stamps))
-		w.Int(t.th)
-		for b := range t.stamps {
-			for _, v := range t.stamps[b] {
-				w.I64(v)
-			}
-			w.Int(t.pos[b])
+// Walk encodes or decodes the Scheme-2 state: every node's Bank History Table
+// (timestamp rings and cursors) plus the tagging counters. A decode restores
+// in place; decoding into a zero Scheme2 takes the image's shape, which is how
+// a restore skips the block of a scheme its configuration has disabled.
+func (s *Scheme2) Walk(k *snapshot.Codec) {
+	n := k.Len(len(s.tables), 12)
+	if k.Err() != nil {
+		return
+	}
+	if k.Decoding() && s.tables == nil {
+		s.tables = make([]*BankHistory, n)
+		for i := range s.tables {
+			s.tables[i] = &BankHistory{}
 		}
-	}
-	w.I64(s.Tagged)
-	w.I64(s.Checked)
-}
-
-// Decode restores the Scheme-2 state in place.
-func (s *Scheme2) Decode(r *snapshot.Reader) {
-	n := r.Len(1)
-	if r.Err() != nil {
-		return
 	}
 	if n != len(s.tables) {
-		r.Fail("scheme-2 node count mismatch: snapshot %d, config %d", n, len(s.tables))
+		k.Fail("scheme-2 node count mismatch: snapshot %d, config %d", n, len(s.tables))
 		return
 	}
 	for _, t := range s.tables {
-		banks := r.Len(1)
-		th := r.Int()
-		if r.Err() != nil {
+		banks := k.Len(len(t.stamps), 1)
+		th := t.th
+		k.Int(&th)
+		if k.Err() != nil {
 			return
 		}
+		if k.Decoding() && t.stamps == nil {
+			if th < 1 || th > k.Remaining()/8 || banks > k.Remaining()/(8*th+8) {
+				k.Fail("implausible bank-history shape")
+				return
+			}
+			t.th, t.stamps, t.pos = th, make([][]int64, banks), make([]int, banks)
+			for b := range t.stamps {
+				t.stamps[b] = make([]int64, th)
+			}
+		}
 		if banks != len(t.stamps) || th != t.th {
-			r.Fail("bank-history shape mismatch: snapshot %dx%d, config %dx%d",
+			k.Fail("bank-history shape mismatch: snapshot %dx%d, config %dx%d",
 				banks, th, len(t.stamps), t.th)
 			return
 		}
 		for b := range t.stamps {
-			for i := range t.stamps[b] {
-				t.stamps[b][i] = r.I64()
-			}
-			pos := r.Int()
-			if r.Err() != nil {
+			k.I64Array(t.stamps[b])
+			k.Int(&t.pos[b])
+			if k.Err() != nil {
 				return
 			}
-			if pos < 0 || pos >= t.th {
-				r.Fail("bank-history cursor %d outside [0,%d)", pos, t.th)
+			if k.Decoding() && (t.pos[b] < 0 || t.pos[b] >= t.th) {
+				k.Fail("bank-history cursor %d outside [0,%d)", t.pos[b], t.th)
 				return
 			}
-			t.pos[b] = pos
 		}
 	}
-	s.Tagged = r.I64()
-	s.Checked = r.I64()
-}
-
-// SkipScheme2 consumes an encoded Scheme-2 image without applying it.
-func SkipScheme2(r *snapshot.Reader) {
-	n := r.Len(1)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		banks := r.Len(1)
-		th := r.Int()
-		if r.Err() != nil || th < 0 || th > r.Remaining()/8 {
-			r.Fail("implausible bank-history shape")
-			return
-		}
-		for b := 0; b < banks && r.Err() == nil; b++ {
-			for j := 0; j < th; j++ {
-				r.I64()
-			}
-			r.Int()
-		}
-	}
-	r.I64()
-	r.I64()
+	k.I64(&s.Tagged)
+	k.I64(&s.Checked)
 }

@@ -12,11 +12,11 @@ import (
 
 // decodeErr encodes with enc, decodes the image with dec and returns the
 // decode error.
-func decodeErr(t *testing.T, enc func(*snapshot.Writer), dec func(*snapshot.Reader)) error {
+func decodeErr(t *testing.T, enc, dec func(*snapshot.Codec)) error {
 	t.Helper()
 	var buf bytes.Buffer
 	w := snapshot.NewWriter(&buf)
-	enc(w)
+	enc(snapshot.EncodeTo(w))
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func decodeErr(t *testing.T, enc func(*snapshot.Writer), dec func(*snapshot.Read
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec(r)
+	dec(snapshot.DecodeFrom(r))
 	return r.Err()
 }
 
@@ -41,18 +41,18 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		enc  func(*snapshot.Writer)
-		dec  func(*snapshot.Reader)
+		enc  func(*snapshot.Codec)
+		dec  func(*snapshot.Codec)
 		want string
 	}{
-		{"scheme1_cores", NewScheme1(s1cfg(), 4).Encode, NewScheme1(s1cfg(), 3).Decode, "scheme-1 core count mismatch"},
-		{"scheme2_nodes", scheme2(3, 8).Encode, NewScheme2(s2cfg, 2, 8).Decode, "scheme-2 node count mismatch"},
-		{"scheme2_banks", scheme2(3, 8).Encode, NewScheme2(s2cfg, 3, 4).Decode, "bank-history shape mismatch"},
-		{"scheme2_cursor", func() func(*snapshot.Writer) {
+		{"scheme1_cores", NewScheme1(s1cfg(), 4).Walk, NewScheme1(s1cfg(), 3).Walk, "scheme-1 core count mismatch"},
+		{"scheme2_nodes", scheme2(3, 8).Walk, NewScheme2(s2cfg, 2, 8).Walk, "scheme-2 node count mismatch"},
+		{"scheme2_banks", scheme2(3, 8).Walk, NewScheme2(s2cfg, 3, 4).Walk, "bank-history shape mismatch"},
+		{"scheme2_cursor", func() func(*snapshot.Codec) {
 			s := scheme2(3, 8)
 			s.tables[1].pos[2] = s.tables[1].th
-			return s.Encode
-		}(), NewScheme2(s2cfg, 3, 8).Decode, "bank-history cursor"},
+			return s.Walk
+		}(), NewScheme2(s2cfg, 3, 8).Walk, "bank-history cursor"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := decodeErr(t, tc.enc, tc.dec)

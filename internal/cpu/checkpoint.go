@@ -9,69 +9,45 @@ import (
 // serialize the stream position alongside the architectural state.
 func (c *Core) Source() trace.Source { return c.src }
 
-// Encode serializes the core's architectural state: the ROB image, commit
-// cursor, in-flight memory count, the fetched-but-unissued instruction, and
-// the window counters.
-func (c *Core) Encode(w *snapshot.Writer) {
-	w.Len(len(c.rob))
-	for i := range c.rob {
-		e := &c.rob[i]
-		w.Bool(e.isMem)
-		w.Bool(e.done)
-		w.I64(e.doneAt)
-	}
-	w.Int(c.head)
-	w.Int(c.count)
-	w.Int(c.memInFlight)
-	w.Bool(c.hasPending)
-	w.Bool(c.pending.IsMem)
-	w.Bool(c.pending.IsStore)
-	w.U64(c.pending.Addr)
-	w.I64(c.stats.Cycles)
-	w.I64(c.stats.Retired)
-	w.I64(c.stats.MemRetired)
-	w.I64(c.stats.FetchStalls)
-	w.I64(c.stats.WindowStalls)
-	w.I64(c.stats.OutstandSum)
-}
-
-// Decode restores the core's state in place.
-func (c *Core) Decode(r *snapshot.Reader) {
-	n := r.Len(10)
-	if r.Err() != nil {
+// Walk encodes or decodes the core's architectural state: the ROB image,
+// commit cursor, in-flight memory count, the fetched-but-unissued
+// instruction, and the window counters. A decode restores in place.
+func (c *Core) Walk(k *snapshot.Codec) {
+	n := k.Len(len(c.rob), 10)
+	if k.Err() != nil {
 		return
 	}
 	if n != len(c.rob) {
-		r.Fail("ROB size mismatch: snapshot %d, config %d", n, len(c.rob))
+		k.Fail("ROB size mismatch: snapshot %d, config %d", n, len(c.rob))
 		return
 	}
 	for i := range c.rob {
 		e := &c.rob[i]
-		e.isMem = r.Bool()
-		e.done = r.Bool()
-		e.doneAt = r.I64()
+		k.Bool(&e.isMem)
+		k.Bool(&e.done)
+		k.I64(&e.doneAt)
 	}
-	c.head = r.Int()
-	c.count = r.Int()
-	c.memInFlight = r.Int()
-	c.hasPending = r.Bool()
-	c.pending.IsMem = r.Bool()
-	c.pending.IsStore = r.Bool()
-	c.pending.Addr = r.U64()
-	c.stats.Cycles = r.I64()
-	c.stats.Retired = r.I64()
-	c.stats.MemRetired = r.I64()
-	c.stats.FetchStalls = r.I64()
-	c.stats.WindowStalls = r.I64()
-	c.stats.OutstandSum = r.I64()
-	if r.Err() != nil {
+	k.Int(&c.head)
+	k.Int(&c.count)
+	k.Int(&c.memInFlight)
+	k.Bool(&c.hasPending)
+	k.Bool(&c.pending.IsMem)
+	k.Bool(&c.pending.IsStore)
+	k.U64(&c.pending.Addr)
+	k.I64(&c.stats.Cycles)
+	k.I64(&c.stats.Retired)
+	k.I64(&c.stats.MemRetired)
+	k.I64(&c.stats.FetchStalls)
+	k.I64(&c.stats.WindowStalls)
+	k.I64(&c.stats.OutstandSum)
+	if !k.Decoding() || k.Err() != nil {
 		return
 	}
 	if c.head < 0 || c.head >= len(c.rob) || c.count < 0 || c.count > len(c.rob) {
-		r.Fail("ROB cursor out of range: head %d count %d of %d", c.head, c.count, len(c.rob))
+		k.Fail("ROB cursor out of range: head %d count %d of %d", c.head, c.count, len(c.rob))
 		return
 	}
 	if c.memInFlight < 0 || c.memInFlight > c.cfg.LSQSize {
-		r.Fail("in-flight memory count %d outside LSQ [0,%d]", c.memInFlight, c.cfg.LSQSize)
+		k.Fail("in-flight memory count %d outside LSQ [0,%d]", c.memInFlight, c.cfg.LSQSize)
 	}
 }

@@ -16,7 +16,7 @@ func decodeErr(t *testing.T, src, dst *Core) error {
 	t.Helper()
 	var buf bytes.Buffer
 	w := snapshot.NewWriter(&buf)
-	src.Encode(w)
+	src.Walk(snapshot.EncodeTo(w))
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func decodeErr(t *testing.T, src, dst *Core) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.Decode(r)
+	dst.Walk(snapshot.DecodeFrom(r))
 	return r.Err()
 }
 

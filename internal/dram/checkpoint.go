@@ -2,135 +2,87 @@ package dram
 
 import "nocmem/internal/snapshot"
 
-// Encode serializes the controller: bus and refresh timers, counters, and
-// every bank's row/occupancy state and request queues in ascending bank
-// order. payload writes one request's opaque Payload handle (the simulator
-// interns its transaction pointers there).
-func (c *Controller) Encode(w *snapshot.Writer, payload func(any)) {
-	w.I64(c.busFreeAt)
-	w.I64(c.nextRefresh)
-	w.I64(c.nextSample)
-	st := c.stats
-	w.I64(st.Reads)
-	w.I64(st.Writes)
-	w.I64(st.RowHits)
-	w.I64(st.RowMisses)
-	w.I64(st.RowConflicts)
-	w.I64(st.QueueWait)
-	w.I64(st.Refreshes)
-	w.I64(st.BusBusy)
-	w.I64(st.QueueDepth)
-	w.I64(st.QueueSamples)
-	w.Len(len(c.banks))
-	for i := range c.banks {
-		b := &c.banks[i]
-		w.I64(b.openRow)
-		w.I64(b.busyUntil)
-		w.I64(b.idleSamples)
-		w.I64(b.idleHits)
-		encodeQueue(w, b.reads, payload)
-		encodeQueue(w, b.writes, payload)
-		w.Bool(b.inFlight != nil)
-		if b.inFlight != nil {
-			encodeRequest(w, b.inFlight, payload)
-		}
-	}
-}
-
-func encodeQueue(w *snapshot.Writer, q []*Request, payload func(any)) {
-	w.Len(len(q))
-	for _, r := range q {
-		encodeRequest(w, r, payload)
-	}
-}
-
-func encodeRequest(w *snapshot.Writer, r *Request, payload func(any)) {
-	w.U64(r.Addr)
-	w.Bool(r.IsWrite)
-	w.Bool(r.Sensitive)
-	w.Int(r.Bank)
-	w.I64(r.Row)
-	w.I64(r.EnqueuedAt)
-	w.I64(r.ScheduledAt)
-	w.I64(r.DoneAt)
-	payload(r.Payload)
-}
-
-// Decode restores the controller state in place. payload reads one
-// request's Payload handle.
-func (c *Controller) Decode(r *snapshot.Reader, payload func() any) {
-	c.busFreeAt = r.I64()
-	c.nextRefresh = r.I64()
-	c.nextSample = r.I64()
-	c.stats.Reads = r.I64()
-	c.stats.Writes = r.I64()
-	c.stats.RowHits = r.I64()
-	c.stats.RowMisses = r.I64()
-	c.stats.RowConflicts = r.I64()
-	c.stats.QueueWait = r.I64()
-	c.stats.Refreshes = r.I64()
-	c.stats.BusBusy = r.I64()
-	c.stats.QueueDepth = r.I64()
-	c.stats.QueueSamples = r.I64()
-	n := r.Len(8)
-	if r.Err() != nil {
+// Walk encodes or decodes the controller: bus and refresh timers, counters,
+// and every bank's row/occupancy state and request queues in ascending bank
+// order. payload walks one request's opaque Payload handle (the simulator
+// interns its transaction pointers there). A decode restores in place.
+func (c *Controller) Walk(k *snapshot.Codec, payload func(*any)) {
+	k.I64(&c.busFreeAt)
+	k.I64(&c.nextRefresh)
+	k.I64(&c.nextSample)
+	st := &c.stats
+	k.I64(&st.Reads)
+	k.I64(&st.Writes)
+	k.I64(&st.RowHits)
+	k.I64(&st.RowMisses)
+	k.I64(&st.RowConflicts)
+	k.I64(&st.QueueWait)
+	k.I64(&st.Refreshes)
+	k.I64(&st.BusBusy)
+	k.I64(&st.QueueDepth)
+	k.I64(&st.QueueSamples)
+	n := k.Len(len(c.banks), 8)
+	if k.Err() != nil {
 		return
 	}
 	if n != len(c.banks) {
-		r.Fail("bank count mismatch: snapshot %d, config %d", n, len(c.banks))
+		k.Fail("bank count mismatch: snapshot %d, config %d", n, len(c.banks))
 		return
 	}
-	if c.nextRefresh < 0 || c.nextSample < 0 {
-		r.Fail("negative controller timer")
+	if k.Decoding() && (c.nextRefresh < 0 || c.nextSample < 0) {
+		k.Fail("negative controller timer")
 		return
 	}
 	for i := range c.banks {
 		b := &c.banks[i]
-		b.openRow = r.I64()
-		b.busyUntil = r.I64()
-		b.idleSamples = r.I64()
-		b.idleHits = r.I64()
-		b.reads = decodeQueue(r, c, i, b.reads, payload)
-		b.writes = decodeQueue(r, c, i, b.writes, payload)
-		b.inFlight = nil
-		if r.Bool() {
-			b.inFlight = decodeRequest(r, c, i, payload)
+		k.I64(&b.openRow)
+		k.I64(&b.busyUntil)
+		k.I64(&b.idleSamples)
+		k.I64(&b.idleHits)
+		walkQueue(k, &b.reads, i, payload)
+		walkQueue(k, &b.writes, i, payload)
+		busy := b.inFlight != nil
+		k.Bool(&busy)
+		if k.Decoding() {
+			b.inFlight = nil
+			if busy {
+				b.inFlight = &Request{}
+			}
 		}
-		if r.Err() != nil {
+		if busy {
+			walkRequest(k, b.inFlight, i, payload)
+		}
+		if k.Err() != nil {
 			return
 		}
 	}
 }
 
-func decodeQueue(r *snapshot.Reader, c *Controller, bank int, old []*Request, payload func() any) []*Request {
-	n := r.Len(8)
-	if r.Err() != nil {
-		return nil
+// walkQueue walks a bank's queue; a decode refills it with fresh requests.
+func walkQueue(k *snapshot.Codec, q *[]*Request, bank int, payload func(*any)) {
+	n := k.Len(len(*q), 8)
+	if k.Decoding() {
+		*q = (*q)[:0]
 	}
-	q := old[:0]
-	for i := 0; i < n; i++ {
-		req := decodeRequest(r, c, bank, payload)
-		if r.Err() != nil {
-			return nil
+	for i := 0; i < n && k.Err() == nil; i++ {
+		if k.Decoding() {
+			*q = append(*q, &Request{})
 		}
-		q = append(q, req)
+		walkRequest(k, (*q)[i], bank, payload)
 	}
-	return q
 }
 
-func decodeRequest(r *snapshot.Reader, c *Controller, bank int, payload func() any) *Request {
-	req := &Request{}
-	req.Addr = r.U64()
-	req.IsWrite = r.Bool()
-	req.Sensitive = r.Bool()
-	req.Bank = r.Int()
-	req.Row = r.I64()
-	req.EnqueuedAt = r.I64()
-	req.ScheduledAt = r.I64()
-	req.DoneAt = r.I64()
-	req.Payload = payload()
-	if r.Err() == nil && req.Bank != bank {
-		r.Fail("request for bank %d queued at bank %d", req.Bank, bank)
+func walkRequest(k *snapshot.Codec, r *Request, bank int, payload func(*any)) {
+	k.U64(&r.Addr)
+	k.Bool(&r.IsWrite)
+	k.Bool(&r.Sensitive)
+	k.Int(&r.Bank)
+	k.I64(&r.Row)
+	k.I64(&r.EnqueuedAt)
+	k.I64(&r.ScheduledAt)
+	k.I64(&r.DoneAt)
+	payload(&r.Payload)
+	if k.Decoding() && k.Err() == nil && r.Bank != bank {
+		k.Fail("request for bank %d queued at bank %d", r.Bank, bank)
 	}
-	return req
 }

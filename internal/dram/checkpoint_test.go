@@ -16,7 +16,7 @@ func decodeErr(t *testing.T, src, dst *Controller) error {
 	t.Helper()
 	var buf bytes.Buffer
 	w := snapshot.NewWriter(&buf)
-	src.Encode(w, func(any) {})
+	src.Walk(snapshot.EncodeTo(w), func(*any) {})
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func decodeErr(t *testing.T, src, dst *Controller) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.Decode(r, func() any { return nil })
+	dst.Walk(snapshot.DecodeFrom(r), func(*any) {})
 	return r.Err()
 }
 

@@ -40,13 +40,14 @@ func decodeNetErr(t *testing.T, n *Network) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.DecodeState(rd, func() *Packet {
+	fresh.WalkState(snapshot.DecodeFrom(rd), func(p **Packet) {
 		i := rd.Int()
 		if rd.Err() != nil || pkts[i] == nil {
-			return nil
+			*p = nil
+			return
 		}
 		cp := *pkts[i]
-		return &cp
+		*p = &cp
 	})
 	return rd.Err()
 }
@@ -68,7 +69,7 @@ func occupiedVC(t *testing.T, n *Network) (*router, int) {
 }
 
 // TestDecodeStateRejects breaks one field of a loaded network at a time: the
-// encoder writes what it finds, and DecodeState must refuse the image with a
+// encoder writes what it finds, and a decoding WalkState must refuse the image with a
 // snapshot.ErrFormat that names the field.
 func TestDecodeStateRejects(t *testing.T) {
 	for _, tc := range []struct {
@@ -167,8 +168,8 @@ func TestDecodeStateRejects(t *testing.T) {
 	}
 }
 
-// TestDecodePacketBodyRejects breaks one field of a packet at a time: the
-// decoder must refuse it with a snapshot.ErrFormat.
+// TestDecodePacketBodyRejects breaks one field of a packet at a time: a
+// decoding WalkPacketBody must refuse it with a snapshot.ErrFormat.
 func TestDecodePacketBodyRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -184,12 +185,12 @@ func TestDecodePacketBodyRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Packet{ID: 7, Src: 1, Dst: 2, NumFlits: 5, VNet: VNetResponse}
 			tc.damage(p)
-			img := encodeBytes(t, func(w *snapshot.Writer) { EncodePacketBody(w, p, func(any) {}) })
+			img := encodeBytes(t, func(w *snapshot.Writer) { WalkPacketBody(snapshot.EncodeTo(w), p, 16, func(*any) {}) })
 			rd, err := snapshot.NewReaderBytes(img)
 			if err != nil {
 				t.Fatal(err)
 			}
-			DecodePacketBody(rd, 16, func() any { return nil })
+			WalkPacketBody(snapshot.DecodeFrom(rd), &Packet{}, 16, func(*any) {})
 			if err := rd.Err(); !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("decode returned %v, want an ErrFormat mentioning %q", err, tc.want)
 			}
@@ -216,7 +217,7 @@ func TestEncodeStateRefusesMidCycle(t *testing.T) {
 	n := loadedNet(t)
 	n.shards[0].edgesIn = append(n.shards[0].edgesIn, &edgeQueue{dst: 1, items: make([]boundaryItem, 1)})
 	w := snapshot.NewWriter(&strings.Builder{})
-	n.EncodeState(w, func(*Packet) {})
+	n.WalkState(snapshot.EncodeTo(w), func(**Packet) {})
 	if err := w.Err(); err == nil || !strings.Contains(err.Error(), "mid-cycle") {
 		t.Fatalf("encoding returned %v, want a mid-cycle error", err)
 	}

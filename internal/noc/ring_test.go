@@ -212,7 +212,8 @@ func encodeNet(t *testing.T, n *Network, pkts *[]*Packet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := snapshot.NewWriter(&buf)
-	n.EncodeState(w, func(p *Packet) {
+	n.WalkState(snapshot.EncodeTo(w), func(ref **Packet) {
+		p := *ref
 		for i, q := range *pkts {
 			if p == q {
 				w.Int(i)
@@ -252,7 +253,7 @@ func TestEncodeStateWrappedRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.DecodeState(rd, func() *Packet { return pkts[rd.Int()] })
+	fresh.WalkState(snapshot.DecodeFrom(rd), func(p **Packet) { *p = pkts[rd.Int()] })
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +325,13 @@ func TestRestoreRebuildsUnreadableState(t *testing.T) {
 	}
 	// The two networks run on: each needs its own packets.
 	copies := make([]*Packet, len(pkts))
-	fresh.DecodeState(rd, func() *Packet {
+	fresh.WalkState(snapshot.DecodeFrom(rd), func(p **Packet) {
 		i := rd.Int()
 		if copies[i] == nil && pkts[i] != nil {
 			cp := *pkts[i]
 			copies[i] = &cp
 		}
-		return copies[i]
+		*p = copies[i]
 	})
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ type tileXY struct{ x, y int32 }
 // and injection select their contenders with mask arithmetic and a key
 // compare, and read no flit or packet memory until a winner is dispatched. It
 // is maintained where the authoritative state changes, never re-derived per
-// cycle; DecodeState rebuilds it (rebuildDerived).
+// cycle; a decoding WalkState rebuilds it (rebuildDerived).
 type router struct {
 	id   int
 	x, y int

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"nocmem/internal/cache"
 	"nocmem/internal/config"
@@ -39,41 +39,8 @@ import (
 func (s *Simulator) Checkpoint(wr io.Writer) error {
 	s.settle()
 	w := snapshot.NewWriter(wr)
-	w.String(s.cfg.SnapshotKey())
-	// Historical shard-count field, kept so the format (and the pinned
-	// golden image) stays stable. Always 1: the stepping partition is not
-	// simulator state — snapshots restore under any worker count.
-	w.Int(1)
-	w.Len(len(s.apps))
-	for _, a := range s.apps {
-		w.String(a.Name)
-	}
-	w.I64(s.now)
-	w.I64(s.ticked)
-
-	e := &encoder{w: w, pktIdx: make(map[*noc.Packet]uint32), txnIdx: make(map[*Txn]uint32)}
-	for _, n := range s.nodes {
-		n.encode(e)
-	}
-	for _, mc := range s.mcs {
-		mc.ctl.Encode(w, e.mcPayload)
-	}
-	s.net.EncodeState(w, e.pkt)
-
-	w.Bool(s.pol.S1 != nil)
-	if s.pol.S1 != nil {
-		s.pol.S1.Encode(w)
-	}
-	w.Bool(s.pol.S2 != nil)
-	if s.pol.S2 != nil {
-		s.pol.S2.Encode(w)
-	}
-
-	encodeCollector(w, s.collector())
-	w.Len(len(s.idleSeries))
-	for _, se := range s.idleSeries {
-		se.Encode(w)
-	}
+	x := &walker{k: snapshot.EncodeTo(w), s: s, pktIdx: make(map[*noc.Packet]uint32), txnIdx: make(map[*Txn]uint32)}
+	x.walk()
 	return w.Err()
 }
 
@@ -89,7 +56,7 @@ func (s *Simulator) Checkpoint(wr io.Writer) error {
 // The machine is wired as New wires it, except that nothing is prewarmed:
 // everything the functional warming writes — every L1 and L2 line, the LRU
 // clocks, the cache counters, the directory — is state the image carries in
-// full and the decode replaces wholesale (cache.Decode, node.decode), and
+// full and the decode replaces wholesale (Cache.Walk, node.walk), and
 // listing an application's resident lines draws nothing from its generator's
 // PRNG, so the replayed issue count lands on the same stream.
 //
@@ -140,103 +107,9 @@ func (s *Simulator) restored(r *snapshot.Reader, err error) (*Simulator, error) 
 // constructor left it (prewarmed or not: the oracle in checkpoint_test.go
 // holds the two to the same bytes).
 func (s *Simulator) restoreFrom(r *snapshot.Reader) error {
-	key := r.String()
-	if r.Err() == nil && key != s.cfg.SnapshotKey() {
-		return fmt.Errorf("%w: snapshot was taken under an incompatible configuration", snapshot.ErrFormat)
-	}
-	// The legacy shard-count field is no longer matched against the
-	// restoring configuration — the stepping partition is not simulator
-	// state — but an implausible value still means corruption.
-	shards := r.Int()
-	if r.Err() == nil && (shards < 1 || shards > config.MaxMeshTiles) {
-		return fmt.Errorf("%w: implausible shard count %d", snapshot.ErrFormat, shards)
-	}
-	napps := r.Len(4)
-	if r.Err() == nil && napps != len(s.apps) {
-		return fmt.Errorf("%w: snapshot has %d application slots, configuration has %d", snapshot.ErrFormat, napps, len(s.apps))
-	}
-	for i := 0; i < napps && r.Err() == nil; i++ {
-		name := r.String()
-		if r.Err() == nil && name != s.apps[i].Name {
-			return fmt.Errorf("%w: tile %d ran %q in the snapshot, %q in this configuration", snapshot.ErrFormat, i, name, s.apps[i].Name)
-		}
-	}
-	now := r.I64()
-	ticked := r.I64()
-	if r.Err() == nil && (now < 0 || ticked < 0 || ticked > now) {
-		return fmt.Errorf("%w: implausible cycle counters (now=%d ticked=%d)", snapshot.ErrFormat, now, ticked)
-	}
-	// A snapshot is only restorable into a window it lies inside: resuming
-	// exists to complete the configured run. The check also caps the trace
-	// replay (generators advance by issue count, bounded per cycle), so a
-	// corrupted cycle counter cannot drive a near-endless replay loop.
-	if total := s.cfg.Run.WarmupCycles + s.cfg.Run.MeasureCycles; r.Err() == nil && now > total {
-		return fmt.Errorf("%w: snapshot cycle %d lies past the configured %d-cycle run window", snapshot.ErrFormat, now, total)
-	}
-	if rf := s.cfg.Run.ResumeFrom; r.Err() == nil && rf != 0 && rf != now {
-		return fmt.Errorf("%w: configuration resumes from cycle %d but the snapshot was taken at cycle %d", snapshot.ErrFormat, rf, now)
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	s.now = now
-	s.ticked = ticked
-
-	d := &decoder{r: r, s: s}
-	for _, n := range s.nodes {
-		n.decode(d)
-		if r.Err() != nil {
-			return r.Err()
-		}
-	}
-	for _, mc := range s.mcs {
-		mc.ctl.Decode(r, func() any { return d.mcPayload(mc.tile) })
-		if r.Err() != nil {
-			return r.Err()
-		}
-	}
-	s.net.DecodeState(r, d.pkt)
-	if r.Err() != nil {
-		return r.Err()
-	}
-
-	if r.Bool() { // Scheme-1 present in the snapshot
-		if s.pol.S1 != nil {
-			s.pol.S1.Decode(r)
-		} else {
-			core.SkipScheme1(r)
-		}
-	}
-	if r.Bool() { // Scheme-2 present in the snapshot
-		if s.pol.S2 != nil {
-			s.pol.S2.Decode(r)
-		} else {
-			core.SkipScheme2(r)
-		}
-	}
-
-	// The merged collector lands in shard 0's; the other shards keep the
-	// empty ones they were built with.
-	col := s.shards[0].col
-	decodeCollector(r, col)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	for _, sh := range s.shards[1:] {
-		sh.col.measuring = col.measuring
-	}
-
-	nse := r.Len(8)
-	if r.Err() == nil && nse != len(s.idleSeries) {
-		return fmt.Errorf("%w: %d idle-series streams for %d controllers", snapshot.ErrFormat, nse, len(s.idleSeries))
-	}
-	for _, se := range s.idleSeries {
-		// Decoded in place: the controllers' sampling closures capture
-		// these exact Series objects.
-		se.Decode(r)
-	}
-	if r.Err() != nil {
-		return r.Err()
+	(&walker{k: snapshot.DecodeFrom(r), s: s}).walk()
+	if err := r.Err(); err != nil {
+		return err
 	}
 	if r.Remaining() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after the checkpoint image", snapshot.ErrFormat, r.Remaining())
@@ -292,523 +165,567 @@ func (s *Simulator) RunWithCheckpoint(sink io.Writer) (*Result, error) {
 	return s.results(), nil
 }
 
-// encoder interns shared pointers while walking the state: the first
-// encounter of a transaction or packet writes its 1-based index followed by
-// the full body; later references write the index alone; nil writes 0.
-type encoder struct {
-	w      *snapshot.Writer
+// walker is one pass of the checkpoint walk over a simulator, encoding or
+// decoding as its Codec does. Shared pointers (transactions, packets) are
+// interned: the first occurrence walks the 1-based index followed by the
+// full body, later ones the index alone, and nil is 0. The encoder numbers
+// pointers in pktIdx/txnIdx; the decoder requires every index to be 0, one
+// already in pkts/txns, or the next one, which introduces a new body.
+type walker struct {
+	k      *snapshot.Codec
+	s      *Simulator
 	pktIdx map[*noc.Packet]uint32
 	txnIdx map[*Txn]uint32
+	pkts   []*noc.Packet
+	txns   []*Txn
 }
 
-func (e *encoder) txn(t *Txn) {
-	if t == nil {
-		e.w.U32(0)
+// walk walks the whole machine: the header, the tiles, the memory
+// controllers, the network, the scheme blocks, the merged collector and the
+// idle series.
+func (x *walker) walk() {
+	k, s := x.k, x.s
+	key := s.cfg.SnapshotKey()
+	k.String(&key)
+	if k.Err() == nil && key != s.cfg.SnapshotKey() {
+		k.Fail("snapshot was taken under an incompatible configuration")
 		return
 	}
-	if idx, ok := e.txnIdx[t]; ok {
-		e.w.U32(idx)
+	// Historical shard-count field, kept so the format (and the pinned golden
+	// image) stays stable. Always 1: the stepping partition is not simulator
+	// state — snapshots restore under any worker count. A decode no longer
+	// matches it against the restoring configuration, but an implausible
+	// value still means corruption.
+	shards := 1
+	k.Int(&shards)
+	if k.Err() == nil && (shards < 1 || shards > config.MaxMeshTiles) {
+		k.Fail("implausible shard count %d", shards)
 		return
 	}
-	idx := uint32(len(e.txnIdx) + 1)
-	e.txnIdx[t] = idx
-	e.w.U32(idx)
-	e.w.U64(t.ID)
-	e.w.Int(t.Core)
-	e.w.U64(t.Line)
-	e.w.Bool(t.Store)
-	e.w.I64(t.Birth)
-	e.w.I64(t.ReqAtL2)
-	e.w.I64(t.ReqAtMC)
-	e.w.I64(t.MemDone)
-	e.w.I64(t.RespAtL2)
-	e.w.I64(t.Done)
-	e.w.I64(t.AgeAtL2)
-	e.w.Bool(t.OffChip)
-	e.w.I64(t.SoFarAtMC)
-	e.w.U8(uint8(t.RespPriority))
-}
-
-func (e *encoder) pkt(p *noc.Packet) {
-	if p == nil {
-		e.w.U32(0)
+	napps := k.Len(len(s.apps), 4)
+	if k.Err() == nil && napps != len(s.apps) {
+		k.Fail("snapshot has %d application slots, configuration has %d", napps, len(s.apps))
 		return
 	}
-	if idx, ok := e.pktIdx[p]; ok {
-		e.w.U32(idx)
-		return
-	}
-	idx := uint32(len(e.pktIdx) + 1)
-	e.pktIdx[p] = idx
-	e.w.U32(idx)
-	noc.EncodePacketBody(e.w, p, e.payload)
-}
-
-// payload writes a packet's protocol message.
-func (e *encoder) payload(a any) {
-	if a == nil {
-		e.w.U8(0)
-		return
-	}
-	m, ok := a.(*message)
-	if !ok {
-		e.w.Fail("unsupported packet payload %T", a)
-		return
-	}
-	e.w.U8(1)
-	e.w.U8(uint8(m.kind))
-	e.txn(m.txn)
-	e.w.U64(m.line)
-}
-
-// mcPayload writes a DRAM request's payload.
-func (e *encoder) mcPayload(a any) {
-	if a == nil {
-		e.w.U8(0)
-		return
-	}
-	p, ok := a.(*mcPayload)
-	if !ok {
-		e.w.Fail("unsupported DRAM request payload %T", a)
-		return
-	}
-	e.w.U8(1)
-	e.txn(p.txn)
-	e.w.I64(p.age)
-	e.w.I64(p.arrival)
-	e.w.Int(p.respDst)
-}
-
-// decoder mirrors encoder: index 0 is nil, an index equal to the table
-// length plus one introduces a new body, anything else must already be in
-// the table.
-type decoder struct {
-	r    *snapshot.Reader
-	s    *Simulator
-	pkts []*noc.Packet
-	txns []*Txn
-}
-
-func (d *decoder) txn() *Txn {
-	idx := d.r.U32()
-	if d.r.Err() != nil || idx == 0 {
-		return nil
-	}
-	if int(idx) <= len(d.txns) {
-		return d.txns[idx-1]
-	}
-	if int(idx) != len(d.txns)+1 {
-		d.r.Fail("transaction reference %d out of intern order", idx)
-		return nil
-	}
-	t := &Txn{}
-	d.txns = append(d.txns, t)
-	t.ID = d.r.U64()
-	t.Core = d.r.Int()
-	t.Line = d.r.U64()
-	t.Store = d.r.Bool()
-	t.Birth = d.r.I64()
-	t.ReqAtL2 = d.r.I64()
-	t.ReqAtMC = d.r.I64()
-	t.MemDone = d.r.I64()
-	t.RespAtL2 = d.r.I64()
-	t.Done = d.r.I64()
-	t.AgeAtL2 = d.r.I64()
-	t.OffChip = d.r.Bool()
-	t.SoFarAtMC = d.r.I64()
-	t.RespPriority = noc.Priority(d.r.U8())
-	if d.r.Err() == nil && (t.Core < 0 || t.Core >= len(d.s.nodes) || t.RespPriority > noc.High) {
-		d.r.Fail("transaction %d has invalid core %d or priority", t.ID, t.Core)
-	}
-	return t
-}
-
-func (d *decoder) pkt() *noc.Packet {
-	idx := d.r.U32()
-	if d.r.Err() != nil || idx == 0 {
-		return nil
-	}
-	if int(idx) <= len(d.pkts) {
-		return d.pkts[idx-1]
-	}
-	if int(idx) != len(d.pkts)+1 {
-		d.r.Fail("packet reference %d out of intern order", idx)
-		return nil
-	}
-	d.pkts = append(d.pkts, nil)
-	slot := len(d.pkts) - 1
-	p := noc.DecodePacketBody(d.r, len(d.s.nodes), d.payload)
-	d.pkts[slot] = p
-	return p
-}
-
-func (d *decoder) payload() any {
-	switch d.r.U8() {
-	case 0:
-		return nil
-	case 1:
-		k := d.r.U8()
-		if d.r.Err() != nil {
-			return nil
+	for i := 0; i < napps && k.Err() == nil; i++ {
+		name := s.apps[i].Name
+		k.String(&name)
+		if k.Err() == nil && name != s.apps[i].Name {
+			k.Fail("tile %d ran %q in the snapshot, %q in this configuration", i, name, s.apps[i].Name)
+			return
 		}
-		if k > uint8(msgInvL2toL1) {
-			d.r.Fail("unknown message kind %d", k)
-			return nil
+	}
+	now, ticked := s.now, s.ticked
+	k.I64(&now)
+	k.I64(&ticked)
+	if k.Decoding() && k.Err() == nil {
+		if !x.cycles(now, ticked) {
+			return
 		}
-		m := &message{kind: msgKind(k)}
-		m.txn = d.txn()
-		m.line = d.r.U64()
-		return m
+		s.now, s.ticked = now, ticked
+	}
+	if k.Err() != nil {
+		return
+	}
+
+	for _, n := range s.nodes {
+		if n.walk(x); k.Err() != nil {
+			return
+		}
+	}
+	for _, mc := range s.mcs {
+		if mc.ctl.Walk(k, func(p *any) { x.mcPayload(p, mc.tile) }); k.Err() != nil {
+			return
+		}
+	}
+	if s.net.WalkState(k, x.pkt); k.Err() != nil {
+		return
+	}
+
+	// Each scheme block follows a presence flag. A snapshot of an enabled
+	// scheme restores into a configuration without it by walking the block
+	// into a zero scheme, which takes the image's shape.
+	hasS1 := s.pol.S1 != nil
+	if k.Bool(&hasS1); hasS1 {
+		s1 := s.pol.S1
+		if s1 == nil {
+			s1 = new(core.Scheme1)
+		}
+		s1.Walk(k)
+	}
+	hasS2 := s.pol.S2 != nil
+	if k.Bool(&hasS2); hasS2 {
+		s2 := s.pol.S2
+		if s2 == nil {
+			s2 = new(core.Scheme2)
+		}
+		s2.Walk(k)
+	}
+
+	// Per-shard collectors are encoded merged; a decode lands them in shard
+	// 0's, and the other shards keep the empty ones they were built with.
+	col := s.shards[0].col
+	if !k.Decoding() {
+		col = s.collector()
+	}
+	if walkCollector(k, col); k.Err() != nil {
+		return
+	}
+	if k.Decoding() {
+		for _, sh := range s.shards[1:] {
+			sh.col.measuring = col.measuring
+		}
+	}
+
+	nse := k.Len(len(s.idleSeries), 8)
+	if k.Err() == nil && nse != len(s.idleSeries) {
+		k.Fail("%d idle-series streams for %d controllers", nse, len(s.idleSeries))
+		return
+	}
+	for _, se := range s.idleSeries {
+		// Decoded in place: the controllers' sampling closures capture
+		// these exact Series objects.
+		se.Walk(k)
+	}
+}
+
+// cycles validates a decoded cycle position against the restoring
+// configuration.
+func (x *walker) cycles(now, ticked int64) bool {
+	k, cfg := x.k, x.s.cfg
+	switch total := cfg.Run.WarmupCycles + cfg.Run.MeasureCycles; {
+	case now < 0 || ticked < 0 || ticked > now:
+		k.Fail("implausible cycle counters (now=%d ticked=%d)", now, ticked)
+	// A snapshot is only restorable into a window it lies inside: resuming
+	// exists to complete the configured run. The check also caps the trace
+	// replay (generators advance by issue count, bounded per cycle), so a
+	// corrupted cycle counter cannot drive a near-endless replay loop.
+	case now > total:
+		k.Fail("snapshot cycle %d lies past the configured %d-cycle run window", now, total)
+	case cfg.Run.ResumeFrom != 0 && cfg.Run.ResumeFrom != now:
+		k.Fail("configuration resumes from cycle %d but the snapshot was taken at cycle %d", cfg.Run.ResumeFrom, now)
 	default:
-		d.r.Fail("unknown payload tag")
-		return nil
+		return true
 	}
+	return false
 }
 
-func (d *decoder) mcPayload(mcTile int) any {
-	switch d.r.U8() {
-	case 0:
-		return nil
-	case 1:
-		p := &mcPayload{}
-		p.txn = d.txn()
-		p.age = d.r.I64()
-		p.arrival = d.r.I64()
-		p.respDst = d.r.Int()
-		if d.r.Err() == nil && (p.respDst < 0 || p.respDst >= len(d.s.nodes)) {
-			d.r.Fail("DRAM response destination %d out of range at tile %d", p.respDst, mcTile)
-		}
-		return p
-	default:
-		d.r.Fail("unknown payload tag")
-		return nil
-	}
-}
-
-// encode walks one tile in the canonical order decode mirrors.
-func (n *node) encode(e *encoder) {
-	w := e.w
-	w.U64(n.txnSeq)
-	w.Bool(n.core != nil)
-	if n.core != nil {
-		n.core.Encode(w)
-		switch src := n.core.Source().(type) {
-		case *trace.Generator:
-			w.U8(1)
-			w.U64(src.Issued())
-		case *trace.FileTrace:
-			pos, loops := src.Progress()
-			w.U8(2)
-			w.Int(pos)
-			w.I64(loops)
-		default:
-			w.Fail("tile %d runs an unsupported instruction source %T", n.id, src)
-		}
-	}
-	n.l1.Encode(w)
-	n.l2.Encode(w)
-	cache.EncodeMSHRs(w, n.l1m, func(wt int32) { w.I64(int64(wt)) })
-	cache.EncodeMSHRs(w, n.l2m, e.txn)
-
-	if n.dir != nil {
-		lines := make([]uint64, 0, len(n.dir))
-		for l := range n.dir {
-			lines = append(lines, l)
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		w.Len(len(lines))
-		for _, l := range lines {
-			w.U64(l)
-			w.U64(n.dir[l])
-		}
-	} else {
-		lines := make([]uint64, 0, len(n.dirWide))
-		for l := range n.dirWide {
-			lines = append(lines, l)
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		w.Len(len(lines))
-		for _, l := range lines {
-			w.U64(l)
-			for _, word := range n.dirWide[l] {
-				w.U64(word)
+// ref walks the intern index of *p and reports whether the body follows (the
+// pointer's first occurrence). A decode of a first occurrence stores a new
+// zero value in *p, for the caller to walk the body into.
+func ref[T any](k *snapshot.Codec, p **T, idx map[*T]uint32, table *[]*T, what string) bool {
+	var i uint32
+	if !k.Decoding() {
+		seen := true
+		if *p != nil {
+			if i, seen = idx[*p]; !seen {
+				i = uint32(len(idx) + 1)
+				idx[*p] = i
 			}
 		}
+		k.U32(&i)
+		return !seen
 	}
-
-	w.Len(len(n.inbox))
-	for _, it := range n.inbox {
-		e.pkt(it.pkt)
-		w.I64(it.at)
+	k.U32(&i)
+	switch {
+	case k.Err() != nil || i == 0:
+		*p = nil
+	case int(i) <= len(*table):
+		*p = (*table)[i-1]
+	case int(i) != len(*table)+1:
+		k.Fail("%s reference %d out of intern order", what, i)
+		*p = nil
+	default:
+		*p = new(T)
+		*table = append(*table, *p)
+		return true
 	}
-	w.Len(n.l2Queue.len())
-	for _, it := range n.l2Queue.q[n.l2Queue.head:] {
-		e.pkt(it.pkt)
-		w.I64(it.at)
-	}
-	w.Len(len(n.l2Busy))
-	for _, j := range n.l2Busy {
-		e.pkt(j.it.pkt)
-		w.I64(j.it.at)
-		w.I64(j.done)
-	}
-	w.Len(len(n.delayed))
-	for _, a := range n.delayed {
-		w.I64(a.at)
-		w.Int(int(a.slot))
-		e.txn(a.txn)
-		w.U64(a.line)
-	}
-	w.I64(n.lastCoreTick)
+	return false
 }
 
-// decode restores one tile, validating every index and cross-reference the
-// running simulator would otherwise trust blindly.
-func (n *node) decode(d *decoder) {
-	r := d.r
-	s := n.s
-	n.txnSeq = r.U64()
-	hasCore := r.Bool()
-	if r.Err() != nil {
+func (x *walker) txn(p **Txn) {
+	k := x.k
+	if !ref(k, p, x.txnIdx, &x.txns, "transaction") {
+		return
+	}
+	t := *p
+	k.U64(&t.ID)
+	k.Int(&t.Core)
+	k.U64(&t.Line)
+	k.Bool(&t.Store)
+	k.I64(&t.Birth)
+	k.I64(&t.ReqAtL2)
+	k.I64(&t.ReqAtMC)
+	k.I64(&t.MemDone)
+	k.I64(&t.RespAtL2)
+	k.I64(&t.Done)
+	k.I64(&t.AgeAtL2)
+	k.Bool(&t.OffChip)
+	k.I64(&t.SoFarAtMC)
+	k.U8((*uint8)(&t.RespPriority))
+	if k.Decoding() && k.Err() == nil && (t.Core < 0 || t.Core >= len(x.s.nodes) || t.RespPriority > noc.High) {
+		k.Fail("transaction %d has invalid core %d or priority", t.ID, t.Core)
+	}
+}
+
+func (x *walker) pkt(p **noc.Packet) {
+	if ref(x.k, p, x.pktIdx, &x.pkts, "packet") {
+		noc.WalkPacketBody(x.k, *p, len(x.s.nodes), x.payload)
+	}
+}
+
+// payloadTag walks the tag of an opaque payload: 0 for nil, 1 for a T. An
+// encode of any other type fails, and so does a decode of any other tag. It
+// returns the payload as a T, which a decode of tag 1 allocates, or nil.
+func payloadTag[T any](k *snapshot.Codec, a *any, what string) *T {
+	var tag uint8
+	v, ok := (*a).(*T)
+	if !k.Decoding() {
+		switch {
+		case ok:
+			tag = 1
+		case *a != nil:
+			k.Fail("unsupported %s payload %T", what, *a)
+			return nil
+		}
+	}
+	k.U8(&tag)
+	switch {
+	case !k.Decoding() || k.Err() != nil:
+	case tag == 0:
+		*a = nil
+	case tag == 1:
+		v = new(T)
+		*a = v
+	default:
+		k.Fail("unknown payload tag")
+		return nil
+	}
+	return v
+}
+
+// payload walks a packet's protocol message.
+func (x *walker) payload(a *any) {
+	k := x.k
+	m := payloadTag[message](k, a, "packet")
+	if m == nil {
+		return
+	}
+	k.U8((*uint8)(&m.kind))
+	if k.Decoding() && k.Err() == nil && m.kind > msgInvL2toL1 {
+		k.Fail("unknown message kind %d", m.kind)
+		return
+	}
+	x.txn(&m.txn)
+	k.U64(&m.line)
+}
+
+// mcPayload walks a DRAM request's payload at the controller on mcTile.
+func (x *walker) mcPayload(a *any, mcTile int) {
+	k := x.k
+	p := payloadTag[mcPayload](k, a, "DRAM request")
+	if p == nil {
+		return
+	}
+	x.txn(&p.txn)
+	k.I64(&p.age)
+	k.I64(&p.arrival)
+	k.Int(&p.respDst)
+	if k.Decoding() && k.Err() == nil && (p.respDst < 0 || p.respDst >= len(x.s.nodes)) {
+		k.Fail("DRAM response destination %d out of range at tile %d", p.respDst, mcTile)
+	}
+}
+
+// resize returns s with length n and every element zero, reusing its
+// capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// sortedLines returns the keys of m in ascending order.
+func sortedLines[V any](m map[uint64]V) []uint64 {
+	lines := make([]uint64, 0, len(m))
+	for l := range m {
+		lines = append(lines, l)
+	}
+	slices.Sort(lines)
+	return lines
+}
+
+// walk walks one tile, validating on decode every index and cross-reference
+// the running simulator would otherwise trust blindly.
+func (n *node) walk(x *walker) {
+	k, s := x.k, n.s
+	dec := k.Decoding()
+	k.U64(&n.txnSeq)
+	hasCore := n.core != nil
+	k.Bool(&hasCore)
+	if k.Err() != nil {
 		return
 	}
 	if hasCore != (n.core != nil) {
-		r.Fail("tile %d application placement mismatch", n.id)
+		k.Fail("tile %d application placement mismatch", n.id)
 		return
 	}
 	if n.core != nil {
-		n.core.Decode(r)
-		switch r.U8() {
-		case 1:
-			g, ok := n.core.Source().(*trace.Generator)
-			if !ok {
-				r.Fail("tile %d: snapshot expects a synthetic generator, simulator has %T", n.id, n.core.Source())
-				return
-			}
-			issued := r.U64()
-			if r.Err() != nil {
-				return
-			}
-			// The replay bound doubles as a hang guard: the core fetches at
-			// most Width instructions per cycle, so any larger count is
-			// corruption and must not drive a near-endless Advance loop.
-			limit := uint64(d.s.now+1)*uint64(s.cfg.CPU.Width) + uint64(s.cfg.CPU.WindowSize)
-			if issued < g.Issued() || issued > limit {
-				r.Fail("tile %d: trace cursor %d outside [%d,%d]", n.id, issued, g.Issued(), limit)
-				return
-			}
-			g.Advance(issued - g.Issued())
-		case 2:
-			ft, ok := n.core.Source().(*trace.FileTrace)
-			if !ok {
-				r.Fail("tile %d: snapshot expects a trace file, simulator has %T", n.id, n.core.Source())
-				return
-			}
-			pos := r.Int()
-			loops := r.I64()
-			if r.Err() != nil {
-				return
-			}
-			if err := ft.SetProgress(pos, loops); err != nil {
-				r.Fail("tile %d: %v", n.id, err)
-				return
-			}
-		default:
-			if r.Err() == nil {
-				r.Fail("tile %d: unknown instruction source tag", n.id)
-			}
+		n.core.Walk(k)
+		if n.walkSource(k); k.Err() != nil {
 			return
 		}
 	}
-	n.l1.Decode(r)
-	n.l2.Decode(r)
-	cache.DecodeMSHRs(r, n.l1m, func() int32 {
-		v := r.I64()
-		if r.Err() == nil && v != int64(noWaiter) && (v < 0 || v >= int64(s.cfg.CPU.WindowSize) || n.core == nil) {
-			r.Fail("tile %d: L1 MSHR waiter slot %d invalid", n.id, v)
+	n.l1.Walk(k)
+	n.l2.Walk(k)
+	cache.WalkMSHRs(k, n.l1m, func(slot *int32) {
+		v := int64(*slot)
+		k.I64(&v)
+		*slot = int32(v)
+		if dec && k.Err() == nil && v != int64(noWaiter) && (v < 0 || v >= int64(s.cfg.CPU.WindowSize) || n.core == nil) {
+			k.Fail("tile %d: L1 MSHR waiter slot %d invalid", n.id, v)
 		}
-		return int32(v)
 	})
-	cache.DecodeMSHRs(r, n.l2m, func() *Txn {
-		t := d.txn()
-		if r.Err() == nil && t == nil {
-			r.Fail("tile %d: nil transaction waiting on an L2 MSHR", n.id)
+	cache.WalkMSHRs(k, n.l2m, func(t **Txn) {
+		x.txn(t)
+		if dec && k.Err() == nil && *t == nil {
+			k.Fail("tile %d: nil transaction waiting on an L2 MSHR", n.id)
 		}
-		return t
 	})
-	if r.Err() != nil {
+	if n.walkDirectory(k); k.Err() != nil {
 		return
 	}
 
-	nodes := len(s.nodes)
-	if n.dir != nil {
-		nd := r.Len(16)
-		if r.Err() != nil {
+	// item walks one queued packet and its cycle.
+	item := func(it *inItem, what string) bool {
+		x.pkt(&it.pkt)
+		k.I64(&it.at)
+		switch {
+		case !dec:
+		case k.Err() != nil:
+			return false
+		case it.pkt == nil:
+			k.Fail("tile %d: nil packet in %s", n.id, what)
+			return false
+		default:
+			if _, ok := it.pkt.Payload.(*message); !ok {
+				k.Fail("tile %d: packet %d in %s carries no protocol message", n.id, it.pkt.ID, what)
+				return false
+			}
+		}
+		return true
+	}
+	ni := k.Len(len(n.inbox), 12)
+	if dec {
+		n.inbox = resize(n.inbox, ni)
+	}
+	for i := range n.inbox {
+		if !item(&n.inbox[i], "inbox") {
 			return
 		}
-		n.dir = make(map[uint64]uint64, nd)
+	}
+	nq := k.Len(n.l2Queue.len(), 12)
+	if dec {
+		n.l2Queue = itemQueue{q: resize(n.l2Queue.q, nq)}
+	}
+	for i := range nq {
+		if !item(&n.l2Queue.q[n.l2Queue.head+i], "L2 queue") {
+			return
+		}
+	}
+	nb := k.Len(len(n.l2Busy), 20)
+	if dec {
+		n.l2Busy = resize(n.l2Busy, nb)
+	}
+	for i := range n.l2Busy {
+		j := &n.l2Busy[i]
+		if !item(&j.it, "L2 pipeline") {
+			return
+		}
+		k.I64(&j.done)
+	}
+	na := k.Len(len(n.delayed), 28)
+	if dec {
+		n.delayed = resize(n.delayed, na)
+	}
+	for i := range n.delayed {
+		a := &n.delayed[i]
+		k.I64(&a.at)
+		slot := int(a.slot)
+		k.Int(&slot)
+		a.slot = int32(slot)
+		x.txn(&a.txn)
+		k.U64(&a.line)
+		if !dec {
+			continue
+		}
+		if k.Err() != nil {
+			return
+		}
+		if a.txn == nil && (n.core == nil || a.slot < 0 || int(a.slot) >= s.cfg.CPU.WindowSize) {
+			k.Fail("tile %d: delayed completion for invalid ROB slot %d", n.id, a.slot)
+			return
+		}
+	}
+	k.I64(&n.lastCoreTick)
+	if dec && k.Err() == nil && n.lastCoreTick < -1 {
+		k.Fail("tile %d: lastCoreTick %d below -1", n.id, n.lastCoreTick)
+	}
+}
+
+// walkSource walks the core's instruction source: a tag naming its kind,
+// then its position.
+func (n *node) walkSource(k *snapshot.Codec) {
+	src := n.core.Source()
+	var tag uint8
+	switch src.(type) {
+	case *trace.Generator:
+		tag = 1
+	case *trace.FileTrace:
+		tag = 2
+	default:
+		if !k.Decoding() {
+			k.Fail("tile %d runs an unsupported instruction source %T", n.id, src)
+			return
+		}
+	}
+	want := tag
+	if k.U8(&tag); k.Err() != nil {
+		return
+	}
+	if tag != want || tag == 0 {
+		switch tag {
+		case 1:
+			k.Fail("tile %d: snapshot expects a synthetic generator, simulator has %T", n.id, src)
+		case 2:
+			k.Fail("tile %d: snapshot expects a trace file, simulator has %T", n.id, src)
+		default:
+			k.Fail("tile %d: unknown instruction source tag", n.id)
+		}
+		return
+	}
+	switch src := src.(type) {
+	case *trace.Generator:
+		// The replay bound doubles as a hang guard: the core fetches at most
+		// Width instructions per cycle, so any larger count is corruption and
+		// must not drive a near-endless Advance loop.
+		cpu := n.s.cfg.CPU
+		src.Walk(k, uint64(n.s.now+1)*uint64(cpu.Width)+uint64(cpu.WindowSize))
+	case *trace.FileTrace:
+		src.Walk(k)
+	}
+}
+
+// walkDirectory walks the tile's directory bank in ascending line order:
+// one-word masks on a mesh of up to 64 tiles, wide masks beyond. A decode
+// builds a new directory and drops the free list, whose masks belong to the
+// old one.
+func (n *node) walkDirectory(k *snapshot.Codec) {
+	dec := k.Decoding()
+	nodes := len(n.s.nodes)
+	if n.dir != nil {
+		var lines []uint64
+		if !dec {
+			lines = sortedLines(n.dir)
+		}
+		nd := k.Len(len(lines), 16)
+		if k.Err() != nil {
+			return
+		}
+		if dec {
+			n.dir = make(map[uint64]uint64, nd)
+		}
 		for i := 0; i < nd; i++ {
-			line := r.U64()
-			mask := r.U64()
-			if r.Err() != nil {
+			var line, mask uint64
+			if !dec {
+				line = lines[i]
+				mask = n.dir[line]
+			}
+			k.U64(&line)
+			k.U64(&mask)
+			if !dec {
+				continue
+			}
+			if k.Err() != nil {
 				return
 			}
 			if mask == 0 || (nodes < 64 && mask>>uint(nodes) != 0) {
-				r.Fail("tile %d: directory mask %#x invalid for %d tiles", n.id, mask, nodes)
+				k.Fail("tile %d: directory mask %#x invalid for %d tiles", n.id, mask, nodes)
 				return
 			}
 			n.dir[line] = mask
 		}
-	} else {
-		words := (nodes + 63) / 64
-		nd := r.Len(8 * (1 + words))
-		if r.Err() != nil {
-			return
-		}
+		return
+	}
+	var lines []uint64
+	if !dec {
+		lines = sortedLines(n.dirWide)
+	}
+	words := (nodes + 63) / 64
+	nd := k.Len(len(lines), 8*(1+words))
+	if k.Err() != nil {
+		return
+	}
+	var slab []uint64
+	if dec {
 		n.dirWide = make(map[uint64][]uint64, nd)
 		n.dirFree = nil
-		slab := make([]uint64, nd*words) // every mask of the bank in one allocation
-		for i := 0; i < nd; i++ {
-			line := r.U64()
-			mask := slab[i*words:][:words:words]
-			zero := true
-			for wi := range mask {
-				mask[wi] = r.U64()
-				if mask[wi] != 0 {
-					zero = false
-				}
-			}
-			if r.Err() != nil {
-				return
-			}
-			if zero {
-				r.Fail("tile %d: empty wide directory mask", n.id)
-				return
-			}
-			n.dirWide[line] = mask
-		}
+		slab = make([]uint64, nd*words) // every mask of the bank in one allocation
 	}
-
-	readItem := func(what string) (inItem, bool) {
-		p := d.pkt()
-		at := r.I64()
-		if r.Err() != nil {
-			return inItem{}, false
+	for i := 0; i < nd; i++ {
+		var line uint64
+		var mask []uint64
+		if dec {
+			mask = slab[i*words:][:words:words]
+		} else {
+			line = lines[i]
+			mask = n.dirWide[line]
 		}
-		if p == nil {
-			r.Fail("tile %d: nil packet in %s", n.id, what)
-			return inItem{}, false
+		k.U64(&line)
+		zero := true
+		for wi := range mask {
+			k.U64(&mask[wi])
+			zero = zero && mask[wi] == 0
 		}
-		if _, ok := p.Payload.(*message); !ok {
-			r.Fail("tile %d: packet %d in %s carries no protocol message", n.id, p.ID, what)
-			return inItem{}, false
+		if !dec {
+			continue
 		}
-		return inItem{pkt: p, at: at}, true
-	}
-	ni := r.Len(12)
-	if r.Err() != nil {
-		return
-	}
-	n.inbox = n.inbox[:0]
-	for i := 0; i < ni; i++ {
-		it, ok := readItem("inbox")
-		if !ok {
+		if k.Err() != nil {
 			return
 		}
-		n.inbox = append(n.inbox, it)
-	}
-	nq := r.Len(12)
-	if r.Err() != nil {
-		return
-	}
-	n.l2Queue = itemQueue{q: n.l2Queue.q[:0]}
-	for i := 0; i < nq; i++ {
-		it, ok := readItem("L2 queue")
-		if !ok {
+		if zero {
+			k.Fail("tile %d: empty wide directory mask", n.id)
 			return
 		}
-		n.l2Queue.push(it)
-	}
-	nb := r.Len(20)
-	if r.Err() != nil {
-		return
-	}
-	n.l2Busy = n.l2Busy[:0]
-	for i := 0; i < nb; i++ {
-		it, ok := readItem("L2 pipeline")
-		if !ok {
-			return
-		}
-		done := r.I64()
-		if r.Err() != nil {
-			return
-		}
-		n.l2Busy = append(n.l2Busy, l2Job{it: it, done: done})
-	}
-	na := r.Len(28)
-	if r.Err() != nil {
-		return
-	}
-	n.delayed = n.delayed[:0]
-	for i := 0; i < na; i++ {
-		var a action
-		a.at = r.I64()
-		a.slot = int32(r.Int())
-		a.txn = d.txn()
-		a.line = r.U64()
-		if r.Err() != nil {
-			return
-		}
-		if a.txn == nil && (n.core == nil || a.slot < 0 || int(a.slot) >= s.cfg.CPU.WindowSize) {
-			r.Fail("tile %d: delayed completion for invalid ROB slot %d", n.id, a.slot)
-			return
-		}
-		n.delayed = append(n.delayed, a)
-	}
-	n.lastCoreTick = r.I64()
-	if r.Err() == nil && n.lastCoreTick < -1 {
-		r.Fail("tile %d: lastCoreTick %d below -1", n.id, n.lastCoreTick)
+		n.dirWide[line] = mask
 	}
 }
 
-func encodeCollector(w *snapshot.Writer, c *Collector) {
-	w.Bool(c.measuring)
-	w.Len(len(c.RoundTrip))
-	for i := range c.RoundTrip {
-		c.RoundTrip[i].Encode(w)
-		c.SoFar[i].Encode(w)
-		c.Breakdown[i].Encode(w)
-		w.I64(c.OffChip[i])
-		w.I64(c.L2Hits[i])
-		c.AvgDelay[i].Encode(w)
-	}
-	c.RetHigh.Encode(w)
-	c.RetNormal.Encode(w)
-	w.I64(c.Invalidations)
-}
-
-func decodeCollector(r *snapshot.Reader, c *Collector) {
-	c.measuring = r.Bool()
-	nt := r.Len(1)
-	if r.Err() != nil {
+// walkCollector walks the collector's per-tile and global accumulators.
+func walkCollector(k *snapshot.Codec, c *Collector) {
+	k.Bool(&c.measuring)
+	nt := k.Len(len(c.RoundTrip), 1)
+	if k.Err() != nil {
 		return
 	}
 	if nt != len(c.RoundTrip) {
-		r.Fail("collector covers %d tiles, configuration has %d", nt, len(c.RoundTrip))
+		k.Fail("collector covers %d tiles, configuration has %d", nt, len(c.RoundTrip))
 		return
 	}
 	for i := range c.RoundTrip {
-		c.RoundTrip[i].Decode(r)
-		c.SoFar[i].Decode(r)
-		c.Breakdown[i].Decode(r)
-		c.OffChip[i] = r.I64()
-		c.L2Hits[i] = r.I64()
-		c.AvgDelay[i].Decode(r)
-		if r.Err() != nil {
+		c.RoundTrip[i].Walk(k)
+		c.SoFar[i].Walk(k)
+		c.Breakdown[i].Walk(k)
+		k.I64(&c.OffChip[i])
+		k.I64(&c.L2Hits[i])
+		c.AvgDelay[i].Walk(k)
+		if k.Err() != nil {
 			return
 		}
 	}
-	c.RetHigh.Decode(r)
-	c.RetNormal.Decode(r)
-	c.Invalidations = r.I64()
+	c.RetHigh.Walk(k)
+	c.RetNormal.Walk(k)
+	k.I64(&c.Invalidations)
 }

@@ -281,8 +281,8 @@ func TestCheckpointForksAcrossSchemes(t *testing.T) {
 	// The reverse direction: a snapshot that carries both scheme blocks
 	// restores into the schemes-off machine by skipping them. Restore
 	// refuses an image with bytes left over, and the collector and the idle
-	// series sit behind the blocks, so core.SkipScheme1/2 out of step with
-	// Encode cannot pass here.
+	// series sit behind the blocks, so a scheme walk that decodes into a
+	// zero scheme out of step with its encode cannot pass here.
 	schemes.Run.CheckpointAt = schemes.Run.WarmupCycles
 	snap, _, tagged := takeSnapshot(t, schemes, apps, false, 1)
 	if tagged.S1Checked == 0 || tagged.S2Checked == 0 {

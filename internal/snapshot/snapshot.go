@@ -1,6 +1,7 @@
 // Package snapshot provides the low-level primitives of the simulator's
 // checkpoint format: a versioned, deterministic little-endian binary
-// encoding with sticky-error writers and bounded, fuzz-safe readers.
+// encoding with sticky-error writers, bounded, fuzz-safe readers, and the
+// Codec that every piece of simulator state walks to be written or read.
 //
 // The format is deliberately dumb: fixed-width integers, length-prefixed
 // slices, and nothing self-describing. Determinism is a format requirement,
@@ -9,6 +10,20 @@
 // in first-encounter order), because the round-trip test asserts
 // serialize→restore→serialize byte-stability and the runner keys warmup
 // snapshots by content-derived cache keys.
+//
+// Each substrate states its part of the format once, as a Walk over a Codec
+// (cache.Cache.Walk, noc.Network.WalkState, sim's walker, ...): the same
+// sequence of field calls encodes when the Codec wraps a Writer and decodes
+// when it wraps a Reader, so the two sides cannot drift apart. Code that
+// belongs to one side only is guarded by Codec.Decoding. Decode-only:
+// validating every decoded index and count (each failure an ErrFormat),
+// rebuilding derived state, refilling rings from slot 0 and looking up
+// intern indices. Encode-only: settling sleeping tiles and deferred credits,
+// sorting map keys, numbering interned pointers, and writing the fixed-width
+// records the live state no longer holds (a cache's 64-bit LRU stamps, a
+// histogram's zero buckets past the stored prefix). Array-shaped state (a
+// cache's lines) keeps a one-shot path on each side: Writer.Reserve and
+// Reader.Next.
 package snapshot
 
 import (
@@ -25,8 +40,9 @@ import (
 const Magic = "NOCSNAP1"
 
 // Version is the checkpoint format version this binary reads and writes.
-// Bump it on ANY change to the encoding walk, then regenerate the golden
-// file under internal/sim/testdata (see TestCheckpointGolden).
+// Bump it on ANY change to the encoding walk — the field calls of any Walk
+// over a Codec, or their order — then regenerate the golden file under
+// internal/sim/testdata (see TestCheckpointGolden).
 //
 // Version 2: snapshots became partition-agnostic. The header's structural
 // key no longer encodes the stepping layout (the worker count),

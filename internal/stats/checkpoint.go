@@ -2,46 +2,43 @@ package stats
 
 import "nocmem/internal/snapshot"
 
-// Encode serializes the histogram. The shape (width, bucket count) is part
-// of the image so Decode can reject snapshots taken under a different
-// configuration. All n buckets are written, the zeros past the stored
-// prefix included.
-func (h *Histogram) Encode(w *snapshot.Writer) {
-	w.I64(h.width)
-	w.Len(h.n)
-	for _, b := range h.buckets {
-		w.I64(b)
-	}
-	for range h.n - len(h.buckets) {
-		w.I64(0)
-	}
-	w.I64(h.count)
-	w.I64(h.sum)
-	w.I64(h.min)
-	w.I64(h.max)
-}
-
-// Decode restores the histogram in place. The encoded shape must match h's.
-// Only the buckets up to the last non-zero one are kept.
-func (h *Histogram) Decode(r *snapshot.Reader) {
-	width := r.I64()
-	buckets := r.I64s()
-	if r.Err() != nil {
+// Walk encodes or decodes the histogram. The shape (width, bucket count) is
+// part of the image so a decode can reject snapshots taken under a different
+// configuration. The image holds all n buckets, the zeros past the stored
+// prefix included; a decode restores in place and keeps only the buckets up
+// to the last non-zero one.
+func (h *Histogram) Walk(k *snapshot.Codec) {
+	width := h.width
+	k.I64(&width)
+	n := k.Len(h.n, 8)
+	if k.Err() != nil {
 		return
 	}
-	if width != h.width || len(buckets) != h.n {
-		r.Fail("histogram shape mismatch: snapshot %dx%d, config %dx%d",
-			width, len(buckets), h.width, h.n)
+	if width != h.width || n != h.n {
+		k.Fail("histogram shape mismatch: snapshot %dx%d, config %dx%d",
+			width, n, h.width, h.n)
 		return
 	}
-	h.count = r.I64()
-	h.sum = r.I64()
-	h.min = r.I64()
-	h.max = r.I64()
+	buckets := h.buckets
+	if k.Decoding() {
+		buckets = make([]int64, n)
+	}
+	k.I64Array(buckets)
+	var zero int64
+	for range n - len(buckets) { // the encoder's padding
+		k.I64(&zero)
+	}
+	k.I64(&h.count)
+	k.I64(&h.sum)
+	k.I64(&h.min)
+	k.I64(&h.max)
+	if !k.Decoding() || k.Err() != nil {
+		return
+	}
 	used := 0
 	for i, b := range buckets {
 		if b < 0 {
-			r.Fail("negative histogram bucket")
+			k.Fail("negative histogram bucket")
 			return
 		}
 		if b != 0 {
@@ -50,7 +47,7 @@ func (h *Histogram) Decode(r *snapshot.Reader) {
 	}
 	h.buckets = prefix(buckets, used)
 	if h.count < 0 {
-		r.Fail("negative histogram count")
+		k.Fail("negative histogram count")
 	}
 }
 
@@ -69,95 +66,75 @@ func prefix[T any](s []T, m int) []T {
 	return t
 }
 
-// Encode serializes the running mean.
-func (m *RunningMean) Encode(w *snapshot.Writer) {
-	w.I64(m.n)
-	w.F64(m.sum)
-}
-
-// Decode restores the running mean in place.
-func (m *RunningMean) Decode(r *snapshot.Reader) {
-	m.n = r.I64()
-	m.sum = r.F64()
-	if m.n < 0 {
-		r.Fail("negative running-mean count")
+// Walk encodes or decodes the running mean.
+func (m *RunningMean) Walk(k *snapshot.Codec) {
+	k.I64(&m.n)
+	k.F64(&m.sum)
+	if k.Decoding() && m.n < 0 {
+		k.Fail("negative running-mean count")
 	}
 }
 
-// Encode serializes the breakdown: all n ranges, the zeros past the stored
-// prefix included.
-func (b *Breakdown) Encode(w *snapshot.Writer) {
-	w.I64(b.width)
-	w.Len(b.n)
-	for i := 0; i < b.n; i++ {
-		var rg bdRange
-		if i < len(b.ranges) {
-			rg = b.ranges[i]
-		}
-		w.I64(rg.count)
-		for _, v := range rg.sums {
-			w.I64(v)
-		}
-	}
-	for l := 0; l < int(NumLegs); l++ {
-		w.I64(b.overall[l])
-	}
-	w.I64(b.total)
-}
-
-// Decode restores the breakdown in place. The encoded shape must match b's.
-// Only the ranges up to the last non-zero one are kept.
-func (b *Breakdown) Decode(r *snapshot.Reader) {
-	width := r.I64()
-	n := r.Len(rangeBytes)
-	if r.Err() != nil {
+// Walk encodes or decodes the breakdown: all n ranges, the zeros past the
+// stored prefix included. A decode restores in place and keeps only the
+// ranges up to the last non-zero one.
+func (b *Breakdown) Walk(k *snapshot.Codec) {
+	width := b.width
+	k.I64(&width)
+	n := k.Len(b.n, rangeBytes)
+	if k.Err() != nil {
 		return
 	}
 	if width != b.width || n != b.n {
-		r.Fail("breakdown shape mismatch: snapshot %dx%d, config %dx%d",
+		k.Fail("breakdown shape mismatch: snapshot %dx%d, config %dx%d",
 			width, n, b.width, b.n)
 		return
 	}
-	ranges := make([]bdRange, n)
-	used := 0
+	ranges := b.ranges
+	if k.Decoding() {
+		ranges = make([]bdRange, n)
+	}
 	for i := range ranges {
-		rg := &ranges[i]
-		rg.count = r.I64()
-		for l := range rg.sums {
-			rg.sums[l] = r.I64()
-		}
-		if *rg != (bdRange{}) {
-			used = i + 1
-		}
+		ranges[i].walk(k)
 	}
-	b.ranges = prefix(ranges, used)
-	for l := 0; l < int(NumLegs); l++ {
-		b.overall[l] = r.I64()
+	var zero bdRange
+	for range n - len(ranges) { // the encoder's padding
+		zero.walk(k)
 	}
-	b.total = r.I64()
+	if k.Decoding() {
+		used := 0
+		for i := range ranges {
+			if ranges[i] != (bdRange{}) {
+				used = i + 1
+			}
+		}
+		b.ranges = prefix(ranges, used)
+	}
+	k.I64Array(b.overall[:])
+	k.I64(&b.total)
 }
 
-// Encode serializes the series.
-func (s *Series) Encode(w *snapshot.Writer) {
-	w.I64(s.interval)
-	w.F64s(s.sums)
-	w.I64s(s.counts)
+func (rg *bdRange) walk(k *snapshot.Codec) {
+	k.I64(&rg.count)
+	k.I64Array(rg.sums[:])
 }
 
-// Decode restores the series in place, keeping its configured interval.
-func (s *Series) Decode(r *snapshot.Reader) {
-	interval := r.I64()
-	sums := r.F64s()
-	counts := r.I64s()
-	if r.Err() != nil {
+// Walk encodes or decodes the series; a decode keeps the configured
+// interval.
+func (s *Series) Walk(k *snapshot.Codec) {
+	interval, sums, counts := s.interval, s.sums, s.counts
+	k.I64(&interval)
+	k.F64s(&sums)
+	k.I64s(&counts)
+	if !k.Decoding() || k.Err() != nil {
 		return
 	}
 	if interval != s.interval {
-		r.Fail("series interval mismatch: snapshot %d, config %d", interval, s.interval)
+		k.Fail("series interval mismatch: snapshot %d, config %d", interval, s.interval)
 		return
 	}
 	if len(sums) != len(counts) {
-		r.Fail("series arrays disagree: %d sums, %d counts", len(sums), len(counts))
+		k.Fail("series arrays disagree: %d sums, %d counts", len(sums), len(counts))
 		return
 	}
 	s.sums = sums

@@ -48,11 +48,11 @@ func TestDecodeRejects(t *testing.T) {
 		{"series_arrays", func() codec { s := series(); s.sums = append(s.sums, 1); return s }(), NewSeries(1000), "series arrays disagree"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rd, err := snapshot.NewReaderBytes(encodeBytes(t, tc.src.Encode))
+			rd, err := snapshot.NewReaderBytes(encodeBytes(t, encoderOf(tc.src)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.dst.Decode(rd)
+			tc.dst.Walk(snapshot.DecodeFrom(rd))
 			if err := rd.Err(); !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("decode returned %v, want an ErrFormat mentioning %q", err, tc.want)
 			}

@@ -250,8 +250,12 @@ func encodeBytes(t *testing.T, enc func(*snapshot.Writer)) []byte {
 
 // codec is what Histogram and Breakdown share with the checkpoint.
 type codec interface {
-	Encode(*snapshot.Writer)
-	Decode(*snapshot.Reader)
+	Walk(*snapshot.Codec)
+}
+
+// encoderOf adapts x's walk to encodeBytes.
+func encoderOf(x codec) func(*snapshot.Writer) {
+	return func(w *snapshot.Writer) { x.Walk(snapshot.EncodeTo(w)) }
 }
 
 // decode restores x from img, failing the test on any decode error.
@@ -261,7 +265,7 @@ func decode(t *testing.T, img []byte, x codec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.Decode(rd)
+	x.Walk(snapshot.DecodeFrom(rd))
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +335,7 @@ func (p histPair) check(t *testing.T, what string) {
 			t.Fatalf("%s: fraction above %d = %v, reference %v", what, x, got, want)
 		}
 	}
-	if got, want := encodeBytes(t, h.Encode), encodeBytes(t, ref.Encode); !bytes.Equal(got, want) {
+	if got, want := encodeBytes(t, encoderOf(h)), encodeBytes(t, ref.Encode); !bytes.Equal(got, want) {
 		t.Fatalf("%s: Encode differs from the reference's (%d vs %d bytes)", what, len(got), len(want))
 	}
 }
@@ -345,7 +349,7 @@ func (p bdPair) check(t *testing.T, what string) {
 	if got, want := b.Rows(), ref.Rows(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: rows %v, reference %v", what, got, want)
 	}
-	if got, want := encodeBytes(t, b.Encode), encodeBytes(t, ref.Encode); !bytes.Equal(got, want) {
+	if got, want := encodeBytes(t, encoderOf(b)), encodeBytes(t, ref.Encode); !bytes.Equal(got, want) {
 		t.Fatalf("%s: Encode differs from the reference's (%d vs %d bytes)", what, len(got), len(want))
 	}
 }
@@ -474,7 +478,7 @@ func TestGrownStorage(t *testing.T) {
 	} {
 		img := encodeBytes(t, tc.enc)
 		decode(t, img, tc.fresh)
-		if got := encodeBytes(t, tc.fresh.Encode); !bytes.Equal(got, img) {
+		if got := encodeBytes(t, encoderOf(tc.fresh)); !bytes.Equal(got, img) {
 			t.Errorf("hand-built image re-encodes differently (%d vs %d bytes)", len(got), len(img))
 		}
 	}

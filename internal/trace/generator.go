@@ -101,9 +101,6 @@ type coldStream struct {
 	burstLeft int
 }
 
-// Issued returns the number of instructions generated so far.
-func (g *Generator) Issued() uint64 { return g.issued }
-
 // Next produces the next instruction of the stream.
 func (g *Generator) Next() Instr {
 	g.issued++
