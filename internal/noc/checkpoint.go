@@ -54,7 +54,8 @@ func walkFlit(k *snapshot.Codec, f *flit, pktRef func(**Packet)) {
 	f.seq = int32(seq) // in range: Packet.Validate bounds NumFlits
 }
 
-// walkBit walks one bit of *flags as a bool.
+// walkBit walks one bit of *flags as a bool; a decode sets it in flags that
+// start clear.
 func walkBit(k *snapshot.Codec, flags *uint8, bit uint8) {
 	set := *flags&bit != 0
 	k.Bool(&set)

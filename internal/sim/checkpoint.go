@@ -193,9 +193,9 @@ func (x *walker) walk() {
 	}
 	// Historical shard-count field, kept so the format (and the pinned golden
 	// image) stays stable. Always 1: the stepping partition is not simulator
-	// state — snapshots restore under any worker count. A decode no longer
-	// matches it against the restoring configuration, but an implausible
-	// value still means corruption.
+	// state — snapshots restore under any worker count. A decode does not
+	// match it against the restoring configuration, but an implausible value
+	// means corruption.
 	shards := 1
 	k.Int(&shards)
 	if k.Err() == nil && (shards < 1 || shards > config.MaxMeshTiles) {
@@ -219,9 +219,7 @@ func (x *walker) walk() {
 	k.I64(&now)
 	k.I64(&ticked)
 	if k.Decoding() && k.Err() == nil {
-		if !x.cycles(now, ticked) {
-			return
-		}
+		x.checkCycles(now, ticked)
 		s.now, s.ticked = now, ticked
 	}
 	if k.Err() != nil {
@@ -289,9 +287,9 @@ func (x *walker) walk() {
 	}
 }
 
-// cycles validates a decoded cycle position against the restoring
+// checkCycles validates a decoded cycle position against the restoring
 // configuration.
-func (x *walker) cycles(now, ticked int64) bool {
+func (x *walker) checkCycles(now, ticked int64) {
 	k, cfg := x.k, x.s.cfg
 	switch total := cfg.Run.WarmupCycles + cfg.Run.MeasureCycles; {
 	case now < 0 || ticked < 0 || ticked > now:
@@ -304,10 +302,7 @@ func (x *walker) cycles(now, ticked int64) bool {
 		k.Fail("snapshot cycle %d lies past the configured %d-cycle run window", now, total)
 	case cfg.Run.ResumeFrom != 0 && cfg.Run.ResumeFrom != now:
 		k.Fail("configuration resumes from cycle %d but the snapshot was taken at cycle %d", cfg.Run.ResumeFrom, now)
-	default:
-		return true
 	}
-	return false
 }
 
 // ref walks the intern index of *p and reports whether the body follows (the
