@@ -125,6 +125,7 @@ profile:
 # 32-bit LRU stamps renumbered at the clock's wrap, and a dirty bitset: 15 999.
 # Latency histograms grown on demand, job GC swept once per JobTTL/10: 16 093.
 # Job polls by results cursor and long poll, released by a drain: 16 259.
+# One walk per checkpoint substrate over snapshot.Codec: 16 211.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

@@ -721,6 +721,22 @@ func TestRestoreErrors(t *testing.T) {
 		s.Step(3_000)
 		return checkpointBytes(t, s)
 	}
+	// header patches the image's header: the key, the shard-count field at
+	// shards, the application count at napps, then the names and the cycle
+	// counters at now.
+	header := func(fix func(d []byte, shards, napps, now int)) func() []byte {
+		return func() []byte {
+			d := bytes.Clone(snap)
+			shards := len(snapshot.Magic) + 4 + 4 + len(cfg.SnapshotKey())
+			now := shards + 8 + 4
+			for _, p := range apps {
+				now += 4 + len(p.Name)
+			}
+			fix(d, shards, shards+8, now)
+			return d
+		}
+	}
+	total := cfg.Run.WarmupCycles + cfg.Run.MeasureCycles
 	wide := smallConfig()
 	wide.Mesh.Width, wide.Mesh.Height = 16, 16
 	wide.L1.SizeBytes = 8 << 10
@@ -809,6 +825,37 @@ func TestRestoreErrors(t *testing.T) {
 			wantSub: "truncated",
 		},
 		// One field at a time, each refused where it is read.
+		{
+			name:    "shard_count",
+			data:    header(func(d []byte, shards, _, _ int) { binary.LittleEndian.PutUint64(d[shards:], 0) }),
+			wantSub: "implausible shard count",
+		},
+		{
+			name:    "application_count",
+			data:    header(func(d []byte, _, napps, _ int) { binary.LittleEndian.PutUint32(d[napps:], uint32(len(apps)+1)) }),
+			wantSub: "application slots",
+		},
+		{
+			name: "ticked_past_now",
+			data: header(func(d []byte, _, _, now int) {
+				binary.LittleEndian.PutUint64(d[now+8:], binary.LittleEndian.Uint64(d[now:])+1)
+			}),
+			wantSub: "implausible cycle counters",
+		},
+		{
+			name: "cycle_past_window",
+			data: header(func(d []byte, _, _, now int) {
+				binary.LittleEndian.PutUint64(d[now:], uint64(total+1))
+			}),
+			wantSub: "past the configured",
+		},
+		{
+			name: "idle_series_count",
+			data: corrupt(func(s *Simulator) {
+				s.idleSeries = append(s.idleSeries, s.idleSeries[0])
+			}),
+			wantSub: "idle-series streams",
+		},
 		{
 			name: "txn_intern_order",
 			data: patch(func(s *Simulator) { anyTxn(s).ID = sentinel }, func(d []byte, at int) {
