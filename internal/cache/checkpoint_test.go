@@ -33,7 +33,7 @@ func TestDecodeRejects(t *testing.T) {
 		return func(r *snapshot.Reader) { c.Walk(snapshot.DecodeFrom(r)) }
 	}
 	filled := New(8<<10, 64, 4)
-	filled.Access(0x1000, true)
+	filled.Fill(0x1000, true)
 	for _, tc := range []struct {
 		name string
 		enc  func(*snapshot.Writer)
