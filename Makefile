@@ -36,11 +36,15 @@ race:
 
 # The checkpoint correctness oracles on their own, under the race detector:
 # warmup-then-fork must reproduce the straight-through run byte for byte
-# under every stepper, and a checkpoint must survive a serialize-restore-
-# serialize round trip unchanged. Runs ahead of the full `race` suite (which
-# also includes them) so snapshot-format breakage fails CI within a minute.
+# under every stepper, a checkpoint must survive a serialize-restore-
+# serialize round trip unchanged, and a threshold sweep's shared prefix
+# (RunToPush, forkrun's prefix slot and the points that wait on it) must give
+# every point the bytes of its own warm fork. Runs ahead of the full `race`
+# suite (which also includes them) so snapshot-format breakage fails CI
+# within a minute or two.
 fork-race:
-	$(GO) test -race -run 'TestCheckpointForkEquivalence|TestCheckpointRoundTrip' ./internal/sim
+	$(GO) test -race -run 'TestCheckpointForkEquivalence|TestCheckpointRoundTrip|TestRunToPush' ./internal/sim
+	$(GO) test -race -run 'TestThresholdPrefix|TestPrefix' ./internal/forkrun
 
 # The daemon's job poll and the client's Wait under the race detector, twenty
 # times over: a held poll sleeps on a per-job channel that every event,
@@ -126,6 +130,7 @@ profile:
 # Latency histograms grown on demand, job GC swept once per JobTTL/10: 16 093.
 # Job polls by results cursor and long poll, released by a drain: 16 259.
 # One walk per checkpoint substrate over snapshot.Codec: 16 211.
+# Threshold sweeps share their prefix; the run cache keeps summary bytes: 16 422.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

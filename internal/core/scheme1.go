@@ -96,6 +96,19 @@ func (s *Scheme1) Tick(now int64) {
 	}
 }
 
+// HasData reports whether some application has completed a round trip. A
+// push publishes a measured threshold, and so reads ThresholdFactor, exactly
+// when this holds at its cycle; every earlier push leaves the seed thresholds
+// in place.
+func (s *Scheme1) HasData() bool {
+	for _, n := range s.n {
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // NextPush returns the cycle of the next periodic threshold push; Tick is a
 // no-op on every earlier cycle.
 func (s *Scheme1) NextPush() int64 { return s.nextPush }

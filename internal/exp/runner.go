@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -177,11 +178,13 @@ func (r *Runner) SetSnapshotStore(st forkrun.SnapshotStore) {
 	r.forks.SetStore(st)
 }
 
-// runEntry is one singleflight cache slot: done is closed when res/err are
-// final.
+// runEntry is one singleflight cache slot: done is closed when res, sum and
+// err are final. A run that RunSummary started keeps only its summary bytes
+// (res is nil); one that RunConfig started keeps its Result (sum is nil).
 type runEntry struct {
 	done chan struct{}
 	res  *sim.Result
+	sum  []byte
 	err  error
 }
 
@@ -232,23 +235,62 @@ func RunKey(cfg config.Config, label string) string {
 // included). The same singleflight cache and worker semaphore as the figure
 // helpers apply, so concurrent identical requests — even from different
 // clients — execute exactly one simulation.
+//
+// A run that RunSummary started holds no Result: RunConfig executes such a key
+// afresh, uncached, as Execute does.
 func (r *Runner) RunConfig(cfg config.Config, apps []trace.Profile, label string) (*sim.Result, error) {
+	e, hit := r.entry(cfg, label)
+	if !hit {
+		e.res, e.err = r.Execute(cfg, apps, label)
+		close(e.done)
+		return e.res, e.err
+	}
+	if e.res == nil && e.err == nil {
+		return r.Execute(cfg, apps, label)
+	}
+	r.reqs.Add(1)
+	r.hits.Add(1)
+	return e.res, e.err
+}
+
+// RunSummary is RunConfig for callers that need only the run's canonical
+// summary JSON, the bytes the simulation daemon stores and serves: the run
+// cache keeps those few kilobytes for the runner's life instead of the
+// Result, whose collector and per-tile statistics are ten times larger.
+func (r *Runner) RunSummary(cfg config.Config, apps []trace.Profile, label string) ([]byte, error) {
+	e, hit := r.entry(cfg, label)
+	if hit {
+		r.reqs.Add(1)
+		r.hits.Add(1)
+		if e.err != nil || e.sum != nil {
+			return e.sum, e.err
+		}
+		return json.Marshal(e.res.Summary())
+	}
+	res, err := r.Execute(cfg, apps, label)
+	if err == nil {
+		e.sum, err = json.Marshal(res.Summary())
+	}
+	e.err = err
+	close(e.done)
+	return e.sum, e.err
+}
+
+// entry returns the singleflight slot of (cfg, label): a finished one, once
+// its run is done, with hit set; otherwise a new one that the caller must fill
+// and close.
+func (r *Runner) entry(cfg config.Config, label string) (e *runEntry, hit bool) {
 	key := RunKey(cfg, label)
 	r.mu.Lock()
 	if e, ok := r.runs[key]; ok {
 		r.mu.Unlock()
-		r.reqs.Add(1)
 		<-e.done
-		r.hits.Add(1)
-		return e.res, e.err
+		return e, true
 	}
-	e := &runEntry{done: make(chan struct{})}
+	e = &runEntry{done: make(chan struct{})}
 	r.runs[key] = e
 	r.mu.Unlock()
-
-	e.res, e.err = r.Execute(cfg, apps, label)
-	close(e.done)
-	return e.res, e.err
+	return e, false
 }
 
 // Execute performs one fresh simulation of a fully-specified configuration

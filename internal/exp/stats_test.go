@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"nocmem/internal/config"
+	"nocmem/internal/par"
 	"nocmem/internal/trace"
 )
 
@@ -127,5 +130,61 @@ func TestSpeedupsRequestCounts(t *testing.T) {
 		if st := r.Stats(); st.Runs != 72 || st.Executed != 36 || st.CacheHits != 36 {
 			t.Errorf("Parallelism %d, second call: runs=%d executed=%d hits=%d, want 72/36/36", width, st.Runs, st.Executed, st.CacheHits)
 		}
+	}
+}
+
+// TestRunSummaryKeepsBytes pins the daemon's path through the run cache:
+// concurrent RunSummary requests of one key execute once and share the
+// summary bytes, the slot keeps those bytes and no Result, and a key that the
+// other entry point started is served across — a RunConfig key's Result is
+// summarised on a RunSummary hit, and a RunSummary key, which has no Result,
+// is executed afresh by RunConfig — with the same bytes and honest counts.
+func TestRunSummaryKeepsBytes(t *testing.T) {
+	grid := statsGrid()[:2]
+	apps := []trace.Profile{trace.MustLookup("milc")}
+	r := NewRunner(Options{Parallelism: 2})
+
+	sums := make([][]byte, 4)
+	g := par.NewGroup(len(sums))
+	for i := range sums {
+		g.Go(func() (err error) {
+			sums[i], err = r.RunSummary(grid[0], apps, "milc")
+			return err
+		})
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sums {
+		if !bytes.Equal(sums[i], sums[0]) {
+			t.Fatalf("request %d read other bytes", i)
+		}
+	}
+	if st := r.Stats(); st.Runs != 4 || st.Executed != 1 || st.CacheHits != 3 {
+		t.Errorf("runs=%d executed=%d hits=%d, want 4/1/3", st.Runs, st.Executed, st.CacheHits)
+	}
+	if e := r.runs[RunKey(grid[0], "milc")]; e.res != nil || !bytes.Equal(e.sum, sums[0]) {
+		t.Error("the run cache keeps a Result, or not the summary bytes, for a RunSummary key")
+	}
+
+	res, err := r.RunConfig(grid[0], apps, "milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(res.Summary()); !bytes.Equal(got, sums[0]) {
+		t.Error("RunConfig of a RunSummary key differs from its bytes")
+	}
+	if _, err := r.RunConfig(grid[1], apps, "milc"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.RunSummary(grid[1], apps, "milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.Marshal(r.runs[RunKey(grid[1], "milc")].res.Summary()); !bytes.Equal(got, want) {
+		t.Error("RunSummary of a RunConfig key differs from its Result's summary")
+	}
+	if st := r.Stats(); st.Runs != 7 || st.Executed != 3 || st.CacheHits != 4 {
+		t.Errorf("runs=%d executed=%d hits=%d, want 7/3/4", st.Runs, st.Executed, st.CacheHits)
 	}
 }

@@ -15,6 +15,13 @@
 // touching the substrate (mesh, caches, DRAM timing, seed, ...) forms its own
 // group.
 //
+// A threshold sweep shares more than the warmup. Its points differ only in
+// Scheme-1's ThresholdFactor, which nothing reads before the first threshold
+// push with data, so the cycles up to that push are common to all of them
+// too: the sweep's second consecutive point checkpoints there, and the rest
+// restore that image instead of the warm one (see prefix). Unlike the warmup,
+// this prefix is exact: each point's bytes are those of its own forked run.
+//
 // The trade-off: a forked run warms up under the baseline policy even when
 // it measures a scheme, so its results can differ slightly from a cold run
 // whose warmup already had the scheme enabled. Measurement statistics are
@@ -82,9 +89,10 @@ type entry struct {
 // Cache is safe for concurrent use. Concurrent runs needing the same
 // snapshot wait for the first requester's warmup instead of repeating it.
 type Cache struct {
-	mu    sync.Mutex
-	snaps map[string]*entry
-	store SnapshotStore
+	mu       sync.Mutex
+	snaps    map[string]*entry
+	prefixes map[string]*prefix // by warm key; see prefix
+	store    SnapshotStore
 
 	warmups, forked, memHits, diskHits, evictions atomic.Int64
 }
@@ -135,7 +143,8 @@ func (c *Cache) Snapshots() int {
 
 // Run executes cfg's full warmup+measurement window over apps (one profile
 // per tile) and returns the measurement results, sharing the warmup with
-// every other compatible configuration. Runs with no warmup, or that manage
+// every other compatible configuration, and a threshold sweep's prefix with
+// the sweep's other points (see prefix). Runs with no warmup, or that manage
 // checkpoints themselves via Run.CheckpointAt/ResumeFrom, fall back to a
 // plain cold run.
 func (c *Cache) Run(cfg config.Config, apps []trace.Profile) (*sim.Result, error) {
@@ -146,14 +155,37 @@ func (c *Cache) Run(cfg config.Config, apps []trace.Profile) (*sim.Result, error
 		}
 		return s.Run(), nil
 	}
+	key := Key(cfg, apps)
+	p, build := c.prefixFor(key, group(cfg))
+	if build {
+		return c.buildPrefix(cfg, apps, key, p)
+	}
+	if p != nil {
+		if <-p.done; p.img != nil {
+			s, err := c.fork(cfg, apps, p.img, p.at)
+			if err != nil {
+				return nil, fmt.Errorf("forkrun: restoring threshold-sweep prefix: %w", err)
+			}
+			return s.Run(), nil
+		}
+		// The build failed: run as if the slot had never been asked for.
+	}
+	s, err := c.restoreWarm(cfg, apps, key)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(), nil
+}
+
+// restoreWarm restores the warm image of cfg's group (key) into cfg's
+// simulator, positioned at the warmup boundary.
+func (c *Cache) restoreWarm(cfg config.Config, apps []trace.Profile, key string) (*sim.Simulator, error) {
 	for attempt := 0; ; attempt++ {
-		snap, fromStore, err := c.snapshot(cfg, apps)
+		snap, fromStore, err := c.snapshot(cfg, apps, key)
 		if err != nil {
 			return nil, fmt.Errorf("forkrun: warmup snapshot: %w", err)
 		}
-		rcfg := cfg
-		rcfg.Run.ResumeFrom = cfg.Run.WarmupCycles
-		s, err := sim.RestoreImage(rcfg, apps, snap)
+		s, err := c.fork(cfg, apps, snap, cfg.Run.WarmupCycles)
 		if err != nil {
 			// A store image passed the header check but failed the full
 			// decode (bit rot past the CRC's reach should be impossible, a
@@ -161,21 +193,108 @@ func (c *Cache) Run(cfg config.Config, apps []trace.Profile) (*sim.Result, error
 			// once with a fresh warmup. A snapshot produced by this process
 			// failing to restore is a real bug — surface it.
 			if fromStore && attempt == 0 {
-				c.evict(cfg, apps)
+				c.evict(key)
 				continue
 			}
 			return nil, fmt.Errorf("forkrun: restoring warmup snapshot: %w", err)
 		}
-		c.forked.Add(1)
-		return s.Run(), nil
+		return s, nil
 	}
 }
 
+// fork restores img, taken at cycle at, into cfg's simulator.
+func (c *Cache) fork(cfg config.Config, apps []trace.Profile, img []byte, at int64) (*sim.Simulator, error) {
+	cfg.Run.ResumeFrom = at
+	s, err := sim.RestoreImage(cfg, apps, img)
+	if err == nil {
+		c.forked.Add(1)
+	}
+	return s, err
+}
+
+// prefix is the shared prefix of a threshold sweep: the points of one warm
+// group that differ only in S1.ThresholdFactor. The factor is read by one
+// thing only, a Scheme-1 push that publishes a measured average, and a fork
+// starts Scheme-1 with no data, so every such point executes the same cycles
+// from the warmup boundary W up to D, the first push with data
+// (sim.Simulator.RunToPush). The slot holds the image at D; a point restored
+// from it simulates only D to the window's end.
+//
+// A Cache keeps at most one slot per warm key, in memory, for the group that
+// asked last, and builds it on that group's second consecutive request: a
+// single point of a group costs no image, and a request from another group
+// drops the slot, so points of interleaved groups (a policy grid in shuffled
+// order) never hold more than the warm images do. Building on every miss
+// rebuilt the slot before it was reused on such a grid, and keeping every
+// group's slot held a second image per group.
+type prefix struct {
+	group string
+	// done is nil until the group's second consecutive request takes the
+	// build, and closed once img and at are final; img is nil when the build
+	// failed.
+	done chan struct{}
+	img  []byte
+	at   int64
+}
+
+// group keys the points that may share a prefix within one warm key: cfg's
+// Key with the factor zeroed and the stepping layout normalised (images are
+// partition-agnostic).
+func group(cfg config.Config) string {
+	cfg.S1.ThresholdFactor = 0
+	cfg.Run.Shards, cfg.Run.NoSteal = 0, false
+	return cfg.Key()
+}
+
+// prefixFor records a request of group g under warm key key and returns the
+// group's slot: nil for the group's first consecutive request, which runs from
+// the warm image, and otherwise the slot to wait on, or to fill when build is
+// set.
+func (c *Cache) prefixFor(key, g string) (p *prefix, build bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p = c.prefixes[key]
+	switch {
+	case p == nil || p.group != g:
+		if c.prefixes == nil {
+			c.prefixes = make(map[string]*prefix)
+		}
+		c.prefixes[key] = &prefix{group: g}
+		return nil, false
+	case p.done == nil:
+		p.done = make(chan struct{})
+		return p, true
+	}
+	return p, false
+}
+
+// buildPrefix runs cfg from the warm image, publishing the image at D in p
+// on the way, and returns cfg's own result. A failed build drops the slot, so
+// its waiters and the group's next request run from the warm image.
+func (c *Cache) buildPrefix(cfg config.Config, apps []trace.Profile, key string, p *prefix) (*sim.Result, error) {
+	s, err := c.restoreWarm(cfg, apps, key)
+	if err == nil {
+		p.at = s.RunToPush()
+		p.img, err = exactImage(s)
+	}
+	if err != nil {
+		c.mu.Lock()
+		if c.prefixes[key] == p {
+			delete(c.prefixes, key)
+		}
+		c.mu.Unlock()
+	}
+	close(p.done)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(), nil
+}
+
 // snapshot returns (producing at most once per key) the warmed checkpoint
-// image for cfg's group, reporting whether it came from the persistent
+// image for cfg's group, key, reporting whether it came from the persistent
 // store.
-func (c *Cache) snapshot(cfg config.Config, apps []trace.Profile) ([]byte, bool, error) {
-	key := Key(cfg, apps)
+func (c *Cache) snapshot(cfg config.Config, apps []trace.Profile, key string) ([]byte, bool, error) {
 	c.mu.Lock()
 	if c.snaps == nil {
 		c.snaps = make(map[string]*entry)
@@ -253,8 +372,7 @@ func exactImage(s *sim.Simulator) ([]byte, error) {
 
 // evict drops a poisoned snapshot from the in-memory cache and the
 // persistent store, so the next requester re-executes the warmup.
-func (c *Cache) evict(cfg config.Config, apps []trace.Profile) {
-	key := Key(cfg, apps)
+func (c *Cache) evict(key string) {
 	c.mu.Lock()
 	delete(c.snaps, key)
 	st := c.store

@@ -140,29 +140,70 @@ func (s *Simulator) RunWithCheckpoint(sink io.Writer) (*Result, error) {
 	ck := s.cfg.Run.CheckpointAt
 	start := s.now
 	doCk := sink != nil && ck > start && ck <= total
-	stepTo := func(target int64) {
-		if target > s.now {
-			s.Step(target - s.now)
-		}
-	}
 	if doCk && ck <= warm {
-		stepTo(ck)
+		s.stepTo(ck)
 		if err := s.Checkpoint(sink); err != nil {
 			return nil, err
 		}
 	}
 	if warm >= start {
-		stepTo(warm)
+		s.stepTo(warm)
 		s.resetStats()
 	}
 	if doCk && ck > warm {
-		stepTo(ck)
+		s.stepTo(ck)
 		if err := s.Checkpoint(sink); err != nil {
 			return nil, err
 		}
 	}
-	stepTo(total)
+	s.stepTo(total)
 	return s.results(), nil
+}
+
+// RunToPush executes the configured window like RunWithCheckpoint, from the
+// current cycle, and stops before D, the first cycle whose Scheme-1 threshold
+// push will publish a measured average (core.Scheme1.HasData). That push is
+// the first read of S1.ThresholdFactor, so every cycle before D is the same
+// under any factor: a checkpoint taken at D, restored with Run.ResumeFrom = D
+// into a configuration that differs only in the factor, and Run to the end
+// reproduces that configuration's own run byte for byte. RunToPush returns D,
+// or the window's end when no push in the window has data (Scheme-1 off
+// included); the run is then shared whole. The statistics reset at the
+// warmup boundary happens on the way unless D lies at or before it, in which
+// case the resumed Run replays it.
+func (s *Simulator) RunToPush() int64 {
+	warm := s.cfg.Run.WarmupCycles
+	total := warm + s.cfg.Run.MeasureCycles
+	s1 := s.pol.S1
+	reset := warm >= s.now
+	for {
+		d := total
+		if s1 != nil {
+			// A push overdue at a restored cycle happens at that cycle.
+			d = min(d, max(s1.NextPush(), s.now))
+		}
+		publishes := func() bool { return d == total || s1.HasData() }
+		if reset && warm <= d {
+			s.stepTo(warm)
+			if warm == d && publishes() {
+				return d
+			}
+			s.resetStats()
+			reset = false
+		}
+		s.stepTo(d)
+		if publishes() {
+			return d
+		}
+		s.Step(1) // a push without data: it changes nothing the factor reads
+	}
+}
+
+// stepTo steps up to cycle target, if it lies ahead.
+func (s *Simulator) stepTo(target int64) {
+	if target > s.now {
+		s.Step(target - s.now)
+	}
 }
 
 // walker is one pass of the checkpoint walk over a simulator, encoding or

@@ -1188,3 +1188,86 @@ func TestRunWithCheckpointPlacement(t *testing.T) {
 		}
 	}
 }
+
+// TestRunToPushForksAnyFactor: a simulator stopped by RunToPush sits before
+// the first Scheme-1 push with data, so its image forks into every
+// ThresholdFactor. Each fork, restored at D and run to the end, must equal
+// the cold run of its own factor, and so must the stopped simulator run on —
+// with D before, at and after the warmup boundary, and at the window's end
+// when no push falls inside it.
+func TestRunToPushForksAnyFactor(t *testing.T) {
+	base := smallConfig().WithSchemes(true, true)
+	base.Run.WarmupCycles, base.Run.MeasureCycles = 2_000, 4_000
+	apps := fillApps(base, "mcf", 6)
+	total := base.Run.WarmupCycles + base.Run.MeasureCycles
+	withFactor := func(cfg config.Config, f float64) config.Config {
+		cfg.S1.ThresholdFactor = f
+		return cfg
+	}
+	cold := func(cfg config.Config) ([]byte, *Result) {
+		t.Helper()
+		s, err := New(cfg, apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultJSON(t, s.Run())
+	}
+	for _, tc := range []struct {
+		name   string
+		period int64
+		wantD  int64
+	}{
+		{"before_warmup", 1_000, 1_000},
+		{"at_warmup", 2_000, 2_000},
+		{"after_warmup", 3_000, 3_000},
+		{"no_push", total, total},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			cfg.S1.UpdatePeriod = tc.period
+			s, err := New(withFactor(cfg, 1.2), apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := s.RunToPush()
+			if d != tc.wantD {
+				t.Fatalf("RunToPush stopped at %d, want %d", d, tc.wantD)
+			}
+			img := checkpointBytes(t, s)
+			got, _ := resultJSON(t, s.Run())
+			if want, _ := cold(withFactor(cfg, 1.2)); !bytes.Equal(got, want) {
+				t.Error("the stopped simulator run on differs from its cold run")
+			}
+			var thresholds [][]int64
+			for _, f := range []float64{0.5, 3.0} {
+				for _, shards := range []int{1, 2} {
+					member := withFactor(cfg, f)
+					member.Run.Shards, member.Run.ResumeFrom = shards, d
+					r, err := RestoreImage(member, apps, img)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, res := resultJSON(t, r.Run())
+					want, ref := cold(member)
+					if !bytes.Equal(got, want) || !reflect.DeepEqual(res.S1Thresholds, ref.S1Thresholds) {
+						t.Errorf("factor %v, %d shard(s): fork at %d differs from the cold run", f, shards, d)
+					}
+					thresholds = append(thresholds, res.S1Thresholds)
+				}
+			}
+			if d < total && reflect.DeepEqual(thresholds[0], thresholds[len(thresholds)-1]) {
+				t.Error("the factors publish the same thresholds: the check cannot tell them apart")
+			}
+		})
+	}
+}
+
+// resultJSON is res's summary JSON, and res.
+func resultJSON(t *testing.T, res *Result) ([]byte, *Result) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := res.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes(), res
+}

@@ -70,7 +70,8 @@ func ResolveSpec(sp RunSpec) (ResolvedSpec, error) {
 // closed-form analytic estimate when rp.Estimate is set, a (possibly cached
 // or forked) simulation otherwise. Returns the canonical summary JSON —
 // the bytes every execution path (local daemon, remote worker, direct
-// runner) must agree on for a given key.
+// runner) must agree on for a given key. The runner's cache keeps these
+// bytes, not the run's Result.
 func ExecuteSpec(runner *exp.Runner, rp ResolvedSpec) ([]byte, error) {
 	if rp.Estimate {
 		est, err := analytic.Predict(rp.Cfg, rp.Apps)
@@ -79,9 +80,5 @@ func ExecuteSpec(runner *exp.Runner, rp ResolvedSpec) ([]byte, error) {
 		}
 		return json.Marshal(est.Summary())
 	}
-	res, err := runner.RunConfig(rp.Cfg, rp.Apps, rp.Label)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(res.Summary())
+	return runner.RunSummary(rp.Cfg, rp.Apps, rp.Label)
 }
