@@ -4,8 +4,9 @@
 # pass over the nested benchmark module (which the root `go build ./...` does
 # not see), a few iterations of the router and cache micro-benchmarks
 # (`kernel-bench`), five seconds of each fuzz target (`fuzz-smoke`), the
-# checkpoint fork-equivalence oracle and the job long poll under the race
-# detector (fast fail, `fork-race` and `poll-race`), the full test suite under the race detector (every byte-equality oracle lives there: dense = event = sharded on the 16-tile
+# checkpoint fork-equivalence oracle, the event stepper's equivalence oracles
+# and the job long poll under the race detector (fast fail, `fork-race`,
+# `sched-race` and `poll-race`), the full test suite under the race detector (every byte-equality oracle lives there: dense = event = sharded on the 16-tile
 # machine and the paper's 4x8 mesh, the skewed-hotspot and barrier stress
 # oracles, the analytic model's golden cross-checks, the fractional allocation
 # gates, the daemon's multi-client harness, every figure at quick windows
@@ -18,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race dark fork-race poll-race bench-module kernel-bench fuzz-smoke results-check profile loc ci
+.PHONY: all build vet test race dark fork-race sched-race poll-race bench-module kernel-bench fuzz-smoke results-check profile loc ci
 
 all: build
 
@@ -45,6 +46,16 @@ race:
 fork-race:
 	$(GO) test -race -run 'TestCheckpointForkEquivalence|TestCheckpointRoundTrip|TestRunToPush' ./internal/sim
 	$(GO) test -race -run 'TestThresholdPrefix|TestPrefix' ./internal/forkrun
+
+# The event stepper's byte-equality oracles on their own, under the race
+# detector: dense = event = sharded (2, 3, 4 and 8 workers) on the
+# equivalence workloads, on MSHR-exhausted blocked stalls and on the skewed
+# hotspot, plus the idle machine's cycle cost. Every cycle of the sharded
+# driver goes through its serial section (cycleHead, run by the barrier's last
+# arriver), so a race there fails here within minutes, ahead of the full
+# `race` suite (which also includes these tests).
+sched-race:
+	$(GO) test -race -run 'TestEventDenseEquivalence|TestBlockedStallEquivalence|TestSkewedHotspotEquivalence|TestIdleCyclesAreCheap' ./internal/sim
 
 # The daemon's job poll and the client's Wait under the race detector, twenty
 # times over: a held poll sleeps on a per-job channel that every event,
@@ -131,7 +142,8 @@ profile:
 # Job polls by results cursor and long poll, released by a drain: 16 259.
 # One walk per checkpoint substrate over snapshot.Codec: 16 211.
 # Threshold sweeps share their prefix; the run cache keeps summary bytes: 16 422.
+# The clock never jumps: the quiescence fast-forward and its bookkeeping deleted: 16 200.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
-ci: vet build dark bench-module kernel-bench fuzz-smoke fork-race poll-race race results-check
+ci: vet build dark bench-module kernel-bench fuzz-smoke fork-race sched-race poll-race race results-check

@@ -34,15 +34,6 @@ func (s Set) Remove(i int) { s[i>>6] &^= 1 << uint(i&63) }
 // Has reports whether i is present.
 func (s Set) Has(i int) bool { return s[i>>6]&(1<<uint(i&63)) != 0 }
 
-// Empty reports whether no element is present.
-func (s Set) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // Clear removes every element.
 func (s Set) Clear() {

@@ -10,7 +10,7 @@ func TestSetBasics(t *testing.T) {
 	if len(s) != 4 {
 		t.Fatalf("256-element set has %d words, want 4", len(s))
 	}
-	if !s.Empty() || s.Count() != 0 {
+	if s.Count() != 0 {
 		t.Fatal("fresh set not empty")
 	}
 	// Exercise both sides of every word boundary — exactly the indices the
@@ -24,7 +24,7 @@ func TestSetBasics(t *testing.T) {
 			t.Fatalf("Has(%d) false after Add", i)
 		}
 	}
-	if s.Empty() || s.Count() != 9 {
+	if s.Count() != 9 {
 		t.Fatalf("Count = %d, want 9", s.Count())
 	}
 	s.Remove(64)
@@ -37,7 +37,7 @@ func TestSetBasics(t *testing.T) {
 		t.Fatalf("double Add changed Count to %d", s.Count())
 	}
 	s.Clear()
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatal("Clear left elements behind")
 	}
 }

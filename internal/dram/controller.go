@@ -103,11 +103,8 @@ type Controller struct {
 	nextSample  int64
 	idleSeries  func(cycle int64, avgIdle float64)
 
-	// ticks counts Tick invocations; ffTicks counts the subset made by
-	// FastForward. The split lets benchmarks show how much controller work
-	// the write-drain fast-forward absorbs without executing global cycles.
-	ticks   int64
-	ffTicks int64
+	// ticks counts Tick invocations (DebugTicks).
+	ticks int64
 }
 
 // NewController builds a channel controller. onComplete is invoked from Tick
@@ -256,58 +253,8 @@ func (c *Controller) NextWake(now int64) (wake int64, ok bool) {
 	return wake, true
 }
 
-// FastForwardable reports whether the controller's remaining work is pure
-// write drain (or pure idleness): no read queued or in flight at any bank.
-// Writes complete without external effect — the MC node merely recycles the
-// request, no response packet is born — so a writes-only controller can have
-// its timeline replayed in isolation. Any read disqualifies, because its
-// completion injects a packet that must happen during a real network cycle.
-func (c *Controller) FastForwardable() bool {
-	for i := range c.banks {
-		b := &c.banks[i]
-		if len(b.reads) > 0 {
-			return false
-		}
-		if b.inFlight != nil && !b.inFlight.IsWrite {
-			return false
-		}
-	}
-	return true
-}
-
-// FastForward applies every internally-timed controller event strictly after
-// now and strictly before the given horizon, by ticking at exactly the cycles
-// the event scheduler would have executed (the NextWake chain: write-drain
-// issues and completions, refreshes, idleness samples). The drain tail is
-// thereby folded into one call — byte-identical to per-cycle stepping by the
-// NextWake exactness contract — and the return value is the first deadline at
-// or past the horizon, ready to be re-armed as the controller's next wake.
-// The caller must ensure nothing is enqueued over the window (the simulator
-// only fast-forwards when every other component is provably quiescent until
-// before) and should check FastForwardable first.
-func (c *Controller) FastForward(now, before int64) int64 {
-	cur := now
-	for {
-		t, ok := c.NextWake(cur)
-		if !ok {
-			// Work became issuable at cur itself. Unreachable after a Tick
-			// (each bank issues or stays busy), but a correct resume point.
-			return cur + 1
-		}
-		if t >= before {
-			return t
-		}
-		c.Tick(t)
-		c.ffTicks++
-		cur = t
-	}
-}
-
-// DebugTicks returns how many times Tick ran in total and how many of those
-// runs the write-drain fast-forward absorbed.
-func (c *Controller) DebugTicks() (total, fastForwarded int64) {
-	return c.ticks, c.ffTicks
-}
+// DebugTicks returns how many times Tick ran.
+func (c *Controller) DebugTicks() int64 { return c.ticks }
 
 // frfcfsPick returns the scheduling choice within one queue under the
 // configured policy. For FR-FCFS: the oldest row-buffer hit, or the oldest

@@ -94,11 +94,8 @@ type netShard struct {
 
 	// ticked is the last cycle TickShard ran (-1 before the first), the
 	// horizon up to which deferred credits are settled when router state is
-	// read. creditAt is the latest cycle on which a credit falls due at a
-	// router left asleep (creditReturned): the cycle must still execute, so
-	// QuietTarget does not let the clock jump over it.
-	ticked   int64
-	creditAt int64
+	// read.
+	ticked int64
 
 	// drainMin is DrainShard's per-phase scratch: the minimum pending
 	// deadline per sleeping destination router, so a router fed by several
@@ -229,7 +226,7 @@ func (n *Network) SetPartition(shardOf []int) {
 	shards := make([]*netShard, k)
 	for i := range shards {
 		shards[i] = &netShard{id: i, active: bitset.New(len(n.routers)), wakes: timerwheel.New[int32](),
-			ticked: -1, creditAt: -1}
+			ticked: -1}
 	}
 	for id := range n.routers {
 		r := &n.routers[id]
@@ -339,40 +336,15 @@ func (n *Network) wakeAt(r *router, at, now int64) {
 // own VA and SA stages, and those run after the tick has banked every
 // credit due — so banking it late, at the next execution or when the state is
 // read (settleCredits), leaves no trace. The dense sweep's tick for it is
-// counted as elided; the cycle is still marked to execute (netShard.creditAt).
-// A clock-divided router whose next edge lies further out keeps a timed wake.
+// counted as elided. A clock-divided router whose next edge lies further out
+// keeps a timed wake.
 func (n *Network) creditReturned(up *router, now int64) {
 	if !n.eventDriven || up.sh.active.Has(up.id) {
 		return
 	}
-	if at := up.wakeAlign(now + 1); at == now+1 {
-		up.sh.creditAt = at
-	} else {
+	if at := up.wakeAlign(now + 1); at != now+1 {
 		up.sh.wakes.Push(at, int32(up.id))
 	}
-}
-
-// QuietTarget reports whether every router is quiet at now — all active sets
-// empty, no timed wake due and no deferred credit falling due — and, when
-// quiet, the earliest pending router wake (math.MaxInt64 when none), for the
-// simulator's quiescence fast-forward. A due wake (head at <= now) means the
-// cycle must execute so TickShard can drain it. Only meaningful in
-// event-driven mode, between cycles (after all shards drained).
-func (n *Network) QuietTarget(now int64) (next int64, quiet bool) {
-	next = math.MaxInt64
-	for _, sh := range n.shards {
-		if !sh.active.Empty() || sh.creditAt >= now {
-			return 0, false
-		}
-		if at, ok := sh.wakes.Min(); ok {
-			if at <= now {
-				return 0, false
-			} else if at < next {
-				next = at
-			}
-		}
-	}
-	return next, true
 }
 
 // Nodes returns the number of tiles.
@@ -492,9 +464,9 @@ func (n *Network) TickShard(shard int, now int64) {
 // before its work is due. Wakes are batched across the whole drain — a
 // router fed by several boundary queues this phase gets one wheel push at
 // the minimum deadline, not one per queue. A credit due on the receiver's
-// next cycle takes no part in that: as in creditReturned it marks the cycle,
-// not the router. Must be called by this shard's worker, after the barrier
-// that ends the tick phase.
+// next cycle takes no part in that: as in creditReturned it wakes nobody.
+// Must be called by this shard's worker, after the barrier that ends the
+// tick phase.
 func (n *Network) DrainShard(shard int) {
 	sh := n.shards[shard]
 	sh.drainMin = sh.drainMin[:0]
@@ -513,7 +485,6 @@ func (n *Network) DrainShard(shard int) {
 				// it.at is the producing cycle plus one: aligned, it is the
 				// receiver's next cycle.
 				if at = r.wakeAlign(at); at == it.at {
-					sh.creditAt = at
 					continue
 				}
 			}

@@ -365,8 +365,8 @@ func (r *router) wakeAlign(at int64) int64 {
 // A pending credit wakes nothing when its clock edge is the next cycle: a
 // router without pipeline work has no flit waiting on it, so banking it can
 // wait until the router next executes (Network.creditReturned has the
-// argument). The cycle itself is still marked to execute. Only a credit due
-// on a later edge — a clock-divided router's — keeps its timed wake.
+// argument). Only a credit due on a later edge — a clock-divided router's —
+// keeps its timed wake.
 func (r *router) nextWake(now int64) (at int64, ok bool) {
 	if r.pipelineWork() {
 		// Nothing can beat the next aligned cycle: every credit/arrival
@@ -378,9 +378,7 @@ func (r *router) nextWake(now int64) (at int64, ok bool) {
 	at = math.MaxInt64
 	for k := 0; k < r.cr.len(); k++ {
 		switch w := r.wakeAlign(r.cr.at(k).at); {
-		case w <= now: // its cycle has passed: banked at the next execution
-		case w == now+1:
-			r.sh.creditAt = w
+		case w <= now+1: // banked at the next execution
 		case w < at:
 			at = w
 		}

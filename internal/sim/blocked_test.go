@@ -70,32 +70,28 @@ func TestBlockedStallEquivalence(t *testing.T) {
 		return s
 	}
 	// blocked reports whether, between cycles, some core sleeps on a refused
-	// fetch and the bank sleeps with every pipeline job refused.
+	// fetch and the bank sleeps with every pipeline job refused: the tile is
+	// out of the active set, and refused.
+	asleep := func(n *node) bool { return !n.sh.nodeActive.Has(n.id) }
 	blocked := func(s *Simulator) bool {
 		coreBlocked := false
 		for _, tile := range coreTiles {
 			n := s.nodes[tile]
-			coreBlocked = coreBlocked || (n.blocked && n.core.Refused())
+			coreBlocked = coreBlocked || (asleep(n) && n.core.Refused())
 		}
 		b := s.nodes[bank]
-		return coreBlocked && b.blocked && b.l2Refused > 0 && b.l2Refused == len(b.l2Busy)
+		return coreBlocked && asleep(b) && b.l2Refused > 0 && b.l2Refused == len(b.l2Busy)
 	}
 
 	// Find the boundary: a cycle after some bursts at which the event stepper
 	// has both kinds asleep and has been skipping their ticks for a while.
-	// Blocked sleepers hold the clock: a cycle that starts with them asleep
-	// executes, it is not fast-forwarded over.
 	probe := build(false, 1)
 	probe.Step(4_000)
 	for run := 0; run < 5; {
 		if probe.Now() > 12_000 {
 			t.Fatal("no cycle with a refused core and a blocked bank asleep: the workload exhausts too little")
 		}
-		held, ticked := blocked(probe), probe.ticked
 		probe.Step(1)
-		if held && probe.ticked != ticked+1 {
-			t.Fatalf("cycle %d was skipped while tiles slept resource-blocked", probe.Now()-1)
-		}
 		if blocked(probe) {
 			run++
 		} else {
@@ -160,9 +156,6 @@ func TestBlockedStallEquivalence(t *testing.T) {
 	sharded := run(false, 2, -1)
 	same("event", dense, event)
 	same("sharded_2", dense, sharded)
-	if got := sharded.sim.DebugTickedCycles(); got != event.sim.DebugTickedCycles() {
-		t.Errorf("sharded stepper executed %d cycles, sequential event stepper %d", got, event.sim.DebugTickedCycles())
-	}
 	if !bytes.Equal(dense.snap, event.snap) {
 		t.Errorf("checkpoint taken while blocked differs from the dense stepper's (%d vs %d bytes)", len(event.snap), len(dense.snap))
 	}

@@ -103,10 +103,6 @@ type node struct {
 	// cycle is the span of elided ticks replayed in closed form (replay).
 	lastCoreTick int64
 
-	// blocked marks a tile asleep on a resource (blocked bank, refused core)
-	// rather than on a deadline; see trySleep.
-	blocked bool
-
 	// elidedStalls and elidedPolls count what the resource-blocked sleep
 	// spared: core ticks of a fetch the LSQ or the L1 MSHRs refused, and L2
 	// job retries the MSHR table was bound to refuse. Pure measurement
@@ -469,10 +465,6 @@ func (n *node) catchUp(now int64) {
 		n.replay(k)
 	}
 	n.lastCoreTick = now - 1
-	if n.blocked {
-		n.blocked = false
-		n.sh.blocked--
-	}
 }
 
 // replay accounts the k cycles after lastCoreTick, which the tile slept

@@ -14,9 +14,10 @@ import (
 //   - A component with only future-dated work sleeps and registers a timed
 //     wake for its earliest deadline; external events (packet delivery, a
 //     request enqueue, a flit hand-off) re-activate their target directly.
-//   - When every set is empty, no packet is in flight and the policy has no
-//     push due, the simulator fast-forwards now to the earliest timed wake
-//     in O(1) instead of sweeping O(tiles) empty cycles.
+//   - The clock never jumps: every cycle executes, at the cost of what is
+//     active in it, so a globally idle stretch pays only the loop's own
+//     per-cycle overhead. The loaded mixes the paper evaluates have no such
+//     stretch (docs/ARCHITECTURE.md, "The clock never jumps").
 //
 // The single invariant that makes this byte-identical to the dense stepper:
 // effects happen only when due, wakes may be spurious but never missing. A
@@ -99,90 +100,6 @@ func (s *Simulator) stepDense(cycles int64) {
 	}
 }
 
-// quietTarget reports whether the whole system is quiescent at now — no
-// active or resource-blocked component, no wake or policy push due — and if
-// so, the cycle to fast-forward to: the earliest future deadline, capped at
-// end. A due wake (head at <= now) means the cycle must execute; phaseFront
-// (and TickShard, for router wakes) drains it into the active sets. Routers
-// contribute their own wake horizon: a router waiting only on future-dated
-// arrivals or credit returns no longer blocks fast-forward, it merely bounds
-// how far it may jump.
-func (s *Simulator) quietTarget(now, end int64) (int64, bool) {
-	routerNext, quiet := s.net.QuietTarget(now)
-	if !quiet {
-		return 0, false
-	}
-	next := end
-	if routerNext < next {
-		next = routerNext
-	}
-	mcNext := int64(math.MaxInt64)
-	for _, sh := range s.shards {
-		if !sh.nodeActive.Empty() || !sh.mcActive.Empty() || sh.blocked > 0 {
-			return 0, false
-		}
-		if at, ok := sh.nodeWakes.Min(); ok {
-			if at <= now {
-				return 0, false
-			} else if at < next {
-				next = at
-			}
-		}
-		if at, ok := sh.mcWakes.Min(); ok {
-			if at <= now {
-				return 0, false
-			} else if at < mcNext {
-				mcNext = at
-			}
-		}
-	}
-	if s.polNext < next {
-		next = s.polNext
-	}
-	if mcNext < next {
-		// The only deadlines before next are memory-controller-internal. A
-		// controller's exact wake is at most one sample period out
-		// (dram.Controller samples idleness every 100 cycles), so a long
-		// write-drain or idle tail would otherwise cap every jump at ~100
-		// cycles. When every controller's remaining work is externally
-		// inert — draining writes or pure idleness — replay their timelines
-		// up to next right here instead of executing cycles for them.
-		if !s.tryDrainFastForward(now, next) {
-			next = mcNext
-		}
-	}
-	if next <= now { // cannot happen (all deadlines are future); guard anyway
-		next = now + 1
-	}
-	return next, true
-}
-
-// tryDrainFastForward advances every memory controller through its internal
-// events in (now, next) — write-drain issues/completions, refreshes, idleness
-// samples — without executing simulator cycles, re-arming each controller's
-// timed wake at its first deadline >= next. Only legal when the rest of the
-// system is quiescent until next (nothing can enqueue mid-window) and every
-// controller is FastForwardable (no read anywhere: write completions recycle
-// the request without any external effect, so the replay is invisible outside
-// the controller). Runs in the serial section under sharded stepping, so
-// touching foreign shards' wheels is safe. Reports false, changing nothing,
-// when some controller holds a read.
-func (s *Simulator) tryDrainFastForward(now, next int64) bool {
-	for _, mc := range s.mcs {
-		if !mc.ctl.FastForwardable() {
-			return false
-		}
-	}
-	for _, sh := range s.shards {
-		sh.mcWakes.Reset()
-	}
-	for _, mc := range s.mcs {
-		at := mc.ctl.FastForward(now, next)
-		mc.sh.mcWakes.Push(at, int32(mc.idx))
-	}
-	return true
-}
-
 // stepEvent is the event-driven scheduler. Within an executed cycle the
 // phase order is identical to stepDense (policy, MCs, node front-ends,
 // network, cores), and active components of each class are ticked in
@@ -198,35 +115,28 @@ func (s *Simulator) stepEvent(cycles int64) {
 	}
 	sh := s.shards[0]
 	for s.now < end {
-		if now, exec := s.cycleHead(end); exec {
-			sh.phaseFront(now)
-			sh.phaseBack(now)
-		}
+		now := s.cycleHead()
+		sh.phaseFront(now)
+		sh.phaseBack(now)
 	}
 }
 
 // cycleHead is the serial head of one cycle of the event-driven scheduler,
 // shared by the sequential loop above and the parallel driver's serial
-// section (cycleSerial): the policy ticks when due, then either the whole
-// system is quiescent and the clock fast-forwards to the next deadline
-// (capped at end; exec is false and no phase runs), or cycle now is counted
-// as executed and the caller runs its two phases. The clock advances before
-// the phases run; within the cycle every code path receives the executing
-// cycle as a parameter (node.issue reads it from lastCoreTick), so nothing
-// observes the early advance.
-func (s *Simulator) cycleHead(end int64) (now int64, exec bool) {
+// section (cycleSerial): the policy ticks when due, cycle now is counted as
+// executed and the clock advances; the caller then runs the cycle's two
+// phases. Within the cycle every code path receives the executing cycle as a
+// parameter (node.issue reads it from lastCoreTick), so nothing observes the
+// early advance.
+func (s *Simulator) cycleHead() (now int64) {
 	now = s.now
 	if now >= s.polNext {
 		s.pol.Tick(now)
 		s.polNext = s.pol.NextWake()
 	}
-	if next, quiet := s.quietTarget(now, end); quiet {
-		s.now = next
-		return now, false
-	}
 	s.ticked++
 	s.now = now + 1
-	return now, true
+	return now
 }
 
 // settle brings every sleeping tile up to the current cycle — the elided
@@ -263,12 +173,6 @@ func (s *Simulator) settle() {
 // and a fill reaches the tile through its inbox, whose delivery wakes it; so
 // a blocked bank contributes no deadline of its own. replay accounts the
 // retries when the tile next runs or is observed.
-//
-// A resource-blocked sleeper still holds the global clock (simShard.blocked): the
-// cycles it sleeps through execute, as they did when such a tile stayed in
-// the active set, so DebugTickedCycles keeps meaning "cycles in which some
-// component was busy or blocked" and fast-forward only skips cycles in which
-// nothing waits on anything.
 func (n *node) trySleep(now int64) {
 	if n.l2Queue.len() > 0 {
 		return
@@ -281,11 +185,8 @@ func (n *node) trySleep(now int64) {
 			wakeAt = at
 		}
 	}
-	onResource := false
-	if len(n.l2Busy) > 0 {
-		if n.l2Refused == len(n.l2Busy) {
-			onResource = true
-		} else if d := n.l2Busy[0].done; d <= now {
+	if len(n.l2Busy) > n.l2Refused { // some job was not refused: the bank is not blocked
+		if d := n.l2Busy[0].done; d <= now {
 			return
 		} else if d < wakeAt {
 			wakeAt = d
@@ -306,9 +207,6 @@ func (n *node) trySleep(now int64) {
 		if cw < wakeAt {
 			wakeAt = cw
 		}
-		if n.core.WindowOccupancy() < n.s.cfg.CPU.WindowSize {
-			onResource = true
-		}
 	}
 	if wakeAt <= now+1 {
 		return // due next cycle: staying active beats a wheel round trip
@@ -316,10 +214,6 @@ func (n *node) trySleep(now int64) {
 	n.sh.nodeActive.Remove(n.id)
 	if wakeAt != math.MaxInt64 {
 		n.sh.nodeWakes.Push(wakeAt, int32(n.id))
-	}
-	if onResource {
-		n.blocked = true
-		n.sh.blocked++
 	}
 }
 
@@ -336,21 +230,18 @@ func (m *mcNode) trySleep(now int64) {
 }
 
 // DebugTickedCycles returns the number of cycles the event-driven scheduler
-// actually executed (as opposed to fast-forwarded over); used by tests to
-// prove quiescent stretches are skipped.
+// executed: every cycle it stepped, since the clock never jumps. Zero under
+// the dense stepper.
 func (s *Simulator) DebugTickedCycles() int64 { return s.ticked }
 
-// DebugDRAMTicks sums the controllers' Tick invocations: total, and the
-// subset absorbed by the write-drain fast-forward (executed without a
-// surrounding simulator cycle). Tests and benchmarks use the split to prove
-// drain tails are replayed instead of stepped.
-func (s *Simulator) DebugDRAMTicks() (total, fastForwarded int64) {
+// DebugDRAMTicks sums the controllers' Tick invocations. The second result is
+// always 0: it counted Ticks a clock jump absorbed, and the repository
+// benchmark still reads it (dram.ff_frac).
+func (s *Simulator) DebugDRAMTicks() (total, absorbed int64) {
 	for _, mc := range s.mcs {
-		t, ff := mc.ctl.DebugTicks()
-		total += t
-		fastForwarded += ff
+		total += mc.ctl.DebugTicks()
 	}
-	return total, fastForwarded
+	return total, 0
 }
 
 // QuiesceCheck verifies that no work is pending anywhere outside the cores:

@@ -15,7 +15,7 @@ import (
 // chunk per worker (see partition.go), stepped by Run.Shards worker
 // goroutines. A cycle runs in two phases separated by barriers:
 //
-//	barrier (serial: policy tick, quiescence fast-forward, cycle advance)
+//	barrier (serial: end check, policy tick, cycle advance)
 //	phaseFront: MC ticks, node front-ends, network tick   — per chunk
 //	barrier
 //	phaseBack: boundary drain, cores, sleep bookkeeping   — per chunk
@@ -42,20 +42,14 @@ type simShard struct {
 
 	// Event-driven scheduler state, shard-local (see sched.go): active sets
 	// index by global node id / controller idx, but only owned members'
-	// bits are ever set. Timed wakes live in two timing wheels keyed by the
-	// component index — separate wheels so quietTarget can read the
-	// controller horizon alone when deciding a DRAM write-drain
-	// fast-forward. Wakes are never cancelled; stale ones cause a harmless
-	// spurious tick.
+	// bits are ever set. Timed wakes live in two timing wheels, one per
+	// component class, whose values are the node id and the controller idx.
+	// Wakes are never cancelled; stale ones cause a harmless spurious tick.
 	nodeActive bitset.Set
 	mcActive   bitset.Set
 	nodeWakes  *timerwheel.Wheel[int32]
 	mcWakes    *timerwheel.Wheel[int32]
 	wakeBuf    []timerwheel.Due[int32] // reused PopDue delivery buffer
-
-	// blocked counts owned tiles asleep resource-blocked (node.blocked).
-	// While it is nonzero the clock does not fast-forward; see node.trySleep.
-	blocked int
 
 	// col accumulates measurements for events executed by this shard; a
 	// tile-indexed entry may be written by a foreign shard's collector copy
@@ -179,7 +173,6 @@ type stepPar struct {
 	bar   *par.Barrier
 	end   int64
 	stop  bool  // end reached: workers return
-	skip  bool  // this round fast-forwarded; no phases to run
 	cycle int64 // the cycle the phases execute
 }
 
@@ -200,17 +193,13 @@ func (s *Simulator) stepSharded(end int64) {
 }
 
 // shardWorker is worker w's cycle loop over shard w. All workers observe the
-// same serial-section decisions each round, so they take identical branches
-// and exit together.
+// same serial-section decision each round, so they exit together.
 func (s *Simulator) shardWorker(w int) {
 	sh := s.shards[w]
 	for {
 		s.par.bar.Wait(s.cycleSerial)
 		if s.par.stop {
 			return
-		}
-		if s.par.skip {
-			continue
 		}
 		c := s.par.cycle
 		sh.phaseFront(c)
@@ -227,7 +216,5 @@ func (s *Simulator) cycleSerial() {
 		s.par.stop = true
 		return
 	}
-	now, exec := s.cycleHead(s.par.end)
-	s.par.skip = !exec
-	s.par.cycle = now
+	s.par.cycle = s.cycleHead()
 }

@@ -41,7 +41,8 @@ type Simulator struct {
 
 	// Event-driven scheduler state (see sched.go): dense selects the
 	// reference stepper instead, polNext is the next cycle the policy has
-	// work, and ticked counts executed (not fast-forwarded) cycles.
+	// work, and ticked counts the cycles the event stepper executed: every
+	// cycle it stepped. It is checkpointed, so a restored run keeps counting.
 	dense   bool
 	polNext int64
 	ticked  int64

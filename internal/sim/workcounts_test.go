@@ -73,9 +73,10 @@ func workWindows(t *testing.T) []struct {
 
 // TestWorkCountersGolden pins, beside every timed shape of the repository
 // benchmark, the exact work the simulator does on it: executed cycles, per
-// router tick calls, executions and credit-only elisions, DRAM ticks and
-// fast-forwards, the resource-blocked elisions, the summed cache counters and
-// the summary's digest. A change that only makes the host faster leaves every
+// router tick calls, executions and credit-only elisions, DRAM ticks (beside
+// DebugDRAMTicks' second result, always 0 since the clock stopped jumping),
+// the resource-blocked elisions, the summed cache counters and the summary's
+// digest. A change that only makes the host faster leaves every
 // line of testdata/workcounts.txt alone; one that loses a wake, a credit or a
 // tag moves some line even where the summary happens to agree. Regenerate only
 // in a change that means to alter simulated work:
