@@ -55,7 +55,7 @@ func NewGenerator(p Profile, coreID int, lineBytes int, seed int64) (*Generator,
 	base := (uint64(coreID) + 1) << 36
 	g := &Generator{
 		p:         p,
-		rng:       rand.New(rand.NewSource(seed ^ int64(uint64(coreID+1)*0x9e3779b97f4a7c15>>1))),
+		rng:       rand.New(rand.NewSource(coreSeed(seed, coreID))),
 		lineBytes: uint64(lineBytes),
 		pCold:     p.coldProb(),
 		pWarm:     p.warmProb(),
@@ -76,6 +76,11 @@ func NewGenerator(p Profile, coreID int, lineBytes int, seed int64) (*Generator,
 		g.cold[i].ptr = g.cold[i].lo + uint64(g.rng.Int63n(int64(span/2)))
 	}
 	return g, nil
+}
+
+// coreSeed is the PRNG seed of core coreID's stream under the run's seed.
+func coreSeed(seed int64, coreID int) int64 {
+	return seed ^ int64(uint64(coreID+1)*0x9e3779b97f4a7c15>>1)
 }
 
 // PrewarmLines returns the line addresses of the application's resident
