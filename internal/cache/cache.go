@@ -4,7 +4,6 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -109,29 +108,21 @@ func (c *Cache) lookup(addr uint64) (base int, key uint64, way int) {
 func (c *Cache) advance(k uint64) uint32 {
 	c.tick += k
 	if c.tick > math.MaxUint32 {
-		c.renumber(nil)
+		c.renumber()
 	}
 	return uint32(c.tick)
 }
 
 // renumber sets each way's stamp to the dense rank of its old stamp within
 // its set (0 stays 0, where LIP inserts; ties stay tied; order is kept) and
-// restarts the clock one above the largest rank. The old stamps are the
-// cache's own, or with img the 64-bit ones of Decode's way records. Victim
-// choice compares stamps of one set only, and every stamp written later
-// exceeds the clock, so every hit, victim and writeback stays what an
-// unbounded clock gives.
-func (c *Cache) renumber(img []byte) {
-	set, sorted := make([]uint64, c.ways), make([]uint64, 0, c.ways)
+// restarts the clock one above the largest rank. Victim choice compares
+// stamps of one set only, and every stamp written later exceeds the clock,
+// so every hit, victim and writeback stays what an unbounded clock gives.
+func (c *Cache) renumber() {
+	sorted := make([]uint32, 0, c.ways)
 	var top uint32
 	for base := 0; base < len(c.used); base += c.ways {
-		for i := range set {
-			if img == nil {
-				set[i] = uint64(c.used[base+i])
-			} else {
-				set[i] = binary.LittleEndian.Uint64(img[(base+i)*encodedLine+10:])
-			}
-		}
+		set := c.used[base : base+c.ways]
 		sorted = append(sorted[:0], set...)
 		slices.Sort(sorted)
 		sorted = slices.Compact(sorted)
@@ -141,7 +132,7 @@ func (c *Cache) renumber(img []byte) {
 		}
 		for i, v := range set {
 			r, _ := slices.BinarySearch(sorted, v)
-			c.used[base+i] = uint32(r) + off
+			set[i] = uint32(r) + off
 		}
 		top = max(top, uint32(len(sorted)-1)+off)
 	}

@@ -1,28 +1,24 @@
 package cache
 
 import (
-	"encoding/binary"
 	"math"
 	"sort"
 
 	"nocmem/internal/snapshot"
 )
 
-// encodedLine is the size of one way in a checkpoint: tag (u64), valid and
-// dirty (one byte each, 0 or 1), LRU timestamp (u64), little-endian. The
-// image keeps 64-bit stamps and clock although the cache holds 32-bit ones: a
-// cache that never renumbered writes the bytes of the 64-bit model, and every
-// image written before still decodes.
-const encodedLine = 8 + 1 + 1 + 8
-
 // Walk encodes or decodes the cache contents: LRU clock, every way of every
 // set, and the event counters. Geometry (set/way counts) is derived from the
 // configuration but encoded too, so a decode can reject a snapshot taken under
-// a different cache shape. The ways are an array of fixed-size records and
-// move as one (encodeLines, decodeLines). A decode restores in place,
-// replacing every line, the LRU clock and the counters: nothing of what the
-// cache held before survives.
+// a different cache shape. The ways move as the cache holds them, one column
+// at a time: the keys (tag<<1 | valid, 8 bytes a way), the 32-bit LRU stamps
+// and the dirty bitset's words — 12.125 bytes a line. A decode restores in
+// place, replacing every line, the LRU clock and the counters: nothing of what
+// the cache held before survives. A clock past 2^32-1 (the cache renumbers
+// before its clock gets there) and a dirty bit past the last way are format
+// errors.
 func (c *Cache) Walk(k *snapshot.Codec) {
+	dec := k.Decoding()
 	tick := c.tick
 	k.U64(&tick)
 	nsets := k.Len(len(c.keys)/c.ways, 1)
@@ -41,10 +37,21 @@ func (c *Cache) Walk(k *snapshot.Codec) {
 		k.Fail("cache way count mismatch: snapshot %d, config %d", ways, c.ways)
 		return
 	}
-	if k.Decoding() {
-		c.decodeLines(k, tick)
-	} else {
-		c.encodeLines(k)
+	if dec {
+		if tick > math.MaxUint32 {
+			k.Fail("cache clock %d past 2^32-1", tick)
+			return
+		}
+		c.tick = tick
+	}
+	k.U64Array(c.keys)
+	k.U32Array(c.used)
+	k.U64Array(c.dirty)
+	if dec && k.Err() == nil {
+		if tail := len(c.keys) % 64; tail != 0 && c.dirty[len(c.dirty)-1]>>tail != 0 {
+			k.Fail("dirty bits past the last of %d ways", len(c.keys))
+			return
+		}
 	}
 	st := &c.stats
 	k.I64(&st.Hits)
@@ -52,62 +59,6 @@ func (c *Cache) Walk(k *snapshot.Codec) {
 	k.I64(&st.Fills)
 	k.I64(&st.Evictions)
 	k.I64(&st.Writebacks)
-}
-
-// encodeLines writes the ways a set at a time into space reserved in the
-// writer (a reservation is bounded by the writer's buffer).
-func (c *Cache) encodeLines(k *snapshot.Codec) {
-	for base := 0; base < len(c.keys); base += c.ways {
-		b := k.Reserve(c.ways * encodedLine)
-		for i := base; i < base+c.ways; i++ {
-			rec := b[(i-base)*encodedLine:][:encodedLine]
-			binary.LittleEndian.PutUint64(rec, c.keys[i]>>1)
-			rec[8], rec[9] = byte(c.keys[i]&1), 0
-			if c.dirty.Has(i) {
-				rec[9] = 1
-			}
-			binary.LittleEndian.PutUint64(rec[10:], uint64(c.used[i]))
-		}
-	}
-}
-
-// decodeLines reads the ways from one bounds-checked view of the image and
-// installs tick as the clock; a truncated array, a valid or dirty byte other
-// than 0 or 1 and a tag of 2^63 or more (no line address has one, and the
-// valid bit is packed above it) are format errors. An image whose clock or
-// stamps pass 2^32-1 is renumbered as the clock's own wrap renumbers (Cache):
-// its hits and victims are the image's as long as no stamp exceeds the clock,
-// which no encoder writes.
-func (c *Cache) decodeLines(k *snapshot.Codec, tick uint64) {
-	b := k.Next(len(c.keys) * encodedLine)
-	if b == nil {
-		return
-	}
-	c.tick = tick
-	c.dirty.Clear()
-	wide := tick > math.MaxUint32
-	for i := range c.keys {
-		rec := b[i*encodedLine:][:encodedLine]
-		if rec[8]|rec[9] > 1 {
-			k.Fail("invalid bool byte in a cache line")
-			return
-		}
-		tag := binary.LittleEndian.Uint64(rec)
-		if tag>>63 != 0 {
-			k.Fail("cache tag %#x does not fit beside the valid bit", tag)
-			return
-		}
-		c.keys[i] = tag<<1 | uint64(rec[8])
-		if rec[9] == 1 {
-			c.dirty.Add(i)
-		}
-		used := binary.LittleEndian.Uint64(rec[10:])
-		wide = wide || used > math.MaxUint32
-		c.used[i] = uint32(used)
-	}
-	if wide {
-		c.renumber(b)
-	}
 }
 
 // WalkMSHRs encodes or decodes the outstanding misses of a table, in

@@ -8,9 +8,10 @@ import (
 	"nocmem/internal/snapshot"
 )
 
-// TestDecodeRejects restores a cache image into a cache of another shape, and
-// MSHR images into tables they do not fit or with one field broken: the
-// decoder must refuse each with a snapshot.ErrFormat that names the field.
+// TestDecodeRejects restores a cache image into a cache of another shape, with
+// one field broken or cut off inside each of its three columns, and MSHR
+// images into tables they do not fit or with one field broken: the decoder
+// must refuse each with a snapshot.ErrFormat that names the field.
 func TestDecodeRejects(t *testing.T) {
 	// table holds three outstanding lines with one waiter each.
 	table := func() *MSHRTable[int32] {
@@ -34,30 +35,51 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	filled := New(8<<10, 64, 4)
 	filled.Fill(0x1000, true)
+	// The columns of filled's 128 ways follow the header, the clock and the
+	// two geometry lengths: keys, stamps, dirty words.
+	keysEnd := len(snapshot.Magic) + 4 + 8 + 4 + 4 + 128*8
+	stampsEnd := keysEnd + 128*4
+	dirtyEnd := stampsEnd + 2*8
+	broken := func(damage func(c *Cache)) func(*snapshot.Writer) {
+		c := New(2*64, 64, 2) // one set of two ways: 62 spare dirty bits
+		c.Fill(0, true)
+		damage(c)
+		return walkOut(c)
+	}
 	for _, tc := range []struct {
 		name string
 		enc  func(*snapshot.Writer)
 		dec  func(*snapshot.Reader)
+		keep int // bytes of the image the decoder gets; 0 for all
 		want string
 	}{
-		{"cache_sets", walkOut(filled), walkIn(New(16<<10, 64, 4)), "cache set count mismatch"},
-		{"cache_ways", walkOut(filled), walkIn(New(16<<10, 64, 8)), "cache way count mismatch"},
-		{"mshr_capacity", encodeMSHRs(table()), decodeMSHRs(NewMSHRTable[int32](2)), "exceed capacity"},
+		{"cache_sets", walkOut(filled), walkIn(New(16<<10, 64, 4)), 0, "cache set count mismatch"},
+		{"cache_ways", walkOut(filled), walkIn(New(16<<10, 64, 8)), 0, "cache way count mismatch"},
+		{"cache_clock", broken(func(c *Cache) { c.tick = 1 << 32 }), walkIn(New(2*64, 64, 2)), 0, "past 2^32-1"},
+		{"dirty_past_last_way", broken(func(c *Cache) { c.dirty[0] |= 1 << 2 }), walkIn(New(2*64, 64, 2)), 0, "dirty bits past the last"},
+		{"keys_truncated", walkOut(filled), walkIn(New(8<<10, 64, 4)), keysEnd - 1, "truncated"},
+		{"stamps_truncated", walkOut(filled), walkIn(New(8<<10, 64, 4)), stampsEnd - 1, "truncated"},
+		{"dirty_truncated", walkOut(filled), walkIn(New(8<<10, 64, 4)), dirtyEnd - 1, "truncated"},
+		{"mshr_capacity", encodeMSHRs(table()), decodeMSHRs(NewMSHRTable[int32](2)), 0, "exceed capacity"},
 		{"mshr_no_waiters", func() func(*snapshot.Writer) {
 			m := table()
 			e, _ := m.Entry(0x140)
 			e.Waiters = e.Waiters[:0]
 			return encodeMSHRs(m)
-		}(), decodeMSHRs(NewMSHRTable[int32](4)), "has no waiters"},
+		}(), decodeMSHRs(NewMSHRTable[int32](4)), 0, "has no waiters"},
 		{"mshr_duplicate_line", func() func(*snapshot.Writer) {
 			m := table()
 			e, _ := m.Entry(0x180)
 			e.LineAddr = 0x140
 			return encodeMSHRs(m)
-		}(), decodeMSHRs(NewMSHRTable[int32](4)), "duplicate or unallocatable MSHR line"},
+		}(), decodeMSHRs(NewMSHRTable[int32](4)), 0, "duplicate or unallocatable MSHR line"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rd, err := snapshot.NewReaderBytes(encodeBytes(t, tc.enc))
+			img := encodeBytes(t, tc.enc)
+			if tc.keep != 0 {
+				img = img[:tc.keep]
+			}
+			rd, err := snapshot.NewReaderBytes(img)
 			if err != nil {
 				t.Fatal(err)
 			}

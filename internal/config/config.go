@@ -271,10 +271,10 @@ type Run struct {
 	Shards int
 
 	// Deprecated: ignored; the stepper has one layout, one chunk per worker.
-	// The field stays only because Key() (and so every snapshot header's
-	// SnapshotKey, golden.snap included) still encodes its slot, the
-	// repository benchmark sets it, and daemon clients may send it in JSON.
-	// It goes with the next snapshot format version.
+	// The field stays only because Key() still encodes its slot (result
+	// store keys and the command goldens depend on it), the repository
+	// benchmark sets it, and daemon clients may send it in JSON. It goes
+	// with the change to the repository benchmark that stops setting it.
 	NoSteal bool
 
 	// CheckpointAt names the cycle (measured from the start of the run,

@@ -33,9 +33,10 @@ import (
 //
 // Not captured, by design: free lists and scratch buffers (pure capacity),
 // event-scheduler active sets and wake wheels (Restore re-activates every
-// component; spurious ticks are no-ops), and PRNG internals (the trace
-// generators are deterministic in (profile, core, seed), so only the issue
-// count is stored and replayed).
+// component; spurious ticks are no-ops), and whatever the restoring
+// configuration rebuilds as it was (a generator's region bases and stream
+// slices). The trace generators' PRNG registers are captured, so a restore
+// resumes each stream where it stopped instead of replaying it.
 func (s *Simulator) Checkpoint(wr io.Writer) error {
 	s.settle()
 	w := snapshot.NewWriter(wr)
@@ -56,9 +57,8 @@ func (s *Simulator) Checkpoint(wr io.Writer) error {
 // The machine is wired as New wires it, except that nothing is prewarmed:
 // everything the functional warming writes — every L1 and L2 line, the LRU
 // clocks, the cache counters, the directory — is state the image carries in
-// full and the decode replaces wholesale (Cache.Walk, node.walk), and
-// listing an application's resident lines draws nothing from its generator's
-// PRNG, so the replayed issue count lands on the same stream.
+// full and the decode replaces wholesale (Cache.Walk, node.walk), as it
+// replaces each generator's PRNG state and stream cursors.
 //
 // If cfg.Run.ResumeFrom is non-zero it must equal the cycle the snapshot
 // was taken at.
@@ -232,17 +232,6 @@ func (x *walker) walk() {
 		k.Fail("snapshot was taken under an incompatible configuration")
 		return
 	}
-	// Historical shard-count field, kept so the format (and the pinned golden
-	// image) stays stable. Always 1: the stepping partition is not simulator
-	// state — snapshots restore under any worker count. A decode does not
-	// match it against the restoring configuration, but an implausible value
-	// means corruption.
-	shards := 1
-	k.Int(&shards)
-	if k.Err() == nil && (shards < 1 || shards > config.MaxMeshTiles) {
-		k.Fail("implausible shard count %d", shards)
-		return
-	}
 	napps := k.Len(len(s.apps), 4)
 	if k.Err() == nil && napps != len(s.apps) {
 		k.Fail("snapshot has %d application slots, configuration has %d", napps, len(s.apps))
@@ -336,9 +325,9 @@ func (x *walker) checkCycles(now, ticked int64) {
 	case now < 0 || ticked < 0 || ticked > now:
 		k.Fail("implausible cycle counters (now=%d ticked=%d)", now, ticked)
 	// A snapshot is only restorable into a window it lies inside: resuming
-	// exists to complete the configured run. The check also caps the trace
-	// replay (generators advance by issue count, bounded per cycle), so a
-	// corrupted cycle counter cannot drive a near-endless replay loop.
+	// exists to complete the configured run. The check also bounds the
+	// generators' issue counts, which a core fetches a bounded number of per
+	// cycle.
 	case now > total:
 		k.Fail("snapshot cycle %d lies past the configured %d-cycle run window", now, total)
 	case cfg.Run.ResumeFrom != 0 && cfg.Run.ResumeFrom != now:
@@ -644,9 +633,8 @@ func (n *node) walkSource(k *snapshot.Codec) {
 	}
 	switch src := src.(type) {
 	case *trace.Generator:
-		// The replay bound doubles as a hang guard: the core fetches at most
-		// Width instructions per cycle, so any larger count is corruption and
-		// must not drive a near-endless Advance loop.
+		// The core fetches at most Width instructions per cycle (and holds at
+		// most a window of them), so any larger issue count is corruption.
 		cpu := n.s.cfg.CPU
 		src.Walk(k, uint64(n.s.now+1)*uint64(cpu.Width)+uint64(cpu.WindowSize))
 	case *trace.FileTrace:

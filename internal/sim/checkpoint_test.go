@@ -575,18 +575,20 @@ func TestRestoreBareMatchesPrewarmed(t *testing.T) {
 	}
 }
 
-// firstL2Array locates tile 0's L2 line array in a checkpoint taken under cfg
-// and returns its byte range [lo, hi). A cache is encoded as its LRU clock,
-// the set and way counts as u32 lengths, sets x ways records of 18 bytes and
-// five counters; the L1 and L2 headers must therefore stand exactly one L1
-// array, 40 bytes of counters and one clock apart, which no other part of the
-// image reproduces by accident. internal/snapshot's fuzz target carries a
+// firstL2Array locates tile 0's L2 line columns in a checkpoint taken under
+// cfg and returns their byte range [lo, hi). A cache is encoded as its LRU
+// clock, the set and way counts as u32 lengths, its n = sets x ways lines as
+// three columns (n keys of 8 bytes, n stamps of 4, the dirty bitset's
+// ceil(n/64) words) and five counters; the L1 and L2 headers must therefore
+// stand exactly one L1 array, 40 bytes of counters and one clock apart, which
+// no other part of the image reproduces by accident. internal/snapshot's fuzz target carries a
 // copy (it cannot import a test helper); keep the two in step.
 func firstL2Array(t *testing.T, img []byte, cfg config.Config) (lo, hi int) {
 	t.Helper()
 	header := func(c config.Cache) ([]byte, int) {
 		h := binary.LittleEndian.AppendUint32(nil, uint32(c.Sets()))
-		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), c.Sets() * c.Ways * 18
+		n := c.Sets() * c.Ways
+		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), 12*n + 8*((n+63)/64)
 	}
 	l1, l1Array := header(cfg.L1)
 	l2, l2Array := header(cfg.L2)
@@ -721,21 +723,30 @@ func TestRestoreErrors(t *testing.T) {
 		s.Step(3_000)
 		return checkpointBytes(t, s)
 	}
-	// header patches the image's header: the key, the shard-count field at
-	// shards, the application count at napps, then the names and the cycle
-	// counters at now.
-	header := func(fix func(d []byte, shards, napps, now int)) func() []byte {
+	// header patches the image's header: the key, the application count at
+	// napps, then the names and the cycle counters at now.
+	header := func(fix func(d []byte, napps, now int)) func() []byte {
 		return func() []byte {
 			d := bytes.Clone(snap)
-			shards := len(snapshot.Magic) + 4 + 4 + len(cfg.SnapshotKey())
-			now := shards + 8 + 4
+			napps := len(snapshot.Magic) + 4 + 4 + len(cfg.SnapshotKey())
+			now := napps + 4
 			for _, p := range apps {
 				now += 4 + len(p.Name)
 			}
-			fix(d, shards, shards+8, now)
+			fix(d, napps, now)
 			return d
 		}
 	}
+	// generator patches tile 0's generator block, which follows the tile's
+	// transaction counter, its core flag, the core block and the source tag:
+	// the issue count, the cold-stream cursor, a pointer and a burst count
+	// per stream (milc walks four), the PRNG's tap and its register.
+	generator := func(fix func(d []byte, at int)) func() []byte {
+		return patch(func(s *Simulator) { s.nodes[0].txnSeq = sentinel }, func(d []byte, at int) {
+			fix(d, at+9+coreBlock+1)
+		})
+	}
+	milc := trace.MustLookup("milc")
 	total := cfg.Run.WarmupCycles + cfg.Run.MeasureCycles
 	wide := smallConfig()
 	wide.Mesh.Width, wide.Mesh.Height = 16, 16
@@ -802,17 +813,16 @@ func TestRestoreErrors(t *testing.T) {
 			data:    func() []byte { return append(append([]byte(nil), snap...), 0xA5) },
 			wantSub: "trailing",
 		},
-		// The cache arrays are decoded from one view of the image, not field
-		// by field: every check the field decoder made is still made.
+		// The cache columns are decoded from one view of the image each,
+		// behind the clock, which must fit the cache's 32-bit stamps.
 		{
-			name:    "cache_valid_byte_2",
-			data:    func() []byte { d := bytes.Clone(snap); d[l2lo+8] = 2; return d },
-			wantSub: "invalid bool byte",
-		},
-		{
-			name:    "cache_dirty_byte_ff",
-			data:    func() []byte { d := bytes.Clone(snap); d[l2lo+18+9] = 0xff; return d },
-			wantSub: "invalid bool byte",
+			name: "cache_clock",
+			data: func() []byte {
+				d := bytes.Clone(snap)
+				binary.LittleEndian.PutUint64(d[l2lo-16:], 1<<32)
+				return d
+			},
+			wantSub: "past 2^32-1",
 		},
 		{
 			name:    "truncated_inside_cache_array",
@@ -826,25 +836,20 @@ func TestRestoreErrors(t *testing.T) {
 		},
 		// One field at a time, each refused where it is read.
 		{
-			name:    "shard_count",
-			data:    header(func(d []byte, shards, _, _ int) { binary.LittleEndian.PutUint64(d[shards:], 0) }),
-			wantSub: "implausible shard count",
-		},
-		{
 			name:    "application_count",
-			data:    header(func(d []byte, _, napps, _ int) { binary.LittleEndian.PutUint32(d[napps:], uint32(len(apps)+1)) }),
+			data:    header(func(d []byte, napps, _ int) { binary.LittleEndian.PutUint32(d[napps:], uint32(len(apps)+1)) }),
 			wantSub: "application slots",
 		},
 		{
 			name: "ticked_past_now",
-			data: header(func(d []byte, _, _, now int) {
+			data: header(func(d []byte, _, now int) {
 				binary.LittleEndian.PutUint64(d[now+8:], binary.LittleEndian.Uint64(d[now:])+1)
 			}),
 			wantSub: "implausible cycle counters",
 		},
 		{
 			name: "cycle_past_window",
-			data: header(func(d []byte, _, _, now int) {
+			data: header(func(d []byte, _, now int) {
 				binary.LittleEndian.PutUint64(d[now:], uint64(total+1))
 			}),
 			wantSub: "past the configured",
@@ -919,11 +924,36 @@ func TestRestoreErrors(t *testing.T) {
 			wantSub: "unknown instruction source tag",
 		},
 		{
-			name: "trace_cursor",
-			data: patch(func(s *Simulator) { s.nodes[0].txnSeq = sentinel }, func(d []byte, at int) {
-				binary.LittleEndian.PutUint64(d[at+9+coreBlock+1:], 1<<40)
+			name:    "trace_cursor",
+			data:    generator(func(d []byte, at int) { binary.LittleEndian.PutUint64(d[at:], 1<<40) }),
+			wantSub: "past the fetch bound",
+		},
+		{
+			name:    "generator_stream_cursor",
+			data:    generator(func(d []byte, at int) { binary.LittleEndian.PutUint64(d[at+8:], uint64(milc.Streams)) }),
+			wantSub: "cold-stream cursor",
+		},
+		{
+			name: "generator_stream_pointer",
+			data: generator(func(d []byte, at int) {
+				// Stream 1's pointer one line below its slice.
+				binary.LittleEndian.PutUint64(d[at+16+16:], 1<<24/uint64(milc.Streams)-1)
 			}),
-			wantSub: "trace cursor",
+			wantSub: "cold stream 1 pointer",
+		},
+		{
+			name: "generator_burst_count",
+			data: generator(func(d []byte, at int) {
+				binary.LittleEndian.PutUint64(d[at+16+8:], uint64(milc.RowBurst+1))
+			}),
+			wantSub: "burst count",
+		},
+		{
+			name: "generator_tap",
+			data: generator(func(d []byte, at int) {
+				binary.LittleEndian.PutUint64(d[at+16+16*milc.Streams:], 607)
+			}),
+			wantSub: "PRNG tap",
 		},
 		{
 			name:    "generator_into_trace_file",

@@ -1,6 +1,9 @@
 package snapshot
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Codec is one side of a walk: a piece of state states its format once, as a
 // sequence of field calls on a Codec, and the same walk encodes it (the Codec
@@ -110,17 +113,63 @@ func (c *Codec) I64(p *int64) {
 }
 
 // I64Array walks the elements of vs in place, without a length: the caller
-// has walked or fixed the length. One branch serves the whole array.
-func (c *Codec) I64Array(vs []int64) {
-	if c.r != nil {
-		for i := range vs {
-			vs[i] = c.r.I64()
+// has walked or fixed the length. The array moves as one little-endian run,
+// decoded from one view of the image and encoded in buffer-sized pieces.
+func (c *Codec) I64Array(vs []int64) { array64(c, vs) }
+
+// U64Array is I64Array for uint64 elements.
+func (c *Codec) U64Array(vs []uint64) { array64(c, vs) }
+
+// U32Array is I64Array for uint32 elements, four bytes each.
+func (c *Codec) U32Array(vs []uint32) {
+	for len(vs) > 0 {
+		b := c.run(len(vs), 4)
+		if b == nil {
+			return
 		}
-	} else {
-		for _, v := range vs {
-			c.w.I64(v)
+		n := len(b) / 4
+		if c.r != nil {
+			for i := range vs[:n] {
+				vs[i] = binary.LittleEndian.Uint32(b[4*i:])
+			}
+		} else {
+			for i, v := range vs[:n] {
+				binary.LittleEndian.PutUint32(b[4*i:], v)
+			}
 		}
+		vs = vs[n:]
 	}
+}
+
+func array64[T ~int64 | ~uint64](c *Codec, vs []T) {
+	for len(vs) > 0 {
+		b := c.run(len(vs), 8)
+		if b == nil {
+			return
+		}
+		n := len(b) / 8
+		if c.r != nil {
+			for i := range vs[:n] {
+				vs[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		} else {
+			for i, v := range vs[:n] {
+				binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+			}
+		}
+		vs = vs[n:]
+	}
+}
+
+// run returns the bytes of the next elements of an n-element array of
+// size-byte elements: all n when decoding (nil when they are not all there
+// or the walk has failed), as many as the writer's buffer holds (at least
+// one) when encoding.
+func (c *Codec) run(n, size int) []byte {
+	if c.r != nil {
+		return c.r.Next(n * size)
+	}
+	return c.w.Reserve(min(n, max(1, cap(c.w.buf)/size)) * size)
 }
 
 // Int walks an int as an int64; a decoded value that overflows the platform

@@ -48,14 +48,13 @@ func FuzzRestore(f *testing.F) {
 	}
 	f.Add(golden)
 	f.Add(golden[:len(golden)/3])
-	// The cache arrays are decoded from one view of the image: seed the four
-	// ways that can go wrong (the rows of sim's TestRestoreErrors).
+	// The cache columns are decoded from one view of the image each: seed the
+	// three ways that can go wrong (the rows of sim's TestRestoreErrors).
 	cfg, apps := fuzzConfig()
 	lo, hi := firstL2Array(f, golden, cfg)
-	valid2, dirtyFF := bytes.Clone(golden), bytes.Clone(golden)
-	valid2[lo+8], dirtyFF[lo+18+9] = 2, 0xff
-	f.Add(valid2)
-	f.Add(dirtyFF)
+	wideClock := bytes.Clone(golden)
+	binary.LittleEndian.PutUint64(wideClock[lo-16:], 1<<32)
+	f.Add(wideClock)
 	f.Add(golden[:(lo+hi)/2])
 	f.Add(golden[:hi-1])
 	f.Add([]byte("NOCSNAP1\x01\x00\x00\x00"))
@@ -79,7 +78,8 @@ func firstL2Array(f *testing.F, img []byte, cfg config.Config) (lo, hi int) {
 	f.Helper()
 	header := func(c config.Cache) ([]byte, int) {
 		h := binary.LittleEndian.AppendUint32(nil, uint32(c.Sets()))
-		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), c.Sets() * c.Ways * 18
+		n := c.Sets() * c.Ways
+		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), 12*n + 8*((n+63)/64)
 	}
 	l1, l1Array := header(cfg.L1)
 	l2, l2Array := header(cfg.L2)

@@ -20,10 +20,11 @@
 // rebuilding derived state, refilling rings from slot 0 and looking up
 // intern indices. Encode-only: settling sleeping tiles and deferred credits,
 // sorting map keys, numbering interned pointers, and writing the fixed-width
-// records the live state no longer holds (a cache's 64-bit LRU stamps, a
-// histogram's zero buckets past the stored prefix). Array-shaped state (a
-// cache's lines) keeps a one-shot path on each side: Writer.Reserve and
-// Reader.Next.
+// records the live state no longer holds (a histogram's zero buckets past the
+// stored prefix). Array-shaped state (a cache's line columns, a PRNG
+// register) moves as arrays: Codec.U64Array and its siblings decode from one
+// view of the image (Reader.Next) and encode in buffer-sized pieces
+// (Writer.Reserve).
 package snapshot
 
 import (
@@ -48,7 +49,14 @@ const Magic = "NOCSNAP1"
 // key no longer encodes the stepping layout (the worker count),
 // and the legacy shard-count field is pinned to 1, so one image restores
 // under any worker count.
-const Version = 2
+//
+// Version 3: an image carries state, not history. Each trace generator's
+// PRNG register, tap and stream cursors are written, so a restore no longer
+// replays every instruction issued since cycle 0; a cache's lines are three
+// columns as the cache holds them (keys, 32-bit stamps, dirty words: 12.125
+// bytes a line instead of 18), and a clock past 2^32-1 is a format error; the
+// shard-count field is gone from the header.
+const Version = 3
 
 // ErrFormat tags every decode error produced by this package.
 var ErrFormat = errors.New("snapshot: invalid checkpoint")

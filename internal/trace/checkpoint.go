@@ -2,29 +2,52 @@ package trace
 
 import "nocmem/internal/snapshot"
 
-// Walk encodes or decodes the generator's position: its issue count. The
-// stream is deterministic in (profile, coreID, seed), so a decode replays a
-// freshly constructed generator up to the count (Advance) — the format
-// stores no PRNG internals. limit bounds the count a decode accepts, so a
-// corrupted one cannot drive a near-endless replay.
+// Walk encodes or decodes the generator's state: its issue count, the
+// round-robin cursor, each cold stream's pointer and burst count, and the
+// PRNG's register and tap (its feed index follows from the tap). A decode
+// overwrites the state of a generator built for the same (profile, core,
+// seed), whose region bases and stream slices it keeps. limit bounds the
+// issue count a decode accepts.
 func (g *Generator) Walk(k *snapshot.Codec, limit uint64) {
-	issued := g.issued
-	k.U64(&issued)
-	if !k.Decoding() || k.Err() != nil {
+	dec := k.Decoding()
+	k.U64(&g.issued)
+	if dec && k.Err() == nil && g.issued > limit {
+		k.Fail("trace cursor %d past the fetch bound %d", g.issued, limit)
 		return
 	}
-	if issued < g.issued || issued > limit {
-		k.Fail("trace cursor %d outside [%d,%d]", issued, g.issued, limit)
+	k.Int(&g.nextCStr)
+	if dec && k.Err() == nil && (g.nextCStr < 0 || g.nextCStr >= len(g.cold)) {
+		k.Fail("trace: cold-stream cursor %d outside [0,%d)", g.nextCStr, len(g.cold))
 		return
 	}
-	g.Advance(issued - g.issued)
+	for i := range g.cold {
+		st := &g.cold[i]
+		k.U64(&st.ptr)
+		k.Int(&st.burstLeft)
+		switch {
+		case !dec || k.Err() != nil:
+		case st.ptr-st.lo >= st.span: // wraps below lo too
+			k.Fail("trace: cold stream %d pointer %d outside [%d,%d)", i, st.ptr, st.lo, st.lo+st.span)
+			return
+		case st.burstLeft < 0 || st.burstLeft > g.p.RowBurst:
+			k.Fail("trace: cold stream %d burst count %d outside [0,%d]", i, st.burstLeft, g.p.RowBurst)
+			return
+		}
+	}
+	g.src.walk(k)
 }
 
-// Advance replays n instructions and discards them.
-func (g *Generator) Advance(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		g.Next()
+// walk encodes or decodes the register and the tap.
+func (s *source) walk(k *snapshot.Codec) {
+	k.Int(&s.tap)
+	if k.Decoding() && k.Err() == nil {
+		if s.tap < 0 || s.tap >= rngLen {
+			k.Fail("trace: PRNG tap %d outside [0,%d)", s.tap, rngLen)
+			return
+		}
+		s.feed = (s.tap + rngLen - rngTap) % rngLen
 	}
+	k.I64Array(s.vec[:])
 }
 
 // Walk encodes or decodes the replay cursor. A decoded cursor must land

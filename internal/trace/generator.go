@@ -24,6 +24,7 @@ const (
 // It is not safe for concurrent use.
 type Generator struct {
 	p         Profile
+	src       *source // the state behind rng, which a checkpoint carries
 	rng       *rand.Rand
 	lineBytes uint64
 
@@ -53,9 +54,11 @@ func NewGenerator(p Profile, coreID int, lineBytes int, seed int64) (*Generator,
 		return nil, fmt.Errorf("trace: line size %d must be a power of two", lineBytes)
 	}
 	base := (uint64(coreID) + 1) << 36
+	src := newSource(coreSeed(seed, coreID))
 	g := &Generator{
 		p:         p,
-		rng:       rand.New(rand.NewSource(coreSeed(seed, coreID))),
+		src:       src,
+		rng:       rand.New(src),
 		lineBytes: uint64(lineBytes),
 		pCold:     p.coldProb(),
 		pWarm:     p.warmProb(),
