@@ -7,6 +7,7 @@ package nocmem
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -128,26 +129,32 @@ func BenchmarkCheckpoint32(b *testing.B) {
 }
 
 // BenchmarkRestoreImage32 is the consuming half, paid once per forked point:
-// one op = one RestoreImage of that image, construction included. It also
-// reports the restored machine's live heap (heap-MB).
+// one op = one RestoreImage of the warmed 32-core machine's image,
+// construction included, after 20k and after 200k warm-up cycles. A restore
+// that replayed the warm-up would grow with it; one that decodes state does
+// not. It also reports the restored machine's live heap (heap-MB).
 func BenchmarkRestoreImage32(b *testing.B) {
 	cfg := config.Baseline32()
-	var img bytes.Buffer
-	if err := saturated(b, cfg, false, forkWarmup).Checkpoint(&img); err != nil {
-		b.Fatal(err)
-	}
 	apps := workload7(b, false)
-	b.SetBytes(int64(img.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var s *sim.Simulator
-	for i := 0; i < b.N; i++ {
-		var err error
-		if s, err = sim.RestoreImage(cfg, apps, img.Bytes()); err != nil {
-			b.Fatal(err)
-		}
+	for _, warm := range []int64{20_000, 200_000} {
+		b.Run(fmt.Sprintf("warm=%dk", warm/1000), func(b *testing.B) {
+			var img bytes.Buffer
+			if err := saturated(b, cfg, false, warm).Checkpoint(&img); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(img.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var s *sim.Simulator
+			for i := 0; i < b.N; i++ {
+				var err error
+				if s, err = sim.RestoreImage(cfg, apps, img.Bytes()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportHeap(b, s)
+		})
 	}
-	reportHeap(b, s)
 }
 
 // TestSteadyStateAllocs gates the saturated cycle loops' allocation rate in

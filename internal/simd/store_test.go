@@ -8,12 +8,17 @@ package simd_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"nocmem/internal/config"
 	"nocmem/internal/forkrun"
+	"nocmem/internal/sim"
 	"nocmem/internal/simd"
 	"nocmem/internal/snapshot"
 	"nocmem/internal/trace"
@@ -127,19 +132,6 @@ func mustGlob(t *testing.T, pattern string) []string {
 // from a buggy writer). The daemon must evict it and re-execute the warmup,
 // not fail the request.
 func TestCorruptSnapshotEvictedAndRewarmed(t *testing.T) {
-	h := makeHarness(t, 1, "", 1)
-	h.begin("poisoned warm checkpoint is evicted and re-warmed")
-
-	grid := policyGrid()[:2]
-	// The fork key of the grid's snapshot group: policy-free config prefix
-	// plus the padded placement, exactly as exp.Runner hands it to forkrun.
-	cfg := grid[0].Config
-	padded := make([]trace.Profile, cfg.Mesh.Nodes())
-	for i, name := range testApps {
-		padded[i] = trace.MustLookup(name)
-	}
-	key := forkrun.Key(cfg, padded)
-
 	// Valid entry frame, valid checkpoint header, garbage body.
 	var img bytes.Buffer
 	w := snapshot.NewWriter(&img)
@@ -148,7 +140,47 @@ func TestCorruptSnapshotEvictedAndRewarmed(t *testing.T) {
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	h.srv.Store().SaveSnapshot(key, img.Bytes())
+	// The header passes, so the image counts as a disk hit before its
+	// restore fails.
+	rewarmsOver(t, "poisoned warm checkpoint is evicted and re-warmed", img.Bytes(), 1)
+}
+
+// TestVersion2SnapshotEvictedAndRewarmed is the upgrade path: a store that a
+// binary of format version 2 filled holds images this one cannot read. The
+// daemon must refuse such an image at its header — no disk hit, one
+// eviction — warm once and serve the direct runner's bytes, and RestoreImage
+// must reject the image with an ErrFormat naming version 2.
+func TestVersion2SnapshotEvictedAndRewarmed(t *testing.T) {
+	img := binary.LittleEndian.AppendUint32([]byte(snapshot.Magic), 2)
+	grid := rewarmsOver(t, "version-2 warm checkpoint is evicted and re-warmed", img, 0)
+	_, err := sim.RestoreImage(grid[0].Config, paddedApps(grid[0].Config), img)
+	if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("RestoreImage of a version-2 image returned %v, want an ErrFormat naming version 2", err)
+	}
+}
+
+// paddedApps is testApps padded to cfg's tiles, as exp.Runner hands a
+// placement to forkrun.
+func paddedApps(cfg config.Config) []trace.Profile {
+	padded := make([]trace.Profile, cfg.Mesh.Nodes())
+	for i, name := range testApps {
+		padded[i] = trace.MustLookup(name)
+	}
+	return padded
+}
+
+// rewarmsOver plants img as the warm checkpoint of a two-point policy grid on
+// a fresh daemon, runs the grid and requires every point simulated with the
+// direct runner's bytes, diskHits snapshot disk hits, one eviction and one
+// warmup. It returns the grid.
+func rewarmsOver(t *testing.T, desc string, img []byte, diskHits int64) []simd.RunSpec {
+	h := makeHarness(t, 1, "", 1)
+	h.begin(desc)
+	grid := policyGrid()[:2]
+	// The fork key of the grid's snapshot group: policy-free config prefix
+	// plus the padded placement, exactly as exp.Runner hands it to forkrun.
+	cfg := grid[0].Config
+	h.srv.Store().SaveSnapshot(forkrun.Key(cfg, paddedApps(cfg)), img)
 
 	js := h.run(0, grid)
 	direct := newDirect()
@@ -161,16 +193,17 @@ func TestCorruptSnapshotEvictedAndRewarmed(t *testing.T) {
 		}
 	}
 	st := h.stats()
-	if st.Runner.SnapshotDiskHits != 1 {
-		t.Errorf("%d snapshot disk hits, want 1 (the poisoned image)", st.Runner.SnapshotDiskHits)
+	if st.Runner.SnapshotDiskHits != diskHits {
+		t.Errorf("%d snapshot disk hits, want %d", st.Runner.SnapshotDiskHits, diskHits)
 	}
-	if st.Runner.SnapshotEvictions < 1 {
-		t.Error("poisoned snapshot was never evicted")
+	if st.Runner.SnapshotEvictions != 1 {
+		t.Errorf("%d snapshot evictions, want 1", st.Runner.SnapshotEvictions)
 	}
 	if st.Runner.Warmups != 1 {
 		t.Errorf("executed %d warmups, want 1 (fresh warmup after eviction)", st.Runner.Warmups)
 	}
 	h.end()
+	return grid
 }
 
 // TestTruncatedResultEntryEvicted bit-flips and truncates a persisted

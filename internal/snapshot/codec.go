@@ -113,14 +113,44 @@ func (c *Codec) I64(p *int64) {
 }
 
 // I64Array walks the elements of vs in place, without a length: the caller
-// has walked or fixed the length. The array moves as one little-endian run,
-// decoded from one view of the image and encoded in buffer-sized pieces.
-func (c *Codec) I64Array(vs []int64) { array64(c, vs) }
+// has walked or fixed the length. One branch serves the whole array.
+func (c *Codec) I64Array(vs []int64) {
+	if c.r != nil {
+		for i := range vs {
+			vs[i] = c.r.I64()
+		}
+	} else {
+		for _, v := range vs {
+			c.w.I64(v)
+		}
+	}
+}
 
-// U64Array is I64Array for uint64 elements.
-func (c *Codec) U64Array(vs []uint64) { array64(c, vs) }
+// U64Array walks the elements of vs in place, without a length, as one
+// little-endian run: decoded from one view of the image, encoded in
+// buffer-sized pieces. Array-shaped state (a cache's columns, a PRNG
+// register) moves this way instead of a field at a time.
+func (c *Codec) U64Array(vs []uint64) {
+	for len(vs) > 0 {
+		b := c.run(len(vs), 8)
+		if b == nil {
+			return
+		}
+		n := len(b) / 8
+		if c.r != nil {
+			for i := range vs[:n] {
+				vs[i] = binary.LittleEndian.Uint64(b[8*i:])
+			}
+		} else {
+			for i, v := range vs[:n] {
+				binary.LittleEndian.PutUint64(b[8*i:], v)
+			}
+		}
+		vs = vs[n:]
+	}
+}
 
-// U32Array is I64Array for uint32 elements, four bytes each.
+// U32Array is U64Array for uint32 elements, four bytes each.
 func (c *Codec) U32Array(vs []uint32) {
 	for len(vs) > 0 {
 		b := c.run(len(vs), 4)
@@ -135,26 +165,6 @@ func (c *Codec) U32Array(vs []uint32) {
 		} else {
 			for i, v := range vs[:n] {
 				binary.LittleEndian.PutUint32(b[4*i:], v)
-			}
-		}
-		vs = vs[n:]
-	}
-}
-
-func array64[T ~int64 | ~uint64](c *Codec, vs []T) {
-	for len(vs) > 0 {
-		b := c.run(len(vs), 8)
-		if b == nil {
-			return
-		}
-		n := len(b) / 8
-		if c.r != nil {
-			for i := range vs[:n] {
-				vs[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
-			}
-		} else {
-			for i, v := range vs[:n] {
-				binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
 			}
 		}
 		vs = vs[n:]

@@ -47,7 +47,7 @@ func (s *source) walk(k *snapshot.Codec) {
 		}
 		s.feed = (s.tap + rngLen - rngTap) % rngLen
 	}
-	k.I64Array(s.vec[:])
+	k.U64Array(s.vec[:])
 }
 
 // Walk encodes or decodes the replay cursor. A decoded cursor must land

@@ -18,7 +18,7 @@ const (
 type source struct {
 	tap  int // index into vec
 	feed int // index into vec; always (tap+rngLen-rngTap) % rngLen
-	vec  [rngLen]int64
+	vec  [rngLen]uint64
 }
 
 // newSource returns a source seeded as rand.NewSource(seed).
@@ -39,7 +39,7 @@ func (s *source) Seed(seed int64) {
 	s.tap, s.feed = 0, rngLen-rngTap
 	for range rngLen {
 		s.step()
-		s.vec[s.feed] = int64(std.Uint64())
+		s.vec[s.feed] = std.Uint64()
 	}
 	for range rngLen {
 		s.vec[s.feed] -= s.vec[s.tap]
@@ -61,7 +61,7 @@ func (s *source) step() {
 func (s *source) Uint64() uint64 {
 	s.step()
 	s.vec[s.feed] += s.vec[s.tap]
-	return uint64(s.vec[s.feed])
+	return s.vec[s.feed]
 }
 
 // Int63 returns the next word without its top bit.
