@@ -89,8 +89,9 @@ bench-module:
 # L2-shaped cache, a round-trip-shaped latency stream) that no other target
 # runs as benchmarks, so a layout change that stops them compiling or running
 # fails here rather than in the next profiling session. The checkpoint
-# codec's two halves on the saturated 32-tile machine (Checkpoint32,
-# RestoreImage32) run here too, twenty times each.
+# codec's two halves on the saturated 32-tile machine (Checkpoint32, and
+# RestoreImage32 after 20k and after 200k warm-up cycles: a restore that
+# replayed its warm-up would grow with it) run here too, twenty times each.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'NetworkTick|CacheAccess|HistogramAdd' -benchtime 200x ./internal/noc ./internal/cache ./internal/stats
 	$(GO) test -run '^$$' -bench 'Checkpoint32|RestoreImage32' -benchtime 20x .

@@ -404,10 +404,10 @@ func TestCheckpointGolden(t *testing.T) {
 }
 
 // goldenSettled is what separates golden.snap from an image of the same state
-// written today: offset -> byte. golden.snap was last written by the binary
-// that wrote it in format version 3, so nothing does. Should a later change
-// to what Checkpoint writes (not to the format) leave an older golden.snap
-// behind, its bytes go here until the file is regenerated.
+// written today: offset -> byte. It is empty while golden.snap is this
+// encoder's output. A change to what Checkpoint writes from a given state
+// (not to the format) lists the bytes it moves here, until the file is
+// regenerated.
 var goldenSettled = map[int]byte{}
 
 // TestCheckpointGoldenReencodes pins the encoder across commits. The golden

@@ -59,14 +59,6 @@ func (c *Codec) Remaining() int {
 	return math.MaxInt
 }
 
-// Reserve is Writer.Reserve, for array-shaped state encoded in place. It may
-// only be called when encoding.
-func (c *Codec) Reserve(n int) []byte { return c.w.Reserve(n) }
-
-// Next is Reader.Next, for array-shaped state decoded from one view. It may
-// only be called when decoding.
-func (c *Codec) Next(n int) []byte { return c.r.Next(n) }
-
 // U8 walks one byte.
 func (c *Codec) U8(p *uint8) {
 	if c.r != nil {

@@ -112,8 +112,8 @@ func (w *Writer) flush() {
 }
 
 // Reserve returns the next n bytes of the stream for the caller to fill in
-// before its next call on w: array-shaped state (a cache set) is encoded in
-// place instead of a field at a time. n is limited to the buffer size.
+// before its next call on w: array-shaped state (Codec.U64Array) is encoded
+// in place instead of a field at a time. n is limited to the buffer size.
 func (w *Writer) Reserve(n int) []byte {
 	if n > cap(w.buf) {
 		w.Fail("reserve of %d bytes exceeds the %d-byte buffer", n, cap(w.buf))
@@ -253,8 +253,8 @@ func (r *Reader) Remaining() int { return len(r.data) - r.off }
 // or nil with the error set when n is negative or more than remain (or an
 // earlier read failed). The view is read-only — the image may be shared with
 // concurrent decoders — and its capacity is its length, so an append by the
-// caller copies instead of writing into the image. Array-shaped state (a
-// cache's lines) is decoded from one view in one loop instead of a field at
+// caller copies instead of writing into the image. Array-shaped state
+// (Codec.U64Array) is decoded from one view in one loop instead of a field at
 // a time.
 func (r *Reader) Next(n int) []byte {
 	if r.err != nil {

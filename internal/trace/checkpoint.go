@@ -12,7 +12,7 @@ func (g *Generator) Walk(k *snapshot.Codec, limit uint64) {
 	dec := k.Decoding()
 	k.U64(&g.issued)
 	if dec && k.Err() == nil && g.issued > limit {
-		k.Fail("trace cursor %d past the fetch bound %d", g.issued, limit)
+		k.Fail("trace: issue count %d past the fetch bound %d", g.issued, limit)
 		return
 	}
 	k.Int(&g.nextCStr)

@@ -38,8 +38,8 @@ func (s *source) Seed(seed int64) {
 	std := rand.NewSource(seed).(rand.Source64)
 	s.tap, s.feed = 0, rngLen-rngTap
 	for range rngLen {
-		s.step()
-		s.vec[s.feed] = std.Uint64()
+		_, feed := s.step()
+		s.vec[feed] = std.Uint64()
 	}
 	for range rngLen {
 		s.vec[s.feed] -= s.vec[s.tap]
@@ -47,21 +47,25 @@ func (s *source) Seed(seed int64) {
 	}
 }
 
-// step moves both taps one word back.
-func (s *source) step() {
-	if s.tap--; s.tap < 0 {
-		s.tap += rngLen
+// step moves both taps one word back and returns them.
+func (s *source) step() (tap, feed int) {
+	tap, feed = s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
 	}
-	if s.feed--; s.feed < 0 {
-		s.feed += rngLen
+	if feed < 0 {
+		feed += rngLen
 	}
+	s.tap, s.feed = tap, feed
+	return tap, feed
 }
 
 // Uint64 returns the next word of the stream.
 func (s *source) Uint64() uint64 {
-	s.step()
-	s.vec[s.feed] += s.vec[s.tap]
-	return s.vec[s.feed]
+	tap, feed := s.step()
+	x := s.vec[feed] + s.vec[tap]
+	s.vec[feed] = x
+	return x
 }
 
 // Int63 returns the next word without its top bit.
