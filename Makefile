@@ -144,6 +144,7 @@ profile:
 # One walk per checkpoint substrate over snapshot.Codec: 16 211.
 # Threshold sweeps share their prefix; the run cache keeps summary bytes: 16 422.
 # The clock never jumps: the quiescence fast-forward and its bookkeeping deleted: 16 200.
+# Snapshot v3: generator state and column-wise cache lines in the image: 16 294.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

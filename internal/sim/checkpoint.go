@@ -35,8 +35,8 @@ import (
 // event-scheduler active sets and wake wheels (Restore re-activates every
 // component; spurious ticks are no-ops), and whatever the restoring
 // configuration rebuilds as it was (a generator's region bases and stream
-// slices). The trace generators' PRNG registers are captured, so a restore
-// resumes each stream where it stopped instead of replaying it.
+// slices). The trace generators' PRNG registers are captured: a restore
+// resumes each stream where it stopped.
 func (s *Simulator) Checkpoint(wr io.Writer) error {
 	s.settle()
 	w := snapshot.NewWriter(wr)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -281,5 +282,65 @@ func TestWriterBytesMatchUnbufferedEncoding(t *testing.T) {
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("read back: %v, %d bytes left", r.Err(), r.Remaining())
+	}
+}
+
+// TestCodecArraysMatchFieldEncoding holds U64Array and U32Array to the field
+// encoding: arrays several buffers long, behind an odd-sized prefix so the
+// pieces an encode reserves straddle the buffer at odd offsets, must write
+// the bytes of one U64 or U32 call per element and read back whole, and a
+// decode of a cut-off array must fail.
+func TestCodecArraysMatchFieldEncoding(t *testing.T) {
+	u64s := make([]uint64, 3*writerBuf/8+5)
+	u32s := make([]uint32, 3*writerBuf/4+3)
+	for i := range u64s {
+		u64s[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	for i := range u32s {
+		u32s[i] = uint32(i) * 0x9E3779B9
+	}
+	encode := func(arrays bool) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.U8(7)
+		if arrays {
+			k := EncodeTo(w)
+			k.U64Array(u64s)
+			k.U32Array(u32s)
+		} else {
+			for _, v := range u64s {
+				w.U64(v)
+			}
+			for _, v := range u32s {
+				w.U32(v)
+			}
+		}
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	img := encode(true)
+	if !bytes.Equal(img, encode(false)) {
+		t.Fatal("the array walks write other bytes than one field call per element")
+	}
+	decode := func(img []byte) ([]uint64, []uint32, error) {
+		r, err := NewReaderBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := DecodeFrom(r)
+		r.U8()
+		g64, g32 := make([]uint64, len(u64s)), make([]uint32, len(u32s))
+		k.U64Array(g64)
+		k.U32Array(g32)
+		return g64, g32, r.Err()
+	}
+	g64, g32, err := decode(img)
+	if err != nil || !slices.Equal(g64, u64s) || !slices.Equal(g32, u32s) {
+		t.Fatalf("the arrays read back wrongly (%v)", err)
+	}
+	if _, _, err := decode(img[:len(img)-1]); !errors.Is(err, ErrFormat) {
+		t.Fatalf("a cut-off array decoded with %v, want ErrFormat", err)
 	}
 }
