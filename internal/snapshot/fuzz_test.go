@@ -55,6 +55,14 @@ func FuzzRestore(f *testing.F) {
 	wideClock := bytes.Clone(golden)
 	binary.LittleEndian.PutUint64(wideClock[lo-16:], 1<<32)
 	f.Add(wideClock)
+	// A dirty column of all ones is a well-formed image (the way count is a
+	// multiple of 64, so no bit lies past the last way) that marks invalid
+	// ways dirty too: the restored machine must still run.
+	allDirty := bytes.Clone(golden)
+	for i := hi - 8*((cfg.L2.Sets()*cfg.L2.Ways+63)/64); i < hi; i++ {
+		allDirty[i] = 0xff
+	}
+	f.Add(allDirty)
 	f.Add(golden[:(lo+hi)/2])
 	f.Add(golden[:hi-1])
 	f.Add([]byte("NOCSNAP1\x01\x00\x00\x00"))
