@@ -1,4 +1,5 @@
-# Developer entry points. `make ci` is the gate run before every commit:
+# Developer entry points. `make ci` is the gate run before every commit: a
+# gofmt check that lists no file (`fmt`),
 # vet, build, a coverage pass that fails on any function of ./internal/... or
 # the root package that tier-1 never executes (`dark`), a vet-and-short-test
 # pass over the nested benchmark module (which the root `go build ./...` does
@@ -19,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race dark fork-race sched-race poll-race bench-module kernel-bench fuzz-smoke results-check profile loc ci
+.PHONY: all build vet fmt test race dark fork-race sched-race poll-race bench-module kernel-bench fuzz-smoke results-check profile loc ci
 
 all: build
 
@@ -28,6 +29,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file is gofmt-clean: gofmt -l lists none.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -39,8 +44,10 @@ race:
 # warmup-then-fork must reproduce the straight-through run byte for byte
 # under every stepper, a checkpoint must survive a serialize-restore-
 # serialize round trip unchanged, and a threshold sweep's shared prefix
-# (RunToPush, forkrun's prefix slot and the points that wait on it) must give
-# every point the bytes of its own warm fork. Runs ahead of the full `race`
+# (RunToPush, forkrun's prefix slot and the points that wait on it, and the
+# store-backed prefixes of a shuffled grid, over stores that lose or truncate
+# images: TestPrefixStored*) must give every point the bytes of its own warm
+# fork. Runs ahead of the full `race`
 # suite (which also includes them) so snapshot-format breakage fails CI
 # within a minute or two.
 fork-race:
@@ -145,7 +152,8 @@ profile:
 # Threshold sweeps share their prefix; the run cache keeps summary bytes: 16 422.
 # The clock never jumps: the quiescence fast-forward and its bookkeeping deleted: 16 200.
 # Snapshot v3: generator state and column-wise cache lines in the image: 16 294.
+# Every threshold group's prefix image in the daemon's store: 16 452.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
-ci: vet build dark bench-module kernel-bench fuzz-smoke fork-race sched-race poll-race race results-check
+ci: fmt vet build dark bench-module kernel-bench fuzz-smoke fork-race sched-race poll-race race results-check

@@ -40,9 +40,9 @@ func main() {
 	log.SetPrefix("nocsimd: ")
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8347", "listen address")
-		store    = flag.String("store", "nocsimd-store", "on-disk store directory (results + warm checkpoints)")
+		store    = flag.String("store", "nocsimd-store", "on-disk store directory (results + warm and threshold-prefix checkpoints)")
 		jobs     = flag.Int("j", 0, "max concurrently executing simulations (0 = all CPUs)")
-		fork     = flag.Bool("fork", true, "share one baseline warmup checkpoint across compatible configs (persisted in the store)")
+		fork     = flag.Bool("fork", true, "share one baseline warmup checkpoint across compatible configs, and a threshold sweep's common prefix per group (both persisted in the store)")
 		drainFor = flag.Duration("drain-timeout", 10*time.Minute, "how long a SIGTERM drain waits for in-flight jobs")
 		printCfg = flag.Int("print-config", 0, "print the 16- or 32-core baseline config as JSON (for use in /run requests) and exit")
 

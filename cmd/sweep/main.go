@@ -370,6 +370,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			logger.Printf("provenance: snapshots: %d memory hits, %d disk hits, %d evictions",
 				st.SnapshotMemHits, st.SnapshotDiskHits, st.SnapshotEvictions)
 		}
+		if st.PrefixBuilds+st.PrefixForks > 0 {
+			logger.Printf("provenance: threshold prefixes: %d built, %d runs forked from them (%d read from disk)",
+				st.PrefixBuilds, st.PrefixForks, st.PrefixDiskHits)
+		}
 	}
 	return nil
 }

@@ -34,7 +34,6 @@ func (s Set) Remove(i int) { s[i>>6] &^= 1 << uint(i&63) }
 // Has reports whether i is present.
 func (s Set) Has(i int) bool { return s[i>>6]&(1<<uint(i&63)) != 0 }
 
-
 // Clear removes every element.
 func (s Set) Clear() {
 	for i := range s {

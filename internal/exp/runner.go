@@ -121,6 +121,11 @@ type Stats struct {
 	SnapshotMemHits   int64 `json:"snapshot_mem_hits"`
 	SnapshotDiskHits  int64 `json:"snapshot_disk_hits"`
 	SnapshotEvictions int64 `json:"snapshot_evictions"`
+	// PrefixBuilds / PrefixForks / PrefixDiskHits are the fork cache's
+	// threshold-sweep prefix provenance (see forkrun.Stats).
+	PrefixBuilds   int64 `json:"prefix_builds"`
+	PrefixForks    int64 `json:"prefix_forks"`
+	PrefixDiskHits int64 `json:"prefix_disk_hits"`
 
 	// Distributed-sweep lease provenance, populated through AddLeaseStats by
 	// the simulation daemon's coordinator (internal/simd); all zero on a
@@ -150,6 +155,9 @@ func (r *Runner) Stats() Stats {
 		SnapshotMemHits:      fs.MemHits,
 		SnapshotDiskHits:     fs.DiskHits,
 		SnapshotEvictions:    fs.Evictions,
+		PrefixBuilds:         fs.PrefixBuilds,
+		PrefixForks:          fs.PrefixForks,
+		PrefixDiskHits:       fs.PrefixDiskHits,
 		LeasesGranted:        r.leasesGranted.Load(),
 		LeasesExpired:        r.leasesExpired.Load(),
 		LeasesRelayed:        r.leasesRelayed.Load(),

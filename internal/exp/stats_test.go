@@ -188,3 +188,23 @@ func TestRunSummaryKeepsBytes(t *testing.T) {
 		t.Errorf("runs=%d executed=%d hits=%d, want 7/3/4", st.Runs, st.Executed, st.CacheHits)
 	}
 }
+
+// TestStatsThresholdPrefix pins the prefix counters of a threshold sweep run
+// in order on a runner without a store: the second point builds the group's
+// in-memory prefix, the other two fork from it, and nothing is read from disk.
+func TestStatsThresholdPrefix(t *testing.T) {
+	base := statsGrid()[3]
+	apps := []trace.Profile{trace.MustLookup("mcf"), trace.MustLookup("lbm")}
+	r := NewRunner(Options{ShareWarmup: true})
+	for _, f := range []float64{0.8, 1.0, 1.2, 1.4} {
+		cfg := base
+		cfg.S1.ThresholdFactor = f
+		if _, err := r.RunConfig(cfg, apps, "mcf+lbm"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := r.Stats(); st.Forked != 4 || st.PrefixBuilds != 1 || st.PrefixForks != 2 || st.PrefixDiskHits != 0 {
+		t.Errorf("forked %d, prefixes built %d, forked from %d (%d from disk), want 4, 1, 2 (0)",
+			st.Forked, st.PrefixBuilds, st.PrefixForks, st.PrefixDiskHits)
+	}
+}

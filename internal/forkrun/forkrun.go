@@ -18,9 +18,12 @@
 // A threshold sweep shares more than the warmup. Its points differ only in
 // Scheme-1's ThresholdFactor, which nothing reads before the first threshold
 // push with data, so the cycles up to that push are common to all of them
-// too: the sweep's second consecutive point checkpoints there, and the rest
-// restore that image instead of the warm one (see prefix). Unlike the warmup,
-// this prefix is exact: each point's bytes are those of its own forked run.
+// too: a group's second point checkpoints there, and the rest restore that
+// image instead of the warm one (see prefix). Unlike the warmup, this prefix
+// is exact: each point's bytes are those of its own forked run. Where the
+// image is kept depends on the cache: one in-memory slot per warm key, built
+// on the group's second consecutive request, or, on a store-backed cache,
+// every group's image in the store (see runStored).
 //
 // The trade-off: a forked run warms up under the baseline policy even when
 // it measures a scheme, so its results can differ slightly from a cold run
@@ -32,14 +35,18 @@
 // simulation daemon's on-disk store): warm images then survive process
 // restarts, so a freshly started daemon forks measurement runs from
 // checkpoints warmed in a previous life instead of re-executing a single
-// warmup cycle. A store image that fails to restore is evicted — from memory
-// and disk — and the warmup re-executes, so corruption degrades to wasted
-// work, never to an error surfaced on a request that a fresh warmup could
-// have served.
+// warmup cycle, and forks threshold points from prefix images built in a
+// previous life too. A store image that fails to restore is evicted — from
+// memory and disk — and the warmup re-executes (a prefix image: the point
+// runs from the warm image), so corruption degrades to wasted work, never to
+// an error surfaced on a request that a fresh warmup could have served.
 package forkrun
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
@@ -51,9 +58,10 @@ import (
 	"nocmem/internal/trace"
 )
 
-// SnapshotStore persists warm checkpoint images across processes. Save and
-// Delete are best-effort (implementations log and continue on I/O failure);
-// Load returns ok=false for both absent and unreadable entries.
+// SnapshotStore persists checkpoint images across processes: the warm images
+// under Key and the threshold-sweep prefixes under prefixKey. Save and Delete
+// are best-effort (implementations log and continue on I/O failure); Load
+// returns ok=false for both absent and unreadable entries.
 type SnapshotStore interface {
 	LoadSnapshot(key string) (img []byte, ok bool)
 	SaveSnapshot(key string, img []byte)
@@ -73,8 +81,17 @@ type Stats struct {
 	// DiskHits counts snapshots resurrected from the persistent store.
 	DiskHits int64 `json:"disk_hits"`
 	// Evictions counts snapshots ejected as corrupt (header or restore
-	// failure of a store image).
+	// failure of a store image) and prefix images that were missing from the
+	// store or failed to restore.
 	Evictions int64 `json:"evictions"`
+	// PrefixBuilds counts threshold-sweep prefix images built (see prefix).
+	PrefixBuilds int64 `json:"prefix_builds"`
+	// PrefixForks counts measurement runs forked from a prefix image at D
+	// instead of the warm image; they count in Forked too.
+	PrefixForks int64 `json:"prefix_forks"`
+	// PrefixDiskHits counts the prefix forks whose image was read from the
+	// persistent store (every prefix fork of a store-backed cache).
+	PrefixDiskHits int64 `json:"prefix_disk_hits"`
 }
 
 // entry is one singleflight slot: done is closed when snap/err are final.
@@ -91,10 +108,12 @@ type entry struct {
 type Cache struct {
 	mu       sync.Mutex
 	snaps    map[string]*entry
-	prefixes map[string]*prefix // by warm key; see prefix
+	prefixes map[string]*prefix                // by warm key, without a store; see prefix
+	stored   map[[sha256.Size]byte]prefixState // by digest of prefixKey, with a store; see runStored
 	store    SnapshotStore
 
 	warmups, forked, memHits, diskHits, evictions atomic.Int64
+	prefixBuilds, prefixForks, prefixDiskHits     atomic.Int64
 }
 
 // SetStore installs the persistent snapshot store backing this cache. Call
@@ -113,6 +132,10 @@ func (c *Cache) Stats() Stats {
 		MemHits:   c.memHits.Load(),
 		DiskHits:  c.diskHits.Load(),
 		Evictions: c.evictions.Load(),
+
+		PrefixBuilds:   c.prefixBuilds.Load(),
+		PrefixForks:    c.prefixForks.Load(),
+		PrefixDiskHits: c.prefixDiskHits.Load(),
 	}
 }
 
@@ -156,6 +179,12 @@ func (c *Cache) Run(cfg config.Config, apps []trace.Profile) (*sim.Result, error
 		return s.Run(), nil
 	}
 	key := Key(cfg, apps)
+	c.mu.Lock()
+	st := c.store
+	c.mu.Unlock()
+	if st != nil {
+		return c.runStored(cfg, apps, key, group(cfg), st)
+	}
 	p, build := c.prefixFor(key, group(cfg))
 	if build {
 		return c.buildPrefix(cfg, apps, key, p)
@@ -166,6 +195,7 @@ func (c *Cache) Run(cfg config.Config, apps []trace.Profile) (*sim.Result, error
 			if err != nil {
 				return nil, fmt.Errorf("forkrun: restoring threshold-sweep prefix: %w", err)
 			}
+			c.prefixForks.Add(1)
 			return s.Run(), nil
 		}
 		// The build failed: run as if the slot had never been asked for.
@@ -220,13 +250,14 @@ func (c *Cache) fork(cfg config.Config, apps []trace.Profile, img []byte, at int
 // (sim.Simulator.RunToPush). The slot holds the image at D; a point restored
 // from it simulates only D to the window's end.
 //
-// A Cache keeps at most one slot per warm key, in memory, for the group that
-// asked last, and builds it on that group's second consecutive request: a
-// single point of a group costs no image, and a request from another group
-// drops the slot, so points of interleaved groups (a policy grid in shuffled
-// order) never hold more than the warm images do. Building on every miss
-// rebuilt the slot before it was reused on such a grid, and keeping every
-// group's slot held a second image per group.
+// Without a store, a Cache keeps at most one slot per warm key, in memory,
+// for the group that asked last, and builds it on that group's second
+// consecutive request: a single point of a group costs no image, and a
+// request from another group drops the slot, so points of interleaved groups
+// (a policy grid in shuffled order) never hold more than the warm images do.
+// Building on every miss rebuilt the slot before it was reused on such a
+// grid, and keeping every group's slot held a second image per group. With a
+// store, every group's image is kept there instead (runStored).
 type prefix struct {
 	group string
 	// done is nil until the group's second consecutive request takes the
@@ -275,7 +306,7 @@ func (c *Cache) buildPrefix(cfg config.Config, apps []trace.Profile, key string,
 	s, err := c.restoreWarm(cfg, apps, key)
 	if err == nil {
 		p.at = s.RunToPush()
-		p.img, err = exactImage(s)
+		p.img, err = exactImage(s, nil)
 	}
 	if err != nil {
 		c.mu.Lock()
@@ -283,12 +314,123 @@ func (c *Cache) buildPrefix(cfg config.Config, apps []trace.Profile, key string,
 			delete(c.prefixes, key)
 		}
 		c.mu.Unlock()
+	} else {
+		c.prefixBuilds.Add(1)
 	}
 	close(p.done)
 	if err != nil {
 		return nil, err
 	}
 	return s.Run(), nil
+}
+
+// prefixState is what a store-backed cache knows of one group's prefix. The
+// zero state is a group this process has not seen.
+type prefixState uint8
+
+const (
+	prefixSeen     prefixState = iota + 1 // asked for once; the next request builds
+	prefixBuilding                        // under construction; requests meanwhile run from the warm image
+	prefixBuilt                           // the image at D is in the store
+)
+
+// prefixKey is the store key of group g's prefix image under warm key key.
+// The group key is a whole Config.Key(), so it enters as a digest.
+func prefixKey(key, g string) string {
+	sum := sha256.Sum256([]byte(g))
+	return key + "|prefix " + hex.EncodeToString(sum[:])
+}
+
+// runStored is Run on a store-backed cache. Every group's prefix image lives
+// in the store under prefixKey, behind the 8 bytes of D; memory keeps only
+// the group's prefixState, under a digest of that key. A group's second
+// request builds the image, whenever it comes, and every later request
+// restores it from the store: a shuffled policy grid forks at D instead of W
+// for the cost of a disk read per point, not an image per group in memory. A
+// group this process has not seen looks in the store first, so a restarted
+// daemon forks from its previous life's images. An image that is missing or
+// fails to restore is deleted and counted as an eviction; its point runs from
+// the warm image and the group's next request rebuilds.
+func (c *Cache) runStored(cfg config.Config, apps []trace.Profile, key, g string, st SnapshotStore) (*sim.Result, error) {
+	pk := prefixKey(key, g)
+	id := sha256.Sum256([]byte(pk))
+	c.mu.Lock()
+	if c.stored == nil {
+		c.stored = make(map[[sha256.Size]byte]prefixState)
+	}
+	state := c.stored[id]
+	switch state {
+	case 0:
+		c.stored[id] = prefixSeen
+	case prefixSeen:
+		c.stored[id] = prefixBuilding
+	}
+	c.mu.Unlock()
+
+	switch state {
+	case prefixSeen:
+		return c.buildStored(cfg, apps, key, pk, id, st)
+	case 0, prefixBuilt:
+		if s := c.forkStored(cfg, apps, pk, id, st, state == prefixBuilt); s != nil {
+			return s.Run(), nil
+		}
+	}
+	s, err := c.restoreWarm(cfg, apps, key)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(), nil
+}
+
+// forkStored restores the prefix image stored under pk into cfg's simulator,
+// or returns nil when there is none to restore. An image that fails to
+// restore, or one that built says should be there and is not, is deleted and
+// counted as an eviction, and the group goes back to seen.
+func (c *Cache) forkStored(cfg config.Config, apps []trace.Profile, pk string, id [sha256.Size]byte, st SnapshotStore, built bool) *sim.Simulator {
+	img, ok := st.LoadSnapshot(pk)
+	if !ok && !built {
+		return nil
+	}
+	if ok && len(img) > 8 {
+		at := int64(binary.LittleEndian.Uint64(img))
+		if s, err := c.fork(cfg, apps, img[8:], at); err == nil {
+			c.setState(id, prefixBuilt)
+			c.prefixForks.Add(1)
+			c.prefixDiskHits.Add(1)
+			return s
+		}
+	}
+	st.DeleteSnapshot(pk)
+	c.evictions.Add(1)
+	c.setState(id, prefixSeen)
+	return nil
+}
+
+// buildStored runs cfg from the warm image, saving the image at D under pk
+// on the way, and returns cfg's own result. A failed build leaves the group
+// seen, so its next request tries again.
+func (c *Cache) buildStored(cfg config.Config, apps []trace.Profile, key, pk string, id [sha256.Size]byte, st SnapshotStore) (*sim.Result, error) {
+	s, err := c.restoreWarm(cfg, apps, key)
+	if err == nil {
+		at := s.RunToPush()
+		var img []byte
+		if img, err = exactImage(s, binary.LittleEndian.AppendUint64(nil, uint64(at))); err == nil {
+			st.SaveSnapshot(pk, img)
+		}
+	}
+	if err != nil {
+		c.setState(id, prefixSeen)
+		return nil, err
+	}
+	c.setState(id, prefixBuilt)
+	c.prefixBuilds.Add(1)
+	return s.Run(), nil
+}
+
+func (c *Cache) setState(id [sha256.Size]byte, state prefixState) {
+	c.mu.Lock()
+	c.stored[id] = state
+	c.mu.Unlock()
 }
 
 // snapshot returns (producing at most once per key) the warmed checkpoint
@@ -333,7 +475,7 @@ func (c *Cache) snapshot(cfg config.Config, apps []trace.Profile, key string) ([
 		return nil, false, err
 	}
 	s.Step(cfg.Run.WarmupCycles)
-	if e.snap, err = exactImage(s); err != nil {
+	if e.snap, err = exactImage(s, nil); err != nil {
 		e.err = err
 		return nil, false, err
 	}
@@ -352,18 +494,20 @@ func (n *byteCount) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// exactImage checkpoints s into a slice of exactly the image's size. An image
-// is retained for the life of the cache and shared by every fork, so it is
-// encoded twice — once to count, once into the sized slice — rather than grown:
-// a doubling buffer holds a dead half-size copy while the image is written and
-// keeps its unused tail for as long as the image lives. The second walk costs
-// a few milliseconds per executed warmup.
-func exactImage(s *sim.Simulator) ([]byte, error) {
+// exactImage checkpoints s, behind head, into a slice of exactly that size.
+// A warm image is retained for the life of the cache and shared by every
+// fork, so it is encoded twice — once to count, once into the sized slice —
+// rather than grown: a doubling buffer holds a dead half-size copy while the
+// image is written and keeps its unused tail for as long as the image lives.
+// The second walk costs a few milliseconds per executed warmup or prefix
+// build; a prefix image bound for the store skips the dead copies too.
+func exactImage(s *sim.Simulator, head []byte) ([]byte, error) {
 	var n byteCount
 	if err := s.Checkpoint(&n); err != nil {
 		return nil, err
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, n))
+	buf := bytes.NewBuffer(make([]byte, 0, len(head)+int(n)))
+	buf.Write(head)
 	if err := s.Checkpoint(buf); err != nil {
 		return nil, err
 	}

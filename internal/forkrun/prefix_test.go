@@ -2,8 +2,12 @@ package forkrun
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,7 +47,7 @@ func warmForks(t *testing.T, cfgs []config.Config, apps []trace.Profile) ([][]by
 		t.Fatal(err)
 	}
 	s.Step(cfgs[0].Run.WarmupCycles)
-	img, err := exactImage(s)
+	img, err := exactImage(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,40 +252,52 @@ func TestPrefixWaitersGetTheSameBytes(t *testing.T) {
 	}
 }
 
-// corruptStore serves one image that passes the header check but cannot
-// restore, and records what the cache does with it.
-type corruptStore struct {
-	mu      sync.Mutex
-	img     []byte
-	deleted bool
-	saved   int
+// memStore is a SnapshotStore in memory. With drop set it loses every save;
+// with cut set it hands out every prefix image truncated to half its length.
+type memStore struct {
+	mu        sync.Mutex
+	imgs      map[string][]byte
+	drop, cut bool
+	saves     int
+	deleted   []string
 }
 
-func (s *corruptStore) LoadSnapshot(string) ([]byte, bool) {
+func newMemStore() *memStore { return &memStore{imgs: make(map[string][]byte)} }
+
+func (s *memStore) LoadSnapshot(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.img, s.img != nil
+	img, ok := s.imgs[key]
+	if ok && s.cut && strings.Contains(key, "|prefix ") {
+		img = img[:len(img)/2]
+	}
+	return img, ok
 }
 
-func (s *corruptStore) SaveSnapshot(_ string, img []byte) {
+func (s *memStore) SaveSnapshot(key string, img []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.img = img
-	s.saved++
+	s.saves++
+	if !s.drop {
+		s.imgs[key] = img
+	}
 }
 
-func (s *corruptStore) DeleteSnapshot(string) {
+func (s *memStore) DeleteSnapshot(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.img, s.deleted = nil, true
+	delete(s.imgs, key)
+	s.deleted = append(s.deleted, key)
 }
 
 // TestPrefixBuildEvictsCorruptStoreImage: a build that is the first to draw
-// on a poisoned store image evicts it, re-warms, and still publishes the
-// prefix and its own exact result.
+// on a poisoned store image evicts it, re-warms, saves the prefix image and
+// still returns its own exact result; the group's next point forks from that
+// image with its own exact bytes.
 func TestPrefixBuildEvictsCorruptStoreImage(t *testing.T) {
 	cfg, apps := sweepConfig(false, 1, 1_000)
-	want, _ := warmForks(t, []config.Config{cfg}, apps)
+	grid := []config.Config{withFactor(cfg, 0.9), withFactor(cfg, 1.6)}
+	want, _ := warmForks(t, grid, apps)
 
 	var img bytes.Buffer
 	w := snapshot.NewWriter(&img)
@@ -290,24 +306,207 @@ func TestPrefixBuildEvictsCorruptStoreImage(t *testing.T) {
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	st := &corruptStore{img: img.Bytes()}
+	key := Key(cfg, apps)
+	st := newMemStore()
+	st.imgs[key] = img.Bytes()
 	var c Cache
 	c.SetStore(st)
-	key, g := Key(cfg, apps), group(cfg)
-	c.prefixFor(key, g)
-	p, build := c.prefixFor(key, g)
-	if !build {
-		t.Fatal("the group's second request was not handed the build")
-	}
-	res, err := c.buildPrefix(cfg, apps, key, p)
+	pk := prefixKey(key, group(cfg))
+	id := sha256.Sum256([]byte(pk))
+	// As if the group's first point had run before the warm image went bad:
+	// this request is the group's second, the build.
+	c.stored = map[[sha256.Size]byte]prefixState{id: prefixBuilding}
+	res, err := c.buildStored(grid[0], apps, key, pk, id, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(summaryJSON(t, res), want[0]) {
 		t.Error("the build's result differs from its warm fork")
 	}
-	if s := c.Stats(); !st.deleted || st.saved != 1 || s.Evictions != 1 || s.Warmups != 1 || p.img == nil {
-		t.Errorf("stats %+v, store deleted=%v saved=%d, prefix built=%v: want the image evicted, one re-warm saved, the prefix built",
-			s, st.deleted, st.saved, p.img != nil)
+	s := c.Stats()
+	if !slices.Equal(st.deleted, []string{key}) || st.saves != 2 || st.imgs[pk] == nil || c.stored[id] != prefixBuilt ||
+		s.Evictions != 1 || s.Warmups != 1 || s.PrefixBuilds != 1 {
+		t.Errorf("stats %+v, store deleted %d keys, %d saves, prefix saved=%v: want the warm image evicted, one re-warm and the prefix saved",
+			s, len(st.deleted), st.saves, st.imgs[pk] != nil)
+	}
+	res, err = c.Run(grid[1], apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(summaryJSON(t, res), want[1]) {
+		t.Error("the point forked from the saved prefix differs from its warm fork")
+	}
+	if s := c.Stats(); s.PrefixForks != 1 || s.PrefixDiskHits != 1 {
+		t.Errorf("stats %+v, want the second point forked from the stored prefix", s)
+	}
+}
+
+// storeGrid is a shuffled Baseline16 policy grid, 2 placements x 3 history
+// windows x 3 factors: 6 prefix groups of 3 points under 2 warm keys. It
+// returns each point's configuration and placement.
+func storeGrid() ([]config.Config, [][]trace.Profile) {
+	cfg, mcf := sweepConfig(true, 1, 1_000)
+	lbm := slices.Clone(mcf)
+	for i := range 6 {
+		lbm[i] = trace.MustLookup("lbm")
+	}
+	var cfgs []config.Config
+	var apps [][]trace.Profile
+	for _, placement := range [][]trace.Profile{mcf, lbm} {
+		for _, window := range []int64{1_000, 2_000, 4_000} {
+			for _, f := range sweepFactors[:3] {
+				v := withFactor(cfg, f)
+				v.S2.HistoryWindow = window
+				cfgs = append(cfgs, v)
+				apps = append(apps, placement)
+			}
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(cfgs), func(i, j int) {
+		cfgs[i], cfgs[j] = cfgs[j], cfgs[i]
+		apps[i], apps[j] = apps[j], apps[i]
+	})
+	return cfgs, apps
+}
+
+// storeGridWant is every storeGrid point's own warm fork: its Summary JSON
+// and S1Thresholds.
+func storeGridWant(t *testing.T, cfgs []config.Config, apps [][]trace.Profile) ([][]byte, [][]int64) {
+	t.Helper()
+	sums, ths := make([][]byte, len(cfgs)), make([][]int64, len(cfgs))
+	byPlacement := make(map[string][]int)
+	for i := range cfgs {
+		byPlacement[apps[i][0].Name] = append(byPlacement[apps[i][0].Name], i)
+	}
+	for _, idx := range byPlacement {
+		var grid []config.Config
+		for _, i := range idx {
+			grid = append(grid, cfgs[i])
+		}
+		s, th := warmForks(t, grid, apps[idx[0]])
+		for k, i := range idx {
+			sums[i], ths[i] = s[k], th[k]
+		}
+	}
+	return sums, ths
+}
+
+// runGrid runs every point of cfgs on c and requires its own warm fork's
+// Summary JSON and S1Thresholds.
+func runGrid(t *testing.T, c *Cache, cfgs []config.Config, apps [][]trace.Profile, sums [][]byte, ths [][]int64) {
+	t.Helper()
+	for i, cfg := range cfgs {
+		res, err := c.Run(cfg, apps[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(summaryJSON(t, res), sums[i]) {
+			t.Errorf("point %d (factor %v, window %d): summary differs from its warm fork", i, cfg.S1.ThresholdFactor, cfg.S2.HistoryWindow)
+		}
+		if !reflect.DeepEqual(res.S1Thresholds, ths[i]) {
+			t.Errorf("point %d: thresholds %v, want %v", i, res.S1Thresholds, ths[i])
+		}
+	}
+}
+
+// TestPrefixStoredGridMatchesWarmFork is the store-backed prefix's exactness
+// and policy oracle: on a shuffled grid, where no group's second point
+// follows its first (the in-memory slot would build none), every group is
+// built once, on its second request, and its third
+// forks from the stored image; every point has its own warm fork's bytes. A
+// fresh cache on the same store then forks a seen group's next point from
+// the stored image: no build, no warmup.
+func TestPrefixStoredGridMatchesWarmFork(t *testing.T) {
+	cfgs, apps := storeGrid()
+	sums, ths := storeGridWant(t, cfgs, apps)
+	st := newMemStore()
+	var c Cache
+	c.SetStore(st)
+	runGrid(t, &c, cfgs, apps, sums, ths)
+	want := Stats{Warmups: 2, Forked: 18, MemHits: 10, PrefixBuilds: 6, PrefixForks: 6, PrefixDiskHits: 6}
+	if s := c.Stats(); s != want {
+		t.Errorf("stats %+v, want %+v", s, want)
+	}
+	if c.Snapshots() != 2 || len(st.imgs) != 2+6 {
+		t.Errorf("%d warm snapshots in memory, %d store images, want 2 and 2 warm + 6 prefix", c.Snapshots(), len(st.imgs))
+	}
+
+	next := withFactor(cfgs[0], 2.5)
+	s, th := warmForks(t, []config.Config{next}, apps[0])
+	var fresh Cache
+	fresh.SetStore(st)
+	runGrid(t, &fresh, []config.Config{next}, apps[:1], s, th)
+	want = Stats{Forked: 1, PrefixForks: 1, PrefixDiskHits: 1}
+	if s := fresh.Stats(); s != want {
+		t.Errorf("a restarted cache's next point of a seen group: stats %+v, want %+v", s, want)
+	}
+}
+
+// TestPrefixStoredBadImages: a store that loses every save, and one that
+// hands out truncated prefix images, still give every point its own warm
+// fork's bytes. Each bad image is evicted once, when the group's third point
+// asks for it, and that point runs from the warm image.
+func TestPrefixStoredBadImages(t *testing.T) {
+	cfgs, apps := storeGrid()
+	sums, ths := storeGridWant(t, cfgs, apps)
+	for _, tc := range []struct {
+		name      string
+		drop, cut bool
+	}{{"drops_saves", true, false}, {"truncates_prefixes", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newMemStore()
+			st.drop, st.cut = tc.drop, tc.cut
+			var c Cache
+			c.SetStore(st)
+			runGrid(t, &c, cfgs, apps, sums, ths)
+			want := Stats{Warmups: 2, Forked: 18, MemHits: 16, Evictions: 6, PrefixBuilds: 6}
+			if s := c.Stats(); s != want {
+				t.Errorf("stats %+v, want %+v", s, want)
+			}
+			if len(st.deleted) != 6 {
+				t.Errorf("%d store deletes, want one per bad image", len(st.deleted))
+			}
+		})
+	}
+}
+
+// TestPrefixStoredConcurrentPoints: points of one group asked for at once on
+// a store-backed cache, however their requests interleave with the build,
+// get their own warm fork's bytes, and at most one image per build reaches
+// the store.
+func TestPrefixStoredConcurrentPoints(t *testing.T) {
+	cfg, apps := sweepConfig(true, 1, 1_000)
+	var grid []config.Config
+	for _, f := range sweepFactors {
+		grid = append(grid, withFactor(cfg, f))
+	}
+	want, _ := warmForks(t, grid, apps)
+	st := newMemStore()
+	var c Cache
+	c.SetStore(st)
+	for round := range 2 { // the second round finds the image built
+		got := make([][]byte, len(grid))
+		var wg sync.WaitGroup
+		for i := range grid {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := c.Run(grid[i], apps)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i], _ = json.Marshal(res.Summary())
+			}()
+		}
+		wg.Wait()
+		for i := range grid {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("round %d, point %d: summary differs from its warm fork", round, i)
+			}
+		}
+	}
+	if s := c.Stats(); s.PrefixBuilds < 1 || s.Evictions != 0 || st.saves != 1+int(s.PrefixBuilds) {
+		t.Errorf("stats %+v, %d saves: want a build, no eviction, one save per image", s, st.saves)
 	}
 }

@@ -18,7 +18,10 @@ import (
 //	    key (config.Config.Key() + "|" + placement label, see exp.RunKey)
 //	<dir>/snaps/<sha256(key)>.snap  — golden warm checkpoints, keyed by
 //	    forkrun.Key (config.SnapshotKey() + warmup + placement), so one
-//	    warm image serves the whole policy cross product of its group
+//	    warm image serves the whole policy cross product of its group;
+//	    and threshold-sweep prefix images, keyed by forkrun.Key + "|prefix "
+//	    + a digest of the group's key, the image at the group's first
+//	    Scheme-1 push with data behind that cycle (see forkrun.Cache)
 //
 // Every file is a snapshot.EncodeEntry frame: the full key (verified on
 // load, so a hash collision or a misplaced file reads as a miss, not as a
@@ -146,7 +149,7 @@ func (st *Store) SaveResult(key string, summary []byte) {
 }
 
 // LoadSnapshot, SaveSnapshot and DeleteSnapshot implement
-// forkrun.SnapshotStore over the snaps/ namespace.
+// forkrun.SnapshotStore over the snaps/ namespace: warm and prefix images.
 func (st *Store) LoadSnapshot(key string) ([]byte, bool) {
 	img, ok := st.load(st.snapPath(key), key)
 	if ok {
@@ -157,13 +160,13 @@ func (st *Store) LoadSnapshot(key string) ([]byte, bool) {
 	return img, ok
 }
 
-// SaveSnapshot persists one warm checkpoint image.
+// SaveSnapshot persists one checkpoint image.
 func (st *Store) SaveSnapshot(key string, img []byte) {
 	st.save(st.snapPath(key), key, img)
 }
 
-// DeleteSnapshot ejects one warm checkpoint (forkrun calls this when a
-// store image fails to restore).
+// DeleteSnapshot ejects one checkpoint (forkrun calls this when a store
+// image fails to restore, or a prefix image it saved has gone missing).
 func (st *Store) DeleteSnapshot(key string) {
 	if err := os.Remove(st.snapPath(key)); err != nil && !os.IsNotExist(err) {
 		st.logf("store: deleting snapshot: %v", err)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"nocmem/internal/config"
+	"nocmem/internal/exp"
 	"nocmem/internal/forkrun"
 	"nocmem/internal/sim"
 	"nocmem/internal/simd"
@@ -312,4 +313,59 @@ func FuzzStoreRead(f *testing.F) {
 			t.Fatalf("store poisoned after corrupt read: ok=%v payload=%q", ok, p)
 		}
 	})
+}
+
+// TestPrefixImagesAcrossRestart: a daemon serving two threshold groups
+// interleaved point by point builds each group's prefix image on its second
+// request and forks the third from the store; a second daemon on the same
+// store directory forks new factors of both groups from those images with
+// no warmup and no build. Every point has the bytes of a direct ExecuteSpec.
+func TestPrefixImagesAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	h := makeHarness(t, 1, dir, 1)
+	h.begin("threshold prefix images survive a daemon restart")
+	points := func(factors ...float64) []simd.RunSpec {
+		var grid []simd.RunSpec
+		for _, f := range factors {
+			for _, s2 := range []bool{false, true} {
+				cfg := testCfg().WithSchemes(true, s2)
+				cfg.S1.ThresholdFactor = f
+				grid = append(grid, simd.RunSpec{Config: cfg, Apps: testApps})
+			}
+		}
+		return grid
+	}
+	direct := exp.NewRunner(exp.Options{ShareWarmup: true})
+	check := func(phase string, grid []simd.RunSpec, want exp.Stats) {
+		t.Helper()
+		js := h.run(0, grid)
+		for i, sp := range grid {
+			rp, err := simd.ResolveSpec(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := simd.ExecuteSpec(direct, rp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(js.Results[i].Summary, sum) {
+				t.Errorf("%s point %d: summary differs from a direct ExecuteSpec", phase, i)
+			}
+		}
+		got := h.stats().Runner
+		got.Runs, got.CacheHits, got.SnapshotMemHits = 0, 0, 0
+		if got != want {
+			t.Errorf("%s: runner stats %+v, want %+v", phase, got, want)
+		}
+	}
+
+	check("interleaved groups", points(0.8, 1.0, 1.2),
+		exp.Stats{Executed: 6, Forked: 6, Warmups: 1, PrefixBuilds: 2, PrefixForks: 2, PrefixDiskHits: 2})
+	if snaps := mustGlob(t, filepath.Join(dir, "snaps", "*.snap")); len(snaps) != 3 {
+		t.Errorf("%d snapshot files, want the warm image and two prefix images", len(snaps))
+	}
+	h.restart()
+	check("after the restart", points(0.9, 1.4),
+		exp.Stats{Executed: 4, Forked: 4, PrefixForks: 4, PrefixDiskHits: 4})
+	h.end()
 }
