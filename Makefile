@@ -44,10 +44,10 @@ race:
 # warmup-then-fork must reproduce the straight-through run byte for byte
 # under every stepper, a checkpoint must survive a serialize-restore-
 # serialize round trip unchanged, and a threshold sweep's shared prefix
-# (RunToPush, forkrun's prefix slot and the points that wait on it, and the
-# store-backed prefixes of a shuffled grid, over stores that lose or truncate
-# images: TestPrefixStored*) must give every point the bytes of its own warm
-# fork. Runs ahead of the full `race`
+# (RunToPush, and forkrun's prefix images on interleaved groups and a
+# shuffled grid, over stores that lose or truncate images and under
+# concurrent points with and without a store: TestPrefix*) must give every
+# point the bytes of its own warm fork. Runs ahead of the full `race`
 # suite (which also includes them) so snapshot-format breakage fails CI
 # within a minute or two.
 fork-race:
@@ -153,6 +153,7 @@ profile:
 # The clock never jumps: the quiescence fast-forward and its bookkeeping deleted: 16 200.
 # Snapshot v3: generator state and column-wise cache lines in the image: 16 294.
 # Every threshold group's prefix image in the daemon's store: 16 452.
+# One threshold-prefix policy with or without a store; the in-memory slot deleted: 16 384.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

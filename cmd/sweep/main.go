@@ -371,8 +371,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 				st.SnapshotMemHits, st.SnapshotDiskHits, st.SnapshotEvictions)
 		}
 		if st.PrefixBuilds+st.PrefixForks > 0 {
-			logger.Printf("provenance: threshold prefixes: %d built, %d runs forked from them (%d read from disk)",
-				st.PrefixBuilds, st.PrefixForks, st.PrefixDiskHits)
+			logger.Printf("provenance: threshold prefixes: %d built, %d runs forked from them",
+				st.PrefixBuilds, st.PrefixForks)
 		}
 	}
 	return nil

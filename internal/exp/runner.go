@@ -121,11 +121,10 @@ type Stats struct {
 	SnapshotMemHits   int64 `json:"snapshot_mem_hits"`
 	SnapshotDiskHits  int64 `json:"snapshot_disk_hits"`
 	SnapshotEvictions int64 `json:"snapshot_evictions"`
-	// PrefixBuilds / PrefixForks / PrefixDiskHits are the fork cache's
-	// threshold-sweep prefix provenance (see forkrun.Stats).
-	PrefixBuilds   int64 `json:"prefix_builds"`
-	PrefixForks    int64 `json:"prefix_forks"`
-	PrefixDiskHits int64 `json:"prefix_disk_hits"`
+	// PrefixBuilds / PrefixForks are the fork cache's threshold-sweep prefix
+	// provenance (see forkrun.Stats).
+	PrefixBuilds int64 `json:"prefix_builds"`
+	PrefixForks  int64 `json:"prefix_forks"`
 
 	// Distributed-sweep lease provenance, populated through AddLeaseStats by
 	// the simulation daemon's coordinator (internal/simd); all zero on a
@@ -157,7 +156,6 @@ func (r *Runner) Stats() Stats {
 		SnapshotEvictions:    fs.Evictions,
 		PrefixBuilds:         fs.PrefixBuilds,
 		PrefixForks:          fs.PrefixForks,
-		PrefixDiskHits:       fs.PrefixDiskHits,
 		LeasesGranted:        r.leasesGranted.Load(),
 		LeasesExpired:        r.leasesExpired.Load(),
 		LeasesRelayed:        r.leasesRelayed.Load(),

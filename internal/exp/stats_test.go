@@ -191,7 +191,7 @@ func TestRunSummaryKeepsBytes(t *testing.T) {
 
 // TestStatsThresholdPrefix pins the prefix counters of a threshold sweep run
 // in order on a runner without a store: the second point builds the group's
-// in-memory prefix, the other two fork from it, and nothing is read from disk.
+// in-memory prefix and the other two fork from it.
 func TestStatsThresholdPrefix(t *testing.T) {
 	base := statsGrid()[3]
 	apps := []trace.Profile{trace.MustLookup("mcf"), trace.MustLookup("lbm")}
@@ -203,8 +203,8 @@ func TestStatsThresholdPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := r.Stats(); st.Forked != 4 || st.PrefixBuilds != 1 || st.PrefixForks != 2 || st.PrefixDiskHits != 0 {
-		t.Errorf("forked %d, prefixes built %d, forked from %d (%d from disk), want 4, 1, 2 (0)",
-			st.Forked, st.PrefixBuilds, st.PrefixForks, st.PrefixDiskHits)
+	if st := r.Stats(); st.Forked != 4 || st.PrefixBuilds != 1 || st.PrefixForks != 2 {
+		t.Errorf("forked %d, prefixes built %d, forked from %d, want 4, 1, 2",
+			st.Forked, st.PrefixBuilds, st.PrefixForks)
 	}
 }

@@ -18,12 +18,11 @@
 // A threshold sweep shares more than the warmup. Its points differ only in
 // Scheme-1's ThresholdFactor, which nothing reads before the first threshold
 // push with data, so the cycles up to that push are common to all of them
-// too: a group's second point checkpoints there, and the rest restore that
-// image instead of the warm one (see prefix). Unlike the warmup, this prefix
-// is exact: each point's bytes are those of its own forked run. Where the
-// image is kept depends on the cache: one in-memory slot per warm key, built
-// on the group's second consecutive request, or, on a store-backed cache,
-// every group's image in the store (see runStored).
+// too: a group's second point checkpoints there, whenever it comes, and the
+// rest restore that image instead of the warm one (see prefixState). Unlike
+// the warmup, this prefix is exact: each point's bytes are those of its own
+// forked run. The image is kept in the cache's store, or, on a cache without
+// one, in memory for the life of the cache.
 //
 // The trade-off: a forked run warms up under the baseline policy even when
 // it measures a scheme, so its results can differ slightly from a cold run
@@ -84,14 +83,12 @@ type Stats struct {
 	// failure of a store image) and prefix images that were missing from the
 	// store or failed to restore.
 	Evictions int64 `json:"evictions"`
-	// PrefixBuilds counts threshold-sweep prefix images built (see prefix).
+	// PrefixBuilds counts threshold-sweep prefix images built (see
+	// prefixState).
 	PrefixBuilds int64 `json:"prefix_builds"`
 	// PrefixForks counts measurement runs forked from a prefix image at D
 	// instead of the warm image; they count in Forked too.
 	PrefixForks int64 `json:"prefix_forks"`
-	// PrefixDiskHits counts the prefix forks whose image was read from the
-	// persistent store (every prefix fork of a store-backed cache).
-	PrefixDiskHits int64 `json:"prefix_disk_hits"`
 }
 
 // entry is one singleflight slot: done is closed when snap/err are final.
@@ -106,14 +103,14 @@ type entry struct {
 // Cache is safe for concurrent use. Concurrent runs needing the same
 // snapshot wait for the first requester's warmup instead of repeating it.
 type Cache struct {
-	mu       sync.Mutex
-	snaps    map[string]*entry
-	prefixes map[string]*prefix                // by warm key, without a store; see prefix
-	stored   map[[sha256.Size]byte]prefixState // by digest of prefixKey, with a store; see runStored
-	store    SnapshotStore
+	mu     sync.Mutex
+	snaps  map[string]*entry
+	groups map[[sha256.Size]byte]prefixState // by digest of prefixKey; see prefixState
+	store  SnapshotStore
+	images mapStore // the prefix images, while store is nil
 
 	warmups, forked, memHits, diskHits, evictions atomic.Int64
-	prefixBuilds, prefixForks, prefixDiskHits     atomic.Int64
+	prefixBuilds, prefixForks                     atomic.Int64
 }
 
 // SetStore installs the persistent snapshot store backing this cache. Call
@@ -133,9 +130,8 @@ func (c *Cache) Stats() Stats {
 		DiskHits:  c.diskHits.Load(),
 		Evictions: c.evictions.Load(),
 
-		PrefixBuilds:   c.prefixBuilds.Load(),
-		PrefixForks:    c.prefixForks.Load(),
-		PrefixDiskHits: c.prefixDiskHits.Load(),
+		PrefixBuilds: c.prefixBuilds.Load(),
+		PrefixForks:  c.prefixForks.Load(),
 	}
 }
 
@@ -157,7 +153,8 @@ func Key(cfg config.Config, apps []trace.Profile) string {
 }
 
 // Snapshots reports how many distinct warm snapshots the cache holds in
-// memory (executed by this process or resurrected from the store).
+// memory (executed by this process or resurrected from the store); prefix
+// images do not count.
 func (c *Cache) Snapshots() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -167,9 +164,9 @@ func (c *Cache) Snapshots() int {
 // Run executes cfg's full warmup+measurement window over apps (one profile
 // per tile) and returns the measurement results, sharing the warmup with
 // every other compatible configuration, and a threshold sweep's prefix with
-// the sweep's other points (see prefix). Runs with no warmup, or that manage
-// checkpoints themselves via Run.CheckpointAt/ResumeFrom, fall back to a
-// plain cold run.
+// the sweep's other points (see prefixState). Runs with no warmup, or that
+// manage checkpoints themselves via Run.CheckpointAt/ResumeFrom, fall back to
+// a plain cold run.
 func (c *Cache) Run(cfg config.Config, apps []trace.Profile) (*sim.Result, error) {
 	if cfg.Run.WarmupCycles <= 0 || cfg.Run.CheckpointAt != 0 || cfg.Run.ResumeFrom != 0 {
 		s, err := sim.New(cfg, apps)
@@ -179,26 +176,32 @@ func (c *Cache) Run(cfg config.Config, apps []trace.Profile) (*sim.Result, error
 		return s.Run(), nil
 	}
 	key := Key(cfg, apps)
+	pk := prefixKey(key, group(cfg))
+	id := sha256.Sum256([]byte(pk))
 	c.mu.Lock()
+	if c.groups == nil {
+		c.groups = make(map[[sha256.Size]byte]prefixState)
+	}
+	state := c.groups[id]
+	switch state {
+	case 0:
+		c.groups[id] = prefixSeen
+	case prefixSeen:
+		c.groups[id] = prefixBuilding
+	}
 	st := c.store
+	if st == nil {
+		st = &c.images
+	}
 	c.mu.Unlock()
-	if st != nil {
-		return c.runStored(cfg, apps, key, group(cfg), st)
-	}
-	p, build := c.prefixFor(key, group(cfg))
-	if build {
-		return c.buildPrefix(cfg, apps, key, p)
-	}
-	if p != nil {
-		if <-p.done; p.img != nil {
-			s, err := c.fork(cfg, apps, p.img, p.at)
-			if err != nil {
-				return nil, fmt.Errorf("forkrun: restoring threshold-sweep prefix: %w", err)
-			}
-			c.prefixForks.Add(1)
+
+	switch state {
+	case prefixSeen:
+		return c.makePrefix(cfg, apps, key, pk, id, st)
+	case 0, prefixBuilt:
+		if s := c.restorePrefix(cfg, apps, pk, id, st, state == prefixBuilt); s != nil {
 			return s.Run(), nil
 		}
-		// The build failed: run as if the slot had never been asked for.
 	}
 	s, err := c.restoreWarm(cfg, apps, key)
 	if err != nil {
@@ -242,32 +245,6 @@ func (c *Cache) fork(cfg config.Config, apps []trace.Profile, img []byte, at int
 	return s, err
 }
 
-// prefix is the shared prefix of a threshold sweep: the points of one warm
-// group that differ only in S1.ThresholdFactor. The factor is read by one
-// thing only, a Scheme-1 push that publishes a measured average, and a fork
-// starts Scheme-1 with no data, so every such point executes the same cycles
-// from the warmup boundary W up to D, the first push with data
-// (sim.Simulator.RunToPush). The slot holds the image at D; a point restored
-// from it simulates only D to the window's end.
-//
-// Without a store, a Cache keeps at most one slot per warm key, in memory,
-// for the group that asked last, and builds it on that group's second
-// consecutive request: a single point of a group costs no image, and a
-// request from another group drops the slot, so points of interleaved groups
-// (a policy grid in shuffled order) never hold more than the warm images do.
-// Building on every miss rebuilt the slot before it was reused on such a
-// grid, and keeping every group's slot held a second image per group. With a
-// store, every group's image is kept there instead (runStored).
-type prefix struct {
-	group string
-	// done is nil until the group's second consecutive request takes the
-	// build, and closed once img and at are final; img is nil when the build
-	// failed.
-	done chan struct{}
-	img  []byte
-	at   int64
-}
-
 // group keys the points that may share a prefix within one warm key: cfg's
 // Key with the factor zeroed and the stepping layout normalised (images are
 // partition-agnostic).
@@ -277,55 +254,25 @@ func group(cfg config.Config) string {
 	return cfg.Key()
 }
 
-// prefixFor records a request of group g under warm key key and returns the
-// group's slot: nil for the group's first consecutive request, which runs from
-// the warm image, and otherwise the slot to wait on, or to fill when build is
-// set.
-func (c *Cache) prefixFor(key, g string) (p *prefix, build bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p = c.prefixes[key]
-	switch {
-	case p == nil || p.group != g:
-		if c.prefixes == nil {
-			c.prefixes = make(map[string]*prefix)
-		}
-		c.prefixes[key] = &prefix{group: g}
-		return nil, false
-	case p.done == nil:
-		p.done = make(chan struct{})
-		return p, true
-	}
-	return p, false
-}
-
-// buildPrefix runs cfg from the warm image, publishing the image at D in p
-// on the way, and returns cfg's own result. A failed build drops the slot, so
-// its waiters and the group's next request run from the warm image.
-func (c *Cache) buildPrefix(cfg config.Config, apps []trace.Profile, key string, p *prefix) (*sim.Result, error) {
-	s, err := c.restoreWarm(cfg, apps, key)
-	if err == nil {
-		p.at = s.RunToPush()
-		p.img, err = exactImage(s, nil)
-	}
-	if err != nil {
-		c.mu.Lock()
-		if c.prefixes[key] == p {
-			delete(c.prefixes, key)
-		}
-		c.mu.Unlock()
-	} else {
-		c.prefixBuilds.Add(1)
-	}
-	close(p.done)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(), nil
-}
-
-// prefixState is what a store-backed cache knows of one group's prefix. The
-// zero state is a group this process has not seen.
+// prefixState is what a cache knows of one threshold group's prefix: the
+// points of one warm group that differ only in S1.ThresholdFactor. The factor
+// is read by one thing only, a Scheme-1 push that publishes a measured
+// average, and a fork starts Scheme-1 with no data, so every such point
+// executes the same cycles from the warmup boundary W up to D, the first push
+// with data (sim.Simulator.RunToPush). The group's prefix image is its state
+// at D; a point restored from it simulates only D to the window's end.
+//
+// The image lives in the cache's store under prefixKey, behind the 8 bytes of
+// D, or, without a store, in the cache's private map; memory keeps only the
+// state, under a digest of that key. A group's second request builds the
+// image, whenever it comes, and every later request restores it: a single
+// point of a group costs no image, and a shuffled policy grid forks at D
+// instead of W. A request that finds its group building does not wait; it
+// runs from the warm image. A group this process has not seen looks in the
+// store first, so a restarted daemon forks from its previous life's images.
+// An image that is missing or fails to restore is deleted and counted as an
+// eviction; its point runs from the warm image and the group's next request
+// rebuilds. The zero state is a group this process has not seen.
 type prefixState uint8
 
 const (
@@ -341,52 +288,11 @@ func prefixKey(key, g string) string {
 	return key + "|prefix " + hex.EncodeToString(sum[:])
 }
 
-// runStored is Run on a store-backed cache. Every group's prefix image lives
-// in the store under prefixKey, behind the 8 bytes of D; memory keeps only
-// the group's prefixState, under a digest of that key. A group's second
-// request builds the image, whenever it comes, and every later request
-// restores it from the store: a shuffled policy grid forks at D instead of W
-// for the cost of a disk read per point, not an image per group in memory. A
-// group this process has not seen looks in the store first, so a restarted
-// daemon forks from its previous life's images. An image that is missing or
-// fails to restore is deleted and counted as an eviction; its point runs from
-// the warm image and the group's next request rebuilds.
-func (c *Cache) runStored(cfg config.Config, apps []trace.Profile, key, g string, st SnapshotStore) (*sim.Result, error) {
-	pk := prefixKey(key, g)
-	id := sha256.Sum256([]byte(pk))
-	c.mu.Lock()
-	if c.stored == nil {
-		c.stored = make(map[[sha256.Size]byte]prefixState)
-	}
-	state := c.stored[id]
-	switch state {
-	case 0:
-		c.stored[id] = prefixSeen
-	case prefixSeen:
-		c.stored[id] = prefixBuilding
-	}
-	c.mu.Unlock()
-
-	switch state {
-	case prefixSeen:
-		return c.buildStored(cfg, apps, key, pk, id, st)
-	case 0, prefixBuilt:
-		if s := c.forkStored(cfg, apps, pk, id, st, state == prefixBuilt); s != nil {
-			return s.Run(), nil
-		}
-	}
-	s, err := c.restoreWarm(cfg, apps, key)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(), nil
-}
-
-// forkStored restores the prefix image stored under pk into cfg's simulator,
-// or returns nil when there is none to restore. An image that fails to
-// restore, or one that built says should be there and is not, is deleted and
-// counted as an eviction, and the group goes back to seen.
-func (c *Cache) forkStored(cfg config.Config, apps []trace.Profile, pk string, id [sha256.Size]byte, st SnapshotStore, built bool) *sim.Simulator {
+// restorePrefix restores the prefix image stored under pk into cfg's
+// simulator, or returns nil when there is none to restore. An image that
+// fails to restore, or one that built says should be there and is not, is
+// deleted and counted as an eviction, and the group goes back to seen.
+func (c *Cache) restorePrefix(cfg config.Config, apps []trace.Profile, pk string, id [sha256.Size]byte, st SnapshotStore, built bool) *sim.Simulator {
 	img, ok := st.LoadSnapshot(pk)
 	if !ok && !built {
 		return nil
@@ -396,7 +302,6 @@ func (c *Cache) forkStored(cfg config.Config, apps []trace.Profile, pk string, i
 		if s, err := c.fork(cfg, apps, img[8:], at); err == nil {
 			c.setState(id, prefixBuilt)
 			c.prefixForks.Add(1)
-			c.prefixDiskHits.Add(1)
 			return s
 		}
 	}
@@ -406,10 +311,10 @@ func (c *Cache) forkStored(cfg config.Config, apps []trace.Profile, pk string, i
 	return nil
 }
 
-// buildStored runs cfg from the warm image, saving the image at D under pk
-// on the way, and returns cfg's own result. A failed build leaves the group
+// makePrefix runs cfg from the warm image, saving the image at D under pk on
+// the way, and returns cfg's own result. A failed build leaves the group
 // seen, so its next request tries again.
-func (c *Cache) buildStored(cfg config.Config, apps []trace.Profile, key, pk string, id [sha256.Size]byte, st SnapshotStore) (*sim.Result, error) {
+func (c *Cache) makePrefix(cfg config.Config, apps []trace.Profile, key, pk string, id [sha256.Size]byte, st SnapshotStore) (*sim.Result, error) {
 	s, err := c.restoreWarm(cfg, apps, key)
 	if err == nil {
 		at := s.RunToPush()
@@ -429,8 +334,37 @@ func (c *Cache) buildStored(cfg config.Config, apps []trace.Profile, key, pk str
 
 func (c *Cache) setState(id [sha256.Size]byte, state prefixState) {
 	c.mu.Lock()
-	c.stored[id] = state
+	c.groups[id] = state
 	c.mu.Unlock()
+}
+
+// mapStore is the prefix store of a cache without a SnapshotStore: its
+// images, in memory for the life of the cache.
+type mapStore struct {
+	mu   sync.Mutex
+	imgs map[string][]byte
+}
+
+func (m *mapStore) LoadSnapshot(key string) ([]byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	img, ok := m.imgs[key]
+	return img, ok
+}
+
+func (m *mapStore) SaveSnapshot(key string, img []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.imgs == nil {
+		m.imgs = make(map[string][]byte)
+	}
+	m.imgs[key] = img
+}
+
+func (m *mapStore) DeleteSnapshot(key string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.imgs, key)
 }
 
 // snapshot returns (producing at most once per key) the warmed checkpoint

@@ -3,6 +3,7 @@ package forkrun
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -117,16 +118,17 @@ func TestThresholdPrefixMatchesWarmFork(t *testing.T) {
 					t.Errorf("point %d (factor %v): thresholds %v, want %v", i, sweepFactors[i], res.S1Thresholds, wantThs[i])
 				}
 			}
-			p := c.prefixes[Key(cfg, apps)]
-			if p == nil || p.img == nil {
+			img, ok := c.images.LoadSnapshot(prefixKey(Key(cfg, apps), group(cfg)))
+			if !ok || len(img) <= 8 {
 				t.Fatal("the grid built no prefix")
 			}
+			at := int64(binary.LittleEndian.Uint64(img))
 			total := cfg.Run.WarmupCycles + cfg.Run.MeasureCycles
-			if tc.atEnd && p.at != total {
-				t.Errorf("prefix taken at %d, want the window's end %d", p.at, total)
+			if tc.atEnd && at != total {
+				t.Errorf("prefix taken at %d, want the window's end %d", at, total)
 			}
-			if !tc.atEnd && (p.at <= cfg.Run.WarmupCycles || p.at >= total) {
-				t.Errorf("prefix taken at %d, want inside (%d, %d)", p.at, cfg.Run.WarmupCycles, total)
+			if !tc.atEnd && (at <= cfg.Run.WarmupCycles || at >= total) {
+				t.Errorf("prefix taken at %d, want inside (%d, %d)", at, cfg.Run.WarmupCycles, total)
 			}
 			// Only the first two points drew on the warm image.
 			if st := c.Stats(); st.Warmups != 1 || st.MemHits != 1 || st.Forked != int64(len(grid)) {
@@ -139,57 +141,60 @@ func TestThresholdPrefixMatchesWarmFork(t *testing.T) {
 	}
 }
 
-// TestPrefixBuiltOnRepeat pins the slot policy: points that alternate groups
-// build no slot; a run of one group's points builds exactly one, on its
-// second request; a request from another group drops it; and the warm images
-// are all Snapshots counts.
+// TestPrefixBuiltOnRepeat pins the prefix policy on a cache without a store:
+// each group builds its image on its own second request, however the groups
+// interleave, and forks at D from then on; a group seen once builds nothing;
+// the warm image is all Snapshots counts; and an image that fails to restore
+// is evicted and rebuilt.
 func TestPrefixBuiltOnRepeat(t *testing.T) {
 	s1, apps := sweepConfig(false, 1, 1_000)
 	s12, _ := sweepConfig(true, 1, 1_000)
+	once, _ := sweepConfig(false, 1, 2_000)
 	key := Key(s1, apps)
-	run := func(c *Cache, cfg config.Config) {
-		t.Helper()
-		if _, err := c.Run(cfg, apps); err != nil {
+	var c Cache
+	state := func(cfg config.Config) prefixState {
+		return c.groups[sha256.Sum256([]byte(prefixKey(key, group(cfg))))]
+	}
+	for i, step := range []struct {
+		cfg           config.Config
+		builds, forks int64
+		want          prefixState
+	}{
+		{s1, 0, 0, prefixSeen},
+		{s12, 0, 0, prefixSeen},
+		{s1, 1, 0, prefixBuilt},
+		{once, 1, 0, prefixSeen},
+		{s12, 2, 0, prefixBuilt},
+		{s1, 2, 1, prefixBuilt},
+		{s12, 2, 2, prefixBuilt},
+	} {
+		if _, err := c.Run(withFactor(step.cfg, sweepFactors[i%len(sweepFactors)]), apps); err != nil {
 			t.Fatal(err)
 		}
+		if st := c.Stats(); st.PrefixBuilds != step.builds || st.PrefixForks != step.forks || state(step.cfg) != step.want {
+			t.Fatalf("point %d: %d builds, %d prefix forks, group state %d, want %d, %d and %d",
+				i, st.PrefixBuilds, st.PrefixForks, state(step.cfg), step.builds, step.forks, step.want)
+		}
+	}
+	if _, ok := c.images.LoadSnapshot(prefixKey(key, group(once))); ok || len(c.images.imgs) != 2 {
+		t.Errorf("%d prefix images, want one for each group seen twice", len(c.images.imgs))
+	}
+	if st := c.Stats(); c.Snapshots() != 1 || st.Warmups != 1 {
+		t.Errorf("%d snapshots, %d warmups, want the 1 warm image", c.Snapshots(), st.Warmups)
 	}
 
-	var alt Cache
-	for i, f := range sweepFactors {
-		cfg := s1
-		if i%2 == 1 {
-			cfg = s12
+	// An image that fails to restore is deleted, and its group's next
+	// request rebuilds it.
+	pk := prefixKey(key, group(s1))
+	c.images.imgs[pk] = c.images.imgs[pk][:len(c.images.imgs[pk])/2]
+	for i, want := range []prefixState{prefixSeen, prefixBuilt} {
+		if _, err := c.Run(withFactor(s1, sweepFactors[i]), apps); err != nil {
+			t.Fatal(err)
 		}
-		run(&alt, withFactor(cfg, f))
-		if p := alt.prefixes[key]; p == nil || p.done != nil || p.group != group(cfg) {
-			t.Fatalf("alternating point %d: slot %+v, want the group recorded and nothing built", i, p)
+		if st := c.Stats(); st.Evictions != 1 || st.PrefixBuilds != 2+int64(i) || state(s1) != want {
+			t.Fatalf("after the bad image, point %d: stats %+v, group state %d, want 1 eviction, %d builds, state %d",
+				i, st, state(s1), 2+i, want)
 		}
-	}
-	if st := alt.Stats(); alt.Snapshots() != 1 || st.MemHits != int64(len(sweepFactors)-1) {
-		t.Errorf("alternating groups: %d snapshots, %d memory hits, want 1 and %d", alt.Snapshots(), st.MemHits, len(sweepFactors)-1)
-	}
-
-	var c Cache
-	var built *prefix
-	for i, f := range sweepFactors {
-		run(&c, withFactor(s1, f))
-		p := c.prefixes[key]
-		switch {
-		case i == 0 && p.done != nil:
-			t.Fatal("the group's first point built a slot")
-		case i == 1:
-			built = p
-		}
-		if i > 0 && (p != built || p.img == nil) {
-			t.Fatalf("point %d: slot %p, want the one built by point 1 (%p)", i, p, built)
-		}
-	}
-	if c.Snapshots() != 1 {
-		t.Errorf("%d snapshots, want the 1 warm image", c.Snapshots())
-	}
-	run(&c, withFactor(s12, 1.2))
-	if p := c.prefixes[key]; p.group != group(s12) || p.done != nil {
-		t.Error("a request from another group kept the slot")
 	}
 
 	// The stepping layout and NoSteal do not split a group.
@@ -197,58 +202,6 @@ func TestPrefixBuiltOnRepeat(t *testing.T) {
 	sharded.Run.Shards, sharded.Run.NoSteal = 2, true
 	if group(sharded) != group(withFactor(s1, 9)) || group(s1) == group(s12) {
 		t.Error("group keys split a sweep or join two")
-	}
-}
-
-// TestPrefixWaitersGetTheSameBytes: points of a group that ask while its
-// slot is under construction wait for it and produce their own warm fork's
-// bytes.
-func TestPrefixWaitersGetTheSameBytes(t *testing.T) {
-	cfg, apps := sweepConfig(true, 1, 1_000)
-	var grid []config.Config
-	for _, f := range sweepFactors {
-		grid = append(grid, withFactor(cfg, f))
-	}
-	want, _ := warmForks(t, grid, apps)
-
-	var c Cache
-	key, g := Key(cfg, apps), group(cfg)
-	if _, err := c.Run(grid[0], apps); err != nil {
-		t.Fatal(err)
-	}
-	p, build := c.prefixFor(key, g)
-	if !build {
-		t.Fatal("the group's second request was not handed the build")
-	}
-	got := make([][]byte, len(grid))
-	var wg sync.WaitGroup
-	for i := 2; i < len(grid); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := c.Run(grid[i], apps)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i], _ = json.Marshal(res.Summary())
-		}()
-	}
-	// The build's restore and run to D outlast the waiters' start, so they
-	// find the slot under construction; their bytes must not depend on it.
-	res, err := c.buildPrefix(grid[1], apps, key, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got[1] = summaryJSON(t, res)
-	wg.Wait()
-	for i := 1; i < len(grid); i++ {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("point %d: summary differs from its warm fork", i)
-		}
-	}
-	if st := c.Stats(); st.MemHits != 1 {
-		t.Errorf("%d memory hits, want 1: a waiter ran from the warm image", st.MemHits)
 	}
 }
 
@@ -315,8 +268,8 @@ func TestPrefixBuildEvictsCorruptStoreImage(t *testing.T) {
 	id := sha256.Sum256([]byte(pk))
 	// As if the group's first point had run before the warm image went bad:
 	// this request is the group's second, the build.
-	c.stored = map[[sha256.Size]byte]prefixState{id: prefixBuilding}
-	res, err := c.buildStored(grid[0], apps, key, pk, id, st)
+	c.groups = map[[sha256.Size]byte]prefixState{id: prefixBuilding}
+	res, err := c.makePrefix(grid[0], apps, key, pk, id, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +277,7 @@ func TestPrefixBuildEvictsCorruptStoreImage(t *testing.T) {
 		t.Error("the build's result differs from its warm fork")
 	}
 	s := c.Stats()
-	if !slices.Equal(st.deleted, []string{key}) || st.saves != 2 || st.imgs[pk] == nil || c.stored[id] != prefixBuilt ||
+	if !slices.Equal(st.deleted, []string{key}) || st.saves != 2 || st.imgs[pk] == nil || c.groups[id] != prefixBuilt ||
 		s.Evictions != 1 || s.Warmups != 1 || s.PrefixBuilds != 1 {
 		t.Errorf("stats %+v, store deleted %d keys, %d saves, prefix saved=%v: want the warm image evicted, one re-warm and the prefix saved",
 			s, len(st.deleted), st.saves, st.imgs[pk] != nil)
@@ -336,7 +289,7 @@ func TestPrefixBuildEvictsCorruptStoreImage(t *testing.T) {
 	if !bytes.Equal(summaryJSON(t, res), want[1]) {
 		t.Error("the point forked from the saved prefix differs from its warm fork")
 	}
-	if s := c.Stats(); s.PrefixForks != 1 || s.PrefixDiskHits != 1 {
+	if s := c.Stats(); s.PrefixForks != 1 {
 		t.Errorf("stats %+v, want the second point forked from the stored prefix", s)
 	}
 }
@@ -411,9 +364,8 @@ func runGrid(t *testing.T, c *Cache, cfgs []config.Config, apps [][]trace.Profil
 
 // TestPrefixStoredGridMatchesWarmFork is the store-backed prefix's exactness
 // and policy oracle: on a shuffled grid, where no group's second point
-// follows its first (the in-memory slot would build none), every group is
-// built once, on its second request, and its third
-// forks from the stored image; every point has its own warm fork's bytes. A
+// follows its first, every group is built once, on its second request, and
+// its third forks from the stored image; every point has its own warm fork's bytes. A
 // fresh cache on the same store then forks a seen group's next point from
 // the stored image: no build, no warmup.
 func TestPrefixStoredGridMatchesWarmFork(t *testing.T) {
@@ -423,7 +375,7 @@ func TestPrefixStoredGridMatchesWarmFork(t *testing.T) {
 	var c Cache
 	c.SetStore(st)
 	runGrid(t, &c, cfgs, apps, sums, ths)
-	want := Stats{Warmups: 2, Forked: 18, MemHits: 10, PrefixBuilds: 6, PrefixForks: 6, PrefixDiskHits: 6}
+	want := Stats{Warmups: 2, Forked: 18, MemHits: 10, PrefixBuilds: 6, PrefixForks: 6}
 	if s := c.Stats(); s != want {
 		t.Errorf("stats %+v, want %+v", s, want)
 	}
@@ -436,7 +388,7 @@ func TestPrefixStoredGridMatchesWarmFork(t *testing.T) {
 	var fresh Cache
 	fresh.SetStore(st)
 	runGrid(t, &fresh, []config.Config{next}, apps[:1], s, th)
-	want = Stats{Forked: 1, PrefixForks: 1, PrefixDiskHits: 1}
+	want = Stats{Forked: 1, PrefixForks: 1}
 	if s := fresh.Stats(); s != want {
 		t.Errorf("a restarted cache's next point of a seen group: stats %+v, want %+v", s, want)
 	}
@@ -470,10 +422,10 @@ func TestPrefixStoredBadImages(t *testing.T) {
 	}
 }
 
-// TestPrefixStoredConcurrentPoints: points of one group asked for at once on
-// a store-backed cache, however their requests interleave with the build,
-// get their own warm fork's bytes, and at most one image per build reaches
-// the store.
+// TestPrefixStoredConcurrentPoints: points of one group asked for at once, on
+// a cache without a store and on a store-backed one, however their requests
+// interleave with the build, get their own warm fork's bytes, and at most one
+// image per build reaches the store.
 func TestPrefixStoredConcurrentPoints(t *testing.T) {
 	cfg, apps := sweepConfig(true, 1, 1_000)
 	var grid []config.Config
@@ -481,32 +433,45 @@ func TestPrefixStoredConcurrentPoints(t *testing.T) {
 		grid = append(grid, withFactor(cfg, f))
 	}
 	want, _ := warmForks(t, grid, apps)
-	st := newMemStore()
-	var c Cache
-	c.SetStore(st)
-	for round := range 2 { // the second round finds the image built
-		got := make([][]byte, len(grid))
-		var wg sync.WaitGroup
-		for i := range grid {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res, err := c.Run(grid[i], apps)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got[i], _ = json.Marshal(res.Summary())
-			}()
-		}
-		wg.Wait()
-		for i := range grid {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("round %d, point %d: summary differs from its warm fork", round, i)
+	for _, tc := range []struct {
+		name string
+		st   *memStore
+	}{{"no_store", nil}, {"store", newMemStore()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Cache
+			if tc.st != nil {
+				c.SetStore(tc.st)
 			}
-		}
-	}
-	if s := c.Stats(); s.PrefixBuilds < 1 || s.Evictions != 0 || st.saves != 1+int(s.PrefixBuilds) {
-		t.Errorf("stats %+v, %d saves: want a build, no eviction, one save per image", s, st.saves)
+			for round := range 2 { // the second round finds the image built
+				got := make([][]byte, len(grid))
+				var wg sync.WaitGroup
+				for i := range grid {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						res, err := c.Run(grid[i], apps)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got[i], _ = json.Marshal(res.Summary())
+					}()
+				}
+				wg.Wait()
+				for i := range grid {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Errorf("round %d, point %d: summary differs from its warm fork", round, i)
+					}
+				}
+			}
+			s := c.Stats()
+			saves := len(c.images.imgs)
+			if tc.st != nil {
+				saves = tc.st.saves - 1 // the warm image
+			}
+			if s.PrefixBuilds < 1 || s.Evictions != 0 || saves != int(s.PrefixBuilds) {
+				t.Errorf("stats %+v, %d prefix saves: want a build, no eviction, one save per image", s, saves)
+			}
+		})
 	}
 }
