@@ -45,14 +45,17 @@ race:
 # under every stepper, a checkpoint must survive a serialize-restore-
 # serialize round trip unchanged, and a threshold sweep's shared prefix
 # (RunToPush, and forkrun's prefix images on interleaved groups and a
-# shuffled grid, over stores that lose or truncate images and under
+# shuffled grid, over stores that lose, truncate or damage images and under
 # concurrent points with and without a store: TestPrefix*) must give every
-# point the bytes of its own warm fork. Runs ahead of the full `race`
+# point the bytes of its own warm fork, and so must a store-backed cache's
+# warm images, which leave memory for the store (forks from W load them,
+# concurrent first requests of one key run one warmup, a store that lost an
+# image costs a re-warm: TestWarmImage*). Runs ahead of the full `race`
 # suite (which also includes them) so snapshot-format breakage fails CI
 # within a minute or two.
 fork-race:
 	$(GO) test -race -run 'TestCheckpointForkEquivalence|TestCheckpointRoundTrip|TestRunToPush' ./internal/sim
-	$(GO) test -race -run 'TestThresholdPrefix|TestPrefix' ./internal/forkrun
+	$(GO) test -race -run 'TestThresholdPrefix|TestPrefix|TestWarmImage' ./internal/forkrun
 
 # The event stepper's byte-equality oracles on their own, under the race
 # detector: dense = event = sharded (2, 3, 4 and 8 workers) on the

@@ -178,8 +178,9 @@ func (r *Runner) AddLeaseStats(granted, expired, relayed, completed, duplicate i
 
 // SetSnapshotStore backs the runner's warmup-sharing fork cache with a
 // persistent snapshot store (the daemon's on-disk store), so warm images
-// survive restarts. Call before the first run; only meaningful with
-// Options.ShareWarmup.
+// survive restarts and leave memory: every fork from the warmup boundary
+// after a key's warmup loads the image from the store. Call before the first
+// run; only meaningful with Options.ShareWarmup.
 func (r *Runner) SetSnapshotStore(st forkrun.SnapshotStore) {
 	r.forks.SetStore(st)
 }

@@ -35,10 +35,17 @@
 // restarts, so a freshly started daemon forks measurement runs from
 // checkpoints warmed in a previous life instead of re-executing a single
 // warmup cycle, and forks threshold points from prefix images built in a
-// previous life too. A store image that fails to restore is evicted — from
-// memory and disk — and the warmup re-executes (a prefix image: the point
-// runs from the warm image), so corruption degrades to wasted work, never to
-// an error surfaced on a request that a fresh warmup could have served.
+// previous life too. Such a cache keeps no image in memory: the request that
+// runs a warmup forks from the image it holds, saves it and reads it back
+// once, and every later fork from the warmup boundary loads the image from
+// the store (a disk hit). Only a key whose image the store did not give back
+// intact keeps it in memory, so a store that loses or damages saves costs one
+// warmup per key, not one per request. A store image that fails to restore is
+// evicted — from memory and disk — and the warmup re-executes (a prefix
+// image: the point runs from the warm image), so corruption degrades to
+// wasted work, never to an error surfaced on a request that a fresh warmup
+// could have served. A cache without a store keeps each warm image in memory
+// for its life.
 package forkrun
 
 import (
@@ -74,10 +81,14 @@ type Stats struct {
 	Warmups int64 `json:"warmups"`
 	// Forked counts measurement runs forked from a shared warm snapshot.
 	Forked int64 `json:"forked"`
-	// MemHits counts snapshot requests served by the in-memory cache
-	// (i.e. coalesced onto an earlier requester's warmup or load).
+	// MemHits counts warm-image requests served by an image kept in memory
+	// (coalesced onto an earlier requester's warmup): every one after the
+	// first of its key on a cache without a store, and on a store-backed
+	// cache only for keys whose image the store did not give back.
 	MemHits int64 `json:"mem_hits"`
-	// DiskHits counts snapshots resurrected from the persistent store.
+	// DiskHits counts warm images loaded from the persistent store: a
+	// restarted process's first request of a key, and on a store-backed
+	// cache every request of a key after the one that ran its warmup.
 	DiskHits int64 `json:"disk_hits"`
 	// Evictions counts snapshots ejected as corrupt (header or restore
 	// failure of a store image) and prefix images that were missing from the
@@ -91,12 +102,13 @@ type Stats struct {
 	PrefixForks int64 `json:"prefix_forks"`
 }
 
-// entry is one singleflight slot: done is closed when snap/err are final.
+// entry is one warm key's singleflight slot: done is closed when err and
+// snap are final. snap is the image kept in memory: always without a store,
+// and with one only when the store did not give the image back (see produce).
 type entry struct {
-	done      chan struct{}
-	snap      []byte
-	err       error
-	fromStore bool // snap was loaded from the persistent store
+	done chan struct{}
+	snap []byte
+	err  error
 }
 
 // Cache memoizes warmed-up checkpoints. The zero value is ready to use; a
@@ -152,13 +164,23 @@ func Key(cfg config.Config, apps []trace.Profile) string {
 	return b.String()
 }
 
-// Snapshots reports how many distinct warm snapshots the cache holds in
-// memory (executed by this process or resurrected from the store); prefix
-// images do not count.
+// Snapshots reports how many warm keys the cache has a usable image for,
+// executed by this process or found in the store, whether the image is kept
+// in memory or in the store; prefix images and keys in flight do not count.
 func (c *Cache) Snapshots() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.snaps)
+	n := 0
+	for _, e := range c.snaps {
+		select {
+		case <-e.done:
+			if e.err == nil {
+				n++
+			}
+		default:
+		}
+	}
+	return n
 }
 
 // Run executes cfg's full warmup+measurement window over apps (one profile
@@ -367,57 +389,94 @@ func (m *mapStore) DeleteSnapshot(key string) {
 	delete(m.imgs, key)
 }
 
-// snapshot returns (producing at most once per key) the warmed checkpoint
-// image for cfg's group, key, reporting whether it came from the persistent
-// store.
+// snapshot returns the warmed checkpoint image of cfg's group, key,
+// producing it at most once per key, and reports whether it came from the
+// persistent store. A slot whose image lives in the store alone is served by
+// a store load per request; if the store has lost the image, the slot is
+// dropped and the warmup runs again.
 func (c *Cache) snapshot(cfg config.Config, apps []trace.Profile, key string) ([]byte, bool, error) {
-	c.mu.Lock()
-	if c.snaps == nil {
-		c.snaps = make(map[string]*entry)
-	}
-	if e, ok := c.snaps[key]; ok {
-		c.mu.Unlock()
-		<-e.done
-		c.memHits.Add(1)
-		return e.snap, e.fromStore, e.err
-	}
-	e := &entry{done: make(chan struct{})}
-	c.snaps[key] = e
-	st := c.store
-	c.mu.Unlock()
-	defer close(e.done)
-
-	if st != nil {
-		if img, ok := st.LoadSnapshot(key); ok {
-			// The store already checksummed the entry frame; validating the
-			// checkpoint header here additionally rejects images written by
-			// a binary with a different snapshot.Version before any run
-			// wastes a restore attempt on them.
-			if _, err := snapshot.NewReaderBytes(img); err == nil {
-				e.snap, e.fromStore = img, true
-				c.diskHits.Add(1)
-				return e.snap, true, nil
-			}
-			st.DeleteSnapshot(key)
-			c.evictions.Add(1)
+	for {
+		c.mu.Lock()
+		if c.snaps == nil {
+			c.snaps = make(map[string]*entry)
 		}
+		e, ok := c.snaps[key]
+		if !ok {
+			e = &entry{done: make(chan struct{})}
+			c.snaps[key] = e
+		}
+		st := c.store
+		c.mu.Unlock()
+		if !ok {
+			return c.produce(e, cfg, apps, key, st)
+		}
+		<-e.done
+		if e.err != nil || e.snap != nil {
+			c.memHits.Add(1)
+			return e.snap, false, e.err
+		}
+		if img := c.load(st, key); img != nil {
+			return img, true, nil
+		}
+		c.mu.Lock()
+		if c.snaps[key] == e {
+			delete(c.snaps, key)
+		}
+		c.mu.Unlock()
 	}
+}
 
+// produce fills e, key's new slot: it loads the image from the store, or
+// runs the warmup and saves its image there. The image stays in e only when
+// there is no store, or the store does not give back the bytes just saved (a
+// store that loses or damages images must not cost a warmup per request).
+func (c *Cache) produce(e *entry, cfg config.Config, apps []trace.Profile, key string, st SnapshotStore) ([]byte, bool, error) {
+	defer close(e.done)
+	if img := c.load(st, key); img != nil {
+		return img, true, nil
+	}
 	s, err := sim.New(canonical(cfg), apps)
 	if err != nil {
 		e.err = err
 		return nil, false, err
 	}
 	s.Step(cfg.Run.WarmupCycles)
-	if e.snap, err = exactImage(s, nil); err != nil {
+	img, err := exactImage(s, nil)
+	if err != nil {
 		e.err = err
 		return nil, false, err
 	}
 	c.warmups.Add(1)
 	if st != nil {
-		st.SaveSnapshot(key, e.snap)
+		st.SaveSnapshot(key, img)
+		if back, ok := st.LoadSnapshot(key); ok && bytes.Equal(back, img) {
+			return img, false, nil
+		}
 	}
-	return e.snap, false, nil
+	e.snap = img
+	return img, false, nil
+}
+
+// load reads key's warm image from st, counting a disk hit, or returns nil
+// when st is nil or has no image. An image whose checkpoint header this binary
+// cannot read (the store already checksummed the entry frame; this rejects
+// images of a different snapshot.Version before a restore is wasted on them)
+// is deleted and counted as an eviction.
+func (c *Cache) load(st SnapshotStore, key string) []byte {
+	if st == nil {
+		return nil
+	}
+	img, ok := st.LoadSnapshot(key)
+	if !ok {
+		return nil
+	}
+	if _, err := snapshot.NewReaderBytes(img); err != nil {
+		st.DeleteSnapshot(key)
+		c.evictions.Add(1)
+		return nil
+	}
+	c.diskHits.Add(1)
+	return img
 }
 
 // byteCount is an io.Writer that only measures.
@@ -429,12 +488,13 @@ func (n *byteCount) Write(p []byte) (int, error) {
 }
 
 // exactImage checkpoints s, behind head, into a slice of exactly that size.
-// A warm image is retained for the life of the cache and shared by every
-// fork, so it is encoded twice — once to count, once into the sized slice —
-// rather than grown: a doubling buffer holds a dead half-size copy while the
-// image is written and keeps its unused tail for as long as the image lives.
-// The second walk costs a few milliseconds per executed warmup or prefix
-// build; a prefix image bound for the store skips the dead copies too.
+// A warm image of a cache without a store is retained for the life of the
+// cache and shared by every fork, so it is encoded twice — once to count,
+// once into the sized slice — rather than grown: a doubling buffer holds a
+// dead half-size copy while the image is written and keeps its unused tail
+// for as long as the image lives. The second walk costs a few milliseconds
+// per executed warmup or prefix build; an image bound for the store skips the
+// dead copies too.
 func exactImage(s *sim.Simulator, head []byte) ([]byte, error) {
 	var n byteCount
 	if err := s.Checkpoint(&n); err != nil {

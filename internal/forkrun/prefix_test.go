@@ -206,13 +206,16 @@ func TestPrefixBuiltOnRepeat(t *testing.T) {
 }
 
 // memStore is a SnapshotStore in memory. With drop set it loses every save;
-// with cut set it hands out every prefix image truncated to half its length.
+// with cut set it hands out every prefix image truncated to half its length,
+// with cutWarm every warm image; with flipWarm it hands out every warm image
+// with one byte past its header flipped.
 type memStore struct {
-	mu        sync.Mutex
-	imgs      map[string][]byte
-	drop, cut bool
-	saves     int
-	deleted   []string
+	mu                sync.Mutex
+	imgs              map[string][]byte
+	drop, cut         bool
+	cutWarm, flipWarm bool
+	saves             int
+	deleted           []string
 }
 
 func newMemStore() *memStore { return &memStore{imgs: make(map[string][]byte)} }
@@ -221,8 +224,13 @@ func (s *memStore) LoadSnapshot(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	img, ok := s.imgs[key]
-	if ok && s.cut && strings.Contains(key, "|prefix ") {
+	prefix := strings.Contains(key, "|prefix ")
+	switch {
+	case ok && (prefix && s.cut || !prefix && s.cutWarm):
 		img = img[:len(img)/2]
+	case ok && !prefix && s.flipWarm:
+		img = slices.Clone(img)
+		img[len(img)/2] ^= 1
 	}
 	return img, ok
 }
@@ -375,12 +383,13 @@ func TestPrefixStoredGridMatchesWarmFork(t *testing.T) {
 	var c Cache
 	c.SetStore(st)
 	runGrid(t, &c, cfgs, apps, sums, ths)
-	want := Stats{Warmups: 2, Forked: 18, MemHits: 10, PrefixBuilds: 6, PrefixForks: 6}
+	// The 10 forks from W after each warm key's warmup load its image.
+	want := Stats{Warmups: 2, Forked: 18, DiskHits: 10, PrefixBuilds: 6, PrefixForks: 6}
 	if s := c.Stats(); s != want {
 		t.Errorf("stats %+v, want %+v", s, want)
 	}
 	if c.Snapshots() != 2 || len(st.imgs) != 2+6 {
-		t.Errorf("%d warm snapshots in memory, %d store images, want 2 and 2 warm + 6 prefix", c.Snapshots(), len(st.imgs))
+		t.Errorf("%d warm snapshots, %d store images, want 2 and 2 warm + 6 prefix", c.Snapshots(), len(st.imgs))
 	}
 
 	next := withFactor(cfgs[0], 2.5)
@@ -394,29 +403,45 @@ func TestPrefixStoredGridMatchesWarmFork(t *testing.T) {
 	}
 }
 
-// TestPrefixStoredBadImages: a store that loses every save, and one that
-// hands out truncated prefix images, still give every point its own warm
-// fork's bytes. Each bad image is evicted once, when the group's third point
-// asks for it, and that point runs from the warm image.
+// TestPrefixStoredBadImages: a store that loses every save, one that hands
+// out truncated prefix images, one that truncates every image, warm ones too,
+// and one that flips a byte of every warm image still give every point its
+// own warm fork's bytes. Each bad prefix image is evicted once, when the
+// group's third point asks for it, and that point runs from the warm image.
+// A bad warm image costs one warmup per warm key, not one per request: the
+// read-back after the warmup finds it damaged, so the key keeps its image in
+// memory; a good one is loaded from the store by every later fork from W.
 func TestPrefixStoredBadImages(t *testing.T) {
 	cfgs, apps := storeGrid()
 	sums, ths := storeGridWant(t, cfgs, apps)
+	lost := Stats{Warmups: 2, Forked: 18, MemHits: 16, Evictions: 6, PrefixBuilds: 6}
 	for _, tc := range []struct {
-		name      string
-		drop, cut bool
-	}{{"drops_saves", true, false}, {"truncates_prefixes", false, true}} {
+		name string
+		bad  func(*memStore)
+		want Stats
+		held int // warm images kept in memory
+	}{
+		{"drops_saves", func(s *memStore) { s.drop = true }, lost, 2},
+		{"truncates_prefixes", func(s *memStore) { s.cut = true },
+			Stats{Warmups: 2, Forked: 18, DiskHits: 16, Evictions: 6, PrefixBuilds: 6}, 0},
+		{"truncates_all", func(s *memStore) { s.cut, s.cutWarm = true, true }, lost, 2},
+		{"flips_warm", func(s *memStore) { s.flipWarm = true },
+			Stats{Warmups: 2, Forked: 18, MemHits: 10, PrefixBuilds: 6, PrefixForks: 6}, 2},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newMemStore()
-			st.drop, st.cut = tc.drop, tc.cut
+			tc.bad(st)
 			var c Cache
 			c.SetStore(st)
 			runGrid(t, &c, cfgs, apps, sums, ths)
-			want := Stats{Warmups: 2, Forked: 18, MemHits: 16, Evictions: 6, PrefixBuilds: 6}
-			if s := c.Stats(); s != want {
-				t.Errorf("stats %+v, want %+v", s, want)
+			if s := c.Stats(); s != tc.want {
+				t.Errorf("stats %+v, want %+v", s, tc.want)
 			}
-			if len(st.deleted) != 6 {
-				t.Errorf("%d store deletes, want one per bad image", len(st.deleted))
+			if len(st.deleted) != int(tc.want.Evictions) {
+				t.Errorf("%d store deletes, want one per bad prefix image", len(st.deleted))
+			}
+			if c.Snapshots() != 2 || heldImages(&c) != tc.held {
+				t.Errorf("%d snapshots, %d warm images in memory, want 2 and %d", c.Snapshots(), heldImages(&c), tc.held)
 			}
 		})
 	}

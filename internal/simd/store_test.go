@@ -142,18 +142,19 @@ func TestCorruptSnapshotEvictedAndRewarmed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The header passes, so the image counts as a disk hit before its
-	// restore fails.
-	rewarmsOver(t, "poisoned warm checkpoint is evicted and re-warmed", img.Bytes(), 1)
+	// restore fails; the second point loads the fresh warmup's image.
+	rewarmsOver(t, "poisoned warm checkpoint is evicted and re-warmed", img.Bytes(), 2)
 }
 
 // TestVersion2SnapshotEvictedAndRewarmed is the upgrade path: a store that a
 // binary of format version 2 filled holds images this one cannot read. The
-// daemon must refuse such an image at its header — no disk hit, one
-// eviction — warm once and serve the direct runner's bytes, and RestoreImage
+// daemon must refuse such an image at its header — one eviction — warm once
+// and serve the direct runner's bytes, the second point from the fresh
+// image on disk (its one disk hit), and RestoreImage
 // must reject the image with an ErrFormat naming version 2.
 func TestVersion2SnapshotEvictedAndRewarmed(t *testing.T) {
 	img := binary.LittleEndian.AppendUint32([]byte(snapshot.Magic), 2)
-	grid := rewarmsOver(t, "version-2 warm checkpoint is evicted and re-warmed", img, 0)
+	grid := rewarmsOver(t, "version-2 warm checkpoint is evicted and re-warmed", img, 1)
 	_, err := sim.RestoreImage(grid[0].Config, paddedApps(grid[0].Config), img)
 	if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("RestoreImage of a version-2 image returned %v, want an ErrFormat naming version 2", err)
@@ -172,8 +173,8 @@ func paddedApps(cfg config.Config) []trace.Profile {
 
 // rewarmsOver plants img as the warm checkpoint of a two-point policy grid on
 // a fresh daemon, runs the grid and requires every point simulated with the
-// direct runner's bytes, diskHits snapshot disk hits, one eviction and one
-// warmup. It returns the grid.
+// direct runner's bytes, diskHits snapshot disk hits, no memory hit, one
+// eviction and one warmup. It returns the grid.
 func rewarmsOver(t *testing.T, desc string, img []byte, diskHits int64) []simd.RunSpec {
 	h := makeHarness(t, 1, "", 1)
 	h.begin(desc)
@@ -194,8 +195,8 @@ func rewarmsOver(t *testing.T, desc string, img []byte, diskHits int64) []simd.R
 		}
 	}
 	st := h.stats()
-	if st.Runner.SnapshotDiskHits != diskHits {
-		t.Errorf("%d snapshot disk hits, want %d", st.Runner.SnapshotDiskHits, diskHits)
+	if st.Runner.SnapshotDiskHits != diskHits || st.Runner.SnapshotMemHits != 0 {
+		t.Errorf("%d snapshot disk hits, %d memory hits, want %d and 0", st.Runner.SnapshotDiskHits, st.Runner.SnapshotMemHits, diskHits)
 	}
 	if st.Runner.SnapshotEvictions != 1 {
 		t.Errorf("%d snapshot evictions, want 1", st.Runner.SnapshotEvictions)
@@ -353,14 +354,16 @@ func TestPrefixImagesAcrossRestart(t *testing.T) {
 			}
 		}
 		got := h.stats().Runner
-		got.Runs, got.CacheHits, got.SnapshotMemHits = 0, 0, 0
+		got.Runs, got.CacheHits = 0, 0
 		if got != want {
 			t.Errorf("%s: runner stats %+v, want %+v", phase, got, want)
 		}
 	}
 
+	// The warm image lives on disk alone: the three forks from W after the
+	// warmup load it.
 	check("interleaved groups", points(0.8, 1.0, 1.2),
-		exp.Stats{Executed: 6, Forked: 6, Warmups: 1, PrefixBuilds: 2, PrefixForks: 2})
+		exp.Stats{Executed: 6, Forked: 6, Warmups: 1, SnapshotDiskHits: 3, PrefixBuilds: 2, PrefixForks: 2})
 	if snaps := mustGlob(t, filepath.Join(dir, "snaps", "*.snap")); len(snaps) != 3 {
 		t.Errorf("%d snapshot files, want the warm image and two prefix images", len(snaps))
 	}

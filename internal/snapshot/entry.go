@@ -34,9 +34,10 @@ func (w *Writer) Blob(b []byte) {
 	w.write(b)
 }
 
-// Blob reads a length-prefixed byte slice.
+// Blob reads a length-prefixed byte slice as a read-only view into the
+// input (see Next): a store entry's payload is not copied out of its frame.
 func (r *Reader) Blob() []byte {
-	return bytes.Clone(r.Next(r.Len(1)))
+	return r.Next(r.Len(1))
 }
 
 // EncodeEntry frames payload under key as one store entry.
@@ -57,7 +58,7 @@ func EncodeEntry(key string, payload []byte) ([]byte, error) {
 }
 
 // DecodeEntry parses and verifies one store entry, returning the key it was
-// stored under and its payload. Every failure mode — truncation, trailing
+// stored under and its payload, a read-only view into data. Every failure mode — truncation, trailing
 // garbage, bit flips anywhere in the frame — yields an error wrapping
 // ErrFormat via the sticky-error reader.
 func DecodeEntry(data []byte) (key string, payload []byte, err error) {

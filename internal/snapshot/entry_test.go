@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -78,5 +79,29 @@ func TestEntryCorruption(t *testing.T) {
 		} else if !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: error %v does not wrap ErrFormat", name, err)
 		}
+	}
+}
+
+// TestDecodeEntryDoesNotCopy: every fork from a store-backed warm image
+// decodes a frame of several megabytes, so DecodeEntry returns the payload as
+// a view of its input: decoding a 1 MB entry allocates under 1 KB.
+func TestDecodeEntryDoesNotCopy(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xa5}, 1<<20)
+	enc, err := EncodeEntry("some-key", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		_, got, err := DecodeEntry(enc)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("decoded %d bytes, error %v", len(got), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<10 {
+		t.Errorf("decoding a 1 MB entry allocated %d bytes, want under 1 KB", per)
 	}
 }
