@@ -101,10 +101,12 @@ bench-module:
 # fails here rather than in the next profiling session. The checkpoint
 # codec's two halves on the saturated 32-tile machine (Checkpoint32, and
 # RestoreImage32 after 20k and after 200k warm-up cycles: a restore that
-# replayed its warm-up would grow with it) run here too, twenty times each.
+# replayed its warm-up would grow with it) run here too, twenty times each,
+# and so do the two 16x16 Step-only loops (StepBursty256, StepPar256), which
+# report the live heap of their shape (heap-MB).
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'NetworkTick|CacheAccess|HistogramAdd' -benchtime 200x ./internal/noc ./internal/cache ./internal/stats
-	$(GO) test -run '^$$' -bench 'Checkpoint32|RestoreImage32' -benchtime 20x .
+	$(GO) test -run '^$$' -bench 'Checkpoint32|RestoreImage32|StepBursty256|StepPar256' -benchtime 20x .
 
 # The four fuzz targets, 5 s each beyond their seed corpora: the daemon's
 # request resolver, the checkpoint decoder, the result store's entry reader
@@ -131,16 +133,17 @@ results-check:
 	for f in "$$tmp"/*.tsv; do diff "results/$${f##*/}" "$$f" || exit 1; done && \
 	echo "results/ reproduces: $(EXP)"
 
-# CPU-profile the two Step-only loops that bracket the stepper's regimes (the
-# 16x16 bursty shape: mostly idle mesh, MSHR-blocked bursts; and the saturated
-# 32-core machine) and the two Step-free halves of a warm-up fork on that
-# machine (Checkpoint, RestoreImage). The two Step-only loops and the restore
-# also print heap-MB, the live heap of their shape, beside ns/op. Writes cpu.pprof (and
+# CPU-profile the Step-only loops that bracket the stepper's regimes (the
+# 16x16 bursty shape: mostly idle mesh, MSHR-blocked bursts; the 16x16 par256
+# shape: 128 mcf tiles on two shards; and the saturated 32-core machine) and
+# the two Step-free halves of a warm-up fork on that machine (Checkpoint,
+# RestoreImage). The Step-only loops and the restore also print heap-MB, the
+# live heap of their shape, beside ns/op. Writes cpu.pprof (and
 # the test binary nocmem.test) next to the repo, ready for `go tool pprof
 # nocmem.test cpu.pprof`. See ARCHITECTURE.md ("Profiling workflow") for how
 # to read the output.
 profile:
-	$(GO) test -run '^$$' -bench 'StepBursty256|SimCycle32Core|Checkpoint32|RestoreImage32' -cpuprofile cpu.pprof .
+	$(GO) test -run '^$$' -bench 'StepBursty256|StepPar256|SimCycle32Core|Checkpoint32|RestoreImage32' -cpuprofile cpu.pprof .
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof nocmem.test cpu.pprof"
 
 # The ROADMAP's tracked size: non-test Go lines outside the benchmark module
@@ -157,6 +160,8 @@ profile:
 # Snapshot v3: generator state and column-wise cache lines in the image: 16 294.
 # Every threshold group's prefix image in the daemon's store: 16 452.
 # One threshold-prefix policy with or without a store; the in-memory slot deleted: 16 384.
+# A store-backed fork cache keeps its warm images in the store: 16 446.
+# One directory form, pooled transactions, 16-bit LRU stamps: 16 438.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 

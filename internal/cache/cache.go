@@ -26,15 +26,16 @@ type Stats struct {
 //
 // The tag array is three flat per-way arrays indexed set*ways+way. keys holds
 // tag<<1 | valid, so a lookup is one compare per way and the eight ways of an
-// L2 set share one 64-byte host cache line; used holds the 32-bit LRU
-// timestamps and dirty one bit per way: 12.125 host bytes per line. An invalid
+// L2 set share one 64-byte host cache line; used holds the 16-bit LRU
+// timestamps and dirty one bit per way: 10.125 host bytes per line. An invalid
 // way keeps whatever tag, timestamp and dirty bit it last held (zeros after
 // Invalidate): the checkpoint carries them as they are.
-// The clock tick is 64-bit; advance keeps the stamps within 32 bits.
+// The clock tick is 64-bit; advance keeps the stamps within 16 bits.
 type Cache struct {
 	keys      []uint64
-	used      []uint32 // LRU timestamp per way
+	used      []uint16 // LRU timestamp per way
 	dirty     bitset.Set
+	byStamp   []uint64 // renumber's scratch: one set's stamp<<32 | way
 	ways      int
 	lineShift uint
 	setShift  uint // log2 of the set count: where the tag starts in a line number
@@ -62,8 +63,9 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	}
 	return &Cache{
 		keys:      make([]uint64, nsets*ways),
-		used:      make([]uint32, nsets*ways),
+		used:      make([]uint16, nsets*ways),
 		dirty:     bitset.New(nsets * ways),
+		byStamp:   make([]uint64, ways),
 		ways:      ways,
 		lineShift: log2(uint64(lineBytes)),
 		setShift:  log2(uint64(nsets)),
@@ -104,13 +106,13 @@ func (c *Cache) lookup(addr uint64) (base int, key uint64, way int) {
 }
 
 // advance moves the LRU clock k steps, renumbering every set first if it
-// would pass 2^32-1, and returns the clock as a stamp.
-func (c *Cache) advance(k uint64) uint32 {
+// would pass 2^16-1, and returns the clock as a stamp.
+func (c *Cache) advance(k uint64) uint16 {
 	c.tick += k
-	if c.tick > math.MaxUint32 {
+	if c.tick > math.MaxUint16 {
 		c.renumber()
 	}
-	return uint32(c.tick)
+	return uint16(c.tick)
 }
 
 // renumber sets each way's stamp to the dense rank of its old stamp within
@@ -118,23 +120,28 @@ func (c *Cache) advance(k uint64) uint32 {
 // restarts the clock one above the largest rank. Victim choice compares
 // stamps of one set only, and every stamp written later exceeds the clock,
 // so every hit, victim and writeback stays what an unbounded clock gives.
+// A busy cache renumbers every 2^16 accesses or so, so it sorts each set's
+// stamps, packed above their way index, in one scratch slice it keeps.
 func (c *Cache) renumber() {
-	sorted := make([]uint32, 0, c.ways)
-	var top uint32
+	var top uint16
+	byStamp := c.byStamp
 	for base := 0; base < len(c.used); base += c.ways {
 		set := c.used[base : base+c.ways]
-		sorted = append(sorted[:0], set...)
-		slices.Sort(sorted)
-		sorted = slices.Compact(sorted)
-		off := uint32(1)
-		if sorted[0] == 0 {
-			off = 0
-		}
 		for i, v := range set {
-			r, _ := slices.BinarySearch(sorted, v)
-			set[i] = uint32(r) + off
+			byStamp[i] = uint64(v)<<32 | uint64(i)
 		}
-		top = max(top, uint32(len(sorted)-1)+off)
+		slices.Sort(byStamp)
+		var rank uint16
+		if byStamp[0]>>32 != 0 {
+			rank = 1
+		}
+		for i, k := range byStamp {
+			if i > 0 && k>>32 != byStamp[i-1]>>32 {
+				rank++
+			}
+			set[uint32(k)] = rank
+		}
+		top = max(top, rank)
 	}
 	c.tick = uint64(top) + 1
 }

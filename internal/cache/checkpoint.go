@@ -11,10 +11,10 @@ import (
 // set, and the event counters. Geometry (set/way counts) is derived from the
 // configuration but encoded too, so a decode can reject a snapshot taken under
 // a different cache shape. The ways move as the cache holds them, one column
-// at a time: the keys (tag<<1 | valid, 8 bytes a way), the 32-bit LRU stamps
-// and the dirty bitset's words — 12.125 bytes a line. A decode restores in
+// at a time: the keys (tag<<1 | valid, 8 bytes a way), the 16-bit LRU stamps
+// and the dirty bitset's words — 10.125 bytes a line. A decode restores in
 // place, replacing every line, the LRU clock and the counters: nothing of what
-// the cache held before survives. A clock past 2^32-1 (the cache renumbers
+// the cache held before survives. A clock past 2^16-1 (the cache renumbers
 // before its clock gets there) and a dirty bit past the last way are format
 // errors.
 func (c *Cache) Walk(k *snapshot.Codec) {
@@ -38,14 +38,14 @@ func (c *Cache) Walk(k *snapshot.Codec) {
 		return
 	}
 	if dec {
-		if tick > math.MaxUint32 {
-			k.Fail("cache clock %d past 2^32-1", tick)
+		if tick > math.MaxUint16 {
+			k.Fail("cache clock %d past 2^16-1", tick)
 			return
 		}
 		c.tick = tick
 	}
 	k.U64Array(c.keys)
-	k.U32Array(c.used)
+	k.U16Array(c.used)
 	k.U64Array(c.dirty)
 	if dec && k.Err() == nil {
 		if tail := len(c.keys) % 64; tail != 0 && c.dirty[len(c.dirty)-1]>>tail != 0 {

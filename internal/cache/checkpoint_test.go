@@ -38,7 +38,7 @@ func TestDecodeRejects(t *testing.T) {
 	// The columns of filled's 128 ways follow the header, the clock and the
 	// two geometry lengths: keys, stamps, dirty words.
 	keysEnd := len(snapshot.Magic) + 4 + 8 + 4 + 4 + 128*8
-	stampsEnd := keysEnd + 128*4
+	stampsEnd := keysEnd + 128*2
 	dirtyEnd := stampsEnd + 2*8
 	broken := func(damage func(c *Cache)) func(*snapshot.Writer) {
 		c := New(2*64, 64, 2) // one set of two ways: 62 spare dirty bits
@@ -55,7 +55,8 @@ func TestDecodeRejects(t *testing.T) {
 	}{
 		{"cache_sets", walkOut(filled), walkIn(New(16<<10, 64, 4)), 0, "cache set count mismatch"},
 		{"cache_ways", walkOut(filled), walkIn(New(16<<10, 64, 8)), 0, "cache way count mismatch"},
-		{"cache_clock", broken(func(c *Cache) { c.tick = 1 << 32 }), walkIn(New(2*64, 64, 2)), 0, "past 2^32-1"},
+		{"cache_clock", broken(func(c *Cache) { c.tick = 1 << 32 }), walkIn(New(2*64, 64, 2)), 0, "past 2^16-1"},
+		{"cache_clock_past_16_bits", broken(func(c *Cache) { c.tick = 1 << 16 }), walkIn(New(2*64, 64, 2)), 0, "past 2^16-1"},
 		{"dirty_past_last_way", broken(func(c *Cache) { c.dirty[0] |= 1 << 2 }), walkIn(New(2*64, 64, 2)), 0, "dirty bits past the last"},
 		{"keys_truncated", walkOut(filled), walkIn(New(8<<10, 64, 4)), keysEnd - 1, "truncated"},
 		{"stamps_truncated", walkOut(filled), walkIn(New(8<<10, 64, 4)), stampsEnd - 1, "truncated"},

@@ -151,8 +151,8 @@ func (c *refCache) Invalidate(addr uint64) (wasDirty bool) {
 
 // Encode writes the checkpoint format of Cache.Walk from the per-set
 // records, a field at a time: every way's key, then every way's stamp (the
-// reference's 64-bit stamps cut to 32 bits, which holds them while the clock
-// stays below 2^32), then the dirty bits packed 64 to a word.
+// reference's 64-bit stamps cut to 16 bits, low byte first, which holds them
+// while the clock stays below 2^16), then the dirty bits packed 64 to a word.
 func (c *refCache) Encode(w *snapshot.Writer) {
 	w.U64(c.tick)
 	w.Len(len(c.sets))
@@ -169,7 +169,8 @@ func (c *refCache) Encode(w *snapshot.Writer) {
 		w.U64(key)
 	}
 	for _, l := range lines {
-		w.U32(uint32(l.used))
+		w.U8(uint8(l.used))
+		w.U8(uint8(l.used >> 8))
 	}
 	for word := 0; word < len(lines); word += 64 {
 		var bits uint64
@@ -316,9 +317,9 @@ func sameLines(t *testing.T, c *Cache, ref *refCache) {
 // above the largest of any set.
 func denseStamps(t *testing.T, c *Cache) {
 	t.Helper()
-	var top uint32
+	var top uint16
 	for base := 0; base < len(c.used); base += c.ways {
-		seen := map[uint32]bool{}
+		seen := map[uint16]bool{}
 		for _, u := range c.used[base : base+c.ways] {
 			seen[u] = true
 			top = max(top, u)
@@ -336,21 +337,31 @@ func denseStamps(t *testing.T, c *Cache) {
 
 // TestFlatTagsMatchReference drives the cache and refCache through the same
 // seeded call stream on the L1 and L2 shapes and requires equal return values
-// and counters after every call, equal checkpoint bytes every 10^4 calls, and
-// a Decode(Encode) round trip that re-encodes to the same bytes. The round
-// trips decode into one cache, which holds the previous image each time.
+// and counters after every call and, every 10^4 calls, equal checkpoint bytes
+// while the clock is below its 16-bit wrap (after it, the reference's 64-bit
+// stamps no longer fit the format: the lines and their stamp order must match
+// instead) and a Decode(Encode) round trip that re-encodes to the same bytes.
+// The round trips decode into one cache, which holds the previous image each
+// time.
 func TestFlatTagsMatchReference(t *testing.T) {
 	for _, shape := range refShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			p := newRefPair(shape, New(shape.size, shape.line, shape.ways), newRefCache(shape.size, shape.line, shape.ways))
 			back := New(shape.size, shape.line, shape.ways)
+			var before, after int
 			p.step(t, 120_000, func(i int) {
 				if i%10_000 != 0 {
 					return
 				}
 				img := encodeBytes(t, func(w *snapshot.Writer) { p.c.Walk(snapshot.EncodeTo(w)) })
-				if !bytes.Equal(img, encodeBytes(t, p.ref.Encode)) {
-					t.Fatalf("call %d: checkpoint bytes differ from the reference's", i)
+				if p.c.tick == p.ref.tick {
+					before++
+					if !bytes.Equal(img, encodeBytes(t, p.ref.Encode)) {
+						t.Fatalf("call %d: checkpoint bytes differ from the reference's", i)
+					}
+				} else {
+					after++
+					sameLines(t, p.c, p.ref)
 				}
 				rd, err := snapshot.NewReaderBytes(img)
 				if err != nil {
@@ -364,6 +375,9 @@ func TestFlatTagsMatchReference(t *testing.T) {
 					t.Fatalf("call %d: Decode(Encode) re-encodes differently", i)
 				}
 			})
+			if before == 0 || after == 0 {
+				t.Errorf("%d comparisons below the wrap and %d past it, want some of each", before, after)
+			}
 			if st := p.c.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Writebacks == 0 {
 				t.Errorf("the stream exercised too little: %+v", st)
 			}
@@ -371,40 +385,53 @@ func TestFlatTagsMatchReference(t *testing.T) {
 	}
 }
 
-// TestClockWrapMatchesReference carries the cache's 32-bit stamps across the
-// clock's wrap and the reference's 64-bit ones past 2^32 and 2^33: warmed by
-// the call stream, both jump by ReplayMisses to just below 2^32, the stream
-// crosses the wrap, both jump past 2^33 (a second renumbering, by
-// ReplayMisses), and the stream goes on. Every return value and counter must
-// match throughout, and the lines and their stamp order after each jump.
+// TestClockWrapMatchesReference carries the cache's 16-bit stamps across the
+// clock's wrap many times, beside the reference's 64-bit ones: the call
+// stream wraps the clock on its own every 2^16 ticks or so, ReplayMisses jumps
+// both clocks to just below a wrap and past 2^33 (a renumbering by a jump),
+// and the stream goes on. Every return value and counter must match
+// throughout, and the lines and their stamp order after every leg.
 func TestClockWrapMatchesReference(t *testing.T) {
 	const leg = 30_000
 	for _, shape := range refShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			p := newRefPair(shape, New(shape.size, shape.line, shape.ways), newRefCache(shape.size, shape.line, shape.ways))
-			jump := func(to uint64) {
-				k := int64(to - p.ref.tick)
+			wraps := 0
+			last := p.c.tick
+			count := func(int) {
+				if p.c.tick < last {
+					wraps++
+				}
+				last = p.c.tick
+			}
+			jump := func(k int64) {
 				p.c.ReplayMisses(k)
 				p.ref.ReplayMisses(k)
+				count(0)
 				if p.c.Stats() != p.ref.stats {
-					t.Fatalf("after the jump to %d: stats %+v, reference %+v", to, p.c.Stats(), p.ref.stats)
+					t.Fatalf("after a jump of %d: stats %+v, reference %+v", k, p.c.Stats(), p.ref.stats)
 				}
 				sameLines(t, p.c, p.ref)
 			}
-			p.step(t, leg, nil)
-			jump(1<<32 - leg/2)
+			p.step(t, leg, count)
+			jump(int64(1<<16 - leg/2 - p.c.tick))
 			if p.c.tick != p.ref.tick {
-				t.Fatalf("clock %d renumbered below 2^32 (reference %d)", p.c.tick, p.ref.tick)
+				t.Fatalf("clock %d renumbered below 2^16 (reference %d)", p.c.tick, p.ref.tick)
 			}
-			p.step(t, leg, nil)
-			if p.ref.tick <= 1<<32 || p.c.tick > 1<<32-leg/2 {
-				t.Fatalf("the stream did not cross the wrap: clock %d, reference %d", p.c.tick, p.ref.tick)
+			p.step(t, leg, count)
+			if wraps != 1 {
+				t.Fatalf("the stream crossed the wrap %d times, want once: clock %d, reference %d", wraps, p.c.tick, p.ref.tick)
 			}
 			sameLines(t, p.c, p.ref)
 			jump(1<<33 + 1)
 			denseStamps(t, p.c)
-			p.step(t, leg, nil)
-			sameLines(t, p.c, p.ref)
+			for range 10 {
+				p.step(t, leg, count)
+				sameLines(t, p.c, p.ref)
+			}
+			if wraps < 5 {
+				t.Errorf("the clock wrapped %d times, want many", wraps)
+			}
 			if st := p.c.Stats(); st.Hits == 0 || st.Evictions == 0 || st.Writebacks == 0 {
 				t.Errorf("the stream exercised too little: %+v", st)
 			}
@@ -413,19 +440,19 @@ func TestClockWrapMatchesReference(t *testing.T) {
 }
 
 // TestDecodedCacheMatchesReference restores a hand-built image (zero and
-// tied stamps among them, the clock a few thousand ticks below its wrap) and
-// requires the cache to hold the image's lines in the image's stamp order,
-// and then — across the wrap — to hit and evict exactly as a refCache
+// tied stamps among them, the clock a few thousand ticks below its 16-bit
+// wrap) and requires the cache to hold the image's lines in the image's stamp
+// order, and then — across the wrap — to hit and evict exactly as a refCache
 // holding the same lines.
 func TestDecodedCacheMatchesReference(t *testing.T) {
 	for _, shape := range []refShape{{"lru", 2048, 64, 8, false}, {"lip", 2048, 64, 8, true}} {
 		t.Run(shape.name, func(t *testing.T) {
-			const tick = 1<<32 - 5_000
+			const tick = 1<<16 - 5_000
 			rng := rand.New(rand.NewSource(3))
 			ref := newRefCache(shape.size, shape.line, shape.ways)
 			ref.tick = tick
 			ref.stats = Stats{Hits: 11, Misses: 7, Fills: 5, Evictions: 3, Writebacks: 2}
-			stamps := []uint64{0, 9, 1 << 31, tick - 2, tick}
+			stamps := []uint64{0, 9, 1 << 15, tick - 2, tick}
 			for _, set := range ref.sets {
 				for i, tag := range rng.Perm(2 * len(set))[:len(set)] {
 					set[i] = refLine{
@@ -449,7 +476,7 @@ func TestDecodedCacheMatchesReference(t *testing.T) {
 			sameLines(t, c, ref)
 			p := newRefPair(shape, c, ref)
 			p.step(t, 20_000, nil)
-			if ref.tick <= 1<<32 {
+			if ref.tick <= 1<<16 {
 				t.Fatalf("the stream did not cross the wrap: reference clock %d", ref.tick)
 			}
 			sameLines(t, c, ref)
@@ -462,7 +489,7 @@ func TestDecodedCacheMatchesReference(t *testing.T) {
 
 // TestTagStoreBytesPerLine guards the host cost of the tag store: every slice
 // of an L2 bank's Cache (512 KB, 64-byte lines, 8 ways) summed must stay
-// within 12.2 bytes per line — 8 of key, 4 of stamp and an eighth of dirty
+// within 10.2 bytes per line — 8 of key, 2 of stamp and an eighth of dirty
 // bit — so a layout change cannot grow it back unnoticed.
 func TestTagStoreBytesPerLine(t *testing.T) {
 	c := New(512<<10, 64, 8)
@@ -473,8 +500,8 @@ func TestTagStoreBytesPerLine(t *testing.T) {
 			total += uintptr(f.Len()) * f.Type().Elem().Size()
 		}
 	}
-	if per := float64(total) / float64(len(c.keys)); per > 12.2 {
-		t.Errorf("the tag store costs %.3f host bytes per line, more than 12.2", per)
+	if per := float64(total) / float64(len(c.keys)); per > 10.2 {
+		t.Errorf("the tag store costs %.3f host bytes per line, more than 10.2", per)
 	}
 }
 
@@ -485,7 +512,7 @@ func TestClockWrapStampsAboveRanks(t *testing.T) {
 	c := New(2*64, 64, 2) // one set of two ways
 	c.Fill(0, false)      // way 0
 	c.Fill(64, false)     // way 1, newer
-	c.ReplayMisses(int64(1<<32 - 1 - c.tick))
+	c.ReplayMisses(int64(1<<16 - 1 - c.tick))
 	c.Access(0, false) // wraps the clock; way 0 becomes the newer
 	if v, _ := c.Fill(128, false); v.Addr != 64 {
 		t.Fatalf("victim %#x, want the line at 0x40", v.Addr)

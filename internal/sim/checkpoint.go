@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"nocmem/internal/cache"
 	"nocmem/internal/config"
@@ -472,16 +471,6 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
-// sortedLines returns the keys of m in ascending order.
-func sortedLines[V any](m map[uint64]V) []uint64 {
-	lines := make([]uint64, 0, len(m))
-	for l := range m {
-		lines = append(lines, l)
-	}
-	slices.Sort(lines)
-	return lines
-}
-
 // walk walks one tile, validating on decode every index and cross-reference
 // the running simulator would otherwise trust blindly.
 func (n *node) walk(x *walker) {
@@ -519,7 +508,7 @@ func (n *node) walk(x *walker) {
 			k.Fail("tile %d: nil transaction waiting on an L2 MSHR", n.id)
 		}
 	})
-	if n.walkDirectory(k); k.Err() != nil {
+	if n.dir.walk(k, len(s.nodes), n.id); k.Err() != nil {
 		return
 	}
 
@@ -639,91 +628,6 @@ func (n *node) walkSource(k *snapshot.Codec) {
 		src.Walk(k, uint64(n.s.now+1)*uint64(cpu.Width)+uint64(cpu.WindowSize))
 	case *trace.FileTrace:
 		src.Walk(k)
-	}
-}
-
-// walkDirectory walks the tile's directory bank in ascending line order:
-// one-word masks on a mesh of up to 64 tiles, wide masks beyond. A decode
-// builds a new directory and drops the free list, whose masks belong to the
-// old one.
-func (n *node) walkDirectory(k *snapshot.Codec) {
-	dec := k.Decoding()
-	nodes := len(n.s.nodes)
-	if n.dir != nil {
-		var lines []uint64
-		if !dec {
-			lines = sortedLines(n.dir)
-		}
-		nd := k.Len(len(lines), 16)
-		if k.Err() != nil {
-			return
-		}
-		if dec {
-			n.dir = make(map[uint64]uint64, nd)
-		}
-		for i := 0; i < nd; i++ {
-			var line, mask uint64
-			if !dec {
-				line = lines[i]
-				mask = n.dir[line]
-			}
-			k.U64(&line)
-			k.U64(&mask)
-			if !dec {
-				continue
-			}
-			if k.Err() != nil {
-				return
-			}
-			if mask == 0 || (nodes < 64 && mask>>uint(nodes) != 0) {
-				k.Fail("tile %d: directory mask %#x invalid for %d tiles", n.id, mask, nodes)
-				return
-			}
-			n.dir[line] = mask
-		}
-		return
-	}
-	var lines []uint64
-	if !dec {
-		lines = sortedLines(n.dirWide)
-	}
-	words := (nodes + 63) / 64
-	nd := k.Len(len(lines), 8*(1+words))
-	if k.Err() != nil {
-		return
-	}
-	var slab []uint64
-	if dec {
-		n.dirWide = make(map[uint64][]uint64, nd)
-		n.dirFree = nil
-		slab = make([]uint64, nd*words) // every mask of the bank in one allocation
-	}
-	for i := 0; i < nd; i++ {
-		var line uint64
-		var mask []uint64
-		if dec {
-			mask = slab[i*words:][:words:words]
-		} else {
-			line = lines[i]
-			mask = n.dirWide[line]
-		}
-		k.U64(&line)
-		zero := true
-		for wi := range mask {
-			k.U64(&mask[wi])
-			zero = zero && mask[wi] == 0
-		}
-		if !dec {
-			continue
-		}
-		if k.Err() != nil {
-			return
-		}
-		if zero {
-			k.Fail("tile %d: empty wide directory mask", n.id)
-			return
-		}
-		n.dirWide[line] = mask
 	}
 }
 

@@ -460,24 +460,19 @@ func firstDiff(a, b []byte) int {
 // so one image is restored twice — by RestoreImage, into the bare machine, and
 // by restoreFrom into a machine New built — and the two must checkpoint to the
 // same bytes at once (and to the image's), checkpoint to the same bytes 2 000
-// cycles on, and finish the window with the same summary. Both directory
-// forms run: the one-word masks of a mesh of up to 64 tiles, and the wide
-// masks with their free list on the 16x16 mesh of TestLargeMeshRegression.
-// Both machines have small L2 banks under enough load to evict resident lines
-// before the checkpoint, so the image's directories lack entries New installs
-// (asserted: without that a decode that merged into what it found would pass),
-// and entries go on being retired after the restore (asserted too), which on
-// the wide form sends masks decoded from the image through the free list.
+// cycles on, and finish the window with the same summary. Two directory
+// shapes run: one 64-tile chunk on a 16-tile mesh, and four on the 16x16 mesh
+// of TestLargeMeshRegression. Both machines have small L2 banks under enough
+// load to evict resident lines before the checkpoint, so the image's
+// directories lack entries New installs (asserted: without that a decode that
+// merged into what it found would pass), and entries go on being retired
+// after the restore (asserted too).
 //
 // Mutations that must fail it, each tried when this was written: Decode
 // leaving a cache's tick alone (the prewarmed machine keeps its fill count:
 // first comparison, both machines); node.decode filling the directory New
 // built instead of a new one (first comparison, both); cache.Decode skipping
-// the lines the image holds invalid (first comparison, both). Not observable, by
-// construction: dirFree — a retired mask is zeroed before it is kept and a
-// reused one cannot be told from a fresh one, so the list is capacity, not
-// state; decode drops it because its masks belong to a directory that no
-// longer exists.
+// the lines the image holds invalid (first comparison, both).
 func TestRestoreBareMatchesPrewarmed(t *testing.T) {
 	narrow := smallConfig()
 	narrow.L2.SizeBytes = 64 << 10
@@ -498,7 +493,7 @@ func TestRestoreBareMatchesPrewarmed(t *testing.T) {
 		at   int64
 	}{
 		{"16_tiles_dir", narrow, fillApps(narrow, "mcf", 6), 6_000},
-		{"256_tiles_dirWide", wide, wideApps, 2_000},
+		{"256_tiles_chunked", wide, wideApps, 2_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			producer, err := New(tc.cfg, tc.apps)
@@ -507,8 +502,8 @@ func TestRestoreBareMatchesPrewarmed(t *testing.T) {
 			}
 			producer.Step(tc.at)
 			img := checkpointBytes(t, producer)
-			if wideDir := producer.nodes[0].dirWide != nil; wideDir != (len(producer.nodes) > 64) {
-				t.Fatalf("%d tiles run on the wrong directory form", len(producer.nodes))
+			if chunks := len(producer.nodes[0].dir); chunks != (len(producer.nodes)+63)/64 {
+				t.Fatalf("%d tiles run on %d directory chunks", len(producer.nodes), chunks)
 			}
 
 			bare, err := RestoreImage(tc.cfg, tc.apps, img)
@@ -521,14 +516,11 @@ func TestRestoreBareMatchesPrewarmed(t *testing.T) {
 			}
 			evicted := 0
 			for i, n := range prewarmed.nodes {
-				for line := range n.dir {
-					if _, ok := producer.nodes[i].dir[line]; !ok {
-						evicted++
-					}
-				}
-				for line := range n.dirWide {
-					if _, ok := producer.nodes[i].dirWide[line]; !ok {
-						evicted++
+				for c, chunk := range n.dir {
+					for line := range chunk {
+						if _, ok := producer.nodes[i].dir[c][line]; !ok {
+							evicted++
+						}
 					}
 				}
 			}
@@ -559,7 +551,7 @@ func TestRestoreBareMatchesPrewarmed(t *testing.T) {
 			prewarmed.Step(2_000)
 			same("2000 cycles on")
 			if bare.collector().Invalidations == invalidated {
-				t.Error("no L2 eviction back-invalidated an L1 in the window: no directory entry, and no wide mask, was retired after the restore")
+				t.Error("no L2 eviction back-invalidated an L1 in the window: no directory entry was retired after the restore")
 			}
 			if b, p := bare.Run().Summary(), prewarmed.Run().Summary(); !reflect.DeepEqual(b, p) {
 				t.Fatalf("summaries differ at the end of the window:\nbare      %+v\nprewarmed %+v", b, p)
@@ -571,7 +563,7 @@ func TestRestoreBareMatchesPrewarmed(t *testing.T) {
 // firstL2Array locates tile 0's L2 line columns in a checkpoint taken under
 // cfg and returns their byte range [lo, hi). A cache is encoded as its LRU
 // clock, the set and way counts as u32 lengths, its n = sets x ways lines as
-// three columns (n keys of 8 bytes, n stamps of 4, the dirty bitset's
+// three columns (n keys of 8 bytes, n stamps of 2, the dirty bitset's
 // ceil(n/64) words) and five counters; the L1 and L2 headers must therefore
 // stand exactly one L1 array, 40 bytes of counters and one clock apart, which
 // no other part of the image reproduces by accident. internal/snapshot's fuzz target carries a
@@ -581,7 +573,7 @@ func firstL2Array(t *testing.T, img []byte, cfg config.Config) (lo, hi int) {
 	header := func(c config.Cache) ([]byte, int) {
 		h := binary.LittleEndian.AppendUint32(nil, uint32(c.Sets()))
 		n := c.Sets() * c.Ways
-		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), 12*n + 8*((n+63)/64)
+		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), 10*n + 8*((n+63)/64)
 	}
 	l1, l1Array := header(cfg.L1)
 	l2, l2Array := header(cfg.L2)
@@ -807,7 +799,7 @@ func TestRestoreErrors(t *testing.T) {
 			wantSub: "trailing",
 		},
 		// The cache columns are decoded from one view of the image each,
-		// behind the clock, which must fit the cache's 32-bit stamps.
+		// behind the clock, which must fit the cache's 16-bit stamps.
 		{
 			name: "cache_clock",
 			data: func() []byte {
@@ -815,7 +807,16 @@ func TestRestoreErrors(t *testing.T) {
 				binary.LittleEndian.PutUint64(d[l2lo-16:], 1<<32)
 				return d
 			},
-			wantSub: "past 2^32-1",
+			wantSub: "past 2^16-1",
+		},
+		{
+			name: "cache_clock_past_16_bits",
+			data: func() []byte {
+				d := bytes.Clone(snap)
+				binary.LittleEndian.PutUint64(d[l2lo-16:], 1<<16)
+				return d
+			},
+			wantSub: "past 2^16-1",
 		},
 		{
 			name:    "truncated_inside_cache_array",
@@ -995,13 +996,13 @@ func TestRestoreErrors(t *testing.T) {
 		{
 			name: "directory_mask",
 			data: corrupt(func(s *Simulator) {
-				for line := range s.nodes[5].dir {
-					s.nodes[5].dir[line] = 1 << len(s.nodes)
+				for line := range s.nodes[5].dir[0] {
+					s.nodes[5].dir[0][line] = 1 << len(s.nodes)
 					return
 				}
 				t.Fatal("tile 5 has an empty directory")
 			}),
-			wantSub: "directory mask",
+			wantSub: "past the last of 16",
 		},
 		{
 			name: "wide_directory_mask",
@@ -1013,15 +1014,15 @@ func TestRestoreErrors(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, n := range s.nodes {
-					for _, mask := range n.dirWide {
-						clear(mask)
+					for line := range n.dir[0] {
+						n.dir[0][line] = 0
 						return checkpointBytes(t, s)
 					}
 				}
 				t.Fatal("every directory is empty")
 				return nil
 			},
-			wantSub: "empty wide directory mask",
+			wantSub: "empty directory mask",
 		},
 		{
 			name:    "queued_packet_nil",

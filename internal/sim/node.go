@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"nocmem/internal/cache"
 	"nocmem/internal/cpu"
@@ -80,15 +79,8 @@ type node struct {
 	// counter.
 	txnSeq uint64
 
-	// dir is the bank's slice of the sparse directory embedded in the
-	// inclusive L2: global line address -> bitmask of tiles whose L1 may
-	// hold the line. Clean L1 evictions are silent, so the mask
-	// over-approximates (standard for sparse directories). Meshes of up to
-	// 64 tiles pack the mask into one word; larger ones use dirWide, with
-	// retired mask slices recycled through dirFree.
-	dir     map[uint64]uint64
-	dirWide map[uint64][]uint64
-	dirFree [][]uint64
+	// dir is the bank's slice of the sparse directory (see directory).
+	dir directory
 
 	inbox   []inItem  // delivered packets not yet dispatched
 	l2Queue itemQueue // requests waiting for the L2 bank port
@@ -122,35 +114,11 @@ func newNode(id int, s *Simulator) *node {
 		l1m: cache.NewMSHRTable[int32](cfg.L1.MSHRs),
 		l2:  cache.New(cfg.L2.SizeBytes, cfg.L2.LineBytes, cfg.L2.Ways),
 		l2m: cache.NewMSHRTable[*Txn](cfg.L2.MSHRs),
+		dir: newDirectory(cfg.Mesh.Nodes()),
 	}
 	n.l1.SetLIPInsertion(cfg.L1.LIPInsertion)
 	n.l2.SetLIPInsertion(cfg.L2.LIPInsertion)
-	if cfg.Mesh.Nodes() <= 64 {
-		n.dir = make(map[uint64]uint64)
-	} else {
-		n.dirWide = make(map[uint64][]uint64)
-	}
 	return n
-}
-
-// dirAdd records that the given tile's L1 received a copy of the line.
-func (n *node) dirAdd(line uint64, tile int) {
-	if n.dir != nil {
-		n.dir[line] |= 1 << uint(tile)
-		return
-	}
-	mask, ok := n.dirWide[line]
-	if !ok {
-		if l := len(n.dirFree); l > 0 {
-			mask = n.dirFree[l-1]
-			n.dirFree[l-1] = nil
-			n.dirFree = n.dirFree[:l-1]
-		} else {
-			mask = make([]uint64, (n.s.cfg.Mesh.Nodes()+63)/64)
-		}
-		n.dirWide[line] = mask
-	}
-	mask[tile/64] |= 1 << uint(tile%64)
 }
 
 // sendInv dispatches one inclusion-enforcing L1 invalidation.
@@ -162,35 +130,9 @@ func (n *node) sendInv(line uint64, tile int, now int64) {
 
 // backInvalidate enforces inclusion: when the L2 evicts a line, every L1
 // that may hold a copy receives a 1-flit invalidation, in ascending tile
-// order on both directory representations.
+// order.
 func (n *node) backInvalidate(line uint64, now int64) {
-	if n.dir != nil {
-		mask, ok := n.dir[line]
-		if !ok {
-			return
-		}
-		delete(n.dir, line)
-		for tile := 0; mask != 0; tile++ {
-			if mask&1 != 0 {
-				n.sendInv(line, tile, now)
-			}
-			mask >>= 1
-		}
-		return
-	}
-	mask, ok := n.dirWide[line]
-	if !ok {
-		return
-	}
-	delete(n.dirWide, line)
-	for wi, w := range mask {
-		mask[wi] = 0
-		for w != 0 {
-			n.sendInv(line, wi*64+bits.TrailingZeros64(w), now)
-			w &= w - 1
-		}
-	}
-	n.dirFree = append(n.dirFree, mask)
+	n.dir.take(line, func(tile int) { n.sendInv(line, tile, now) })
 }
 
 // deliver is the tile's network sink. A sleeping tile schedules a timed wake
@@ -294,7 +236,7 @@ func (n *node) finishL2(it inItem, now int64) {
 	case msgReqL1toL2:
 		t := m.txn
 		if n.l2.Access(n.s.snuca.Local(m.line), false) {
-			n.dirAdd(m.line, t.Core)
+			n.dir.add(m.line, t.Core)
 			n.respondToCore(t, t.AgeAtL2+(now-t.ReqAtL2), n.s.pol.BasePriority(t.Core), now)
 			n.sh.recycle(it.pkt)
 			return
@@ -325,7 +267,7 @@ func (n *node) finishL2(it inItem, now int64) {
 			panic(fmt.Sprintf("sim: L2 bank %d fill for line %#x without an MSHR", n.id, m.line))
 		}
 		for _, wt := range mshr.Waiters {
-			n.dirAdd(m.line, wt.Core)
+			n.dir.add(m.line, wt.Core)
 			wt.RespAtL2 = it.at
 			wt.MemDone = t.MemDone
 			wt.SoFarAtMC = t.SoFarAtMC
@@ -395,6 +337,7 @@ func (n *node) fillL1(it inItem, now int64) {
 	if t.OffChip {
 		n.s.pol.RoundTripDone(t.Core, t.Total()) // Scheme-1 feedback
 	}
+	n.sh.retireTxn(t)
 }
 
 // noWaiter marks an L1 MSHR waiter needing no core notification on fill
@@ -443,7 +386,8 @@ func (n *node) issue(addr uint64, isWrite bool, slot int) bool {
 		panic("sim: primary L1 miss raced a pending entry")
 	}
 	n.txnSeq++
-	t := &Txn{ID: uint64(n.id+1)<<32 | n.txnSeq, Core: n.id, Line: line, Store: isWrite, Birth: now}
+	t := n.sh.newTxn()
+	t.ID, t.Core, t.Line, t.Store, t.Birth = uint64(n.id+1)<<32|n.txnSeq, n.id, line, isWrite, now
 	// The request leaves for the L2 bank after the L1 lookup latency.
 	n.delayed = append(n.delayed, action{at: now + n.s.cfg.L1.Latency, txn: t, line: line})
 	return true

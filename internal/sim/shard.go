@@ -62,6 +62,29 @@ type simShard struct {
 	// are zeroed on recycle, so pools mix freely.
 	pkts    noc.PacketPool
 	msgFree []*message
+
+	// txnFree recycles demand transactions. A transaction is born at its
+	// requesting tile (node.issue) and retired there (node.fillL1), so,
+	// unlike packets and messages, it never leaves its shard.
+	txnFree []*Txn
+}
+
+// newTxn takes a zeroed transaction from the free list, or allocates one.
+func (sh *simShard) newTxn() *Txn {
+	if l := len(sh.txnFree); l > 0 {
+		t := sh.txnFree[l-1]
+		sh.txnFree[l-1] = nil
+		sh.txnFree = sh.txnFree[:l-1]
+		return t
+	}
+	return new(Txn)
+}
+
+// retireTxn zeroes a completed transaction and returns it to the free list.
+// The caller must be its last reader.
+func (sh *simShard) retireTxn(t *Txn) {
+	*t = Txn{}
+	sh.txnFree = append(sh.txnFree, t)
 }
 
 // drainWakes activates components whose timed wakes are due.

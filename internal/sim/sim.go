@@ -225,7 +225,7 @@ func (s *Simulator) prewarm(src trace.AppSource, n *node) {
 		home := s.nodes[s.snuca.Bank(line)]
 		home.l2.Fill(s.snuca.Local(line), false)
 		home.l2.Access(s.snuca.Local(line), false)
-		home.dirAdd(line, n.id)
+		home.dir.add(line, n.id)
 		n.l1.Fill(line, false)
 	}
 	n.l1.ResetStats()

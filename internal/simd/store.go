@@ -25,9 +25,11 @@ import (
 //
 // Every file is a snapshot.EncodeEntry frame: the full key (verified on
 // load, so a hash collision or a misplaced file reads as a miss, not as a
-// wrong answer) plus a CRC-64 over key and payload. A file that fails to
-// decode is evicted on the spot and reported as a miss — corruption costs a
-// re-run, never a panic or a poisoned cache. Writes go through a temp file
+// wrong answer) plus a 64-bit check over key and payload (CRC-32C beside
+// CRC-32). A file that fails to decode is evicted on the spot and reported as
+// a miss — corruption costs a re-run, never a panic or a poisoned cache. So
+// does an entry of another snapshot.Version: a store an older binary filled
+// is re-made entry by entry as it is read. Writes go through a temp file
 // and an atomic rename, so a crash mid-write leaves either the old entry or
 // none.
 //

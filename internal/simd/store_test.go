@@ -10,6 +10,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,18 +148,134 @@ func TestCorruptSnapshotEvictedAndRewarmed(t *testing.T) {
 	rewarmsOver(t, "poisoned warm checkpoint is evicted and re-warmed", img.Bytes(), 2)
 }
 
-// TestVersion2SnapshotEvictedAndRewarmed is the upgrade path: a store that a
-// binary of format version 2 filled holds images this one cannot read. The
-// daemon must refuse such an image at its header — one eviction — warm once
-// and serve the direct runner's bytes, the second point from the fresh
-// image on disk (its one disk hit), and RestoreImage
-// must reject the image with an ErrFormat naming version 2.
-func TestVersion2SnapshotEvictedAndRewarmed(t *testing.T) {
-	img := binary.LittleEndian.AppendUint32([]byte(snapshot.Magic), 2)
-	grid := rewarmsOver(t, "version-2 warm checkpoint is evicted and re-warmed", img, 1)
-	_, err := sim.RestoreImage(grid[0].Config, paddedApps(grid[0].Config), img)
-	if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("RestoreImage of a version-2 image returned %v, want an ErrFormat naming version 2", err)
+// TestOlderVersionEntriesEvictedAndRemade is the upgrade path: a store that a
+// binary of format version 2 or 3 filled holds entries this one cannot read,
+// framed with that version's header and its CRC-64. Each is refused at its
+// header, evicted and made again once, and every point has the direct
+// runner's bytes.
+//
+//   - warm_image: the grid's warm checkpoint is an old entry. The first point
+//     warms (one store eviction, one warmup); the second forks from the fresh
+//     image on disk (one disk hit). RestoreImage rejects the old payload with
+//     an ErrFormat naming its version.
+//   - result: both points' results are old entries, beside a current warm
+//     image. A restarted daemon misses both (two evictions), re-simulates
+//     both from the warm image without a warmup, and a second restart serves
+//     them from the store.
+func TestOlderVersionEntriesEvictedAndRemade(t *testing.T) {
+	for _, v := range []uint32{2, 3} {
+		t.Run(fmt.Sprintf("v%d/warm_image", v), func(t *testing.T) {
+			h := makeHarness(t, 1, "", 1)
+			h.begin(fmt.Sprintf("version-%d warm checkpoint is evicted and re-warmed", v))
+			grid := policyGrid()[:2]
+			cfg := grid[0].Config
+			key := forkrun.Key(cfg, paddedApps(cfg))
+			img := append(binary.LittleEndian.AppendUint32([]byte(snapshot.Magic), v), "an older machine"...)
+			plantEntry(t, h, "snaps", func() { h.srv.Store().SaveSnapshot(key, nil) }, olderEntry(t, v, key, img))
+
+			js := h.run(0, grid)
+			checkDirect(t, grid, js, simd.SourceSim)
+			st := h.stats()
+			if st.Store.Evictions != 1 || st.Runner.Warmups != 1 || st.Runner.SnapshotDiskHits != 1 ||
+				st.Runner.SnapshotMemHits != 0 || st.Runner.SnapshotEvictions != 0 || st.Runner.Executed != 2 {
+				t.Errorf("store %+v, runner %+v: want 1 store eviction, 1 warmup, 1 disk hit, no memory hit, no runner eviction, 2 executed",
+					st.Store, st.Runner)
+			}
+			h.end()
+			_, err := sim.RestoreImage(cfg, paddedApps(cfg), img)
+			if !errors.Is(err, snapshot.ErrFormat) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+				t.Fatalf("RestoreImage of a version-%d image returned %v, want an ErrFormat naming version %d", v, err, v)
+			}
+		})
+		t.Run(fmt.Sprintf("v%d/result", v), func(t *testing.T) {
+			dir := t.TempDir()
+			h := makeHarness(t, 1, dir, 1)
+			h.begin(fmt.Sprintf("version-%d results are evicted and re-simulated once", v))
+			grid := policyGrid()[:2]
+			h.run(0, grid)
+			for _, f := range mustGlob(t, filepath.Join(dir, "results", "*.res")) {
+				data, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key, payload, err := snapshot.DecodeEntry(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(f, olderEntry(t, v, key, payload), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			h.restart()
+			checkDirect(t, grid, h.run(0, grid), simd.SourceSim)
+			st := h.stats()
+			if st.Store.ResultMisses != 2 || st.Store.ResultHits != 0 || st.Store.Evictions != 2 ||
+				st.Runner.Executed != 2 || st.Runner.Warmups != 0 || st.Runner.SnapshotDiskHits != 2 {
+				t.Errorf("store %+v, runner %+v: want 2 result misses, no hit, 2 evictions, 2 executed, no warmup, 2 disk hits",
+					st.Store, st.Runner)
+			}
+			h.restart()
+			checkDirect(t, grid, h.run(0, grid), simd.SourceStore)
+			if st := h.stats(); st.Store.ResultHits != 2 || st.Store.Evictions != 0 || st.Runner.Executed != 0 {
+				t.Errorf("after a second restart: store %+v, runner %+v: want 2 result hits, no eviction, nothing executed",
+					st.Store, st.Runner)
+			}
+			h.end()
+		})
+	}
+}
+
+// olderEntry frames payload under key as a store binary of format version v
+// (2 or 3) did: the header, the key and the payload as today, then a CRC-64
+// (ECMA) of key and payload. The framing up to the check is held to
+// EncodeEntry's.
+func olderEntry(t *testing.T, v uint32, key string, payload []byte) []byte {
+	t.Helper()
+	b := binary.LittleEndian.AppendUint32([]byte(snapshot.Magic), v)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, payload...)
+	cur, err := snapshot.EncodeEntry(key, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head := len(snapshot.Magic); !bytes.Equal(b[head+4:], cur[head+4:len(cur)-8]) {
+		t.Fatal("the older framing differs from EncodeEntry's before the check")
+	}
+	h := crc64.New(crc64.MakeTable(crc64.ECMA))
+	h.Write([]byte(key))
+	h.Write(payload)
+	return binary.LittleEndian.AppendUint64(b, h.Sum64())
+}
+
+// plantEntry makes the daemon's store write one entry into sub (save), then
+// replaces that file's bytes with data.
+func plantEntry(t *testing.T, h *harness, sub string, save func(), data []byte) {
+	t.Helper()
+	save()
+	files := mustGlob(t, filepath.Join(h.dir, sub, "*"))
+	if len(files) != 1 {
+		t.Fatalf("%d files in %s, want the one just saved", len(files), sub)
+	}
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkDirect requires every point of js to come from source with the direct
+// runner's bytes.
+func checkDirect(t *testing.T, grid []simd.RunSpec, js *simd.JobStatus, source string) {
+	t.Helper()
+	direct := newDirect()
+	for i, sp := range grid {
+		if js.Results[i].Source != source {
+			t.Errorf("point %d source %q, want %q", i, js.Results[i].Source, source)
+		}
+		if want := direct.summary(t, sp); !bytes.Equal(js.Results[i].Summary, want) {
+			t.Errorf("point %d: summary differs from the direct runner", i)
+		}
 	}
 }
 

@@ -142,21 +142,21 @@ func (c *Codec) U64Array(vs []uint64) {
 	}
 }
 
-// U32Array is U64Array for uint32 elements, four bytes each.
-func (c *Codec) U32Array(vs []uint32) {
+// U16Array is U64Array for uint16 elements, two bytes each.
+func (c *Codec) U16Array(vs []uint16) {
 	for len(vs) > 0 {
-		b := c.run(len(vs), 4)
+		b := c.run(len(vs), 2)
 		if b == nil {
 			return
 		}
-		n := len(b) / 4
+		n := len(b) / 2
 		if c.r != nil {
 			for i := range vs[:n] {
-				vs[i] = binary.LittleEndian.Uint32(b[4*i:])
+				vs[i] = binary.LittleEndian.Uint16(b[2*i:])
 			}
 		} else {
 			for i, v := range vs[:n] {
-				binary.LittleEndian.PutUint32(b[4*i:], v)
+				binary.LittleEndian.PutUint16(b[2*i:], v)
 			}
 		}
 		vs = vs[n:]

@@ -3,29 +3,31 @@ package snapshot
 import (
 	"bytes"
 	"fmt"
-	"hash/crc64"
-	"io"
+	"hash/crc32"
 )
 
 // Store-entry container: the on-disk framing of the simulation service's
 // content-addressed store (internal/simd). An entry wraps an opaque payload
 // (a result summary or a warm checkpoint image) together with the full cache
-// key it was stored under and a CRC-64 of both, inside the same
+// key it was stored under and a 64-bit check of both, inside the same
 // magic+version header as a checkpoint stream. The key lets a reader verify
 // that a content-addressed filename (a hash of the key) really holds the
 // entry it looked up, and the checksum turns bit rot and torn writes into a
 // clean decode error instead of a poisoned cache — DecodeEntry never
 // panics, whatever the input.
 
-var entryCRCTable = crc64.MakeTable(crc64.ECMA)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // entryCRC covers the key and the payload, so neither can be swapped or
-// corrupted independently.
+// corrupted independently: a CRC-32C in the high word and a CRC-32 (IEEE) in
+// the low one. Two independent 32-bit checks keep the frame's 64 bits of
+// detection, and both run at hardware speed (SSE4.2 and carry-less multiply
+// on amd64), several times the rate of a table-driven CRC-64.
 func entryCRC(key string, payload []byte) uint64 {
-	h := crc64.New(entryCRCTable)
-	io.WriteString(h, key)
-	h.Write(payload)
-	return h.Sum64()
+	k := []byte(key)
+	c := crc32.Update(crc32.Update(0, castagnoli, k), castagnoli, payload)
+	i := crc32.Update(crc32.ChecksumIEEE(k), crc32.IEEETable, payload)
+	return uint64(c)<<32 | uint64(i)
 }
 
 // Blob writes a length-prefixed byte slice.

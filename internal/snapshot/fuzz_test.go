@@ -53,7 +53,7 @@ func FuzzRestore(f *testing.F) {
 	cfg, apps := fuzzConfig()
 	lo, hi := firstL2Array(f, golden, cfg)
 	wideClock := bytes.Clone(golden)
-	binary.LittleEndian.PutUint64(wideClock[lo-16:], 1<<32)
+	binary.LittleEndian.PutUint64(wideClock[lo-16:], 1<<16)
 	f.Add(wideClock)
 	// A dirty column of all ones is a well-formed image (the way count is a
 	// multiple of 64, so no bit lies past the last way) that marks invalid
@@ -87,7 +87,7 @@ func firstL2Array(f *testing.F, img []byte, cfg config.Config) (lo, hi int) {
 	header := func(c config.Cache) ([]byte, int) {
 		h := binary.LittleEndian.AppendUint32(nil, uint32(c.Sets()))
 		n := c.Sets() * c.Ways
-		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), 12*n + 8*((n+63)/64)
+		return binary.LittleEndian.AppendUint32(h, uint32(c.Ways)), 10*n + 8*((n+63)/64)
 	}
 	l1, l1Array := header(cfg.L1)
 	l2, l2Array := header(cfg.L2)

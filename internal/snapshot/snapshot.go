@@ -56,7 +56,14 @@ const Magic = "NOCSNAP1"
 // columns as the cache holds them (keys, 32-bit stamps, dirty words: 12.125
 // bytes a line instead of 18), and a clock past 2^32-1 is a format error; the
 // shard-count field is gone from the header.
-const Version = 3
+//
+// Version 4: a line costs what the cache holds. The LRU stamps are 16-bit
+// (10.125 bytes a line instead of 12.125), and a clock past 2^16-1 is a format
+// error; the directory keeps its encoding (a line, then one mask word per
+// 64 tiles). A store entry's check is CRC-32C and CRC-32 (IEEE) side by side
+// in its 64-bit field, where it was a CRC-64, so an entry written by an
+// earlier binary fails at its header and is re-made once.
+const Version = 4
 
 // ErrFormat tags every decode error produced by this package.
 var ErrFormat = errors.New("snapshot: invalid checkpoint")

@@ -285,19 +285,19 @@ func TestWriterBytesMatchUnbufferedEncoding(t *testing.T) {
 	}
 }
 
-// TestCodecArraysMatchFieldEncoding holds U64Array and U32Array to the field
+// TestCodecArraysMatchFieldEncoding holds U64Array and U16Array to the field
 // encoding: arrays several buffers long, behind an odd-sized prefix so the
 // pieces an encode reserves straddle the buffer at odd offsets, must write
-// the bytes of one U64 or U32 call per element and read back whole, and a
-// decode of a cut-off array must fail.
+// the bytes of one U64 call, or two U8 calls low byte first, per element and
+// read back whole, and a decode of a cut-off array must fail.
 func TestCodecArraysMatchFieldEncoding(t *testing.T) {
 	u64s := make([]uint64, 3*writerBuf/8+5)
-	u32s := make([]uint32, 3*writerBuf/4+3)
+	u16s := make([]uint16, 3*writerBuf/2+3)
 	for i := range u64s {
 		u64s[i] = uint64(i) * 0x9E3779B97F4A7C15
 	}
-	for i := range u32s {
-		u32s[i] = uint32(i) * 0x9E3779B9
+	for i := range u16s {
+		u16s[i] = uint16(i) * 0x9E37
 	}
 	encode := func(arrays bool) []byte {
 		var buf bytes.Buffer
@@ -306,13 +306,14 @@ func TestCodecArraysMatchFieldEncoding(t *testing.T) {
 		if arrays {
 			k := EncodeTo(w)
 			k.U64Array(u64s)
-			k.U32Array(u32s)
+			k.U16Array(u16s)
 		} else {
 			for _, v := range u64s {
 				w.U64(v)
 			}
-			for _, v := range u32s {
-				w.U32(v)
+			for _, v := range u16s {
+				w.U8(uint8(v))
+				w.U8(uint8(v >> 8))
 			}
 		}
 		if err := w.Err(); err != nil {
@@ -324,20 +325,20 @@ func TestCodecArraysMatchFieldEncoding(t *testing.T) {
 	if !bytes.Equal(img, encode(false)) {
 		t.Fatal("the array walks write other bytes than one field call per element")
 	}
-	decode := func(img []byte) ([]uint64, []uint32, error) {
+	decode := func(img []byte) ([]uint64, []uint16, error) {
 		r, err := NewReaderBytes(img)
 		if err != nil {
 			t.Fatal(err)
 		}
 		k := DecodeFrom(r)
 		r.U8()
-		g64, g32 := make([]uint64, len(u64s)), make([]uint32, len(u32s))
+		g64, g16 := make([]uint64, len(u64s)), make([]uint16, len(u16s))
 		k.U64Array(g64)
-		k.U32Array(g32)
-		return g64, g32, r.Err()
+		k.U16Array(g16)
+		return g64, g16, r.Err()
 	}
-	g64, g32, err := decode(img)
-	if err != nil || !slices.Equal(g64, u64s) || !slices.Equal(g32, u32s) {
+	g64, g16, err := decode(img)
+	if err != nil || !slices.Equal(g64, u64s) || !slices.Equal(g16, u16s) {
 		t.Fatalf("the arrays read back wrongly (%v)", err)
 	}
 	if _, _, err := decode(img[:len(img)-1]); !errors.Is(err, ErrFormat) {
