@@ -9,11 +9,13 @@ import (
 	"nocmem/internal/config"
 )
 
-// routerModes is one row per router configuration that the quick figure
-// goldens (all AgeWindow, X-Y, 4 VCs, depth 5, bypass on) never run: the
-// equivalence oracles compare these dense = event = sharded within one binary,
-// and this table pins their bytes across commits.
-var routerModes = []struct {
+// modes is one row per router configuration that the quick figure goldens
+// (all AgeWindow, X-Y, 4 VCs, depth 5, bypass on) never run, and one per
+// priority policy they never run alone (each scheme by itself, and each
+// application-aware baseline with the schemes off): the equivalence oracles
+// compare these dense = event = sharded within one binary, and this table
+// pins their bytes across commits.
+var modes = []struct {
 	name string
 	set  func(*config.Config)
 }{
@@ -38,18 +40,30 @@ var routerModes = []struct {
 		c.NoC.VCsPerPort = 2
 		c.NoC.ClockDivisors = map[int]int{6: 2}
 	}},
+	{"s1only", func(c *config.Config) { c.S2.Enabled = false }},
+	{"s2only", func(c *config.Config) { c.S1.Enabled = false }},
+	{"appnet", func(c *config.Config) {
+		c.S1.Enabled, c.S2.Enabled = false, false
+		c.AppAwareNet = true
+	}},
+	{"appmem", func(c *config.Config) {
+		c.S1.Enabled, c.S2.Enabled = false, false
+		c.DRAM.Sched = config.AppAwareMem
+	}},
 }
 
 // TestRouterModesGolden runs the memory-intensive workload 7, halved onto the
-// 16-tile machine with both schemes on, once per row of routerModes and
-// compares the summary JSON with testdata/modes/<name>.json. The files were
-// written by the simulator of dbe616d, before the router's allocators were
-// rewritten; regenerate them only in a PR that means to change simulated bytes:
+// 16-tile machine with both schemes on (unless the row turns them off), once
+// per row of modes and compares the summary JSON with
+// testdata/modes/<name>.json. The router rows were written by the simulator of
+// dbe616d, before the router's allocators were rewritten, the policy rows by
+// that of 3e943c8, before the priority hooks became one decision; regenerate
+// them only in a PR that means to change simulated bytes:
 //
 //	go test ./internal/sim -run TestRouterModesGolden -update
 func TestRouterModesGolden(t *testing.T) {
 	apps := halved(t, 7)
-	for _, m := range routerModes {
+	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			cfg := config.Baseline16().WithSchemes(true, true)
 			cfg.Run.WarmupCycles = 2_000
