@@ -52,7 +52,9 @@ const (
 	// AppAwareMem prefers requests of latency-sensitive (low-MPKI)
 	// applications at the banks, modelling application-aware memory
 	// schedulers the paper cites (Section 2.3); within a class it is
-	// FR-FCFS.
+	// FR-FCFS. Until the next bytes epoch it also prioritizes those
+	// applications' packets in the network, exactly as AppAwareNet does,
+	// so an app-aware-mem run is net + mem (ROADMAP).
 	AppAwareMem
 )
 

@@ -50,14 +50,3 @@ func (a *AppAware) Priority(coreID int) noc.Priority {
 	}
 	return a.pri[coreID]
 }
-
-// HighCount returns the number of prioritized applications.
-func (a *AppAware) HighCount() int {
-	n := 0
-	for _, p := range a.pri {
-		if p == noc.High {
-			n++
-		}
-	}
-	return n
-}

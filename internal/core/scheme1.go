@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"nocmem/internal/config"
@@ -61,8 +62,12 @@ func NewScheme1(cfg config.Scheme1, numCores int) *Scheme1 {
 
 // RecordRoundTrip is called at the core when an off-chip access completes,
 // with its total end-to-end delay. This updates the core-local average; the
-// memory controllers only see it at the next periodic push.
+// memory controllers only see it at the next periodic push. A nil Scheme1
+// (disabled) records nothing.
 func (s *Scheme1) RecordRoundTrip(coreID int, delay int64) {
+	if s == nil {
+		return
+	}
 	if delay < 0 {
 		delay = 0
 	}
@@ -82,9 +87,9 @@ func (s *Scheme1) Average(coreID int) float64 {
 // Tick pushes fresh thresholds to the memory controllers when the update
 // period elapses. The push messages themselves are a few bytes per core and
 // are prioritized in the network (Section 3.1); their bandwidth is treated
-// as negligible here.
+// as negligible here. A nil Scheme1 never pushes.
 func (s *Scheme1) Tick(now int64) {
-	if now < s.nextPush {
+	if s == nil || now < s.nextPush {
 		return
 	}
 	s.nextPush = now + s.cfg.UpdatePeriod
@@ -110,8 +115,13 @@ func (s *Scheme1) HasData() bool {
 }
 
 // NextPush returns the cycle of the next periodic threshold push; Tick is a
-// no-op on every earlier cycle.
-func (s *Scheme1) NextPush() int64 { return s.nextPush }
+// no-op on every earlier cycle. A nil Scheme1 returns math.MaxInt64.
+func (s *Scheme1) NextPush() int64 {
+	if s == nil {
+		return math.MaxInt64
+	}
+	return s.nextPush
+}
 
 // Threshold returns the lateness threshold currently visible at the MCs for
 // the given application.
@@ -125,8 +135,11 @@ func (s *Scheme1) Threshold(coreID int) int64 { return s.published[coreID] }
 // (one per memory-controller-owning shard). published is only written in the
 // serial section (Tick) and the counters are plain commutative tallies, so
 // atomic increments are the only synchronization needed and the totals are
-// independent of shard count.
+// independent of shard count. A nil Scheme1 answers noc.Normal.
 func (s *Scheme1) Classify(coreID int, soFarAge int64) noc.Priority {
+	if s == nil {
+		return noc.Normal
+	}
 	atomic.AddInt64(&s.Checked, 1)
 	if soFarAge > s.published[coreID] {
 		atomic.AddInt64(&s.Tagged, 1)

@@ -85,8 +85,12 @@ func NewScheme2(cfg config.Scheme2, nodes, banks int) *Scheme2 {
 // Under sharded stepping Classify runs concurrently from the shard workers,
 // always with node = the injecting L2 tile, so each table is only touched by
 // its owning shard; the counters are commutative tallies kept atomic, making
-// the totals independent of shard count.
+// the totals independent of shard count. A nil Scheme2 (disabled) answers
+// noc.Normal and records nothing.
 func (s *Scheme2) Classify(node, bank int, now int64) noc.Priority {
+	if s == nil {
+		return noc.Normal
+	}
 	atomic.AddInt64(&s.Checked, 1)
 	t := s.tables[node]
 	idle := t.Idle(bank, now)

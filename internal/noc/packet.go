@@ -20,7 +20,8 @@ import (
 	"nocmem/internal/config"
 )
 
-// Priority is a packet's network priority class.
+// Priority is a packet's network priority class. Normal < High, and
+// sim.classify composes the schemes' answers with max on that order.
 type Priority uint8
 
 const (

@@ -173,7 +173,7 @@ func (s *Simulator) RunWithCheckpoint(sink io.Writer) (*Result, error) {
 func (s *Simulator) RunToPush() int64 {
 	warm := s.cfg.Run.WarmupCycles
 	total := warm + s.cfg.Run.MeasureCycles
-	s1 := s.pol.S1
+	s1 := s.s1
 	reset := warm >= s.now
 	for {
 		d := total
@@ -272,17 +272,17 @@ func (x *walker) walk() {
 	// Each scheme block follows a presence flag. A snapshot of an enabled
 	// scheme restores into a configuration without it by walking the block
 	// into a zero scheme, which takes the image's shape.
-	hasS1 := s.pol.S1 != nil
+	hasS1 := s.s1 != nil
 	if k.Bool(&hasS1); hasS1 {
-		s1 := s.pol.S1
+		s1 := s.s1
 		if s1 == nil {
 			s1 = new(core.Scheme1)
 		}
 		s1.Walk(k)
 	}
-	hasS2 := s.pol.S2 != nil
+	hasS2 := s.s2 != nil
 	if k.Bool(&hasS2); hasS2 {
-		s2 := s.pol.S2
+		s2 := s.s2
 		if s2 == nil {
 			s2 = new(core.Scheme2)
 		}

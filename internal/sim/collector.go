@@ -29,8 +29,9 @@ type Collector struct {
 	L2Hits   []int64 // demand transactions served by the L2
 	AvgDelay []stats.RunningMean
 
-	// Return-path (MemDone..Done) latency split by the response priority
-	// Scheme-1 assigned, quantifying how much tagged messages gain.
+	// Return-path (MemDone..Done) latency split by the memory response's
+	// priority (Txn.RespPriority: Scheme-1 and the application-aware
+	// baseline), quantifying how much tagged messages gain.
 	RetHigh   stats.RunningMean
 	RetNormal stats.RunningMean
 

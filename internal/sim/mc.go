@@ -62,7 +62,7 @@ func (m *mcNode) accept(it inItem, now int64) {
 	r.Bank = m.s.amap.Bank(msg.line)
 	r.Row = m.s.amap.Row(msg.line)
 	if msg.txn != nil {
-		r.Sensitive = m.s.pol.BasePriority(msg.txn.Core) == noc.High
+		r.Sensitive = m.s.app.Priority(msg.txn.Core) == noc.High
 	}
 	if msg.txn != nil {
 		msg.txn.ReqAtMC = it.at
@@ -91,9 +91,8 @@ func (m *mcNode) complete(r *dram.Request, now int64) {
 	t.MemDone = now
 	t.SoFarAtMC = age
 	m.sh.col.soFar(t.Core, age)
-	pri := m.s.pol.ResponsePriority(t.Core, age) // Scheme-1 hook
-	t.RespPriority = pri
+	t.RespPriority = m.s.classify(siteMCtoL2, t, age, now)
 	m.sh.send(now, m.tile, p.respDst, m.s.cfg.ResponseFlits(),
-		noc.VNetResponse, pri, age, msgRespMCtoL2, t, t.Line)
+		noc.VNetResponse, t.RespPriority, age, msgRespMCtoL2, t, t.Line)
 	m.reqFree = append(m.reqFree, r)
 }

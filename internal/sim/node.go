@@ -237,7 +237,7 @@ func (n *node) finishL2(it inItem, now int64) {
 		t := m.txn
 		if n.l2.Access(n.s.snuca.Local(m.line), false) {
 			n.dir.add(m.line, t.Core)
-			n.respondToCore(t, t.AgeAtL2+(now-t.ReqAtL2), n.s.pol.BasePriority(t.Core), now)
+			n.respondToCore(t, t.AgeAtL2+(now-t.ReqAtL2), now)
 			n.sh.recycle(it.pkt)
 			return
 		}
@@ -272,10 +272,8 @@ func (n *node) finishL2(it inItem, now int64) {
 			wt.MemDone = t.MemDone
 			wt.SoFarAtMC = t.SoFarAtMC
 			wt.OffChip = true
-			wt.RespPriority = it.pkt.Priority
-			// The response keeps its priority on the L2->L1 leg
-			// (Figure 8: both return paths are expedited).
-			n.respondToCore(wt, it.pkt.Age+(now-it.at), it.pkt.Priority, now)
+			wt.RespPriority = t.RespPriority
+			n.respondToCore(wt, it.pkt.Age+(now-it.at), now)
 		}
 		n.l2m.Release(mshr)
 		n.sh.recycle(it.pkt)
@@ -300,18 +298,17 @@ func (n *node) missToMemory(it inItem, now int64) {
 		n.sh.recycle(it.pkt)
 		return // coalesced onto an in-flight fetch
 	}
-	bank := n.s.amap.GlobalBank(m.line)
-	pri := n.s.pol.RequestPriority(n.id, bank, t.Core, now) // Scheme-2 + app-aware hook
+	age := t.AgeAtL2 + (now - t.ReqAtL2)
 	n.sh.send(now, n.id, n.s.mcTileOf(m.line), n.s.cfg.RequestFlits(),
-		noc.VNetRequest, pri, t.AgeAtL2+(now-t.ReqAtL2), msgReqL2toMC, t, m.line)
+		noc.VNetRequest, n.s.classify(siteL2toMC, t, age, now), age, msgReqL2toMC, t, m.line)
 	n.sh.recycle(it.pkt)
 }
 
 // respondToCore sends the data response for one transaction back to its
 // requesting tile.
-func (n *node) respondToCore(t *Txn, age int64, pri noc.Priority, now int64) {
+func (n *node) respondToCore(t *Txn, age, now int64) {
 	n.sh.send(now, n.id, t.Core, n.s.cfg.ResponseFlits(),
-		noc.VNetResponse, pri, age, msgRespL2toL1, t, t.Line)
+		noc.VNetResponse, n.s.classify(siteL2toL1, t, age, now), age, msgRespL2toL1, t, t.Line)
 }
 
 // fillL1 completes a demand transaction at the requesting tile.
@@ -335,7 +332,7 @@ func (n *node) fillL1(it inItem, now int64) {
 	t.Done = now
 	n.sh.col.done(t)
 	if t.OffChip {
-		n.s.pol.RoundTripDone(t.Core, t.Total()) // Scheme-1 feedback
+		n.s.s1.RecordRoundTrip(t.Core, t.Total()) // Scheme-1 feedback
 	}
 	n.sh.retireTxn(t)
 }
@@ -396,7 +393,7 @@ func (n *node) issue(addr uint64, isWrite bool, slot int) bool {
 // sendL1Request fires a delayed miss request (the txn != nil action form).
 func (n *node) sendL1Request(t *Txn, line uint64, at int64) {
 	n.sh.send(at, n.id, n.s.snuca.Bank(line), n.s.cfg.RequestFlits(),
-		noc.VNetRequest, n.s.pol.BasePriority(n.id), 0, msgReqL1toL2, t, line)
+		noc.VNetRequest, n.s.classify(siteL1toL2, t, 0, at), 0, msgReqL1toL2, t, line)
 }
 
 // catchUp brings a waking tile up to date before cycle now executes: the

@@ -41,7 +41,7 @@ import (
 // mesh is partitioned and one worker goroutine steps each shard, with the
 // single-shard sequential loop below as the reference semantics.
 
-// activateAll marks every component active and re-arms the policy timer;
+// activateAll marks every component active and re-arms the push timer;
 // called at construction and when switching from dense to event-driven
 // stepping, after which the sets shrink back to the truly busy components.
 func (s *Simulator) activateAll() {
@@ -60,7 +60,7 @@ func (s *Simulator) activateAll() {
 			sh.mcActive.Add(m.idx)
 		}
 	}
-	s.polNext = s.pol.NextWake()
+	s.pushNext = s.s1.NextPush()
 }
 
 // SetDenseStepping switches between the event-driven scheduler (default) and
@@ -84,7 +84,7 @@ func (s *Simulator) SetDenseStepping(dense bool) {
 func (s *Simulator) stepDense(cycles int64) {
 	for c := int64(0); c < cycles; c++ {
 		now := s.now
-		s.pol.Tick(now)
+		s.s1.Tick(now)
 		for _, mc := range s.mcs {
 			mc.ctl.Tick(now)
 		}
@@ -101,7 +101,7 @@ func (s *Simulator) stepDense(cycles int64) {
 }
 
 // stepEvent is the event-driven scheduler. Within an executed cycle the
-// phase order is identical to stepDense (policy, MCs, node front-ends,
+// phase order is identical to stepDense (Scheme-1 push, MCs, node front-ends,
 // network, cores), and active components of each class are ticked in
 // ascending index order, so the state evolution matches the dense loop
 // exactly on the components that have work; the rest provably have none.
@@ -123,16 +123,16 @@ func (s *Simulator) stepEvent(cycles int64) {
 
 // cycleHead is the serial head of one cycle of the event-driven scheduler,
 // shared by the sequential loop above and the parallel driver's serial
-// section (cycleSerial): the policy ticks when due, cycle now is counted as
+// section (cycleSerial): Scheme-1 pushes when due, cycle now is counted as
 // executed and the clock advances; the caller then runs the cycle's two
 // phases. Within the cycle every code path receives the executing cycle as a
 // parameter (node.issue reads it from lastCoreTick), so nothing observes the
 // early advance.
 func (s *Simulator) cycleHead() (now int64) {
 	now = s.now
-	if now >= s.polNext {
-		s.pol.Tick(now)
-		s.polNext = s.pol.NextWake()
+	if now >= s.pushNext {
+		s.s1.Tick(now)
+		s.pushNext = s.s1.NextPush()
 	}
 	s.ticked++
 	s.now = now + 1

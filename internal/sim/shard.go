@@ -15,7 +15,7 @@ import (
 // chunk per worker (see partition.go), stepped by Run.Shards worker
 // goroutines. A cycle runs in two phases separated by barriers:
 //
-//	barrier (serial: end check, policy tick, cycle advance)
+//	barrier (serial: end check, Scheme-1 push, cycle advance)
 //	phaseFront: MC ticks, node front-ends, network tick   — per chunk
 //	barrier
 //	phaseBack: boundary drain, cores, sleep bookkeeping   — per chunk

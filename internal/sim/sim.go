@@ -21,11 +21,16 @@ type Simulator struct {
 	apps []trace.Profile
 
 	net     *noc.Network
-	pol     *core.Policy
 	nodes   []*node
 	mcs     []*mcNode
 	mcAt    []*mcNode // tile -> hosted controller; nil on non-MC tiles
 	mcTiles []int     // cfg.MCNodes(), cached: the accessor builds a fresh slice
+
+	// The priority schemes classify consults (policy.go), each nil when
+	// disabled; a nil one answers as if it were absent.
+	s1  *core.Scheme1
+	s2  *core.Scheme2
+	app *core.AppAware
 
 	amap  dram.AddrMap
 	snuca cache.SNUCA
@@ -40,12 +45,13 @@ type Simulator struct {
 	shards []*simShard
 
 	// Event-driven scheduler state (see sched.go): dense selects the
-	// reference stepper instead, polNext is the next cycle the policy has
-	// work, and ticked counts the cycles the event stepper executed: every
-	// cycle it stepped. It is checkpointed, so a restored run keeps counting.
-	dense   bool
-	polNext int64
-	ticked  int64
+	// reference stepper instead, pushNext is the next cycle Scheme-1 pushes
+	// thresholds, and ticked counts the cycles the event stepper executed:
+	// every cycle it stepped. It is checkpointed, so a restored run keeps
+	// counting.
+	dense    bool
+	pushNext int64
+	ticked   int64
 
 	// par coordinates the parallel shard workers of one Step call.
 	par stepPar
@@ -117,10 +123,15 @@ func newFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 		cfg:   cfg,
 		apps:  apps,
 		net:   net,
-		pol:   core.NewPolicy(cfg),
 		amap:  amap,
 		snuca: cache.NewSNUCA(nodes, cfg.L2.LineBytes),
 		mcAt:  make([]*mcNode, nodes),
+	}
+	if cfg.S1.Enabled {
+		s.s1 = core.NewScheme1(cfg.S1, nodes)
+	}
+	if cfg.S2.Enabled {
+		s.s2 = core.NewScheme2(cfg.S2, nodes, cfg.DRAM.Controllers*cfg.DRAM.BanksPerCtl)
 	}
 	s.nodes = make([]*node, nodes)
 	for i := range s.nodes {
@@ -143,6 +154,9 @@ func newFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 			nd.l2.ResetStats()
 		}
 	}
+	// One ranking serves both application-aware baselines. classify reads it
+	// at every network site, so AppAwareMem alone prioritizes the network
+	// too (see config.AppAwareMem).
 	if cfg.AppAwareNet || cfg.DRAM.Sched == config.AppAwareMem {
 		mpki := make([]float64, nodes)
 		active := make([]bool, nodes)
@@ -150,7 +164,7 @@ func newFromSources(cfg config.Config, srcs []trace.AppSource, apps []trace.Prof
 			mpki[i] = a.MPKI
 			active[i] = a.Name != ""
 		}
-		s.pol.App = core.NewAppAware(mpki, active)
+		s.app = core.NewAppAware(mpki, active)
 	}
 	s.mcTiles = cfg.MCNodes()
 	for ctlIdx, tile := range s.mcTiles {
@@ -273,11 +287,11 @@ func (s *Simulator) resetStats() {
 		s.idleSeries[i] = series
 		mc.ctl.SetIdleSeries(func(cycle int64, avg float64) { series.Add(cycle, avg) })
 	}
-	if s.pol.S1 != nil {
-		s.pol.S1.Tagged, s.pol.S1.Checked = 0, 0
+	if s.s1 != nil {
+		s.s1.Tagged, s.s1.Checked = 0, 0
 	}
-	if s.pol.S2 != nil {
-		s.pol.S2.Tagged, s.pol.S2.Checked = 0, 0
+	if s.s2 != nil {
+		s.s2.Tagged, s.s2.Checked = 0, 0
 	}
 }
 
@@ -363,14 +377,14 @@ func (s *Simulator) results() *Result {
 		r.BankIdleness = append(r.BankIdleness, mc.ctl.Idleness())
 		r.DRAM = append(r.DRAM, mc.ctl.Stats())
 	}
-	if s.pol.S1 != nil {
-		r.S1Tagged, r.S1Checked = s.pol.S1.Tagged, s.pol.S1.Checked
+	if s.s1 != nil {
+		r.S1Tagged, r.S1Checked = s.s1.Tagged, s.s1.Checked
 		for i := range s.nodes {
-			r.S1Thresholds = append(r.S1Thresholds, s.pol.S1.Threshold(i))
+			r.S1Thresholds = append(r.S1Thresholds, s.s1.Threshold(i))
 		}
 	}
-	if s.pol.S2 != nil {
-		r.S2Tagged, r.S2Checked = s.pol.S2.Tagged, s.pol.S2.Checked
+	if s.s2 != nil {
+		r.S2Tagged, r.S2Checked = s.s2.Tagged, s.s2.Checked
 	}
 	return r
 }

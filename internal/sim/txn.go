@@ -78,8 +78,9 @@ type Txn struct {
 	// i.e. the value Scheme-1 compares against the threshold (Figure 9).
 	SoFarAtMC int64
 
-	// RespPriority is the network priority Scheme-1 assigned to the
-	// response.
+	// RespPriority is the network priority of the memory response
+	// (classify at siteMCtoL2: Scheme-1 and the application-aware
+	// baseline); the fill keeps it on the L2 -> L1 leg.
 	RespPriority noc.Priority
 }
 
